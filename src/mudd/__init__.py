@@ -10,7 +10,6 @@ from pathlib import Path
 from .dsl import DslParseError, DslSource, format_diagnostics, format_model, parse, parse_file
 from .errors import MuddError
 from .feasibility import (
-    FeasibilityProblem,
     FeasibilityVerdict,
     attribute_violations,
     batch_check,

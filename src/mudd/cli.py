@@ -30,7 +30,6 @@ class RunConfig:
     jobs: int = 1
     project: bool = False
     independent: bool = False
-    compress_flows: bool = False
     namespace: Optional[CounterNamespace] = None
 
     def __post_init__(self):
@@ -62,7 +61,6 @@ class RunConfig:
             jobs=pick("jobs", "jobs", int, _default_jobs()),
             project=bool(getattr(args, "project", False)),
             independent=bool(getattr(args, "independent", False)),
-            compress_flows=bool(getattr(args, "compress_flows", False)),
             namespace=_load_namespace(getattr(args, "namespace", None)),
         )
 
@@ -145,52 +143,22 @@ def cmd_constraints(args, cfg: RunConfig) -> int:
 
 def cmd_check(args, cfg: RunConfig) -> int:
     model = dsl.parse_file(args.model, cfg.namespace)
-    model_name = Path(args.model).stem
     observations = [
         stats.load_observations(p, model.namespace, project=cfg.project)
         for p in args.observations
     ]
-    namespaces = {model_name: model.namespace}
-    if cfg.project or cfg.independent:
-        # projection restricts the namespace per observation, and the
-        # independence ablation changes the region; both go cell by cell
-        from .geometry import constraints_from_signatures
-        from .model import signatures_of_model
-        from .stats import build_confidence_region
-
-        cells = []
-        base_sigs = signatures_of_model(model, cfg.cap)
-        for obs in observations:
-            if obs.namespace.names != model.namespace.names:
-                positions = [model.namespace.position(n) for n in obs.namespace.names]
-                sigs = [tuple(s.counts[i] for i in positions) for s in base_sigs]
-            else:
-                sigs = [s.counts for s in base_sigs]
-            constraints = constraints_from_signatures(sigs, obs.namespace)
-            region = build_confidence_region(
-                obs, cfg.alpha, independent=cfg.independent
-            )
-            verdict = feasibility.check_feasibility(
-                sigs, region, cap=cfg.cap, compress=cfg.compress_flows,
-                constraints=constraints,
-            )
-            cells.append(feasibility.BatchCell(model_name, obs.run_id, verdict))
-            namespaces[(model_name, obs.run_id)] = obs.namespace
-        cells = tuple(sorted(cells, key=lambda c: (c.model_name, c.run_id)))
-    else:
-        cells = feasibility.batch_check(
-            [(model_name, model)],
-            observations,
-            cfg.alpha,
-            cap=cfg.cap,
-            compress=cfg.compress_flows,
-            jobs=cfg.jobs,
-        )
-
+    cells = feasibility.batch_check(
+        [(Path(args.model).stem, model)],
+        observations,
+        cfg.alpha,
+        cap=cfg.cap,
+        independent=cfg.independent,
+        jobs=cfg.jobs,
+    )
     if cfg.output_format == "json":
-        print(feasibility.verdict_table_json(cells, namespaces))
+        print(feasibility.verdict_table_json(cells))
     else:
-        print(feasibility.verdict_table_text(cells, namespaces))
+        print(feasibility.verdict_table_text(cells))
     if any(c.error for c in cells):
         return 2
     if any(not c.verdict.feasible for c in cells):
@@ -275,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the namespace to counters present in each CSV")
     p.add_argument("--independent", action="store_true",
                    help="ablation: drop counter correlations from the region")
-    p.add_argument("--compress-flows", action="store_true",
-                   help="one flow variable per distinct signature")
     p.add_argument("--jobs", type=int, default=None,
                    help="parallel observation checks (default MUDD_JOBS or 1)")
     common(p)

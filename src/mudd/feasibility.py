@@ -21,6 +21,7 @@ from .errors import DimensionMismatch, MuddError, PathExplosion
 from .geometry import Constraint, ConstraintSet, constraints_from_signatures
 from .model import (
     DEFAULT_PATH_CAP,
+    CounterNamespace,
     CounterSignature,
     MuDD,
     MuPath,
@@ -35,22 +36,6 @@ def _sig_counts(sig) -> tuple[int, ...]:
     if isinstance(sig, CounterSignature):
         return tuple(int(c) for c in sig.counts)
     return tuple(int(c) for c in sig)
-
-
-@dataclass(frozen=True)
-class FeasibilityProblem:
-    """One region-versus-cone feasibility instance."""
-
-    signatures: tuple[tuple[int, ...], ...]
-    region: ConfidenceRegion
-
-    @property
-    def dimension(self) -> int:
-        return self.region.dimension
-
-    @property
-    def flow_count(self) -> int:
-        return len(self.signatures)
 
 
 @dataclass(frozen=True)
@@ -91,45 +76,35 @@ def check_feasibility(
     region: ConfidenceRegion,
     *,
     cap: int = DEFAULT_PATH_CAP,
-    compress: bool = False,
+    compress: bool = True,
     constraints: Optional[ConstraintSet] = None,
 ) -> FeasibilityVerdict:
     """Decide whether the region intersects the cone of the given signatures.
 
-    Flow variables are instantiated per path; `compress` merges equal
-    signatures into one flow variable, which provably leaves the feasible
-    counter set unchanged (the merged flow is the sum of the originals).
-    When infeasible and a ConstraintSet is supplied (or derivable), the
-    violated constraints are attributed against the same box.
+    Equal signatures share one flow variable, which provably leaves the
+    feasible counter set unchanged (the merged flow is the sum of the
+    originals); the witness flow is aligned with the input paths and puts
+    each merged flow on the first path of its signature. `compress` is
+    accepted and ignored: merging is the only formulation. When infeasible
+    and a ConstraintSet is supplied, the violated constraints are attributed
+    against the same box.
     """
-    problem = FeasibilityProblem(
-        signatures=tuple(_sig_counts(s) for s in model_sigs), region=region
-    )
-    sigs = problem.signatures
-    n = problem.dimension
+    sigs = tuple(_sig_counts(s) for s in model_sigs)
+    if len(sigs) > cap:
+        raise PathExplosion(f"{len(sigs)} flow variables exceed the cap of {cap}")
+    n = region.dimension
     for s in sigs:
         if len(s) != n:
             raise DimensionMismatch(
                 f"signature dimension {len(s)} does not match region dimension {n}"
             )
-    if problem.flow_count > cap:
-        raise PathExplosion(f"{problem.flow_count} flow variables exceed the cap of {cap}")
-
-    if compress:
-        unique: dict[tuple[int, ...], int] = {}
-        owners: list[int] = []  # representative input index per unique signature
-        for i, s in enumerate(sigs):
-            if s not in unique:
-                unique[s] = len(unique)
-                owners.append(i)
-        lp_sigs = list(unique)
-    else:
-        lp_sigs = sigs
-        owners = list(range(len(sigs)))
-
-    for s in sigs:
         if any(c < 0 for c in s):
             raise ValueError("signatures must be non-negative")
+
+    owners: dict[tuple[int, ...], int] = {}  # signature -> its first input index
+    for i, s in enumerate(sigs):
+        owners.setdefault(s, i)
+    lp_sigs = list(owners)
 
     center, axes, half = _region_bounds_exact(region)
     p = len(lp_sigs)
@@ -161,8 +136,8 @@ def check_feasibility(
         return FeasibilityVerdict(feasible=False, violated_constraints=violated)
 
     flows = [Fraction(0)] * len(sigs)
-    for k, owner in enumerate(owners):
-        flows[owner] = solution[k]
+    for owner, flow in zip(owners.values(), solution):
+        flows[owner] = flow
     point = tuple(
         sum((Fraction(s[i]) * f for s, f in zip(sigs, flows) if f), Fraction(0))
         for i in range(n)
@@ -247,16 +222,23 @@ class BatchCell:
     run_id: str
     verdict: Optional[FeasibilityVerdict]
     error: Optional[str] = None
+    namespace: Optional[CounterNamespace] = None  # the counters the verdict speaks of
+
+
+def _in_namespace(sigs, model_ns: CounterNamespace, ns: CounterNamespace):
+    """The model's signatures restricted to `ns`, and their constraints."""
+    if ns.names != model_ns.names:
+        positions = [model_ns.position(name) for name in ns.names]
+        sigs = [tuple(s[i] for i in positions) for s in sigs]
+    return sigs, constraints_from_signatures(sigs, ns)
 
 
 def _check_cell(args):
-    model_name, sigs, constraints, obs, alpha, cap, compress = args
+    model_name, sigs, constraints, obs, alpha, cap, independent = args
     try:
-        region = build_confidence_region(obs, alpha)
-        verdict = check_feasibility(
-            sigs, region, cap=cap, compress=compress, constraints=constraints
-        )
-        return BatchCell(model_name, obs.run_id, verdict)
+        region = build_confidence_region(obs, alpha, independent=independent)
+        verdict = check_feasibility(sigs, region, cap=cap, constraints=constraints)
+        return BatchCell(model_name, obs.run_id, verdict, namespace=obs.namespace)
     except MuddError as exc:
         return BatchCell(model_name, obs.run_id, None, error=str(exc))
 
@@ -267,28 +249,38 @@ def batch_check(
     alpha: float = 0.01,
     *,
     cap: int = DEFAULT_PATH_CAP,
-    compress: bool = False,
+    independent: bool = False,
     jobs: int = 1,
 ) -> tuple[BatchCell, ...]:
     """Every model against every observation; deterministic order regardless
-    of parallelism. Per-cell errors are recorded, not raised."""
-    tasks = []
+    of parallelism. Per-cell errors are recorded, not raised.
+
+    Each observation is checked in its own namespace, which projection may
+    have restricted: the model's signatures are restricted to it and its
+    constraints deduced once per distinct namespace. `independent` drops
+    counter correlations from every region.
+    """
+    cells: list[BatchCell] = []
+    work = []
     for model_name, model in models:
         try:
-            sigs = [s.counts for s in signatures_of_model(model, cap)]
-            constraints = constraints_from_signatures(sigs, model.namespace)
+            base = [s.counts for s in signatures_of_model(model, cap)]
         except MuddError as exc:
-            for obs in observation_sets:
-                tasks.append((model_name, obs.run_id, str(exc)))
+            cells.extend(BatchCell(model_name, obs.run_id, None, error=str(exc))
+                         for obs in observation_sets)
             continue
+        deduced: dict[tuple[str, ...], tuple] = {}
         for obs in observation_sets:
-            tasks.append((model_name, sigs, constraints, obs, alpha, cap, compress))
+            names = obs.namespace.names
+            try:
+                if names not in deduced:
+                    deduced[names] = _in_namespace(base, model.namespace, obs.namespace)
+            except MuddError as exc:
+                cells.append(BatchCell(model_name, obs.run_id, None, error=str(exc)))
+                continue
+            sigs, constraints = deduced[names]
+            work.append((model_name, sigs, constraints, obs, alpha, cap, independent))
 
-    cells: list[BatchCell] = []
-    work = [t for t in tasks if len(t) != 3]
-    for t in tasks:
-        if len(t) == 3:
-            cells.append(BatchCell(t[0], t[1], None, error=t[2]))
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             cells.extend(pool.map(_check_cell, work))
@@ -297,28 +289,19 @@ def batch_check(
     return tuple(sorted(cells, key=lambda c: (c.model_name, c.run_id)))
 
 
-def _cell_namespace(namespaces: Optional[dict], cell: BatchCell):
-    # per-cell namespaces (projection can differ per observation) win over
-    # the per-model default
-    if not namespaces:
-        return None
-    ns = namespaces.get((cell.model_name, cell.run_id))
-    return ns if ns is not None else namespaces.get(cell.model_name)
-
-
-def verdict_table_json(cells: Sequence[BatchCell], namespaces: Optional[dict] = None) -> str:
+def verdict_table_json(cells: Sequence[BatchCell]) -> str:
     rows = []
     for cell in cells:
         row: dict = {"model": cell.model_name, "run": cell.run_id}
         if cell.error is not None:
             row["error"] = cell.error
         else:
-            row.update(cell.verdict.to_json(_cell_namespace(namespaces, cell)))
+            row.update(cell.verdict.to_json(cell.namespace))
         rows.append(row)
     return json.dumps(rows, indent=2)
 
 
-def verdict_table_text(cells: Sequence[BatchCell], namespaces: Optional[dict] = None) -> str:
+def verdict_table_text(cells: Sequence[BatchCell]) -> str:
     lines = []
     for cell in cells:
         if cell.error is not None:
@@ -328,8 +311,10 @@ def verdict_table_text(cells: Sequence[BatchCell], namespaces: Optional[dict] = 
             lines.append(f"{cell.model_name} x {cell.run_id}: feasible")
         else:
             lines.append(f"{cell.model_name} x {cell.run_id}: INFEASIBLE")
-            ns = _cell_namespace(namespaces, cell)
             for c in cell.verdict.violated_constraints:
-                rendered = c.display(ns) if ns is not None else str(list(c.coefficients))
+                if cell.namespace is not None:
+                    rendered = c.display(cell.namespace)
+                else:
+                    rendered = str(list(c.coefficients))
                 lines.append(f"    violated: {rendered}")
     return "\n".join(lines)

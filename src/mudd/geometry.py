@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from . import hull, linprog
+from . import exact, hull, linprog
 from .errors import DegenerateHull, DimensionMismatch
 from .model import (
     DEFAULT_PATH_CAP,
@@ -37,15 +36,6 @@ def _as_vector(sig) -> Vector:
             raise ValueError(f"signature entries must be integers, got {c!r}")
         out.append(int(c))
     return tuple(out)
-
-
-def _primitive(v: Sequence[int]) -> Vector:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g > 1:
-        return tuple(x // g for x in v)
-    return tuple(v)
 
 
 @dataclass(frozen=True)
@@ -172,48 +162,12 @@ def normalize_signatures(sigs: Iterable) -> tuple[CounterSignature, ...]:
     for sig in sigs:
         v = _as_vector(sig)
         if any(v):
-            seen.add(_primitive(v))
+            seen.add(exact.primitive(v))
     return tuple(CounterSignature(counts=v) for v in sorted(seen))
 
 
 # ---------------------------------------------------------------------------
 # step 2: equalities by exact Gaussian elimination
-
-
-def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
-
-
-def _integerize(v: Sequence[Fraction]) -> Vector:
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    prim = _primitive(ints)
-    for x in prim:
-        if x != 0:
-            return prim if x > 0 else tuple(-y for y in prim)
-    return prim
 
 
 def find_equalities(
@@ -234,18 +188,15 @@ def find_equalities(
     for v in vectors:
         if len(v) != dim:
             raise DimensionMismatch("generator length does not match dimension")
-    rref, pivots = _rref([[Fraction(x) for x in v] for v in vectors], dim)
-    free = [c for c in range(dim) if c not in pivots]
+    pivots, null_basis = exact.null_space(vectors, dim)
     equalities = []
-    for f in free:
-        coeffs = [Fraction(0)] * dim
-        coeffs[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            coeffs[c] = -rref[i][f]
-        # null-space basis vector: orthogonal to every generator
+    for coeffs in null_basis:
+        # orthogonal to every generator; leading coefficient made positive
+        v = exact.primitive(coeffs)
+        if next(x for x in v if x) < 0:
+            v = tuple(-x for x in v)
         equalities.append(
-            Constraint(kind="equality", coefficients=_integerize(coeffs),
-                       provenance="gaussian-elimination")
+            Constraint(kind="equality", coefficients=v, provenance="gaussian-elimination")
         )
     projection = ProjectionMap(pivot_columns=tuple(pivots), dimension=dim)
     reduced = tuple(dict.fromkeys(projection.project(v) for v in vectors))
@@ -325,7 +276,7 @@ def conic_hull_facets(
         for vx, vy in vectors:
             for cand in ((-vy, vx), (vy, -vx)):
                 if all(cand[0] * gx + cand[1] * gy >= 0 for gx, gy in vectors):
-                    raw.append(_primitive(cand))
+                    raw.append(exact.primitive(cand))
     else:
         scaled = []
         for v in vectors:
@@ -338,7 +289,7 @@ def conic_hull_facets(
             if offset != 0:
                 continue
             coeffs = tuple(-int(x) for x in normal)  # inside is a.x <= 0
-            raw.append(_primitive(coeffs))
+            raw.append(exact.primitive(coeffs))
 
     facets: set[Vector] = set()
     for coeffs in raw:

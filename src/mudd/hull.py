@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from . import exact
 from .errors import DegenerateHull
 
 Point = tuple[Fraction, ...]
@@ -24,55 +25,6 @@ def _sub(p: Point, q: Point) -> tuple[Fraction, ...]:
 
 def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def _rank_append(basis: list[list[Fraction]], vec: Sequence[Fraction]) -> bool:
-    """Gaussian step: try to add vec to an eliminated basis; True if rank grew."""
-    v = list(vec)
-    for row in basis:
-        lead = next(i for i, x in enumerate(row) if x != 0)
-        if v[lead] != 0:
-            factor = v[lead] / row[lead]
-            for i in range(len(v)):
-                v[i] -= factor * row[i]
-    if any(x != 0 for x in v):
-        basis.append(v)
-        return True
-    return False
-
-
-def _nullvector(vectors: list[tuple[Fraction, ...]], dim: int) -> tuple[Fraction, ...]:
-    """A nonzero vector orthogonal to d-1 independent vectors in dimension d."""
-    # reduced row echelon form, then read the single free column
-    rows = [list(v) for v in vectors]
-    pivots: list[int] = []
-    r = 0
-    for c in range(dim):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(dim) if c not in pivots]
-    if len(free) != 1:
-        raise DegenerateHull("facet vertices are not affinely independent")
-    f = free[0]
-    vec = [Fraction(0)] * dim
-    vec[f] = Fraction(1)
-    for i, c in enumerate(pivots):
-        vec[c] = -rows[i][f]
-    return tuple(vec)
 
 
 class _Facet:
@@ -98,23 +50,23 @@ def convex_hull_hyperplanes(points: Sequence[Point]) -> list[Hyperplane]:
     if dim < 2:
         raise DegenerateHull("hull requires dimension >= 2")
 
-    # greedy affinely independent seed simplex
-    seed = [0]
-    basis: list[list[Fraction]] = []
-    for i in range(1, len(pts)):
-        if _rank_append(basis, _sub(pts[i], pts[0])):
-            seed.append(i)
-        if len(seed) == dim + 1:
-            break
-    if len(seed) != dim + 1:
+    # seed simplex: the first affinely independent points, which are the
+    # pivot columns of the difference vectors stacked as columns
+    diffs = [_sub(p, pts[0]) for p in pts[1:]]
+    _, pivots = exact.rref([[d[c] for d in diffs] for c in range(dim)], len(diffs))
+    if len(pivots) != dim:
         raise DegenerateHull("points do not span the space")
+    seed = [0] + [i + 1 for i in pivots]
 
     interior = tuple(sum(pts[i][c] for i in seed) / (dim + 1) for c in range(dim))
 
     def make_facet(vertex_ids: tuple[int, ...]) -> _Facet:
         base = pts[vertex_ids[0]]
         vectors = [_sub(pts[v], base) for v in vertex_ids[1:]]
-        normal = _nullvector(vectors, dim)
+        _, normals = exact.null_space(vectors, dim)
+        if len(normals) != 1:
+            raise DegenerateHull("facet vertices are not affinely independent")
+        normal = tuple(normals[0])
         offset = _dot(normal, base)
         side = _dot(normal, interior)
         if side == offset:
@@ -171,30 +123,6 @@ def convex_hull_hyperplanes(points: Sequence[Point]) -> list[Hyperplane]:
         for ridge in horizon:
             add_facet(make_facet(tuple(ridge) + (idx,)))
 
-    unique: dict[tuple, Hyperplane] = {}
-    for f in facets.values():
-        a, b = _primitive(f.normal, f.offset)
-        unique[(a, b)] = (a, b)
-    return list(unique.values())
-
-
-def _primitive(normal: Sequence[Fraction], offset: Fraction) -> Hyperplane:
-    """Scale (a, b) by a positive rational to primitive integer form."""
-    denom = 1
-    for x in list(normal) + [offset]:
-        denom = denom * x.denominator // _gcd_int(denom, x.denominator)
-    ints = [int(x * denom) for x in normal]
-    b = int(offset * denom)
-    g = 0
-    for x in ints + [b]:
-        g = _gcd_int(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-        b = b // g
-    return tuple(Fraction(x) for x in ints), Fraction(b)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    # a positive rescaling to primitive integers merges coplanar simplices
+    planes = dict.fromkeys(exact.primitive(f.normal + (f.offset,)) for f in facets.values())
+    return [(tuple(Fraction(x) for x in p[:-1]), Fraction(p[-1])) for p in planes]

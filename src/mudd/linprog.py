@@ -10,37 +10,13 @@ normalization overhead.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
+
+from .exact import normalize_row, primitive
 
 
 def _to_fraction_rows(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     return [[Fraction(x) for x in row] for row in rows]
-
-
-def _integer_row(row: Sequence[Fraction], rhs: Fraction) -> list[int]:
-    """Scale a rational row (and rhs, appended last) to integers."""
-    denom = 1
-    for x in row:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    denom = denom * rhs.denominator // gcd(denom, rhs.denominator)
-    out = [int(x * denom) for x in row]
-    out.append(int(rhs * denom))
-    return out
-
-
-def _normalize_row(row: list[int]) -> int:
-    """Divide a row by its gcd; returns the divisor (1 if already primitive)."""
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x if x > 0 else -x)
-            if g == 1:
-                return 1
-    if g > 1:
-        for j in range(len(row)):
-            row[j] //= g
-    return g if g else 1
 
 
 def solve_equality_form(
@@ -66,10 +42,10 @@ def solve_equality_form(
 
     rows: list[list[int]] = []
     for i in range(m):
-        row = _integer_row(A[i], b[i])
+        # primitive integer row with the rhs appended last, rhs made >= 0
+        row = list(primitive(A[i] + [b[i]]))
         if row[-1] < 0:
             row = [-x for x in row]
-        _normalize_row(row)
         rows.append(row)
 
     # choose initial basis: hinted unit columns where valid, else artificials
@@ -145,14 +121,14 @@ def solve_equality_form(
                 row = [x * piv - f * y for x, y in zip(rows[i], piv_row)]
                 rows[i] = row
                 denoms[i] *= piv
-                denoms[i] //= _normalize_row_with_denom(row, denoms[i])
+                denoms[i] //= normalize_row(row, denoms[i])
         f = cost[entering]
         if f:
             cost = [x * piv - f * y for x, y in zip(cost, piv_row)]
             cost_denom *= piv
-            cost_denom //= _normalize_row_with_denom(cost, cost_denom)
+            cost_denom //= normalize_row(cost, cost_denom)
         denoms[leaving] = piv
-        denoms[leaving] //= _normalize_row_with_denom(piv_row, piv)
+        denoms[leaving] //= normalize_row(piv_row, piv)
         basis[leaving] = entering
 
     if cost[rhs_col] != 0:
@@ -163,21 +139,6 @@ def solve_equality_form(
         if col < num_vars:
             x[col] = Fraction(rows[i][rhs_col], rows[i][col])
     return x
-
-
-def _normalize_row_with_denom(row: list[int], denom: int) -> int:
-    """gcd-normalize a row together with its denominator; returns the divisor."""
-    g = denom
-    for x in row:
-        if x:
-            g = gcd(g, x if x > 0 else -x)
-            if g == 1:
-                return 1
-    if g > 1:
-        for j in range(len(row)):
-            row[j] //= g
-        return g
-    return 1
 
 
 def feasible_point(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -180,7 +181,7 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
         if not row or all(not cell.strip() for cell in row):
             continue
         sample = []
-        for col in order:
+        for name, col in zip(namespace.names, order):
             try:
                 cell = row[col]
             except IndexError:
@@ -188,11 +189,15 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
                     f"run {run_id!r} line {lineno}: row has too few columns"
                 ) from None
             try:
-                sample.append(float(cell))
+                value = float(cell)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise NonNumericCell(
-                    f"run {run_id!r} line {lineno}: {cell!r} is not a number"
-                ) from None
+                    f"run {run_id!r} line {lineno} column {name!r}: "
+                    f"{cell!r} is not a finite number"
+                )
+            sample.append(value)
         rows.append(sample)
     if len(rows) < 2:
         raise TooFewSamples(f"run {run_id!r} has {len(rows)} samples; need at least 2")

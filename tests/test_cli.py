@@ -151,6 +151,24 @@ class TestCheck:
         _, out_parallel, _ = run(capsys, "check", walk_model, exact_csv, "--jobs", "2")
         assert out_serial == out_parallel
 
+    @pytest.mark.parametrize("flag", ["--project", "--independent"])
+    def test_parallel_jobs_same_output_per_flag(self, capsys, walk_model, exact_csv,
+                                                 tmp_path, flag):
+        partial = tmp_path / "partial.csv"
+        partial.write_text("t,load.causes_walk\n0,1\n1,3\n2,2\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(
+            ["t,load.causes_walk,load.pde$_miss"] + [f"{i},1,{2 + i % 2}" for i in range(6)]
+        ) + "\n")
+        csvs = [exact_csv, str(bad)] + ([str(partial)] if flag == "--project" else [])
+        runs = [run(capsys, "check", walk_model, *csvs, flag, "--jobs", jobs)
+                for jobs in ("1", "2")]
+        assert runs[0] == runs[1]
+        code, out, _ = runs[0]
+        assert code == 1
+        assert len(out.splitlines()) >= len(csvs)
+        assert "bad: INFEASIBLE" in out
+
     def test_independent_ablation_flag(self, capsys, walk_model, tmp_path):
         # correlated data whose truth sits just past the walk bound: the
         # correlated region refutes it, the diagonal ablation cannot

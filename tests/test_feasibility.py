@@ -63,12 +63,31 @@ class TestCheckFeasibility:
         assert f[0] * 1 + f[1] * 1 == v[0]
         assert f[1] * 1 == v[1]
 
-    def test_compress_matches_full(self):
-        sigs = [(1, 0), (1, 1), (1, 0), (2, 0)]
-        for point in ([3.0, 1.0], [0.5, 1.0]):
-            a = check_feasibility(sigs, point_region(point))
-            b = check_feasibility(sigs, point_region(point), compress=True)
-            assert a.feasible == b.feasible
+    def test_signature_duplication_and_order_invariance(self):
+        # equal signatures share one flow variable, so neither repeating nor
+        # reordering paths may change the verdict; the witness flow stays
+        # aligned with the paths as given and reproduces the witness point
+        rng = random.Random(7)
+        base = [(1, 0), (1, 1), (2, 0), (3, 1)]
+        cases = {(3.0, 1.0): True, (2.0, 2.0): True, (4.0, 0.0): True,
+                 (0.5, 1.0): False, (2.0, -1.0): False}
+        for point, expected in cases.items():
+            assert check_feasibility(base, point_region(point)).feasible == expected
+            for _ in range(5):
+                sigs = base + [rng.choice(base) for _ in range(rng.randint(1, 4))]
+                rng.shuffle(sigs)
+                verdict = check_feasibility(sigs, point_region(point))
+                assert verdict.feasible == expected
+                if not verdict.feasible:
+                    continue
+                assert len(verdict.witness_flow) == len(sigs)
+                assert all(f >= 0 for f in verdict.witness_flow)
+                rebuilt = tuple(
+                    sum((f * s[i] for s, f in zip(sigs, verdict.witness_flow)), Fraction(0))
+                    for i in range(2)
+                )
+                assert rebuilt == verdict.witness_point
+                assert rebuilt == tuple(Fraction(x) for x in point)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -313,11 +332,11 @@ class TestBatch:
         model = dsl.parse_file(bundled("walk_init_first.mudd"))
         good = generate(SynthSpec(model=model, flows=(1.0, 1.0), samples=5, seed=1), run_id="ok")
         cells = batch_check([("m", model)], [good])
-        text = verdict_table_text(cells, {"m": model.namespace})
+        text = verdict_table_text(cells)
         assert "m x ok: feasible" in text
         import json
 
-        rows = json.loads(verdict_table_json(cells, {"m": model.namespace}))
+        rows = json.loads(verdict_table_json(cells))
         assert rows[0]["feasible"] is True
 
     def test_search_table_style_counts(self, bundled):

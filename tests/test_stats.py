@@ -59,9 +59,10 @@ class TestLoader:
         assert obs.sample_matrix.shape == (2, 2)
 
     def test_non_numeric_cell(self):
-        src = io.StringIO("a,b\n1,2\nx,4\n")
-        with pytest.raises(NonNumericCell):
-            load_observations(src, NS2)
+        for cell in ("x", "nan", "inf", "-inf"):
+            src = io.StringIO(f"a,b\n1,2\n{cell},4\n")
+            with pytest.raises(NonNumericCell, match=f"run 'r' line 3 column 'a': '{cell}'"):
+                load_observations(src, NS2, run_id="r")
 
     def test_too_few_samples(self):
         src = io.StringIO("a,b\n1,2\n")
