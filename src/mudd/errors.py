@@ -34,7 +34,8 @@ class DimensionMismatch(MuddError):
 
 
 class DegenerateHull(MuddError):
-    """Exact hull construction could not orient a facet; indicates a bug or bad input."""
+    """The hull got rays that do not span a pointed cone, or a facet failed its
+    one-sidedness check; indicates a bug or bad input."""
 
 
 class NotSymmetric(MuddError):
@@ -51,6 +52,10 @@ class NonNumericCell(MuddError):
 
 class TooFewSamples(MuddError):
     """Fewer than two samples; covariance is undefined."""
+
+
+class NonFiniteStatistics(MuddError):
+    """A run's sample mean or covariance overflowed to a non-finite value."""
 
 
 class NoFeasibleModel(MuddError):

@@ -241,6 +241,9 @@ def _check_cell(args):
         return BatchCell(model_name, obs.run_id, verdict, namespace=obs.namespace)
     except MuddError as exc:
         return BatchCell(model_name, obs.run_id, None, error=str(exc))
+    except Exception as exc:  # one cell's failure must not abort the batch
+        return BatchCell(model_name, obs.run_id, None,
+                         error=f"{type(exc).__name__}: {exc}")
 
 
 def batch_check(

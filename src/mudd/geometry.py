@@ -4,10 +4,11 @@ The cone of a diagram is generated by its path counter signatures. Its facet
 description is deduced in four steps: signatures are scaled to primitive
 integer vectors and deduplicated; Gaussian elimination yields the equality
 constraints and a full-rank coordinate projection; generators interior to the
-cone are removed by membership LPs; the remaining extreme rays are hulled
-(with the origin) to enumerate facet inequalities. All arithmetic is exact:
-signatures are small integers and rationals keep them that way, where
-floating point rounding could flip a facet.
+cone are removed by membership LPs; the remaining extreme rays are hulled as
+integer rays to enumerate facet inequalities. All arithmetic is exact:
+signatures are small integers, facet normals are integer combinations of them
+and elimination uses rationals, where floating point rounding could flip a
+facet.
 """
 from __future__ import annotations
 
@@ -254,53 +255,21 @@ def conic_hull_facets(
 ) -> tuple[Constraint, ...]:
     """Facet inequalities a.v >= 0 of the cone spanned by full-rank generators.
 
-    Low dimensions avoid the general hull: one dimension has the single facet
-    v >= 0 along the ray, two dimensions the two boundary rays. Higher
-    dimensions hull {0} union the generators (rescaled onto a common
-    cross-section, which leaves the cone unchanged) and keep the facets
-    through the origin. Facets are lifted back to original coordinates when a
-    projection is given.
+    The integer generators are hulled as rays by the exact beneath-beyond
+    kernel, which needs a pointed cone: every generator must be non-negative
+    and nonzero. Each facet is checked to hold on every generator. Facets are
+    lifted back to original coordinates when a projection is given.
     """
     vectors = list(dict.fromkeys(_as_vector(g) for g in gens))
     if not vectors:
         return ()
-    dim = len(vectors[0])
+    if any(min(v) < 0 or not any(v) for v in vectors):
+        raise DegenerateHull("signature generators must be non-negative and nonzero")
 
-    raw: list[Vector] = []
-    if dim == 1:
-        if any(v[0] < 0 for v in vectors):
-            raise DegenerateHull("signature generators must be non-negative")
-        raw.append((1,))
-    elif dim == 2:
-        # candidate facet normal for each boundary ray; valid if one-sided
-        for vx, vy in vectors:
-            for cand in ((-vy, vx), (vy, -vx)):
-                if all(cand[0] * gx + cand[1] * gy >= 0 for gx, gy in vectors):
-                    raw.append(exact.primitive(cand))
-    else:
-        scaled = []
-        for v in vectors:
-            total = sum(v)
-            if total <= 0:
-                raise DegenerateHull("signature generators must be non-negative and nonzero")
-            scaled.append(tuple(Fraction(x, total) for x in v))
-        origin = tuple(Fraction(0) for _ in range(dim))
-        for normal, offset in hull.convex_hull_hyperplanes([origin] + scaled):
-            if offset != 0:
-                continue
-            coeffs = tuple(-int(x) for x in normal)  # inside is a.x <= 0
-            raw.append(exact.primitive(coeffs))
-
-    facets: set[Vector] = set()
-    for coeffs in raw:
-        values = [sum(c * g for c, g in zip(coeffs, v)) for v in vectors]
-        if all(x >= 0 for x in values):
-            oriented = coeffs
-        elif all(x <= 0 for x in values):
-            oriented = tuple(-c for c in coeffs)
-        else:
-            raise DegenerateHull(f"facet {coeffs} could not be oriented")
-        facets.add(oriented)
+    facets = set(hull.convex_hull_hyperplanes(vectors))
+    for coeffs in facets:
+        if any(sum(c * g for c, g in zip(coeffs, v)) < 0 for v in vectors):
+            raise DegenerateHull(f"facet {coeffs} is not one-sided on the generators")
 
     lifted = sorted(
         projection.lift(f) if projection is not None else f for f in facets

@@ -1,128 +1,109 @@
-"""Exact incremental convex hull over rational points.
+"""Exact beneath-beyond conic hull over integer rays.
 
-Triangulated beneath-beyond: facets are stored as simplices; a point is
-inserted by deleting the facets its position strictly violates and coning it
-over the horizon ridges. With exact Fractions a point outside the current
-hull always strictly violates some facet, and every new facet simplex is
-non-degenerate, so no perturbation is needed. Coplanar simplices are merged
-at the end by deduplicating normalized supporting hyperplanes.
+The boundary of the cone is kept as a triangulation: every facet is a simplex
+of d-1 rays with a primitive integer inward normal n (n.r >= 0 for every ray
+inserted so far), and every ridge of d-2 rays is shared by two facets. A ray p
+is inserted by deleting the facets it strictly violates (n.p < 0) and coning
+p over each horizon ridge, the ridge between a deleted facet v and a kept
+facet h. The new facet's normal is the combination of its two neighbours'
+normals that vanishes on p,
+
+    (n_h.p) n_v - (n_v.p) n_h,
+
+which vanishes on the ridge too, is inward because both coefficients are
+non-negative, and is nonzero because n_v and n_h are independent. Only the
+seed simplex needs an elimination; every later normal is integer arithmetic.
+Coplanar simplices share their primitive normal and merge at the end.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from . import exact
 from .errors import DegenerateHull
 
-Point = tuple[Fraction, ...]
-Hyperplane = tuple[tuple[Fraction, ...], Fraction]  # (a, b) with a.x <= b inside
+Ray = tuple[int, ...]
 
 
-def _sub(p: Point, q: Point) -> tuple[Fraction, ...]:
-    return tuple(x - y for x, y in zip(p, q))
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _ridges(vertices: tuple[int, ...]):
+    for skip in range(len(vertices)):
+        yield frozenset(vertices[:skip] + vertices[skip + 1 :])
 
 
-class _Facet:
-    __slots__ = ("vertices", "normal", "offset")
+def convex_hull_hyperplanes(rays: Sequence[Sequence[int]]) -> list[Ray]:
+    """Primitive integer inward normals of the facets of a pointed cone.
 
-    def __init__(self, vertices: tuple[int, ...], normal: tuple[Fraction, ...], offset: Fraction):
-        self.vertices = vertices
-        self.normal = normal
-        self.offset = offset
-
-
-def convex_hull_hyperplanes(points: Sequence[Point]) -> list[Hyperplane]:
-    """Supporting hyperplanes of the hull facets, one per geometric facet.
-
-    Points must affinely span their space. Each returned (a, b) satisfies
-    a.x <= b for every input point, with equality on the facet; vectors are
-    scaled to primitive integers.
+    The integer rays must span their space and generate a pointed cone. Each
+    returned n satisfies n.r >= 0 for every ray, with equality on its facet;
+    there is one normal per geometric facet. Non-extreme and duplicate rays
+    are allowed.
     """
-    pts = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
-    if not pts:
-        raise DegenerateHull("no points")
-    dim = len(pts[0])
-    if dim < 2:
-        raise DegenerateHull("hull requires dimension >= 2")
+    rays = list(dict.fromkeys(tuple(int(x) for x in r) for r in rays))
+    if not rays:
+        raise DegenerateHull("no rays")
+    dim = len(rays[0])
 
-    # seed simplex: the first affinely independent points, which are the
-    # pivot columns of the difference vectors stacked as columns
-    diffs = [_sub(p, pts[0]) for p in pts[1:]]
-    _, pivots = exact.rref([[d[c] for d in diffs] for c in range(dim)], len(diffs))
-    if len(pivots) != dim:
-        raise DegenerateHull("points do not span the space")
-    seed = [0] + [i + 1 for i in pivots]
+    # seed simplex: the first independent rays, the pivot columns of the rays
+    # stacked as columns. Reducing them beside an identity block also yields
+    # the inverse E of the seed matrix, whose row i is 1 on seed ray i and 0
+    # on the others: the inward normal of the facet that omits seed ray i.
+    m = len(rays)
+    identity = [[int(r == c) for c in range(dim)] for r in range(dim)]
+    stacked = [[ray[c] for ray in rays] + identity[c] for c in range(dim)]
+    reduced, pivots = exact.rref(stacked, m + dim)
+    seed = [c for c in pivots if c < m]
+    if len(seed) != dim:
+        raise DegenerateHull("rays do not span the space")
 
-    interior = tuple(sum(pts[i][c] for i in seed) / (dim + 1) for c in range(dim))
-
-    def make_facet(vertex_ids: tuple[int, ...]) -> _Facet:
-        base = pts[vertex_ids[0]]
-        vectors = [_sub(pts[v], base) for v in vertex_ids[1:]]
-        _, normals = exact.null_space(vectors, dim)
-        if len(normals) != 1:
-            raise DegenerateHull("facet vertices are not affinely independent")
-        normal = tuple(normals[0])
-        offset = _dot(normal, base)
-        side = _dot(normal, interior)
-        if side == offset:
-            raise DegenerateHull("interior point lies on a facet hyperplane")
-        if side > offset:
-            normal = tuple(-x for x in normal)
-            offset = -offset
-        return _Facet(tuple(sorted(vertex_ids)), normal, offset)
-
-    facets: dict[int, _Facet] = {}
-    next_id = 0
+    normals: dict[int, Ray] = {}
+    vertices: dict[int, tuple[int, ...]] = {}
     ridge_map: dict[frozenset[int], list[int]] = {}
+    next_id = 0
 
-    def add_facet(f: _Facet) -> None:
+    def add_facet(verts: tuple[int, ...], normal: Ray) -> None:
         nonlocal next_id
         fid = next_id
         next_id += 1
-        facets[fid] = f
-        for ridge in _ridges(f.vertices):
+        normals[fid] = normal
+        vertices[fid] = verts
+        for ridge in _ridges(verts):
             ridge_map.setdefault(ridge, []).append(fid)
 
     def remove_facet(fid: int) -> None:
-        f = facets.pop(fid)
-        for ridge in _ridges(f.vertices):
+        del normals[fid]
+        for ridge in _ridges(vertices.pop(fid)):
             incident = ridge_map[ridge]
             incident.remove(fid)
             if not incident:
                 del ridge_map[ridge]
 
-    def _ridges(vertices: tuple[int, ...]):
-        for skip in range(len(vertices)):
-            yield frozenset(vertices[:skip] + vertices[skip + 1 :])
-
-    for skip in range(dim + 1):
-        add_facet(make_facet(tuple(seed[:skip] + seed[skip + 1 :])))
+    for skip, row in enumerate(reduced):
+        add_facet(tuple(seed[:skip] + seed[skip + 1 :]), exact.primitive(row[m:]))
 
     in_seed = set(seed)
-    for idx in range(len(pts)):
+    for idx, p in enumerate(rays):
         if idx in in_seed:
             continue
-        p = pts[idx]
-        visible = [fid for fid, f in facets.items() if _dot(f.normal, p) > f.offset]
+        side = {fid: _dot(n, p) for fid, n in normals.items()}
+        visible = [fid for fid, s in side.items() if s < 0]
         if not visible:
             continue
-        visible_set = set(visible)
-        horizon: list[frozenset[int]] = []
-        for fid in visible:
-            for ridge in _ridges(facets[fid].vertices):
-                incident = ridge_map[ridge]
-                if any(other not in visible_set for other in incident):
-                    horizon.append(ridge)
+        horizon = []
+        for v in visible:
+            for ridge in _ridges(vertices[v]):
+                for h in ridge_map[ridge]:
+                    if side[h] >= 0:
+                        horizon.append((ridge, normals[v], side[v], normals[h], side[h]))
         for fid in visible:
             remove_facet(fid)
-        for ridge in horizon:
-            add_facet(make_facet(tuple(ridge) + (idx,)))
+        for ridge, n_v, s_v, n_h, s_h in horizon:
+            combined = [s_h * a - s_v * b for a, b in zip(n_v, n_h)]
+            g = gcd(*combined)
+            add_facet(tuple(ridge) + (idx,), tuple(x // g for x in combined))
 
-    # a positive rescaling to primitive integers merges coplanar simplices
-    planes = dict.fromkeys(exact.primitive(f.normal + (f.offset,)) for f in facets.values())
-    return [(tuple(Fraction(x) for x in p[:-1]), Fraction(p[-1])) for p in planes]
+    return list(dict.fromkeys(normals.values()))

@@ -24,6 +24,7 @@ from scipy.special import gammainc
 
 from .errors import (
     MissingCounter,
+    NonFiniteStatistics,
     NonNumericCell,
     NotSymmetric,
     TooFewSamples,
@@ -225,13 +226,21 @@ def mean_and_covariance(obs: ObservationSet) -> tuple[np.ndarray, np.ndarray, np
     """Sample mean, unbiased sample covariance, and plugin mean covariance.
 
     The mean covariance is the sample covariance divided by the sample count.
+    Raises NonFiniteStatistics when counter values are so large that the mean
+    or covariance overflows.
     """
     matrix = obs.sample_matrix
     m = matrix.shape[0]
-    mean = matrix.mean(axis=0)
-    centered = matrix - mean
-    cov = (centered.T @ centered) / (m - 1)
-    cov = (cov + cov.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = matrix.mean(axis=0)
+        centered = matrix - mean
+        cov = (centered.T @ centered) / (m - 1)
+        cov = (cov + cov.T) / 2.0
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise NonFiniteStatistics(
+            f"run {obs.run_id!r}: sample mean or covariance overflows; "
+            "counter values are too large"
+        )
     return mean, cov, cov / m
 
 

@@ -323,6 +323,20 @@ def test_performance_at_scale(haswell_namespace):
     )
 
 
+def test_haswell_deduction_speed(haswell_namespace):
+    """Deduction on the 26-counter model stays exact-integer fast: the hull
+    builds each new facet normal from its two neighbours, so the whole
+    deduction takes tens of milliseconds; the bound leaves ample headroom."""
+    model = dsl.parse_file(bundled_path("haswell_mmu.mudd"), haswell_namespace)
+    t0 = time.perf_counter()
+    constraints = deduce_constraints(model)
+    elapsed = time.perf_counter() - t0
+    assert len(constraints.equalities) == 12
+    assert len(constraints.inequalities) == 25
+    assert elapsed < 0.5, f"deduction took {elapsed:.3f}s"
+    _report(f"haswell deduction {elapsed:.3f}s")
+
+
 def test_catalog_search_report(capsys):
     """The bundled search catalog classifies m4 and m8 as feasible and
     reports every feature except the root-level cache as required."""

@@ -1,4 +1,9 @@
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +173,36 @@ class TestCheck:
         assert code == 1
         assert len(out.splitlines()) >= len(csvs)
         assert "bad: INFEASIBLE" in out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_overflowing_csv_does_not_abort_batch(self, capsys, tmp_path, jobs):
+        # a run whose covariance overflows is an error cell; its neighbour
+        # still gets a verdict and no numpy warning reaches stderr
+        model = str(bundled_path("walk_outcome.mudd"))
+        ok = tmp_path / "ok.csv"
+        assert main(["synth", model, "--flows", "100,50,20", "--samples", "30",
+                     "--noise", "2", "-o", str(ok)]) == 0
+        capsys.readouterr()
+        with open(ok, newline="") as fh:
+            rows = list(csv.reader(fh))
+        huge = tmp_path / "huge.csv"
+        with open(huge, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(rows[0])
+            for row in rows[1:]:
+                writer.writerow(row[:1] + [format(float(x) * 1e300, ".17g") for x in row[1:]])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mudd", "check", model, str(ok), str(huge), "--jobs", jobs],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stdout.splitlines()
+        assert "walk_outcome x ok: feasible" in lines
+        assert any(line.startswith("walk_outcome x huge: error: run 'huge'") for line in lines)
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_independent_ablation_flag(self, capsys, walk_model, tmp_path):
         # correlated data whose truth sits just past the walk bound: the

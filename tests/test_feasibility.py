@@ -312,6 +312,25 @@ class TestBatch:
         assert by_run["ok"].verdict.feasible
         assert by_run["misfit"].error is not None
 
+    def test_unexpected_exception_becomes_error_cell(self, bundled, monkeypatch):
+        import mudd.feasibility
+
+        def broken(obs, alpha, independent=False):
+            if obs.run_id == "bad":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(obs, alpha, independent=independent)
+
+        real = mudd.feasibility.build_confidence_region
+        monkeypatch.setattr(mudd.feasibility, "build_confidence_region", broken)
+        model = dsl.parse_file(bundled("walk_init_first.mudd"))
+        obs = [
+            generate(SynthSpec(model=model, flows=(1.0, 1.0), samples=5, seed=1), run_id=r)
+            for r in ("bad", "ok")
+        ]
+        bad, ok = batch_check([("m", model)], obs)
+        assert bad.error == "LinAlgError: Eigenvalues did not converge"
+        assert ok.verdict.feasible
+
     def test_empty_observation_list(self, bundled):
         model = dsl.parse_file(bundled("walk_init_first.mudd"))
         assert batch_check([("m", model)], []) == ()

@@ -1,13 +1,19 @@
 """Randomized cross-checks of the exact hull and simplex cores.
 
 The hull is compared against the subset-enumeration facet oracle on cone
-families chosen to be degenerate (0/1 generators, orthant mixtures); the
-simplex is fed systems whose verdicts carry certificates (a non-negative
+families chosen to be degenerate (0/1 generators, orthant mixtures, products
+of simplices), also when fed non-extreme, duplicated and rescaled generators;
+the simplex is fed systems whose verdicts carry certificates (a non-negative
 solution, or a dual vector in the infeasibility direction).
 """
+import itertools
+import math
 import random
 from fractions import Fraction
 
+import pytest
+
+from mudd import hull
 from mudd.geometry import (
     conic_hull_facets,
     find_equalities,
@@ -43,6 +49,80 @@ def test_hull_matches_oracle_on_degenerate_cones():
         extreme = remove_interior_generators(norm)
         got = {c.coefficients for c in conic_hull_facets(extreme)}
         assert got == brute_force_facets(list(extreme), dim), extreme
+
+
+def _check_kernel(rays, dim, gens):
+    """Kernel normals are primitive, one-sided on every ray, and the facets of
+    the cone of `gens`, which the extra rays in `rays` lie in."""
+    normals = hull.convex_hull_hyperplanes(rays)
+    for n in normals:
+        assert math.gcd(*n) == 1, n
+        assert all(sum(a * x for a, x in zip(n, r)) >= 0 for r in rays), n
+    assert len(set(normals)) == len(normals)
+    expected = brute_force_facets(list(dict.fromkeys(gens)), dim)
+    assert set(normals) == expected, rays
+    assert {c.coefficients for c in conic_hull_facets(rays)} == expected
+
+
+def test_hull_with_non_extreme_generators_matches_oracle():
+    rng = random.Random(20240611)
+    tested = 0
+    while tested < 150:
+        dim = rng.randint(1, 7)
+        n = rng.randint(dim, min(dim + 3, 9))
+        style = rng.random()
+        if style < 0.4:  # 0/1 vectors: coplanar-rich
+            gens = [tuple(rng.randint(0, 1) for _ in range(dim)) for _ in range(n)]
+        else:
+            gens = [tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(n)]
+        gens = [g for g in gens if any(g)]
+        if not gens or find_equalities(gens, dim)[2].pivot_columns != tuple(range(dim)):
+            continue  # the oracle is written for full-rank ambient spaces
+        extras = []
+        while len(gens) + len(extras) < 12:
+            kind = rng.randrange(4)
+            a, b = rng.choice(gens), rng.choice(gens)
+            if kind == 0:  # interior, or on a face when a and b share one
+                extras.append(tuple(x + y for x, y in zip(a, b)))
+            elif kind == 1:  # the sum of every generator: interior
+                extras.append(tuple(map(sum, zip(*gens))))
+            elif kind == 2:
+                extras.append(a)
+            else:
+                scale = rng.randint(2, 3)
+                extras.append(tuple(scale * x for x in a))
+        rays = gens + extras
+        rng.shuffle(rays)
+        tested += 1
+        _check_kernel(rays, dim, gens)
+
+
+def _product_of_simplices(shape, total):
+    blocks = []
+    for k in shape:
+        start = sum(len(b) for b in blocks)
+        blocks.append(range(start, start + k))
+    dim = sum(shape) + int(total)
+    gens = []
+    for combo in itertools.product(*blocks):
+        v = [0] * dim
+        for c in combo:
+            v[c] = 1
+        if total:
+            v[-1] = 1
+        gens.append(tuple(v))
+    return gens
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 2, 2), (3, 3), (4, 3), (2, 2, 3)])
+@pytest.mark.parametrize("total", [False, True])
+def test_hull_of_product_of_simplices_matches_oracle(shape, total):
+    gens = _product_of_simplices(shape, total)
+    _, reduced, _ = find_equalities(gens, len(gens[0]))
+    rdim = len(reduced[0])
+    assert rdim == sum(k - 1 for k in shape) + 1
+    _check_kernel(list(reduced), rdim, reduced)
+    assert len(brute_force_facets(list(reduced), rdim)) == sum(shape)
 
 
 def test_simplex_verdicts_are_certified():

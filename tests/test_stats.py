@@ -6,6 +6,7 @@ import pytest
 
 from mudd.errors import (
     MissingCounter,
+    NonFiniteStatistics,
     NonNumericCell,
     NotSymmetric,
     TooFewSamples,
@@ -97,6 +98,12 @@ class TestMoments:
     def test_anticorrelated_pair(self):
         _, cov, _ = mean_and_covariance(obs_from([[0, 2], [2, 0]]))
         assert cov[0][1] == pytest.approx(-2)
+
+    def test_overflow_names_the_run(self, recwarn):
+        huge = obs_from([[1e300, 0], [3e300, 1], [2e300, 2]], run_id="huge")
+        with pytest.raises(NonFiniteStatistics, match="'huge'"):
+            mean_and_covariance(huge)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestChiSquare:
