@@ -44,15 +44,22 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        overrides = _read_config_file(getattr(args, "config", None))
+        path = getattr(args, "config", None)
+        overrides = _read_config_file(path)
 
         def pick(flag, key, cast, fallback):
             value = getattr(args, flag, None)
             if value is not None:
                 return value
-            if key in overrides:
-                return cast(overrides[key])
-            return fallback
+            if key not in overrides:
+                return fallback
+            text, lineno = overrides[key]
+            try:
+                return cast(text)
+            except ValueError:
+                raise MuddError(
+                    f"{path}:{lineno}: {key}: {text!r} is not a valid {cast.__name__}"
+                ) from None
 
         return cls(
             alpha=pick("alpha", "alpha", float, 0.01),
@@ -77,7 +84,8 @@ def _load_namespace(path):
 
 
 def _read_config_file(path) -> dict:
-    """key=value lines supply defaults for flags the user did not pass."""
+    """key=value lines supply defaults for flags the user did not pass;
+    maps each key to its value text and line number."""
     if not path:
         return {}
     overrides = {}
@@ -88,7 +96,7 @@ def _read_config_file(path) -> dict:
         if "=" not in line:
             raise MuddError(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        overrides[key.strip()] = (value.strip(), lineno)
     return overrides
 
 

@@ -50,6 +50,10 @@ class NonNumericCell(MuddError):
     """An observation file contains a cell that does not parse as a number."""
 
 
+class NegativeCell(MuddError):
+    """An observation file contains a negative counter value."""
+
+
 class TooFewSamples(MuddError):
     """Fewer than two samples; covariance is undefined."""
 

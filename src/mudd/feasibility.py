@@ -1,12 +1,24 @@
 """Feasibility of confidence regions against model cones.
 
-The decision is a pure-feasibility linear program over counter variables v
-and one non-negative flow variable per path: v equals the flow-weighted sum
-of signatures, and v stays inside the region's principal-axis box. Region
-bounds are floats; every finite float is a rational, so converting them
-exactly keeps the verdict free of solver tolerances. When a region is
-infeasible, each explicit constraint is tested against the whole box to name
-the violated ones.
+A region is the principal-axis box { v : |e_i.(v - c)| <= h_i }. Its bounds
+are floats, and every finite float is a dyadic rational, so scaled by one
+common power of two the centre, axes and half-lengths are integers and
+every test below is exact. Each observation takes one decision sequence:
+
+1. Attribution. Every deduced constraint (an equality a.v = 0 or a facet
+   a.v >= 0) is tested against the whole box. Each holds on every
+   generator, hence on the cone, so a constraint that the whole box misses
+   proves the box misses the cone: INFEASIBLE, with those constraints
+   named, and no LP runs.
+2. Witness. Otherwise the box centre is moved exactly, by the least-norm
+   correction, onto the equalities and onto every axis of zero half-length.
+   If the moved point v is still in the box, one exact membership LP over
+   the distinct signatures looks for flows f >= 0 with S f = v; finding them
+   proves v is in the cone without trusting the constraints: feasible, with
+   v as the witness.
+3. Fallback. Otherwise the box straddles the cone boundary (at a corner no
+   single constraint excludes it) and the exact box LP decides: flows f >= 0
+   whose counter vector S f lies in the box, or none.
 """
 from __future__ import annotations
 
@@ -14,9 +26,10 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
-from . import linprog
+from . import exact, linprog
 from .errors import DimensionMismatch, MuddError, PathExplosion
 from .geometry import Constraint, ConstraintSet, constraints_from_signatures
 from .model import (
@@ -36,6 +49,10 @@ def _sig_counts(sig) -> tuple[int, ...]:
     if isinstance(sig, CounterSignature):
         return tuple(int(c) for c in sig.counts)
     return tuple(int(c) for c in sig)
+
+
+def _dot(a: Sequence, b: Sequence):
+    return sum(x * y for x, y in zip(a, b) if x)
 
 
 @dataclass(frozen=True)
@@ -64,11 +81,32 @@ class FeasibilityVerdict:
         return out
 
 
-def _region_bounds_exact(region: ConfidenceRegion):
-    center = [Fraction(float(x)) for x in region.center]
-    axes = [[Fraction(float(x)) for x in row] for row in region.axes]
-    half = [Fraction(float(x)) for x in region.half_lengths]
-    return center, axes, half
+@dataclass(frozen=True)
+class _IntegerBox:
+    """A region with its centre C, axes E (rows) and half-lengths H multiplied
+    by `scale`, a power of two, so that all three are integers:
+    |e_i.(v - c)| <= h_i iff |E_i.(scale*v - C)| <= scale*H_i."""
+
+    center: list[int]
+    axes: list[list[int]]
+    half: list[int]
+    scale: int
+
+    @classmethod
+    def of(cls, region: ConfidenceRegion) -> "_IntegerBox":
+        rows = [region.center.tolist(), *region.axes.tolist(),
+                region.half_lengths.tolist()]
+        ratios = [[float(x).as_integer_ratio() for x in row] for row in rows]
+        scale = max((d for row in ratios for _, d in row), default=1)  # powers of two
+        ints = [[m * (scale // d) for m, d in row] for row in ratios]
+        return cls(ints[0], ints[1:-1], ints[-1], scale)
+
+    def contains(self, point: Sequence[Fraction]) -> bool:
+        den = lcm(*(x.denominator for x in point))
+        offset = [x.numerator * (den // x.denominator) * self.scale - den * c
+                  for x, c in zip(point, self.center)]  # scale*den*(v - c)
+        return all(abs(_dot(e, offset)) <= self.scale * den * h
+                   for e, h in zip(self.axes, self.half))
 
 
 def check_feasibility(
@@ -81,13 +119,21 @@ def check_feasibility(
 ) -> FeasibilityVerdict:
     """Decide whether the region intersects the cone of the given signatures.
 
+    Three exact steps, the first that decides wins: INFEASIBLE when
+    `attribute_violations` names a constraint the whole box misses; feasible
+    when the box centre, corrected onto the equalities and the zero-length
+    axes, stays in the box and a membership LP writes it as a non-negative
+    flow combination of the signatures (the witness); otherwise the exact
+    box LP. Without
+    `constraints`, they are deduced from the signatures, so there is one
+    decision path; a caller passing them vouches that each holds on every
+    signature.
+
     Equal signatures share one flow variable, which provably leaves the
     feasible counter set unchanged (the merged flow is the sum of the
     originals); the witness flow is aligned with the input paths and puts
     each merged flow on the first path of its signature. `compress` is
-    accepted and ignored: merging is the only formulation. When infeasible
-    and a ConstraintSet is supplied, the violated constraints are attributed
-    against the same box.
+    accepted and ignored: merging is the only formulation.
     """
     sigs = tuple(_sig_counts(s) for s in model_sigs)
     if len(sigs) > cap:
@@ -106,34 +152,19 @@ def check_feasibility(
         owners.setdefault(s, i)
     lp_sigs = list(owners)
 
-    center, axes, half = _region_bounds_exact(region)
-    p = len(lp_sigs)
-
-    # The LP has variables v >= 0 and f >= 0 with v = sum_p sig_p * f_p and
-    # the box bounds on v. Substituting v through the flow equation is an
-    # exact presolve: signatures are non-negative so v >= 0 is implied, and
-    # the counter witness is reconstructed from the flows afterwards.
-    # box: -(h_i) <= e_i . (v - center) <= h_i, with v = sum sig_k f_k
-    a_ub = []
-    b_ub = []
-    for i in range(n):
-        e = axes[i]
-        proj_center = sum((e[j] * center[j] for j in range(n)), Fraction(0))
-        row = [
-            sum((e[j] * s[j] for j in range(n) if s[j]), Fraction(0))
-            for s in lp_sigs
-        ]
-        a_ub.append(row)
-        b_ub.append(proj_center + half[i])
-        a_ub.append([-x for x in row])
-        b_ub.append(half[i] - proj_center)
-
-    solution = linprog.feasible_point(p, (), (), a_ub, b_ub)
-    if solution is None:
-        violated: tuple[Constraint, ...] = ()
-        if constraints is not None:
-            violated = attribute_violations(constraints, region)
+    if constraints is None:
+        constraints = constraints_from_signatures(
+            lp_sigs, CounterNamespace(f"v{i}" for i in range(n)))
+    violated = attribute_violations(constraints, region)
+    if violated:
         return FeasibilityVerdict(feasible=False, violated_constraints=violated)
+
+    box = _IntegerBox.of(region)
+    solution = _centre_witness(lp_sigs, constraints.equalities, box)
+    if solution is None:
+        solution = _box_lp(lp_sigs, box)
+    if solution is None:
+        return FeasibilityVerdict(feasible=False)
 
     flows = [Fraction(0)] * len(sigs)
     for owner, flow in zip(owners.values(), solution):
@@ -143,14 +174,72 @@ def check_feasibility(
         for i in range(n)
     )
     # exact sanity: the reconstructed point lies in the stated box
-    for i in range(n):
-        e = axes[i]
-        offset = sum((e[j] * (point[j] - center[j]) for j in range(n)), Fraction(0))
-        if abs(offset) > half[i]:
-            raise ArithmeticError("witness point escaped the confidence box")
+    if not box.contains(point):
+        raise ArithmeticError("witness point escaped the confidence box")
     return FeasibilityVerdict(
         feasible=True, witness_flow=tuple(flows), witness_point=point
     )
+
+
+def _centre_witness(
+    lp_sigs: Sequence[tuple[int, ...]], equalities: Sequence[Constraint], box: _IntegerBox
+) -> Optional[list[Fraction]]:
+    """Flows onto the corrected box centre, or None when it is not a witness.
+
+    With w = scale*v, the rows M are the equalities (a.w = 0) and the axes
+    of zero half-length (E_i.w = E_i.C); the least-norm solution is
+    w = C + M^T y with (M M^T) y = -(M C - r), solved exactly. None when
+    those rows are inconsistent, when w leaves the box, or when the
+    membership LP finds no flows.
+    """
+    rows = [list(c.coefficients) for c in equalities]
+    residual = [-_dot(a, box.center) for a in rows]
+    pinned = [e for e, h in zip(box.axes, box.half) if h == 0]
+    rows += pinned
+    residual += [0] * len(pinned)
+    w: list = list(box.center)
+    if any(residual):
+        k = len(rows)
+        gram = [[_dot(a, b) for b in rows] + [r] for a, r in zip(rows, residual)]
+        reduced, pivots = exact.rref(gram, k + 1)
+        if pivots and pivots[-1] == k:
+            return None  # the equalities and pinned axes share no point
+        for row, p in zip(reduced, pivots):
+            if row[k]:
+                for j, x in enumerate(rows[p]):
+                    if x:
+                        w[j] += row[k] * x
+    point = [Fraction(x, box.scale) for x in w]
+    if not box.contains(point):
+        return None
+    columns = [[s[i] for s in lp_sigs] for i in range(len(point))]
+    return linprog.solve_equality_form(columns, point, len(lp_sigs))
+
+
+def _box_lp(
+    lp_sigs: Sequence[tuple[int, ...]], box: _IntegerBox
+) -> Optional[list[Fraction]]:
+    """Flows f >= 0 whose counter vector lies in the box, or None.
+
+    The LP has variables v >= 0 and f >= 0 with v = sum_p sig_p * f_p and
+    the box bounds on v. Substituting v through the flow equation is an
+    exact presolve: signatures are non-negative so v >= 0 is implied, and
+    the counter witness is reconstructed from the flows afterwards. Each
+    axis gives -h_i <= e_i.(v - c) <= h_i, with the entries of e_i, c and
+    h_i recovered exactly from the integer box.
+    """
+    a_ub = []
+    b_ub = []
+    scale = box.scale
+    for e, h in zip(box.axes, box.half):
+        proj_center = Fraction(_dot(e, box.center), scale * scale)
+        half = Fraction(h, scale)
+        row = [Fraction(_dot(e, s), scale) for s in lp_sigs]
+        a_ub.append(row)
+        b_ub.append(proj_center + half)
+        a_ub.append([-x for x in row])
+        b_ub.append(half - proj_center)
+    return linprog.feasible_point(len(lp_sigs), (), (), a_ub, b_ub)
 
 
 def attribute_violations(
@@ -161,31 +250,26 @@ def attribute_violations(
     Over the box, a linear form a.v ranges over
     [a.center - s, a.center + s] with s = sum_i |a.axes_i| * half_i.
     An inequality a.v >= 0 is violated when the maximum is negative; an
-    equality when the interval excludes zero. A region can be disjoint from
-    the cone while straddling a corner of it, in which case no single
-    constraint is violated everywhere and this returns empty.
+    equality when the interval excludes zero. Both ends are compared in
+    integers: times scale**2 they are scale*(a.C) -+ sum_i |a.E_i| * H_i.
+    A region can be disjoint from the cone while straddling a corner of it,
+    in which case no single constraint is violated everywhere and this
+    returns empty.
     """
-    center, axes, half = _region_bounds_exact(region)
-    n = len(center)
+    box = _IntegerBox.of(region)
+    n = len(box.center)
+    live = [(e, h) for e, h in zip(box.axes, box.half) if h]
     out = []
     for constraint in constraints:
         a = constraint.coefficients
         if len(a) != n:
             raise DimensionMismatch("constraint dimension does not match region")
-        base = sum((Fraction(a[j]) * center[j] for j in range(n)), Fraction(0))
-        spread = Fraction(0)
-        for i in range(n):
-            if half[i] == 0:
-                continue
-            proj = sum((Fraction(a[j]) * axes[i][j] for j in range(n)), Fraction(0))
-            spread += abs(proj) * half[i]
-        lo, hi = base - spread, base + spread
-        if constraint.kind == "inequality":
-            if hi < 0:
-                out.append(constraint)
-        else:
-            if hi < 0 or lo > 0:
-                out.append(constraint)
+        base = box.scale * _dot(a, box.center)
+        spread = sum(abs(_dot(a, e)) * h for e, h in live)
+        if base + spread < 0:
+            out.append(constraint)
+        elif constraint.kind == "equality" and base - spread > 0:
+            out.append(constraint)
     return tuple(out)
 
 

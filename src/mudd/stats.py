@@ -24,6 +24,7 @@ from scipy.special import gammainc
 
 from .errors import (
     MissingCounter,
+    NegativeCell,
     NonFiniteStatistics,
     NonNumericCell,
     NotSymmetric,
@@ -136,7 +137,8 @@ def load_observations(
     in the namespace but absent from the file raise MissingCounter unless
     `project` is set, in which case the namespace is restricted and the
     projection is recorded in provenance. Extra columns are ignored with a
-    warning.
+    warning. A cell that is not a finite number raises NonNumericCell, a
+    negative one NegativeCell; both name the run, line and counter column.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -197,6 +199,11 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
                 raise NonNumericCell(
                     f"run {run_id!r} line {lineno} column {name!r}: "
                     f"{cell!r} is not a finite number"
+                )
+            if value < 0:
+                raise NegativeCell(
+                    f"run {run_id!r} line {lineno} column {name!r}: "
+                    f"{cell!r} is a negative counter value"
                 )
             sample.append(value)
         rows.append(sample)

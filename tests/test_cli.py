@@ -111,6 +111,23 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    def test_negative_cell_names_run_line_and_column(self, capsys, tmp_path):
+        model = str(bundled_path("walk_outcome.mudd"))
+        ok = tmp_path / "ok.csv"
+        assert main(["synth", model, "--flows", "100,50,20", "--samples", "10",
+                     "-o", str(ok)]) == 0
+        neg = tmp_path / "neg.csv"
+        rows = ok.read_text().splitlines()
+        cells = rows[3].split(",")
+        cells[2] = "-" + cells[2]
+        neg.write_text("\n".join(rows[:3] + [",".join(cells)] + rows[4:]) + "\n")
+        capsys.readouterr()
+        code, out, err = run(capsys, "check", model, str(ok), str(neg))
+        column = rows[0].split(",")[2]
+        assert code == 2
+        assert out == ""
+        assert f"error: run 'neg' line 4 column '{column}': '{cells[2]}'" in err
+
     def test_json_and_text_agree(self, capsys, walk_model, exact_csv, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(
@@ -313,6 +330,19 @@ class TestConfig:
     def test_bad_alpha_exits_2(self, capsys, walk_model, exact_csv):
         code, _, err = run(capsys, "check", walk_model, exact_csv, "--alpha", "1.5")
         assert code == 2
+
+    def test_bad_config_value_names_file_line_and_key(self, capsys, walk_model,
+                                                      exact_csv, tmp_path):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("# defaults\nformat=json\nalpha=abc\n")
+        code, out, err = run(capsys, "check", walk_model, exact_csv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {cfg}:3: alpha: 'abc' is not a valid float\n"
+        cfg.write_text("jobs=two\n")
+        code, _, err = run(capsys, "check", walk_model, exact_csv, "--config", str(cfg))
+        assert code == 2
+        assert err == f"error: {cfg}:1: jobs: 'two' is not a valid int\n"
 
     def test_namespace_file(self, capsys, walk_model, tmp_path):
         ns = tmp_path / "names.txt"

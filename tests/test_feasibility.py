@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mudd import dsl
+from mudd import bundled_path, dsl, linprog
 from mudd.errors import DimensionMismatch, PathExplosion
 from mudd.feasibility import (
     attribute_violations,
@@ -14,10 +16,16 @@ from mudd.feasibility import (
     verdict_table_json,
     verdict_table_text,
 )
-from mudd.geometry import Constraint, cone_membership, constraints_from_signatures
-from mudd.model import CounterNamespace, enumerate_mupaths, signature_of
-from mudd.stats import ConfidenceRegion, point_region
+from mudd.geometry import (
+    Constraint,
+    cone_membership,
+    constraints_from_signatures,
+    deduce_constraints,
+)
+from mudd.model import CounterNamespace, enumerate_mupaths, signature_of, signatures_of_model
+from mudd.stats import ConfidenceRegion, build_confidence_region, point_region
 from mudd.synth import SynthSpec, generate
+from mudd.synth import exact_counters as synth_exact
 
 
 def box_region(center, axes, half_lengths, alpha=0.01):
@@ -203,16 +211,121 @@ class TestAttribution:
             violated = attribute_violations(cs, point_region(point))
             assert verdict.feasible == (not violated)
 
-    def test_corner_straddle_can_attribute_nothing(self):
+    def test_corner_straddle_can_attribute_nothing(self, monkeypatch):
         # A box can miss the cone without any single facet cutting all of it;
-        # the per-facet test is sound but not complete for boxes.
+        # the per-facet test is sound but not complete for boxes, so the
+        # exact box LP decides.
+        calls = []
+        real = linprog.feasible_point
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linprog, "feasible_point", counted)
         gens = [(1, 0), (1, 1)]
         cs = constraints_from_signatures(gens, self.NS)
         axes = np.array([[1, 0], [0, 1]], float)
         region = box_region([-0.75, -0.4495], axes, [0.25, 0.55])
         verdict = check_feasibility(gens, region, constraints=cs)
         assert not verdict.feasible
+        assert len(calls) == 1
         assert attribute_violations(cs, region) == ()
+
+
+def box_lp_oracle(sigs, region):
+    """The exact box LP alone: flows f >= 0 with |e_i.(S f - c)| <= h_i."""
+    n = region.dimension
+    center = [Fraction(float(x)) for x in region.center]
+    a_ub, b_ub = [], []
+    for e, h in zip(region.axes.tolist(), region.half_lengths.tolist()):
+        e = [Fraction(x) for x in e]
+        proj = sum(x * c for x, c in zip(e, center))
+        row = [sum(e[j] * s[j] for j in range(n)) for s in sigs]
+        a_ub += [row, [-x for x in row]]
+        b_ub += [proj + Fraction(h), Fraction(h) - proj]
+    return linprog.feasible_point(len(sigs), (), (), a_ub, b_ub)
+
+
+def in_box_exactly(point, region):
+    center = [Fraction(float(x)) for x in region.center]
+    return all(
+        abs(sum(Fraction(x) * (p - c) for x, p, c in zip(e, point, center))) <= Fraction(h)
+        for e, h in zip(region.axes.tolist(), region.half_lengths.tolist())
+    )
+
+
+@st.composite
+def cones_and_boxes(draw):
+    """Pointed integer cones in 2-5 dimensions and rotated boxes around them:
+    boxes about a point of the cone, point regions (on or off the cone), and
+    boxes just outside the origin corner, some straddling it."""
+    dim = draw(st.integers(2, 5))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * dim), min_size=1, max_size=6))
+    kind = draw(st.sampled_from(["near", "point", "corner"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.integers(0, 4, size=len(gens))
+    inside = np.array(gens, float).T @ weights / 2.0
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    axes = q.T if draw(st.booleans()) else np.eye(dim)
+    if kind == "point":
+        center = inside + (rng.integers(-2, 3, size=dim) / 4.0 if draw(st.booleans()) else 0)
+        half = np.zeros(dim)
+    elif kind == "near":
+        center = inside + rng.normal(scale=1.0, size=dim)
+        half = rng.uniform(0.0, 1.5, size=dim)
+    else:
+        center = -rng.uniform(0.1, 1.0, size=dim)
+        half = rng.uniform(0.0, 1.2, size=dim) * float(np.abs(center).max())
+    half[rng.random(dim) < 0.3] = 0.0
+    return gens, box_region(center, axes, half)
+
+
+class TestDecisionPath:
+    """The attribution, centre-witness and box-LP steps against the box LP alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cones_and_boxes())
+    def test_matches_box_lp_alone(self, case):
+        gens, region = case
+        verdict = check_feasibility(gens, region)
+        assert verdict.feasible == (box_lp_oracle(gens, region) is not None)
+        if verdict.feasible:
+            f, v = verdict.witness_flow, verdict.witness_point
+            assert len(f) == len(gens) and all(x >= 0 for x in f)
+            assert in_box_exactly(v, region)
+            assert v == tuple(sum(x * g[i] for x, g in zip(f, gens)) for i in range(len(v)))
+        else:
+            assert verdict.witness_flow is None
+        for c in verdict.violated_constraints:
+            assert all(c.satisfied_by(g) for g in gens)
+
+    def test_synth_cells_take_no_box_lp(self, haswell_namespace, monkeypatch):
+        # a feasible Haswell run and one shifted off an equality are decided
+        # by the witness and by attribution; the box LP must not run
+        model = dsl.parse_file(bundled_path("haswell_mmu.mudd"), haswell_namespace)
+        sigs = [s.counts for s in signatures_of_model(model)]
+        cs = deduce_constraints(model)
+        flows = tuple(float(100 + 30 * (i % 7)) for i in range(len(sigs)))
+        spec = SynthSpec(model=model, flows=flows, samples=50, seed=11)
+        mean = np.array([float(x) for x in synth_exact(spec)]) / spec.samples
+        spec = SynthSpec(model=model, flows=flows, samples=50, seed=11,
+                         noise=np.where(mean > 0, 3.0, 0.0))
+        feasible = generate(spec, run_id="feasible")
+        shifted = generate(spec, run_id="shifted")
+        equality = next(c for c in cs.equalities if sum(1 for a in c.coefficients if a) >= 2)
+        col = next(i for i, a in enumerate(equality.coefficients) if a)
+        shifted.sample_matrix[:, col] += 200.0
+
+        def no_box_lp(*args, **kwargs):
+            raise AssertionError("the box LP ran")
+
+        monkeypatch.setattr(linprog, "feasible_point", no_box_lp)
+        verdict = check_feasibility(sigs, build_confidence_region(feasible), constraints=cs)
+        assert verdict.feasible
+        verdict = check_feasibility(sigs, build_confidence_region(shifted), constraints=cs)
+        assert not verdict.feasible
+        assert equality in verdict.violated_constraints
 
 
 class TestRefinement:

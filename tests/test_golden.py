@@ -16,7 +16,22 @@ tests/data/golden/ are regenerated from the repository root with
     done
     python -m mudd explore $D/catalog/search_catalog.json --format json > $G/explore.json
 
-and only when a behaviour change is intended.
+`mudd check --format text` is snapshotted as its exit code line followed by
+its stdout, on CSVs written by `mudd synth` from the bundled models (the
+SYNTH table below); text output carries verdicts and violated constraints
+but no witness values. After writing each CSV of SYNTH with
+
+    python -m mudd synth <model> --flows <flows> --samples 40 --noise 1 \
+        --seed <seed> -o <name>.csv
+
+each check snapshot is regenerated with
+
+    { python -m mudd check <model> <csvs...> <flags...> > out.txt; \
+      echo "exit: $?"; cat out.txt; } > $G/check_<name>.txt
+
+using the model, CSVs and flags of its CHECKS row. `haswell_mmu.mudd` takes
+`--namespace $D/haswell_counters.txt` in both commands. Regenerate only when
+a behaviour change is intended.
 """
 from pathlib import Path
 
@@ -33,6 +48,38 @@ CONSTRAINTS = [
       ("pde_lookup_first", "stlb_pde_walk", "walk_init_first", "walk_outcome")],
     *[(f"catalog_m{i}", ("catalog", f"m{i}.mudd"), None) for i in range(12)],
 ]
+
+
+SYNTH = {
+    "walk_ok": ("walk_init_first.mudd", "30,20", 3),
+    "pde_abort": ("pde_lookup_first.mudd", "0,100,400,100", 4),
+    "outcome": ("walk_outcome.mudd", "100,50,20", 5),
+    "haswell": ("haswell_mmu.mudd", "2", 6),
+}
+
+CHECKS = [
+    ("walk", "walk_init_first.mudd", ("walk_ok", "pde_abort"), ()),
+    ("walk_independent", "walk_init_first.mudd", ("walk_ok", "pde_abort"),
+     ("--independent",)),
+    ("projected", "stlb_pde_walk.mudd", ("outcome", "pde_abort"), ("--project",)),
+    ("haswell", "haswell_mmu.mudd", ("haswell",), ()),
+]
+
+
+def _namespace_args(model):
+    if model == "haswell_mmu.mudd":
+        return ["--namespace", str(bundled_path("haswell_counters.txt"))]
+    return []
+
+
+@pytest.fixture(scope="module")
+def synth_csvs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth")
+    for name, (model, flows, seed) in SYNTH.items():
+        argv = ["synth", str(bundled_path(model)), "--flows", flows, "--samples", "40",
+                "--noise", "1", "--seed", str(seed), "-o", str(out / f"{name}.csv")]
+        assert main(argv + _namespace_args(model)) == 0
+    return out
 
 
 def _assert_snapshot(capsys, argv, name):
@@ -52,3 +99,14 @@ def test_constraints_match_snapshot(capsys, name, model, namespace):
 def test_explore_matches_snapshot(capsys):
     catalog = bundled_path("catalog", "search_catalog.json")
     _assert_snapshot(capsys, ["explore", str(catalog), "--format", "json"], "explore")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name,model,csvs,flags", CHECKS, ids=[c[0] for c in CHECKS])
+def test_check_text_matches_snapshot(capsys, synth_csvs, name, model, csvs, flags, jobs):
+    capsys.readouterr()
+    argv = ["check", str(bundled_path(model)), *(str(synth_csvs / f"{c}.csv") for c in csvs),
+            *flags, "--jobs", jobs, "--format", "text", *_namespace_args(model)]
+    code = main(argv)
+    got = f"exit: {code}\n{capsys.readouterr().out}"
+    assert got.encode("utf-8") == (GOLDEN / f"check_{name}.txt").read_bytes()

@@ -6,6 +6,7 @@ import pytest
 
 from mudd.errors import (
     MissingCounter,
+    NegativeCell,
     NonFiniteStatistics,
     NonNumericCell,
     NotSymmetric,
@@ -64,6 +65,14 @@ class TestLoader:
             src = io.StringIO(f"a,b\n1,2\n{cell},4\n")
             with pytest.raises(NonNumericCell, match=f"run 'r' line 3 column 'a': '{cell}'"):
                 load_observations(src, NS2, run_id="r")
+
+    def test_negative_cell(self):
+        src = io.StringIO("t,a,b\n0,1,2\n1,3,4\n2,5,-0.5\n")
+        with pytest.raises(NegativeCell, match="run 'r' line 4 column 'b': '-0.5'"):
+            load_observations(src, NS2, run_id="r")
+        # a negative zero is zero
+        obs = load_observations(io.StringIO("a,b\n-0.0,1\n2,3\n"), NS2)
+        assert obs.sample_matrix[0, 0] == 0
 
     def test_too_few_samples(self):
         src = io.StringIO("a,b\n1,2\n")
