@@ -208,18 +208,18 @@ def find_equalities(
 # step 3: interior generator removal
 
 
-def _in_cone(gens: Sequence[Vector], point: Sequence[Fraction]) -> bool:
+def _in_cone(gens: Sequence[Vector], point: Sequence) -> bool:
     dim = len(point)
     if not gens:
         return all(x == 0 for x in point)
-    A = [[Fraction(g[i]) for g in gens] for i in range(dim)]
+    A = [[g[i] for g in gens] for i in range(dim)]
     return linprog.solve_equality_form(A, list(point), len(gens)) is not None
 
 
 def cone_membership(gens: Sequence, point: Sequence) -> bool:
     """True iff point is a non-negative combination of the generators (exact LP)."""
     vectors = [_as_vector(g) for g in gens]
-    p = [Fraction(x) for x in point]
+    p = list(point)
     for v in vectors:
         if len(v) != len(p):
             raise DimensionMismatch(
@@ -239,7 +239,7 @@ def remove_interior_generators(gens: Sequence) -> tuple[Vector, ...]:
     i = 0
     while i < len(keep):
         others = keep[:i] + keep[i + 1 :]
-        if others and _in_cone(others, [Fraction(x) for x in keep[i]]):
+        if others and _in_cone(others, keep[i]):
             keep.pop(i)
         else:
             i += 1

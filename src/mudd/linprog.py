@@ -15,8 +15,9 @@ from typing import Optional, Sequence
 from .exact import normalize_row, primitive
 
 
-def _to_fraction_rows(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _exact(x):
+    """An int or Fraction as it is; anything else (a float) as its exact Fraction."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 def solve_equality_form(
@@ -30,9 +31,10 @@ def solve_equality_form(
     basis_hint[i] may name a column usable as the initial basic variable of
     row i (a unit column such as a slack); rows without a usable hint get an
     artificial variable.
+
+    Entries may be ints, Fractions or floats; a float counts as its exact
+    binary value.
     """
-    A = _to_fraction_rows(A)
-    b = [Fraction(x) for x in b]
     m = len(A)
     if m != len(b):
         raise ValueError("A and b row counts differ")
@@ -43,7 +45,7 @@ def solve_equality_form(
     rows: list[list[int]] = []
     for i in range(m):
         # primitive integer row with the rhs appended last, rhs made >= 0
-        row = list(primitive(A[i] + [b[i]]))
+        row = list(primitive([_exact(x) for x in A[i]] + [_exact(b[i])]))
         if row[-1] < 0:
             row = [-x for x in row]
         rows.append(row)
@@ -154,21 +156,17 @@ def feasible_point(
     infeasible. Slack columns of inequality rows with non-negative bounds
     seed the initial basis, so artificials are only created where needed.
     """
-    A_eq = _to_fraction_rows(A_eq)
-    A_ub = _to_fraction_rows(A_ub)
-    b_eq = [Fraction(x) for x in b_eq]
-    b_ub = [Fraction(x) for x in b_ub]
     n_slack = len(A_ub)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list] = []
+    rhs: list = []
     hints: list[Optional[int]] = []
     for row, r in zip(A_eq, b_eq):
-        rows.append(list(row) + [Fraction(0)] * n_slack)
+        rows.append(list(row) + [0] * n_slack)
         rhs.append(r)
         hints.append(None)
     for k, (row, r) in enumerate(zip(A_ub, b_ub)):
-        slack = [Fraction(0)] * n_slack
-        slack[k] = Fraction(1)
+        slack = [0] * n_slack
+        slack[k] = 1
         rows.append(list(row) + slack)
         rhs.append(r)
         hints.append(num_vars + k)

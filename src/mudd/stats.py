@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import (
     MissingCounter,
@@ -252,8 +251,19 @@ def mean_and_covariance(obs: ObservationSet) -> tuple[np.ndarray, np.ndarray, np
 
 
 def chi_square_quantile(dof: int, p: float) -> float:
-    """Quantile q with P(chi2_dof <= q) = p, by bisection on the regularized
-    lower incomplete gamma function. Accurate to well below 1e-8."""
+    """Quantile q with P(chi2_dof <= q) = p, by bisection on the chi-square CDF.
+
+    For an integer dof = 2a the CDF at q is the regularized lower incomplete
+    gamma P(a, y) with y = q/2, which has a closed form. The upper tail is a
+    finite sum of positive terms: Q = e^-y sum_{j<a} y^j / j! for even dof,
+    and Q = erfc(sqrt y) + e^-y sum_{j<a-1/2} y^(j+1/2) / Gamma(j+3/2) for
+    odd dof. For y >= a, where P >= 1/2, P = 1 - Q. Below that, 1 - Q would
+    cancel, so P is the positive series e^-y sum_{j>=0} y^(a+j) / Gamma(a+j+1),
+    whose later terms shrink by the ratio y / (a+j+1). The upper terms and
+    the first lower term are formed in log space, so a large dof neither
+    overflows nor underflows. The bisection stops at a relative width of
+    1e-12.
+    """
     if dof < 1:
         raise ValueError("dof must be a positive integer")
     if not 0.0 < p < 1.0:
@@ -264,7 +274,7 @@ def chi_square_quantile(dof: int, p: float) -> float:
 @lru_cache(maxsize=1024)
 def _chi_square_quantile_cached(dof: int, p: float) -> float:
     hi = float(max(dof, 1))
-    while gammainc(dof / 2.0, hi / 2.0) < p:
+    while _chi_square_cdf(dof, hi) < p:
         hi *= 2.0
     lo = 0.0
     # relative tolerance keeps the steep-density corner (dof=1, small p) exact
@@ -272,11 +282,35 @@ def _chi_square_quantile_cached(dof: int, p: float) -> float:
         if hi - lo <= 1e-12 * max(hi, 1e-300):
             break
         mid = (lo + hi) / 2.0
-        if gammainc(dof / 2.0, mid / 2.0) < p:
+        if _chi_square_cdf(dof, mid) < p:
             lo = mid
         else:
             hi = mid
     return (lo + hi) / 2.0
+
+
+def _chi_square_cdf(dof: int, x: float) -> float:
+    """P(chi2_dof <= x), the regularized lower incomplete gamma P(dof/2, x/2)."""
+    if x <= 0.0:
+        return 0.0
+    a = dof / 2.0
+    y = x / 2.0
+    log_y = math.log(y)
+    if y >= a:
+        half = 0.5 if dof % 2 else 0.0
+        q = math.erfc(math.sqrt(y)) if half else 0.0
+        for j in range(dof // 2):
+            s = j + half
+            q += math.exp(s * log_y - y - math.lgamma(s + 1.0))
+        return 1.0 - q
+    term = math.exp(a * log_y - y - math.lgamma(a + 1.0))
+    total = term
+    k = a + 1.0
+    while term > total * 2.0**-53:  # below half an ulp of the sum
+        term *= y / k
+        total += term
+        k += 1.0
+    return total
 
 
 def eigendecompose(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

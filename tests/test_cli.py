@@ -17,6 +17,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def src_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 @pytest.fixture
 def walk_model():
     return str(bundled_path("walk_init_first.mudd"))
@@ -208,12 +215,9 @@ class TestCheck:
             writer.writerow(rows[0])
             for row in rows[1:]:
                 writer.writerow(row[:1] + [format(float(x) * 1e300, ".17g") for x in row[1:]])
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run(
             [sys.executable, "-m", "mudd", "check", model, str(ok), str(huge), "--jobs", jobs],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=src_env(), timeout=120,
         )
         assert proc.returncode == 2
         lines = proc.stdout.splitlines()
@@ -349,3 +353,24 @@ class TestConfig:
         ns.write_text("load.pde$_miss\nload.causes_walk\n")
         code, out, _ = run(capsys, "paths", walk_model, "--namespace", str(ns))
         assert code == 0
+
+
+def test_mudd_runs_without_scipy(tmp_path):
+    # scipy is a test-only oracle: importing mudd and running synth and
+    # check on a bundled model must load no scipy module
+    script = f"""
+import sys
+import mudd
+from mudd import cli
+model = str(mudd.bundled_path("walk_outcome.mudd"))
+csv = {str(tmp_path / "run.csv")!r}
+assert cli.main(["synth", model, "--flows", "100,50,20", "--samples", "30",
+                 "--noise", "2", "--seed", "3", "-o", csv]) == 0
+assert cli.main(["check", model, csv, "--jobs", "1"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "walk_outcome x run: feasible" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -77,6 +77,28 @@ def test_float_bounds_are_exact_rationals():
     assert x[0] == Fraction(0.1)
 
 
+def test_int_fraction_and_dyadic_float_entries_agree():
+    # ints and Fractions pass through, floats count as their exact binary
+    # value: the same system in each form (and scaled by 1/4, which is
+    # dyadic) has the same solution
+    A = [[2, 1, 0, 3], [1, 0, 1, -1], [0, 1, 1, 1]]
+    b = [6, 1, 3]
+    forms = [(A, b)]
+    for conv in (Fraction, float):
+        for scale in (1, Fraction(1, 4)):
+            forms.append(([[conv(x * scale) for x in row] for row in A],
+                          [conv(x * scale) for x in b]))
+    forms.append(([[A[0][0], Fraction(A[0][1]), float(A[0][2]), A[0][3]]] + A[1:], b))
+    solutions = [solve_equality_form(a, rhs, 4) for a, rhs in forms]
+    assert solutions[0] is not None
+    assert all(x == solutions[0] for x in solutions)
+    assert all(type(v) is Fraction for v in solutions[0])
+    points = [feasible_point(4, A_eq=a[:2], b_eq=rhs[:2], A_ub=a[2:], b_ub=rhs[2:])
+              for a, rhs in forms]
+    assert points[0] is not None
+    assert all(x == points[0] for x in points)
+
+
 def test_shape_errors():
     with pytest.raises(ValueError):
         solve_equality_form([[1, 2]], [1, 2], 2)

@@ -143,6 +143,42 @@ class TestChiSquare:
         with pytest.raises(ValueError):
             chi_square_quantile(2, 1.0)
 
+    def test_levels_match_scipy_bisection_bit_for_bit(self):
+        # the levels check uses give the regions scipy's gammainc gave
+        for dof in range(1, 65):
+            for p in (0.5, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9999):
+                assert chi_square_quantile(dof, p) == scipy_bisection_quantile(dof, p), (dof, p)
+
+    @pytest.mark.parametrize("dofs", [range(1, 201), (500, 1000, 4096)],
+                             ids=["dof1-200", "large-dof"])
+    def test_matches_scipy_bisection_across_tails(self, dofs):
+        ps = (1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-9)
+        for dof in dofs:
+            for p in ps:
+                q = chi_square_quantile(dof, p)
+                ref = scipy_bisection_quantile(dof, p)
+                assert math.isfinite(q) and q > 0, (dof, p)
+                assert abs(q - ref) <= 1e-10 * ref, (dof, p, q, ref)
+
+
+def scipy_bisection_quantile(dof, p):
+    """The quantile as computed before: the same bisection over scipy's gammainc."""
+    from scipy.special import gammainc
+
+    hi = float(max(dof, 1))
+    while gammainc(dof / 2.0, hi / 2.0) < p:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        if hi - lo <= 1e-12 * max(hi, 1e-300):
+            break
+        mid = (lo + hi) / 2.0
+        if gammainc(dof / 2.0, mid / 2.0) < p:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
 
 class TestEigendecompose:
     def test_identity(self):
