@@ -19,7 +19,6 @@ from .feasibility import (
 from .geometry import (
     Constraint,
     ConstraintSet,
-    ModelCone,
     cone_membership,
     conic_hull_facets,
     constraints_from_signatures,

@@ -19,6 +19,10 @@ from .geometry import deduce_constraints
 from .model import DEFAULT_PATH_CAP, CounterNamespace, enumerate_mupaths, signature_of
 
 
+# input errors: one `error: ...` line on stderr, and exit 2
+_INPUT_ERRORS = (MuddError, OSError, ValueError)
+
+
 @dataclass
 class RunConfig:
     """Resolved run settings: flags beat the config file, which beats
@@ -151,10 +155,19 @@ def cmd_constraints(args, cfg: RunConfig) -> int:
 
 def cmd_check(args, cfg: RunConfig) -> int:
     model = dsl.parse_file(args.model, cfg.namespace)
-    observations = [
-        stats.load_observations(p, model.namespace, project=cfg.project)
-        for p in args.observations
-    ]
+    observations = []
+    load_failed = False
+    for p in args.observations:
+        # a CSV that fails to load costs its own verdict, not the batch's
+        try:
+            observations.append(
+                stats.load_observations(p, model.namespace, project=cfg.project)
+            )
+        except _INPUT_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            load_failed = True
+    if not observations:
+        return 2
     cells = feasibility.batch_check(
         [(Path(args.model).stem, model)],
         observations,
@@ -167,7 +180,7 @@ def cmd_check(args, cfg: RunConfig) -> int:
         print(feasibility.verdict_table_json(cells))
     else:
         print(feasibility.verdict_table_text(cells))
-    if any(c.error for c in cells):
+    if load_failed or any(c.error for c in cells):
         return 2
     if any(not c.verdict.feasible for c in cells):
         return 1
@@ -285,7 +298,7 @@ def main(argv=None) -> int:
     except dsl.DslParseError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (MuddError, OSError, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

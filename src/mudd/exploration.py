@@ -15,8 +15,8 @@ from typing import Optional
 
 from . import dsl
 from .errors import CatalogError, DimensionMismatch, MuddError, NoFeasibleModel
-from .geometry import ModelCone, cone_membership
-from .model import DEFAULT_PATH_CAP, CounterNamespace, MuDD
+from .geometry import cone_membership, normalize_signatures
+from .model import DEFAULT_PATH_CAP, CounterNamespace, MuDD, signatures_of_model
 
 
 @dataclass
@@ -139,9 +139,9 @@ def cone_expansion_check(parent: MuDD, child: MuDD, cap: int = DEFAULT_PATH_CAP)
     """True iff every parent generator lies in the child's cone (cone grew or held)."""
     if parent.namespace.names != child.namespace.names:
         raise DimensionMismatch("parent and child use different counter namespaces")
-    child_gens = ModelCone.from_model(child, cap).generators
-    for gen in ModelCone.from_model(parent, cap).generators:
-        if not cone_membership(child_gens, gen):
+    child_gens = normalize_signatures(signatures_of_model(child, cap))
+    for gen in normalize_signatures(signatures_of_model(parent, cap)):
+        if not cone_membership(child_gens, gen.counts):
             return False
     return True
 

@@ -31,11 +31,10 @@ from typing import Optional, Sequence
 
 from . import exact, linprog
 from .errors import DimensionMismatch, MuddError, PathExplosion
-from .geometry import Constraint, ConstraintSet, constraints_from_signatures
+from .geometry import Constraint, ConstraintSet, _as_vector, constraints_from_signatures
 from .model import (
     DEFAULT_PATH_CAP,
     CounterNamespace,
-    CounterSignature,
     MuDD,
     MuPath,
     enumerate_mupaths,
@@ -43,12 +42,6 @@ from .model import (
     signatures_of_model,
 )
 from .stats import ConfidenceRegion, ObservationSet, build_confidence_region
-
-
-def _sig_counts(sig) -> tuple[int, ...]:
-    if isinstance(sig, CounterSignature):
-        return tuple(int(c) for c in sig.counts)
-    return tuple(int(c) for c in sig)
 
 
 def _dot(a: Sequence, b: Sequence):
@@ -135,7 +128,7 @@ def check_feasibility(
     each merged flow on the first path of its signature. `compress` is
     accepted and ignored: merging is the only formulation.
     """
-    sigs = tuple(_sig_counts(s) for s in model_sigs)
+    sigs = tuple(_as_vector(s) for s in model_sigs)
     if len(sigs) > cap:
         raise PathExplosion(f"{len(sigs)} flow variables exceed the cap of {cap}")
     n = region.dimension

@@ -1,14 +1,19 @@
 """Model cones and explicit constraint deduction.
 
 The cone of a diagram is generated by its path counter signatures. Its facet
-description is deduced in four steps: signatures are scaled to primitive
+description is deduced in three steps: signatures are scaled to primitive
 integer vectors and deduplicated; Gaussian elimination yields the equality
-constraints and a full-rank coordinate projection; generators interior to the
-cone are removed by membership LPs; the remaining extreme rays are hulled as
-integer rays to enumerate facet inequalities. All arithmetic is exact:
-signatures are small integers, facet normals are integer combinations of them
-and elimination uses rationals, where floating point rounding could flip a
-facet.
+constraints and a full-rank coordinate projection; the projected generators
+are hulled as integer rays by the double-description kernel, which accepts
+non-extreme rays, to enumerate the facet inequalities. Deduction runs no LP.
+All arithmetic is exact: signatures are small integers, facet normals are
+integer combinations of them and elimination uses rationals, where floating
+point rounding could flip a facet.
+
+`cone_membership` and `remove_interior_generators` answer the same questions
+from the generators alone, by exact membership LPs; they are the
+V-representation reference that the deduced constraints can be checked
+against.
 """
 from __future__ import annotations
 
@@ -130,29 +135,6 @@ class ProjectionMap:
         return tuple(full)
 
 
-@dataclass(frozen=True)
-class ModelCone:
-    """Deduplicated primitive generators of a diagram's counter cone."""
-
-    generators: tuple[Vector, ...]
-    dimension: int
-    namespace: CounterNamespace
-
-    @classmethod
-    def from_signatures(
-        cls, sigs: Iterable, namespace: CounterNamespace
-    ) -> "ModelCone":
-        gens = tuple(s.counts for s in normalize_signatures(sigs))
-        return cls(generators=gens, dimension=len(namespace), namespace=namespace)
-
-    @classmethod
-    def from_model(cls, model: MuDD, cap: int = DEFAULT_PATH_CAP) -> "ModelCone":
-        return cls.from_signatures(signatures_of_model(model, cap), model.namespace)
-
-    def contains(self, point: Sequence) -> bool:
-        return cone_membership(self.generators, point)
-
-
 def normalize_signatures(sigs: Iterable) -> tuple[CounterSignature, ...]:
     """Primitive, deduplicated, lexicographically sorted generators.
 
@@ -205,15 +187,7 @@ def find_equalities(
 
 
 # ---------------------------------------------------------------------------
-# step 3: interior generator removal
-
-
-def _in_cone(gens: Sequence[Vector], point: Sequence) -> bool:
-    dim = len(point)
-    if not gens:
-        return all(x == 0 for x in point)
-    A = [[g[i] for g in gens] for i in range(dim)]
-    return linprog.solve_equality_form(A, list(point), len(gens)) is not None
+# V-representation by exact membership LPs (not used by deduction)
 
 
 def cone_membership(gens: Sequence, point: Sequence) -> bool:
@@ -225,7 +199,10 @@ def cone_membership(gens: Sequence, point: Sequence) -> bool:
             raise DimensionMismatch(
                 f"generator dimension {len(v)} does not match point dimension {len(p)}"
             )
-    return _in_cone(vectors, p)
+    if not vectors:
+        return all(x == 0 for x in p)
+    A = [[v[i] for v in vectors] for i in range(len(p))]
+    return linprog.solve_equality_form(A, p, len(vectors)) is not None
 
 
 def remove_interior_generators(gens: Sequence) -> tuple[Vector, ...]:
@@ -239,7 +216,7 @@ def remove_interior_generators(gens: Sequence) -> tuple[Vector, ...]:
     i = 0
     while i < len(keep):
         others = keep[:i] + keep[i + 1 :]
-        if others and _in_cone(others, keep[i]):
+        if others and cone_membership(others, keep[i]):
             keep.pop(i)
         else:
             i += 1
@@ -247,7 +224,7 @@ def remove_interior_generators(gens: Sequence) -> tuple[Vector, ...]:
 
 
 # ---------------------------------------------------------------------------
-# step 4: facet enumeration through the conic hull
+# step 3: facet enumeration through the conic hull
 
 
 def conic_hull_facets(
@@ -255,10 +232,11 @@ def conic_hull_facets(
 ) -> tuple[Constraint, ...]:
     """Facet inequalities a.v >= 0 of the cone spanned by full-rank generators.
 
-    The integer generators are hulled as rays by the exact beneath-beyond
-    kernel, which needs a pointed cone: every generator must be non-negative
-    and nonzero. Each facet is checked to hold on every generator. Facets are
-    lifted back to original coordinates when a projection is given.
+    The integer generators, extreme or not, are hulled as rays by the exact
+    double-description kernel, which needs a pointed cone: every generator
+    must be non-negative and nonzero. Each facet is checked to hold on every
+    generator. Facets are lifted back to original coordinates when a
+    projection is given.
     """
     vectors = list(dict.fromkeys(_as_vector(g) for g in gens))
     if not vectors:
@@ -309,12 +287,12 @@ def _support_blocks(gens: Sequence[Vector], dim: int) -> list[tuple[int, ...]]:
 def constraints_from_signatures(
     sigs: Iterable, namespace: CounterNamespace
 ) -> ConstraintSet:
-    """Run the four deduction steps on raw signatures.
+    """Run the three deduction steps on raw signatures; no LP runs.
 
     Counters that never co-occur in a generator split the cone into a direct
     sum; its facets are exactly the per-block facets padded with zeros, so
-    interior removal and the hull run per block. This leaves the output
-    unchanged and keeps decoupled models cheap.
+    the hull runs per block, on every deduplicated generator of the block.
+    This leaves the output unchanged and keeps decoupled models cheap.
     """
     gens = [s.counts for s in normalize_signatures(sigs)]
     dim = len(namespace)
@@ -328,8 +306,7 @@ def constraints_from_signatures(
                 for g in reduced
                 if any(g[c] for c in block)
             ]
-            extreme = remove_interior_generators(block_gens)
-            for facet in conic_hull_facets(extreme):
+            for facet in conic_hull_facets(block_gens):
                 in_reduced = [0] * rdim
                 for c, coeff in zip(block, facet.coefficients):
                     in_reduced[c] = coeff

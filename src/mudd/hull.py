@@ -1,19 +1,23 @@
-"""Exact beneath-beyond conic hull over integer rays.
+"""Exact double-description conic hull over integer rays.
 
-The boundary of the cone is kept as a triangulation: every facet is a simplex
-of d-1 rays with a primitive integer inward normal n (n.r >= 0 for every ray
-inserted so far), and every ridge of d-2 rays is shared by two facets. A ray p
-is inserted by deleting the facets it strictly violates (n.p < 0) and coning
-p over each horizon ridge, the ridge between a deleted facet v and a kept
-facet h. The new facet's normal is the combination of its two neighbours'
-normals that vanishes on p,
+The boundary of the cone is kept as one entry per geometric facet: a
+primitive integer inward normal n (n.r >= 0 for every ray inserted so far)
+and the frozenset of inserted rays tight on it (n.r = 0). A ray p is
+inserted by splitting the facets by the sign of n.p: those with n.p >= 0
+stay (p joins the tight set of those with n.p = 0), those with n.p < 0 go.
+Every pair of a kept facet h (n_h.p > 0) and a dropped facet v (n_v.p < 0)
+that are adjacent yields one new facet, the combination of their normals
+that vanishes on p,
 
     (n_h.p) n_v - (n_v.p) n_h,
 
-which vanishes on the ridge too, is inward because both coefficients are
-non-negative, and is nonzero because n_v and n_h are independent. Only the
-seed simplex needs an elimination; every later normal is integer arithmetic.
-Coplanar simplices share their primitive normal and merge at the end.
+which vanishes on the rays tight on both, is inward because both
+coefficients are positive, and is nonzero because n_v and n_h are
+independent. Adjacency is combinatorial: h and v share at least d-2 tight
+rays, and no third facet is tight on all of them (Fukuda & Prodon, "Double
+description method revisited", 1996). A non-extreme ray costs one dot
+product per facet. Only the seed simplex needs an elimination; every later
+normal is integer arithmetic.
 """
 from __future__ import annotations
 
@@ -28,11 +32,6 @@ Ray = tuple[int, ...]
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
-
-
-def _ridges(vertices: tuple[int, ...]):
-    for skip in range(len(vertices)):
-        yield frozenset(vertices[:skip] + vertices[skip + 1 :])
 
 
 def convex_hull_hyperplanes(rays: Sequence[Sequence[int]]) -> list[Ray]:
@@ -60,50 +59,36 @@ def convex_hull_hyperplanes(rays: Sequence[Sequence[int]]) -> list[Ray]:
     if len(seed) != dim:
         raise DegenerateHull("rays do not span the space")
 
-    normals: dict[int, Ray] = {}
-    vertices: dict[int, tuple[int, ...]] = {}
-    ridge_map: dict[frozenset[int], list[int]] = {}
-    next_id = 0
-
-    def add_facet(verts: tuple[int, ...], normal: Ray) -> None:
-        nonlocal next_id
-        fid = next_id
-        next_id += 1
-        normals[fid] = normal
-        vertices[fid] = verts
-        for ridge in _ridges(verts):
-            ridge_map.setdefault(ridge, []).append(fid)
-
-    def remove_facet(fid: int) -> None:
-        del normals[fid]
-        for ridge in _ridges(vertices.pop(fid)):
-            incident = ridge_map[ridge]
-            incident.remove(fid)
-            if not incident:
-                del ridge_map[ridge]
-
-    for skip, row in enumerate(reduced):
-        add_facet(tuple(seed[:skip] + seed[skip + 1 :]), exact.primitive(row[m:]))
-
+    facets = [
+        (exact.primitive(row[m:]), frozenset(seed[:i] + seed[i + 1 :]))
+        for i, row in enumerate(reduced)
+    ]
     in_seed = set(seed)
     for idx, p in enumerate(rays):
         if idx in in_seed:
             continue
-        side = {fid: _dot(n, p) for fid, n in normals.items()}
-        visible = [fid for fid, s in side.items() if s < 0]
-        if not visible:
-            continue
-        horizon = []
-        for v in visible:
-            for ridge in _ridges(vertices[v]):
-                for h in ridge_map[ridge]:
-                    if side[h] >= 0:
-                        horizon.append((ridge, normals[v], side[v], normals[h], side[h]))
-        for fid in visible:
-            remove_facet(fid)
-        for ridge, n_v, s_v, n_h, s_h in horizon:
-            combined = [s_h * a - s_v * b for a, b in zip(n_v, n_h)]
-            g = gcd(*combined)
-            add_facet(tuple(ridge) + (idx,), tuple(x // g for x in combined))
+        kept, hidden, visible = [], [], []
+        for k, (n, tight) in enumerate(facets):
+            side = _dot(n, p)
+            if side > 0:
+                kept.append((n, tight))
+                hidden.append((k, side))
+            elif side == 0:
+                kept.append((n, tight | {idx}))
+            else:
+                visible.append((k, side))
+        for h, s_h in hidden:
+            n_h, z_h = facets[h]
+            for v, s_v in visible:
+                n_v, z_v = facets[v]
+                ridge = z_h & z_v
+                if len(ridge) < dim - 2 or any(
+                    ridge <= z for k, (_, z) in enumerate(facets) if k != h and k != v
+                ):
+                    continue
+                combined = [s_h * a - s_v * b for a, b in zip(n_v, n_h)]
+                g = gcd(*combined)
+                kept.append((tuple(x // g for x in combined), ridge | {idx}))
+        facets = kept
 
-    return list(dict.fromkeys(normals.values()))
+    return [n for n, _ in facets]

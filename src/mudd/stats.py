@@ -343,17 +343,13 @@ def build_confidence_region(
     alpha: float = 0.01,
     *,
     independent: bool = False,
-    variance_floor: float = 0.0,
-    use_effective_rank: bool = False,
 ) -> ConfidenceRegion:
     """Region for the true counter vector at confidence 1 - alpha.
 
     `independent` drops the off-diagonal covariance (the ablation baseline
-    that treats counters as uncorrelated). `variance_floor` raises every
-    eigenvalue to at least that value, for degenerate directions in noisy
-    data. By default the chi-square degrees of freedom equal the full counter
-    dimension even when the covariance is rank-deficient;
-    `use_effective_rank` switches to the count of nonzero eigenvalues.
+    that treats counters as uncorrelated). The chi-square degrees of freedom
+    equal the full counter dimension, even when the covariance is
+    rank-deficient.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -361,13 +357,7 @@ def build_confidence_region(
     if independent:
         mean_cov = np.diag(np.diag(mean_cov))
     values, axes = eigendecompose(mean_cov)
-    if variance_floor > 0.0:
-        values = np.maximum(values, variance_floor)
-    n = len(obs.namespace)
-    dof = n
-    if use_effective_rank:
-        tol = 1e-12 * max(1.0, float(values.max()) if values.size else 1.0)
-        dof = max(1, int(np.sum(values > tol)))
+    dof = len(obs.namespace)
     quantile = chi_square_quantile(dof, 1.0 - alpha)
     half = np.sqrt(values * quantile)
     return ConfidenceRegion(

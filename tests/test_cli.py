@@ -132,7 +132,7 @@ class TestCheck:
         code, out, err = run(capsys, "check", model, str(ok), str(neg))
         column = rows[0].split(",")[2]
         assert code == 2
-        assert out == ""
+        assert "walk_outcome x ok: feasible" in out.splitlines()
         assert f"error: run 'neg' line 4 column '{column}': '{cells[2]}'" in err
 
     def test_json_and_text_agree(self, capsys, walk_model, exact_csv, tmp_path):

@@ -101,6 +101,12 @@ class TestCheckFeasibility:
         with pytest.raises(DimensionMismatch):
             check_feasibility([(1, 0, 0)], point_region([1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [(1.5, 1), (-0.5, 1)])
+    def test_non_integer_signature_entry_is_refused(self, bad):
+        # neither truncated to (1, 1) nor rounded to a non-negative (0, 1)
+        with pytest.raises(ValueError, match="must be integers"):
+            check_feasibility([bad, (0, 1)], point_region([1.0, 1.0]))
+
     def test_flow_cap(self):
         sigs = [(1,)] * 10
         with pytest.raises(PathExplosion):

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import pytest
 
-from mudd import bundled_path
+from mudd import bundled_path, linprog
 from mudd.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -89,7 +89,12 @@ def _assert_snapshot(capsys, argv, name):
 
 
 @pytest.mark.parametrize("name,model,namespace", CONSTRAINTS, ids=[c[0] for c in CONSTRAINTS])
-def test_constraints_match_snapshot(capsys, name, model, namespace):
+def test_constraints_match_snapshot(capsys, monkeypatch, name, model, namespace):
+    # deduction runs no LP: every exact LP goes through solve_equality_form
+    def no_lp(*args, **kwargs):
+        raise AssertionError("deduction ran an LP")
+
+    monkeypatch.setattr(linprog, "solve_equality_form", no_lp)
     argv = ["constraints", str(bundled_path(*model)), "--format", "json"]
     if namespace is not None:
         argv += ["--namespace", str(bundled_path(namespace))]

@@ -3,6 +3,7 @@
 The hull is compared against the subset-enumeration facet oracle on cone
 families chosen to be degenerate (0/1 generators, orthant mixtures, products
 of simplices), also when fed non-extreme, duplicated and rescaled generators;
+products too large for the oracle are checked normal by normal;
 the simplex is fed systems whose verdicts carry certificates (a non-negative
 solution, or a dual vector in the infeasibility direction).
 """
@@ -22,7 +23,7 @@ from mudd.geometry import (
 )
 from mudd.linprog import solve_equality_form
 
-from conftest import brute_force_facets
+from conftest import brute_force_facets, rank_of
 
 
 def test_hull_matches_oracle_on_degenerate_cones():
@@ -123,6 +124,24 @@ def test_hull_of_product_of_simplices_matches_oracle(shape, total):
     assert rdim == sum(k - 1 for k in shape) + 1
     _check_kernel(list(reduced), rdim, reduced)
     assert len(brute_force_facets(list(reduced), rdim)) == sum(shape)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 4), (2, 2, 2, 2, 2, 2)])
+@pytest.mark.parametrize("total", [False, True])
+def test_hull_of_catalog_sized_products(shape, total):
+    # 64 rays: too many (d-1)-subsets for the oracle, so check each normal
+    # directly: primitive, one-sided, distinct, and tight on rays of rank d-1
+    gens = _product_of_simplices(shape, total)
+    _, reduced, _ = find_equalities(gens, len(gens[0]))
+    rdim = len(reduced[0])
+    normals = hull.convex_hull_hyperplanes(reduced)
+    assert len(normals) == sum(shape)
+    assert len(set(normals)) == len(normals)
+    for n in normals:
+        assert math.gcd(*n) == 1, n
+        sides = [sum(a * x for a, x in zip(n, r)) for r in reduced]
+        assert min(sides) >= 0, n
+        assert rank_of([r for r, s in zip(reduced, sides) if s == 0]) == rdim - 1, n
 
 
 def test_simplex_verdicts_are_certified():

@@ -245,17 +245,6 @@ class TestConfidenceRegion:
         vol_indep = np.prod(indep.half_lengths)
         assert vol_corr < vol_indep
 
-    def test_variance_floor(self):
-        region = build_confidence_region(obs_from([[3, 4], [3, 4]]), variance_floor=1.0)
-        assert (region.half_lengths > 0).all()
-
-    def test_effective_rank_option(self):
-        rows = [[1, 2], [2, 4], [3, 6], [4, 8]]  # rank-1 covariance
-        full = build_confidence_region(obs_from(rows))
-        eff = build_confidence_region(obs_from(rows), use_effective_rank=True)
-        # one degree of freedom gives a smaller quantile, hence shorter axes
-        assert eff.half_lengths[0] < full.half_lengths[0]
-
     def test_shrinkage_with_sample_count(self):
         # quadrupling the sample count halves each half-length (10% tolerance)
         rng = np.random.default_rng(17)
