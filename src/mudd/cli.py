@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from . import dsl, exploration, feasibility, stats, synth
+from . import dsl, exploration
 from .errors import MuddError
 from .geometry import deduce_constraints
 from .model import DEFAULT_PATH_CAP, CounterNamespace, enumerate_mupaths, signature_of
@@ -65,11 +65,12 @@ class RunConfig:
                     f"{path}:{lineno}: {key}: {text!r} is not a valid {cast.__name__}"
                 ) from None
 
+        jobs = pick("jobs", "jobs", int, None)
         return cls(
             alpha=pick("alpha", "alpha", float, 0.01),
             cap=pick("cap", "cap", int, DEFAULT_PATH_CAP),
             output_format=pick("format", "format", str, "text"),
-            jobs=pick("jobs", "jobs", int, _default_jobs()),
+            jobs=_default_jobs(args) if jobs is None else jobs,
             project=bool(getattr(args, "project", False)),
             independent=bool(getattr(args, "independent", False)),
             namespace=_load_namespace(getattr(args, "namespace", None)),
@@ -104,12 +105,18 @@ def _read_config_file(path) -> dict:
     return overrides
 
 
-def _default_jobs() -> int:
+def _default_jobs(args) -> int:
+    """MUDD_JOBS when it is set and the subcommand takes --jobs, else 1."""
     env = os.environ.get("MUDD_JOBS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
+    if not env or not hasattr(args, "jobs"):
         return 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        raise MuddError(f"MUDD_JOBS: {env!r} is not a valid int") from None
+    if jobs < 1:
+        raise MuddError(f"MUDD_JOBS: {env!r} is less than 1")
+    return jobs
 
 
 def cmd_paths(args, cfg: RunConfig) -> int:
@@ -154,6 +161,8 @@ def cmd_constraints(args, cfg: RunConfig) -> int:
 
 
 def cmd_check(args, cfg: RunConfig) -> int:
+    from . import feasibility, stats  # numpy: only `check` and `synth` load it
+
     model = dsl.parse_file(args.model, cfg.namespace)
     observations = []
     load_failed = False
@@ -210,6 +219,8 @@ def _parse_noise(text, n):
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
+    from . import stats, synth
+
     model = dsl.parse_file(args.model, cfg.namespace)
     paths = enumerate_mupaths(model, cfg.cap)
     parts = [p for p in args.flows.split(",") if p.strip()]
@@ -304,6 +315,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # check's eigendecompositions are small: BLAS threads gain nothing there
+    # and oversubscribe the cores of forked `--jobs` workers. OpenBLAS reads
+    # this once, when numpy loads, which no subcommand has done yet
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     raise SystemExit(main())
 
 

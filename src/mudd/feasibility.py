@@ -23,7 +23,6 @@ every test below is exact. Each observation takes one decision sequence:
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -362,7 +361,10 @@ def batch_check(
             work.append((model_name, sigs, constraints, obs, alpha, cap, independent))
 
     if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork starts every worker at once: never more than there are cells
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             cells.extend(pool.map(_check_cell, work))
     else:
         cells.extend(_check_cell(t) for t in work)

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -331,6 +332,42 @@ class TestConfig:
         code, out, _ = run(capsys, "check", walk_model, exact_csv)
         assert code == 0
 
+    @pytest.mark.parametrize("value, reason", [
+        ("two", "is not a valid int"),
+        ("1.5", "is not a valid int"),
+        ("0", "is less than 1"),
+        ("-3", "is less than 1"),
+    ])
+    def test_bad_env_var_jobs_exits_2(self, capsys, walk_model, exact_csv, monkeypatch,
+                                      value, reason):
+        monkeypatch.setenv("MUDD_JOBS", value)
+        code, out, err = run(capsys, "check", walk_model, exact_csv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: MUDD_JOBS: {value!r} {reason}\n"
+
+    def test_env_var_jobs_unread_when_overridden(self, capsys, walk_model, exact_csv,
+                                                 monkeypatch, tmp_path):
+        monkeypatch.setenv("MUDD_JOBS", "two")
+        code, _, _ = run(capsys, "check", walk_model, exact_csv, "--jobs", "1")
+        assert code == 0
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("jobs=1\n")
+        code, _, _ = run(capsys, "check", walk_model, exact_csv, "--config", str(cfg))
+        assert code == 0
+
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_env_var_jobs_ignored_by_other_subcommands(self, capsys, walk_model, bundled,
+                                                       monkeypatch, tmp_path, value):
+        monkeypatch.setenv("MUDD_JOBS", value)
+        catalog = str(bundled("catalog", "search_catalog.json"))
+        for argv in (["paths", walk_model], ["constraints", walk_model],
+                     ["explore", catalog],
+                     ["synth", walk_model, "--flows", "1", "--samples", "3",
+                      "-o", str(tmp_path / "s.csv")]):
+            code, _, err = run(capsys, *argv)
+            assert (argv[0], code, err) == (argv[0], 0, "")
+
     def test_bad_alpha_exits_2(self, capsys, walk_model, exact_csv):
         code, _, err = run(capsys, "check", walk_model, exact_csv, "--alpha", "1.5")
         assert code == 2
@@ -374,3 +411,106 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     assert proc.returncode == 0, proc.stderr
     assert "walk_outcome x run: feasible" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_subcommands_load_numpy_and_pool_only_when_used(tmp_path):
+    # `paths`, `constraints` and `explore` need no numpy and no process
+    # pool; `check --jobs 1` needs numpy but no pool
+    script = f"""
+import sys
+import mudd
+from mudd import cli
+
+def loaded():
+    return sorted(m for m in ("numpy", "concurrent.futures") if m in sys.modules)
+
+model = str(mudd.bundled_path("walk_outcome.mudd"))
+catalog = str(mudd.bundled_path("catalog", "search_catalog.json"))
+csv = {str(tmp_path / "run.csv")!r}
+assert cli.main(["paths", model]) == 0
+assert cli.main(["constraints", model]) == 0
+assert cli.main(["constraints", str(mudd.bundled_path("haswell_mmu.mudd"))]) == 0
+assert cli.main(["explore", catalog]) == 0
+print("after explore:", loaded())
+assert cli.main(["synth", model, "--flows", "100,50,20", "--samples", "30",
+                 "--noise", "2", "--seed", "3", "-o", csv]) == 0
+assert cli.main(["check", model, csv, csv, "--jobs", "1"]) == 0
+print("after check:", loaded())
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "after explore: []" in lines
+    assert "after check: ['numpy']" in lines
+
+
+LAZY_NAMES = [
+    ("feasibility", "FeasibilityVerdict"),
+    ("feasibility", "attribute_violations"),
+    ("feasibility", "batch_check"),
+    ("feasibility", "check_feasibility"),
+    ("feasibility", "refinement_candidates"),
+    ("stats", "ConfidenceRegion"),
+    ("stats", "ObservationSet"),
+    ("stats", "build_confidence_region"),
+    ("stats", "chi_square_quantile"),
+    ("stats", "eigendecompose"),
+    ("stats", "load_observations"),
+    ("stats", "mean_and_covariance"),
+    ("stats", "point_region"),
+    ("stats", "write_observations"),
+    ("synth", "SynthSpec"),
+    ("synth", "exact_counters"),
+    ("synth", "generate"),
+]
+
+
+@pytest.mark.parametrize("module, name", LAZY_NAMES)
+def test_lazy_name_imports_from_package(module, name):
+    namespace = {}
+    exec(f"from mudd import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"mudd.{module}"), name)
+
+
+def test_bare_import_resolves_submodules_lazily():
+    script = """
+import sys
+import mudd
+assert "numpy" not in sys.modules
+for name in ("stats", "feasibility", "synth"):
+    assert getattr(mudd, name) is sys.modules["mudd." + name]
+try:
+    mudd.no_such_name
+except AttributeError as exc:
+    print("AttributeError:", exc)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "AttributeError: module 'mudd' has no attribute 'no_such_name'\n"
+    with pytest.raises(ImportError):
+        exec("from mudd import no_such_name", {})
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_entry_defaults_blas_to_one_thread(tmp_path, preset, expected):
+    script = """
+import os
+import sys
+import mudd
+from mudd import cli
+model = str(mudd.bundled_path("walk_init_first.mudd"))
+sys.argv = ["mudd", "check", model, "missing.csv"]
+try:
+    cli.entry()
+except SystemExit as exc:
+    print("exit", exc.code)
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+    env = {k: v for k, v in src_env().items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.stdout.splitlines() == ["exit 2", expected]

@@ -466,6 +466,40 @@ class TestBatch:
             (c.model_name, c.run_id, c.verdict.feasible) for c in parallel
         ]
 
+    def test_pool_starts_no_more_workers_than_cells(self, bundled, monkeypatch):
+        import concurrent.futures
+
+        import mudd.feasibility
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # also where a module-level import would have bound it: no real pool
+        monkeypatch.setattr(mudd.feasibility, "ProcessPoolExecutor", RecordingPool,
+                            raising=False)
+        model = dsl.parse_file(bundled("walk_init_first.mudd"))
+        obs = [
+            generate(SynthSpec(model=model, flows=(2.0, 1.0), samples=5, seed=s), run_id=f"r{s}")
+            for s in range(3)
+        ]
+        assert all(c.verdict.feasible for c in batch_check([("m", model)], obs[:2], jobs=16))
+        batch_check([("m", model)], obs, jobs=2)
+        batch_check([("m", model)], obs[:1], jobs=16)  # one cell: no pool
+        assert started == [2, 2]
+
     def test_renderings(self, bundled):
         model = dsl.parse_file(bundled("walk_init_first.mudd"))
         good = generate(SynthSpec(model=model, flows=(1.0, 1.0), samples=5, seed=1), run_id="ok")
