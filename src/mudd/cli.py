@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -167,13 +168,21 @@ def cmd_check(args, cfg: RunConfig) -> int:
     observations = []
     load_failed = False
     for p in args.observations:
-        # a CSV that fails to load costs its own verdict, not the batch's
-        try:
-            observations.append(
-                stats.load_observations(p, model.namespace, project=cfg.project)
-            )
-        except _INPUT_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        # a CSV that fails to load costs its own verdict, not the batch's;
+        # its warnings (unmodeled columns) print as one line each
+        failure = None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                observations.append(
+                    stats.load_observations(p, model.namespace, project=cfg.project)
+                )
+            except _INPUT_ERRORS as exc:
+                failure = exc
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        if failure is not None:
+            print(f"error: {failure}", file=sys.stderr)
             load_failed = True
     if not observations:
         return 2
@@ -251,9 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, namespace=True):
         p.add_argument("--cap", type=int, default=None, help="path enumeration cap")
-        p.add_argument("--namespace", help="file listing counter names, one per line")
+        if namespace:
+            p.add_argument("--namespace", help="file listing counter names, one per line")
         p.add_argument("--format", choices=["text", "json"], default=None)
         p.add_argument("--config", help="key=value defaults file")
 
@@ -282,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="render a model-search catalog report")
     p.add_argument("catalog")
-    common(p)
+    common(p, namespace=False)  # the catalog's own `namespace` key orders counters
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("synth", help="generate synthetic observations from a model")

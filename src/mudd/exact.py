@@ -1,8 +1,9 @@
 """Exact linear-algebra kernel shared by deduction, the hull and the LP.
 
-Reduced row echelon form over the rationals with its null-space basis, the
-primitive integer form of a rational vector, and gcd normalization of an
-integer row. Entries may be ints or Fractions; nothing here rounds.
+Reduced row echelon form with its null-space basis, the primitive integer
+form of a rational vector, and gcd normalization of an integer row.
+Entries may be ints or Fractions, and a float counts as its exact binary
+value; elimination runs on integer rows, and nothing here rounds.
 """
 from __future__ import annotations
 
@@ -11,29 +12,46 @@ from math import gcd
 from typing import Sequence
 
 
+def rational(x):
+    """An int or Fraction as it is; anything else (a float) as its exact Fraction."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Nonzero rows of the reduced row echelon form and their pivot columns.
 
     The pivot columns of a matrix whose columns are vectors v_1..v_m select
     the first maximal independent subset of v_1..v_m, in order.
+
+    Each row is scaled to a primitive integer row, and each elimination step
+    is row_i <- p*row_i - f*row_r followed by a row gcd, so no Fraction is
+    built until every pivot row is divided by its pivot at the end.
     """
-    rows = [list(r) for r in rows]
+    ints: list[list[int]] = []
+    for given in rows:
+        row = [rational(x) for x in given]
+        ints.append(row if all(type(x) is int for x in row) else list(primitive(row)))
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(ints)) if ints[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = Fraction(rows[r][c])  # a Fraction divisor keeps int entries exact
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
+        piv_row = ints[r]
+        p = piv_row[c]
+        for i in range(len(ints)):
+            f = ints[i][c]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(ints[i], piv_row)]
+                normalize_row(row)
+                ints[i] = row
         pivots.append(c)
         r += 1
-    return rows[:r], pivots
+    reduced = [
+        [Fraction(x, ints[i][c]) for x in ints[i]] for i, c in enumerate(pivots)
+    ]
+    return reduced, pivots
 
 
 def null_space(rows: Sequence[Sequence], ncols: int) -> tuple[list[int], list[list[Fraction]]]:

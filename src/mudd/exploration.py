@@ -136,12 +136,20 @@ def minimal_feasible(catalog: ModelCatalog) -> frozenset[str]:
 
 
 def cone_expansion_check(parent: MuDD, child: MuDD, cap: int = DEFAULT_PATH_CAP) -> bool:
-    """True iff every parent generator lies in the child's cone (cone grew or held)."""
+    """True iff every parent generator lies in the child's cone (cone grew or held).
+
+    Generators are compared normalized (primitive and deduplicated). A parent
+    generator that is also a child generator lies in the child's cone
+    trivially and costs a set lookup; only the others go to the exact
+    membership LP. A relaxation that adds a feature usually keeps every
+    parent path, so a growing edge typically runs no LP at all.
+    """
     if parent.namespace.names != child.namespace.names:
         raise DimensionMismatch("parent and child use different counter namespaces")
     child_gens = normalize_signatures(signatures_of_model(child, cap))
+    shared = {gen.counts for gen in child_gens}
     for gen in normalize_signatures(signatures_of_model(parent, cap)):
-        if not cone_membership(child_gens, gen.counts):
+        if gen.counts not in shared and not cone_membership(child_gens, gen.counts):
             return False
     return True
 

@@ -161,10 +161,16 @@ def check_feasibility(
     flows = [Fraction(0)] * len(sigs)
     for owner, flow in zip(owners.values(), solution):
         flows[owner] = flow
-    point = tuple(
-        sum((Fraction(s[i]) * f for s, f in zip(sigs, flows) if f), Fraction(0))
-        for i in range(n)
-    )
+    # the point S f, summed once per distinct signature over integer numerators
+    den = lcm(*(f.denominator for f in solution))
+    numerators = [0] * n
+    for s, f in zip(lp_sigs, solution):
+        if f:
+            m = f.numerator * (den // f.denominator)
+            for i, x in enumerate(s):
+                if x:
+                    numerators[i] += x * m
+    point = tuple(Fraction(x, den) for x in numerators)
     # exact sanity: the reconstructed point lies in the stated box
     if not box.contains(point):
         raise ArithmeticError("witness point escaped the confidence box")

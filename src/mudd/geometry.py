@@ -7,8 +7,8 @@ constraints and a full-rank coordinate projection; the projected generators
 are hulled as integer rays by the double-description kernel, which accepts
 non-extreme rays, to enumerate the facet inequalities. Deduction runs no LP.
 All arithmetic is exact: signatures are small integers, facet normals are
-integer combinations of them and elimination uses rationals, where floating
-point rounding could flip a facet.
+integer combinations of them and elimination runs on integer rows, where
+floating point rounding could flip a facet.
 
 `cone_membership` and `remove_interior_generators` answer the same questions
 from the generators alone, by exact membership LPs; they are the

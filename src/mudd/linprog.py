@@ -12,12 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import normalize_row, primitive
-
-
-def _exact(x):
-    """An int or Fraction as it is; anything else (a float) as its exact Fraction."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+from .exact import normalize_row, primitive, rational
 
 
 def solve_equality_form(
@@ -45,7 +40,7 @@ def solve_equality_form(
     rows: list[list[int]] = []
     for i in range(m):
         # primitive integer row with the rhs appended last, rhs made >= 0
-        row = list(primitive([_exact(x) for x in A[i]] + [_exact(b[i])]))
+        row = list(primitive([rational(x) for x in A[i]] + [rational(b[i])]))
         if row[-1] < 0:
             row = [-x for x in row]
         rows.append(row)

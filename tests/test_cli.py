@@ -226,6 +226,26 @@ class TestCheck:
         assert any(line.startswith("walk_outcome x huge: error: run 'huge'") for line in lines)
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_unmodeled_columns_warn_in_one_line(self, walk_model, exact_csv, tmp_path):
+        with open(exact_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        wide = tmp_path / "wide.csv"
+        with open(wide, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(rows[0] + ["z.extra", "a.extra"])
+            writer.writerows(row + ["1", "2"] for row in rows[1:])
+        procs = [
+            subprocess.run([sys.executable, "-m", "mudd", "check", walk_model, path],
+                           capture_output=True, text=True, env=src_env(), timeout=120)
+            for path in (exact_csv, str(wide))
+        ]
+        assert procs[1].stderr == (
+            "warning: run 'wide': ignoring unmodeled columns a.extra, z.extra\n"
+        )
+        assert procs[0].stderr == ""
+        assert procs[1].returncode == procs[0].returncode == 0
+        assert procs[1].stdout == procs[0].stdout.replace("x exact:", "x wide:")
+
     def test_independent_ablation_flag(self, capsys, walk_model, tmp_path):
         # correlated data whose truth sits just past the walk bound: the
         # correlated region refutes it, the diagonal ablation cannot
@@ -308,6 +328,16 @@ class TestExplore:
         path.write_text(json.dumps({"entries": []}))
         code, out, _ = run(capsys, "explore", str(path))
         assert code == 0
+
+    def test_namespace_flag_rejected(self, capsys, bundled, tmp_path):
+        # the catalog's own `namespace` key orders the counters
+        ns = tmp_path / "ns.txt"
+        ns.write_text("no.such_counter\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", str(bundled("catalog", "search_catalog.json")),
+                  "--namespace", str(ns)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --namespace" in capsys.readouterr().err
 
 
 class TestConfig:

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from mudd import dsl
+from mudd import dsl, linprog
 from mudd.errors import CatalogError, DimensionMismatch, NoFeasibleModel
 from mudd.exploration import (
     ModelCatalog,
@@ -16,7 +17,8 @@ from mudd.exploration import (
     report_json,
     required_features,
 )
-from mudd.model import CounterNamespace
+from mudd.geometry import cone_membership, normalize_signatures
+from mudd.model import CounterNamespace, signatures_of_model
 
 
 def entry(name, features, count, parent=None):
@@ -119,6 +121,108 @@ class TestConeExpansion:
         for a, b in zip(chain, chain[1:]):
             assert cone_expansion_check(cat.entries[a].model, cat.entries[b].model)
         assert cone_expansion_check(cat.entries["m0"].model, cat.entries["m4"].model)
+
+
+def product(ns, blocks):
+    """One switch per block; each case emits its tuple of counters."""
+    lines = []
+    for i, cases in enumerate(blocks):
+        lines.append(f"switch (B{i}) {{")
+        for j, counters in enumerate(cases):
+            lines.append(f"case c{j}: " + " ".join(f"counter {c};" for c in counters))
+        lines.append("}")
+    return dsl.parse("\n".join(lines), ns)
+
+
+def _mutated(rng, names, blocks):
+    """`blocks` after one or two relaxations, prunings or extra counters."""
+    blocks = [list(cases) for cases in blocks]
+    for _ in range(rng.randint(1, 2)):
+        cases = rng.choice(blocks)
+        op = rng.choice(["add", "drop", "split", "every"])
+        if op == "add":
+            cases.append(tuple(rng.sample(names, rng.randint(1, 2))))
+        elif op == "drop" and len(cases) > 1:
+            cases.pop(rng.randrange(len(cases)))
+        elif op == "split":
+            k = rng.randrange(len(cases))
+            cases[k:k + 1] = [(c,) for c in cases[k]]
+        elif op == "every":
+            blocks.append([(rng.choice(names),)])
+    return blocks
+
+
+class TestSharedGenerators:
+    @pytest.fixture
+    def no_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a membership LP ran")
+        monkeypatch.setattr(linprog, "solve_equality_form", refuse)
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+        solve = linprog.solve_equality_form
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(linprog, "solve_equality_form", counted)
+        return calls
+
+    def test_bundled_edges_run_no_lp(self, bundled, no_lp):
+        cat = load_catalog(bundled("catalog", "search_catalog.json"))
+        expansion = expansion_results(cat)
+        assert expansion and all(item["expanded"] for item in expansion)
+
+    def test_grown_product_runs_no_lp(self, no_lp):
+        ns = CounterNamespace(["a0", "a1", "a2", "b0", "b1"])
+        parent = product(ns, [[("a0",), ("a1",)], [("b0",), ("b1",)]])
+        child = product(ns, [[("a0",), ("a1",), ("a2",)], [("b0",), ("b1",)]])
+        assert cone_expansion_check(parent, child)
+
+    def test_split_path_needs_one_lp(self, lp_calls):
+        # parent signature (1,1) is not a child generator, but (1,0) + (0,1)
+        ns = CounterNamespace(["a", "b"])
+        parent = dsl.parse("counter a; counter b;", ns)
+        child = dsl.parse("switch (P) { case x: counter a; case y: counter b; }", ns)
+        assert cone_expansion_check(parent, child)
+        assert len(lp_calls) == 1
+
+    def test_shrink_edge_does_not_expand(self, lp_calls):
+        ns = CounterNamespace(["a0", "a1", "a2", "b0", "b1"])
+        root = product(ns, [[("a0",), ("a1",), ("a2",)], [("b0",), ("b1",)]])
+        shrink = product(ns, [[("a0",), ("a1",)], [("b0",), ("b1",)]])
+        cat = ModelCatalog(entries={
+            "root": ModelEntry("root", frozenset(), 0, model=root),
+            "shrink": ModelEntry("shrink", frozenset(), 0, model=shrink,
+                                 parent=("root", "relaxation")),
+        })
+        text = render_search_report(cat, expansion_results(cat))
+        assert "relaxation root -> shrink: DOES NOT EXPAND" in text
+        assert len(lp_calls) == 1
+
+    def test_matches_membership_of_every_parent_generator(self):
+        names = [f"k{i}" for i in range(5)]
+        ns = CounterNamespace(names)
+        outcomes = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            blocks = [
+                [tuple(rng.sample(names, rng.randint(1, 2)))
+                 for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(1, 3))
+            ]
+            parent = product(ns, blocks)
+            child = product(ns, _mutated(rng, names, blocks))
+            child_gens = normalize_signatures(signatures_of_model(child))
+            expected = all(
+                cone_membership(child_gens, gen.counts)
+                for gen in normalize_signatures(signatures_of_model(parent))
+            )
+            assert cone_expansion_check(parent, child) == expected, seed
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestCatalogFile:
