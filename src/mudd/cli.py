@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,7 @@ from .model import DEFAULT_PATH_CAP, CounterNamespace, enumerate_mupaths, signat
 
 # input errors: one `error: ...` line on stderr, and exit 2
 _INPUT_ERRORS = (MuddError, OSError, ValueError)
+_CONFIG_KEYS = ("alpha", "cap", "format", "jobs")
 
 
 @dataclass
@@ -101,8 +103,13 @@ def _read_config_file(path) -> dict:
             continue
         if "=" not in line:
             raise MuddError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        overrides[key.strip()] = (value.strip(), lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise MuddError(
+                f"{path}:{lineno}: unknown key {key!r}; valid keys are "
+                + ", ".join(_CONFIG_KEYS)
+            )
+        overrides[key] = (value, lineno)
     return overrides
 
 
@@ -329,7 +336,12 @@ def entry() -> None:
     # and oversubscribe the cores of forked `--jobs` workers. OpenBLAS reads
     # this once, when numpy loads, which no subcommand has done yet
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    raise SystemExit(main())
+    try:
+        code = main()
+    except Exception:  # a bug, not an input error: exit 2, never 1 (infeasible)
+        traceback.print_exc()
+        code = 2
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -14,18 +14,32 @@ switch; the end of the top-level block is an implicit `done`. `order`
 declares a happens-before edge between two labeled statements. `#` starts a
 comment. There are no functions, loops, or variables beyond decision
 properties; anything else is a syntax error.
+
+Parsing is one pass with no syntax tree. One regular expression splits the
+text into tokens, and a recursive descent over them builds the diagram as it
+goes: a statement makes its node, in-edges and label, and reports what is
+wrong with them, as soon as it is parsed (a switch as soon as its header is,
+before its cases). An `order` is resolved at the end, since it may name a
+label defined below it.
+
+Code that cannot run (statements after `done` or after a switch whose every
+case ends in `done`, the body of a repeated case, the body of a case whose
+value did not parse) is still parsed, so its syntax errors and empty
+switches are reported. It builds nothing, and it gets none of the
+diagnostics that need a built diagram: unknown-counter, duplicate-label,
+duplicate-case and unknown-label. In a block that runs, each statement after
+its end is reported as an unreachable-statement; the statements nested in
+dead code are not.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import MuddError
 from .model import CausalityEdge, CounterNamespace, MuDD, Node
-
-_WORD_RE = re.compile(r"[A-Za-z0-9_$.]+")
-_KEYWORDS = frozenset({"action", "counter", "done", "switch", "case", "order"})
 
 
 @dataclass(frozen=True)
@@ -61,114 +75,60 @@ def format_diagnostics(diagnostics: Sequence[Diagnostic], origin: str = "<inline
 
 
 # ---------------------------------------------------------------------------
-# tokens
+# parser
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # word | punct | eof
-    text: str
-    line: int
-    col: int
+_KEYWORDS = frozenset({"action", "counter", "done", "switch", "case", "order"})
+_TOKEN_RE = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)"
+    r"|(?P<punct>->|[;:{}()])|(?P<word>[A-Za-z0-9_$.]+)|(?P<bad>.)",
+    re.DOTALL,
+)
+_Token = namedtuple("_Token", "kind text line col")  # kind: word | punct | eof
 
 
 def _tokenize(text: str) -> tuple[list[_Token], list[Diagnostic]]:
     tokens: list[_Token] = []
     diags: list[Diagnostic] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in ";:{}()":
-            tokens.append(_Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _WORD_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            tokens.append(_Token("word", word, line, col))
-            i = m.end()
-            col += len(word)
-            continue
-        diags.append(Diagnostic("syntax-error", line, col, f"unexpected character {ch!r}"))
-        i += 1
-        col += 1
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind in ("word", "punct"):
+            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
+        elif kind == "bad":
+            diags.append(Diagnostic("syntax-error", line, m.start() - line_start + 1,
+                                    f"unexpected character {m.group()!r}"))
+    # a comment that runs to the end of the text leaves the end at its '#'
+    last = text[line_start:]
+    end = last.find("#")
+    tokens.append(_Token("eof", "", line, (end if end >= 0 else len(last)) + 1))
     return tokens, diags
 
 
-# ---------------------------------------------------------------------------
-# AST
-
-
-@dataclass
-class _Stmt:
-    line: int
-    col: int
-    label: Optional[str] = field(default=None, kw_only=True)
-    label_line: int = field(default=0, kw_only=True)
-    label_col: int = field(default=0, kw_only=True)
-
-
-@dataclass
-class _Action(_Stmt):
-    name: str = ""
-
-
-@dataclass
-class _Counter(_Stmt):
-    name: str = ""
-
-
-@dataclass
-class _Done(_Stmt):
-    pass
-
-
-@dataclass
-class _Case:
-    value: str
-    body: list[_Stmt]
-    line: int
-    col: int
-
-
-@dataclass
-class _Switch(_Stmt):
-    prop: str = ""
-    cases: list[_Case] = field(default_factory=list)
-
-
-@dataclass
-class _Order(_Stmt):
-    first: str = ""
-    second: str = ""
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Recursive descent that builds the diagram as it consumes tokens.
+
+    A hook is a pending causality edge, (src node, case value or None); the
+    next node built takes every pending hook as an in-edge. Hooks are None
+    where no path runs: after `done`, after a switch whose every case ends in
+    `done`, and in dead code, which is parsed but builds nothing.
+    """
+
+    def __init__(self, tokens: list[_Token], ns: Optional[CounterNamespace]):
         self.tokens = tokens
         self.pos = 0
-        self.diags: list[Diagnostic] = []
+        self.ns = ns
+        # syntax-error and empty-switch first, then the other kinds: the
+        # order in which a stable sort by position reports ties
+        self.syntax: list[Diagnostic] = []
+        self.semantic: list[Diagnostic] = []
+        self.nodes: list[Node] = []
+        self.out: list[list[CausalityEdge]] = []  # out-edges of each node
+        self.labels: dict[str, int] = {}
+        self.cases: dict[int, list[str]] = {}  # decision node -> case values
+        self.orders: list[tuple[_Token, str, str]] = []
+        self.counters: dict[str, None] = {}  # inferred namespace, in order
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -180,310 +140,174 @@ class _Parser:
         return tok
 
     def error(self, tok: _Token, message: str) -> None:
-        self.diags.append(Diagnostic("syntax-error", tok.line, tok.col, message))
+        self.syntax.append(Diagnostic("syntax-error", tok.line, tok.col, message))
 
-    def expect_punct(self, text: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == text:
-            self.advance()
-            return True
-        self.error(tok, f"expected {text!r}, found {tok.text!r}" if tok.text else f"expected {text!r}")
-        return False
+    def note(self, kind: str, tok: _Token, message: str) -> None:
+        self.semantic.append(Diagnostic(kind, tok.line, tok.col, message))
 
-    def expect_word(self, what: str) -> Optional[_Token]:
+    def expected(self, what: str) -> None:
         tok = self.peek()
-        if tok.kind == "word":
-            return self.advance()
         self.error(tok, f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}")
+
+    def expect_punct(self, text: str) -> None:
+        if self.peek()[:2] == ("punct", text):
+            self.advance()
+        else:
+            self.expected(repr(text))
+
+    def expect_word(self, what: str) -> Optional[str]:
+        if self.peek().kind == "word":
+            return self.advance().text
+        self.expected(what)
         return None
 
     def sync(self) -> None:
         # panic-mode recovery: skip to the next statement boundary
         while True:
             tok = self.peek()
-            if tok.kind == "eof":
+            if tok.kind == "eof" or tok[:2] == ("word", "case"):
                 return
+            self.advance()
             if tok.kind == "punct" and tok.text in (";", "}"):
-                self.advance()
                 return
-            if tok.kind == "word" and tok.text == "case":
-                return
-            self.advance()
 
-    def parse_block(self, stop: frozenset[str]) -> list[_Stmt]:
-        stmts: list[_Stmt] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                return stmts
-            if tok.kind == "punct" and tok.text in stop:
-                return stmts
-            if tok.kind == "word" and tok.text in stop:
-                return stmts
-            stmt = self.parse_stmt()
-            if stmt is not None:
-                stmts.append(stmt)
+    def runs(self, hooks, unreachable: bool, tok: _Token) -> bool:
+        """Whether the statement parsed at `tok` builds anything."""
+        if hooks is None and unreachable:
+            self.note("unreachable-statement", tok, "statement after done is unreachable")
+        return hooks is not None
 
-    def parse_stmt(self) -> Optional[_Stmt]:
-        label = None
-        label_tok = None
-        tok = self.peek()
-        nxt = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        if (
-            tok.kind == "word"
-            and tok.text not in _KEYWORDS
-            and nxt is not None
-            and nxt.kind == "punct"
-            and nxt.text == ":"
-        ):
-            label_tok = self.advance()
-            label = label_tok.text
-            self.advance()  # ':'
-            tok = self.peek()
+    def register(self, label: Optional[_Token], node_id: Optional[int]) -> None:
+        if label is None:
+            return
+        if label.text in self.labels:
+            self.note("duplicate-label", label, f"label {label.text!r} is already defined")
+        elif node_id is not None:
+            self.labels[label.text] = node_id
 
-        def attach(stmt: _Stmt) -> _Stmt:
-            if label is not None:
-                stmt.label = label
-                stmt.label_line = label_tok.line
-                stmt.label_col = label_tok.col
-            return stmt
-
-        if tok.kind != "word":
-            self.error(tok, f"expected a statement, found {tok.text!r}" if tok.text else "expected a statement")
-            self.advance()
-            return None
-
-        if tok.text == "action":
-            self.advance()
-            name = self.expect_word("an event name")
-            if name is None:
-                self.sync()
-                return None
-            self.expect_punct(";")
-            return attach(_Action(tok.line, tok.col, name=name.text))
-
-        if tok.text == "counter":
-            self.advance()
-            name = self.expect_word("a counter name")
-            if name is None:
-                self.sync()
-                return None
-            self.expect_punct(";")
-            return attach(_Counter(tok.line, tok.col, name=name.text))
-
-        if tok.text == "done":
-            self.advance()
-            self.expect_punct(";")
-            return attach(_Done(tok.line, tok.col))
-
-        if tok.text == "order":
-            self.advance()
-            first = self.expect_word("a statement label")
-            if first is None:
-                self.sync()
-                return None
-            self.expect_punct("->")
-            second = self.expect_word("a statement label")
-            if second is None:
-                self.sync()
-                return None
-            self.expect_punct(";")
-            return attach(_Order(tok.line, tok.col, first=first.text, second=second.text))
-
-        if tok.text == "switch":
-            self.advance()
-            self.expect_punct("(")
-            prop = self.expect_word("a property name")
-            self.expect_punct(")")
-            self.expect_punct("{")
-            cases: list[_Case] = []
-            while True:
-                t = self.peek()
-                if t.kind == "eof":
-                    self.error(t, "unterminated switch; expected '}'")
-                    break
-                if t.kind == "punct" and t.text == "}":
-                    self.advance()
-                    break
-                if t.kind == "word" and t.text == "case":
-                    self.advance()
-                    value = self.expect_word("a case value")
-                    self.expect_punct(":")
-                    body = self.parse_block(frozenset({"case", "}"}))
-                    if value is not None:
-                        cases.append(_Case(value.text, body, t.line, t.col))
-                    continue
-                self.error(t, f"expected 'case' or '}}', found {t.text!r}")
-                self.sync()
-            if not cases:
-                self.diags.append(
-                    Diagnostic("empty-switch", tok.line, tok.col, "switch has no cases")
-                )
-            stmt = _Switch(tok.line, tok.col, prop=prop.text if prop else "?", cases=cases)
-            return attach(stmt)
-
-        self.error(tok, f"unknown statement {tok.text!r}")
-        self.advance()
-        self.sync()
-        return None
-
-
-# ---------------------------------------------------------------------------
-# graph construction
-
-
-class _Builder:
-    def __init__(self, ns: Optional[CounterNamespace]):
-        self.ns = ns
-        self.nodes: list[Node] = []
-        self.edges: list[CausalityEdge] = []
-        self.labels: dict[str, int] = {}
-        self.orders: list[_Order] = []
-        self.diags: list[Diagnostic] = []
-        self.seen_counters: list[str] = []
-        self.case_order: dict[int, list[str]] = {}  # decision node -> declared values
-
-    def new_node(self, kind: str, name: Optional[str], label: Optional[str]) -> int:
+    def node(self, hooks, tok, label, kind: str, name: Optional[str]) -> int:
         node_id = len(self.nodes)
-        self.nodes.append(Node(node_id=node_id, kind=kind, name=name, label=label))
+        if kind == "counter":
+            if self.ns is not None and name not in self.ns:
+                self.note("unknown-counter", tok, f"counter {name!r} is not in the namespace")
+            self.counters[name] = None
+        self.nodes.append(Node(node_id=node_id, kind=kind, name=name,
+                               label=label.text if label else None))
+        self.out.append([])
+        self.register(label, node_id)
+        for src, value in hooks:
+            self.out[src].append(CausalityEdge(src=src, dst=node_id, value=value))
         return node_id
 
-    def register_label(self, stmt: _Stmt, node_id: Optional[int]) -> None:
-        if stmt.label is None:
-            return
-        if stmt.label in self.labels:
-            self.diags.append(
-                Diagnostic(
-                    "duplicate-label",
-                    stmt.label_line,
-                    stmt.label_col,
-                    f"label {stmt.label!r} is already defined",
-                )
-            )
-            return
-        if node_id is not None:
-            self.labels[stmt.label] = node_id
+    def block(self, stop: tuple[str, ...], hooks):
+        """Statements up to eof or a token in `stop`; returns the dangling hooks.
 
-    # A "hook" is a pending causality edge: (src node, case value or None).
-    def connect(self, hooks: list[tuple[int, Optional[str]]], dst: int) -> None:
-        for src, value in hooks:
-            self.edges.append(CausalityEdge(src=src, dst=dst, value=value))
-
-    def build_block(
-        self, stmts: list[_Stmt], incoming: list[tuple[int, Optional[str]]]
-    ) -> tuple[Optional[int], list[tuple[int, Optional[str]]]]:
-        """Chain statements; returns (entry node of block or None, dangling hooks)."""
-        entry: Optional[int] = None
-        hooks = incoming
-        terminated = False
-        for stmt in stmts:
-            if terminated:
-                self.diags.append(
-                    Diagnostic(
-                        "unreachable-statement",
-                        stmt.line,
-                        stmt.col,
-                        "statement after done is unreachable",
-                    )
-                )
-                continue
-            if isinstance(stmt, _Order):
-                self.register_label(stmt, None)
-                self.orders.append(stmt)
-                continue
-            if isinstance(stmt, _Action):
-                node = self.new_node("event", stmt.name, stmt.label)
-                self.register_label(stmt, node)
-                self.connect(hooks, node)
-                hooks = [(node, None)]
-            elif isinstance(stmt, _Counter):
-                if self.ns is not None and stmt.name not in self.ns:
-                    self.diags.append(
-                        Diagnostic(
-                            "unknown-counter",
-                            stmt.line,
-                            stmt.col,
-                            f"counter {stmt.name!r} is not in the namespace",
-                        )
-                    )
-                if stmt.name not in self.seen_counters:
-                    self.seen_counters.append(stmt.name)
-                node = self.new_node("counter", stmt.name, stmt.label)
-                self.register_label(stmt, node)
-                self.connect(hooks, node)
-                hooks = [(node, None)]
-            elif isinstance(stmt, _Done):
-                node = self.new_node("done", None, stmt.label)
-                self.register_label(stmt, node)
-                self.connect(hooks, node)
-                hooks = []
-                terminated = True
-            elif isinstance(stmt, _Switch):
-                node = self.new_node("decision", stmt.prop, stmt.label)
-                self.register_label(stmt, node)
-                self.connect(hooks, node)
-                self.case_order[node] = [c.value for c in stmt.cases]
-                hooks = []
-                seen_values = set()
-                for case in stmt.cases:
-                    if case.value in seen_values:
-                        self.diags.append(
-                            Diagnostic(
-                                "duplicate-case",
-                                case.line,
-                                case.col,
-                                f"case {case.value!r} appears twice in one switch",
-                            )
-                        )
-                        continue
-                    seen_values.add(case.value)
-                    _, dangling = self.build_block(case.body, [(node, case.value)])
-                    hooks.extend(dangling)
-                if not hooks:
-                    # every branch ended in done; anything after is unreachable
-                    terminated = True
-            else:  # pragma: no cover - parser emits only the kinds above
-                raise AssertionError(stmt)
-            if entry is None:
-                entry = node
-        return entry, hooks
-
-    def ordered_edges(self) -> list[CausalityEdge]:
-        """Causality edges with decision out-edges in case declaration order.
-
-        An empty case's edge is only connected once the branch rejoin target
-        exists, so raw insertion order can disagree with the source text.
+        In a block that runs (hooks not None on entry), each statement after
+        its end is reported unreachable; a dead block reports none.
         """
-        by_src: dict[int, list[CausalityEdge]] = {}
-        for e in self.edges:
-            by_src.setdefault(e.src, []).append(e)
-        out: list[CausalityEdge] = []
-        for node in self.nodes:
-            edges = by_src.get(node.node_id, [])
-            if node.node_id in self.case_order:
-                rank = {v: i for i, v in enumerate(self.case_order[node.node_id])}
-                edges = sorted(edges, key=lambda e: rank.get(e.value, len(rank)))
-            out.extend(edges)
-        return out
+        live = hooks is not None
+        while self.peek().kind != "eof" and self.peek().text not in stop:
+            hooks = self.statement(hooks, live and hooks is None)
+        return hooks
 
-    def resolve_orders(self) -> list[tuple[int, int]]:
-        hb: list[tuple[int, int]] = []
-        for stmt in self.orders:
-            ok = True
-            for name in (stmt.first, stmt.second):
-                if name not in self.labels:
-                    self.diags.append(
-                        Diagnostic(
-                            "unknown-label",
-                            stmt.line,
-                            stmt.col,
-                            f"order references undefined label {name!r}",
-                        )
-                    )
-                    ok = False
-            if ok:
-                hb.append((self.labels[stmt.first], self.labels[stmt.second]))
-        return hb
+    def statement(self, hooks, unreachable: bool):
+        """One statement, optionally labeled; returns the hooks after it."""
+        label = None
+        tok = self.peek()
+        if (tok.kind == "word" and tok.text not in _KEYWORDS
+                and self.tokens[self.pos + 1][:2] == ("punct", ":")):
+            label = self.advance()
+            self.advance()
+        tok = self.peek()
+        if tok.kind != "word":
+            self.expected("a statement")
+            self.advance()
+            return hooks
+        keyword = tok.text
+
+        if keyword in ("action", "counter"):
+            self.advance()
+            name = self.expect_word("an event name" if keyword == "action" else "a counter name")
+            if name is None:
+                self.sync()
+                return hooks
+            self.expect_punct(";")
+            if not self.runs(hooks, unreachable, tok):
+                return None
+            kind = "event" if keyword == "action" else "counter"
+            return [(self.node(hooks, tok, label, kind, name), None)]
+
+        if keyword == "done":
+            self.advance()
+            self.expect_punct(";")
+            if self.runs(hooks, unreachable, tok):
+                self.node(hooks, tok, label, "done", None)
+            return None
+
+        if keyword == "order":
+            self.advance()
+            first = self.expect_word("a statement label")
+            second = None
+            if first is not None:
+                self.expect_punct("->")
+                second = self.expect_word("a statement label")
+            if second is None:
+                self.sync()
+                return hooks
+            self.expect_punct(";")
+            if self.runs(hooks, unreachable, tok):
+                self.register(label, None)
+                self.orders.append((tok, first, second))
+            return hooks
+
+        if keyword == "switch":
+            self.advance()
+            self.expect_punct("(")
+            prop = self.expect_word("a property name") or "?"
+            self.expect_punct(")")
+            self.expect_punct("{")
+            node_id = None
+            if self.runs(hooks, unreachable, tok):
+                node_id = self.node(hooks, tok, label, "decision", prop)
+            values: list[str] = []
+            dangling: list[tuple[int, Optional[str]]] = []
+            while True:
+                case = self.peek()
+                if case.kind == "eof":
+                    self.error(case, "unterminated switch; expected '}'")
+                    break
+                if case[:2] == ("punct", "}"):
+                    self.advance()
+                    break
+                if case[:2] != ("word", "case"):
+                    self.expected("'case' or '}'")
+                    self.sync()
+                    continue
+                self.advance()
+                value = self.expect_word("a case value")
+                self.expect_punct(":")
+                # a case whose value failed to parse, or repeats, is dead code
+                entry = None
+                if value is not None and node_id is not None:
+                    if value in values:
+                        self.note("duplicate-case", case,
+                                  f"case {value!r} appears twice in one switch")
+                    else:
+                        entry = [(node_id, value)]
+                if value is not None:
+                    values.append(value)
+                dangling += self.block(("case", "}"), entry) or ()
+            if not values:
+                self.syntax.append(Diagnostic("empty-switch", tok.line, tok.col, "switch has no cases"))
+            if node_id is None:
+                return None
+            self.cases[node_id] = values
+            return dangling or None
+
+        self.error(tok, f"unknown statement {keyword!r}")
+        self.advance()
+        self.sync()
+        return hooks
 
 
 def parse(
@@ -498,32 +322,36 @@ def parse(
     if isinstance(src, str):
         src = DslSource(text=src)
     tokens, diags = _tokenize(src.text)
-    parser = _Parser(tokens)
-    stmts = parser.parse_block(frozenset())
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.error(tok, f"unexpected {tok.text!r} at top level")
-    diags.extend(parser.diags)
-
-    builder = _Builder(ns)
-    entry, hooks = builder.build_block(stmts, [])
-    if hooks or entry is None:
-        done_id = builder.new_node("done", None, None)
-        builder.connect(hooks, done_id)
-        if entry is None:
-            entry = done_id
-    hb = builder.resolve_orders()
-    diags.extend(builder.diags)
+    parser = _Parser(tokens, ns)
+    hooks = parser.block((), [])
+    if hooks or not parser.nodes:  # the implicit `done` at the end of the text
+        parser.node(hooks, None, None, "done", None)
+    # orders resolve last: a label may be defined below the order naming it
+    hb: list[tuple[int, int]] = []
+    for tok, first, second in parser.orders:
+        missing = [name for name in (first, second) if name not in parser.labels]
+        for name in missing:
+            parser.note("unknown-label", tok, f"order references undefined label {name!r}")
+        if not missing:
+            hb.append((parser.labels[first], parser.labels[second]))
+    diags += parser.syntax + parser.semantic
     if diags:
         raise DslParseError(diags, src.origin)
 
-    namespace = ns if ns is not None else CounterNamespace(builder.seen_counters)
+    # a decision's out-edges go in case order: an empty case's edge is only
+    # made at the rejoin, after the edges of the cases below it
+    causality: list[CausalityEdge] = []
+    for node_id, edges in enumerate(parser.out):
+        if node_id in parser.cases:
+            values = parser.cases[node_id]
+            edges.sort(key=lambda e: values.index(e.value))
+        causality.extend(edges)
     model = MuDD(
-        nodes=tuple(builder.nodes),
-        causality=tuple(builder.ordered_edges()),
+        nodes=tuple(parser.nodes),
+        causality=tuple(causality),
         happens_before=tuple(hb),
-        entry=entry,
-        namespace=namespace,
+        entry=0,
+        namespace=ns if ns is not None else CounterNamespace(parser.counters),
     )
     model.validate()
     return model

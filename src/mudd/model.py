@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     CycleDetected,
@@ -244,39 +244,50 @@ def enumerate_mupaths(model: MuDD, cap: int = DEFAULT_PATH_CAP) -> tuple[MuPath,
             )
         )
 
-    def walk(node_id: int) -> None:
-        node = model.node(node_id)
-        trail.append(node)
-        try:
+    # depth-first without recursion, so a long chain cannot overflow the
+    # stack: `branches` holds, per unassigned decision on the current path,
+    # its remaining out-edges, the trail length at it and its property
+    branches: list[tuple[Iterator[CausalityEdge], int, str]] = []
+
+    def descend(node_id: int) -> None:
+        """Follow the path from `node_id` to a done node or a new branch."""
+        while True:
+            node = model.node(node_id)
+            trail.append(node)
             if node.kind == "done":
                 emit()
-            elif node.kind == "decision":
-                prop = node.name
-                edges = out[node_id]
-                if prop in assignment:
-                    value = assignment[prop]
-                    for e in edges:
-                        if e.value == value:
-                            walk(e.dst)
-                            break
-                    else:
-                        raise DanglingDecision(
-                            f"property {prop!r} is assigned {value!r} but decision node "
-                            f"{node_id} has no matching edge"
-                        )
-                else:
-                    for e in edges:
-                        assignment[prop] = e.value
-                        assign_order.append(prop)
-                        walk(e.dst)
-                        del assignment[prop]
-                        assign_order.pop()
+                return
+            if node.kind != "decision":
+                node_id = out[node_id][0].dst
+            elif node.name not in assignment:
+                branches.append((iter(out[node_id]), len(trail), node.name))
+                return
             else:
-                walk(out[node_id][0].dst)
-        finally:
-            trail.pop()
+                value = assignment[node.name]
+                for e in out[node_id]:
+                    if e.value == value:
+                        node_id = e.dst
+                        break
+                else:
+                    raise DanglingDecision(
+                        f"property {node.name!r} is assigned {value!r} but decision node "
+                        f"{node_id} has no matching edge"
+                    )
 
-    walk(model.entry)
+    descend(model.entry)
+    while branches:
+        edges, depth, prop = branches[-1]
+        del trail[depth:]
+        if prop in assignment:  # the previous edge of this branch is done
+            del assignment[prop]
+            assign_order.pop()
+        e = next(edges, None)
+        if e is None:
+            branches.pop()
+            continue
+        assignment[prop] = e.value
+        assign_order.append(prop)
+        descend(e.dst)
     return tuple(paths)
 
 

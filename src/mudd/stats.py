@@ -135,9 +135,10 @@ def load_observations(
     ignored for the math. Columns are reordered to namespace order. Counters
     in the namespace but absent from the file raise MissingCounter unless
     `project` is set, in which case the namespace is restricted and the
-    projection is recorded in provenance. Extra columns are ignored with a
-    warning. A cell that is not a finite number raises NonNumericCell, a
-    negative one NegativeCell; both name the run, line and counter column.
+    projection is recorded in provenance; a file that shares no counter with
+    the namespace raises MissingCounter even then. Extra columns are ignored
+    with a warning. A cell that is not a finite number raises NonNumericCell,
+    a negative one NegativeCell; both name the run, line and counter column.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -173,6 +174,8 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
                 f"run {run_id!r} lacks counters: {', '.join(missing)} "
                 "(use projection to restrict the namespace)"
             )
+        if len(missing) == len(namespace):
+            raise MissingCounter(f"run {run_id!r} shares no counter with the model")
         namespace = namespace.restrict(present)
         provenance.append("projected-out:" + ",".join(missing))
 

@@ -61,6 +61,14 @@ class TestPaths:
         assert code == 2
         assert "syntax-error" in err
 
+    def test_long_chain_does_not_overflow_the_stack(self, capsys, tmp_path):
+        path = tmp_path / "chain.mudd"
+        path.write_text("counter c;\n" * 5000)
+        code, out, err = run(capsys, "paths", str(path))
+        assert (code, out, err) == (0, "1. (no decisions) | c=5000\n", "")
+        code, out, err = run(capsys, "constraints", str(path))
+        assert (code, out, err) == (0, "Equalities (0):\nInequalities (1):\n0 ≤ c\n", "")
+
     def test_json_mode(self, capsys, bundled):
         code, out, _ = run(capsys, "paths", str(bundled("stlb_pde_walk.mudd")),
                            "--format", "json")
@@ -161,6 +169,17 @@ class TestCheck:
         assert code == 2
         code, out, _ = run(capsys, "check", walk_model, str(csv_path), "--project")
         assert code == 0
+
+    def test_projected_csv_without_model_counters_names_the_run(self, capsys, walk_model,
+                                                                 exact_csv, tmp_path):
+        unrelated = tmp_path / "unrelated.csv"
+        unrelated.write_text("t,other.counter\n0,1\n1,2\n2,3\n")
+        code, out, err = run(capsys, "check", walk_model, exact_csv, str(unrelated),
+                             "--project")
+        assert code == 2
+        assert "exact: feasible" in out
+        assert "error: run 'unrelated' shares no counter with the model\n" in err
+        assert "zero-size" not in err
 
     def test_mixed_projections_render_per_cell(self, capsys, walk_model, tmp_path):
         partial = tmp_path / "a_partial.csv"
@@ -415,6 +434,16 @@ class TestConfig:
         assert code == 2
         assert err == f"error: {cfg}:1: jobs: 'two' is not a valid int\n"
 
+    def test_unknown_config_key_names_file_line_and_key(self, capsys, walk_model,
+                                                        exact_csv, tmp_path):
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text("# defaults\nformat=json\nalhpa=0.05\n")
+        code, out, err = run(capsys, "check", walk_model, exact_csv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {cfg}:3: unknown key 'alhpa'; "
+                       "valid keys are alpha, cap, format, jobs\n")
+
     def test_namespace_file(self, capsys, walk_model, tmp_path):
         ns = tmp_path / "names.txt"
         ns.write_text("load.pde$_miss\nload.causes_walk\n")
@@ -544,3 +573,21 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.stdout.splitlines() == ["exit 2", expected]
+
+
+def test_unexpected_exception_prints_traceback_and_exits_2(capsys, monkeypatch, walk_model):
+    # 1 means "some observation infeasible", so a bug must not exit 1
+    from mudd import cli
+
+    def broken(args, cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_paths", broken)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # entry() sets it when unset
+    monkeypatch.setattr(sys, "argv", ["mudd", "paths", walk_model])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: boom\n")

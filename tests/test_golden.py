@@ -1,8 +1,9 @@
-"""Byte-for-byte snapshots of `mudd constraints` and `mudd explore` output.
+"""Byte-for-byte snapshots of `mudd` output and of parse diagnostics.
 
-Deduction is exact, so any change to the printed constraint sets or the
-exploration report is a change in behaviour, not noise. The snapshots under
-tests/data/golden/ are regenerated from the repository root with
+Parsing, path enumeration and deduction are exact, so any change to the
+printed paths, constraint sets, exploration report or diagnostics is a change
+in behaviour, not noise. The snapshots under tests/data/golden/ are
+regenerated from the repository root with
 
     export PYTHONPATH=src
     D=src/mudd/data G=tests/data/golden
@@ -16,17 +17,31 @@ tests/data/golden/ are regenerated from the repository root with
     done
     python -m mudd explore $D/catalog/search_catalog.json --format json > $G/explore.json
 
+`mudd paths` is snapshotted in text and JSON for the same models (MODELS
+below), each as
+
+    python -m mudd paths <model> [--namespace ...] > $G/paths_<name>.txt
+    python -m mudd paths <model> [--namespace ...] --format json > $G/paths_<name>.json
+
+The parse diagnostics of every malformed source in tests/data/dsl_errors/
+(read without newline translation, so a lone `\\r` keeps its column) are one
+snapshot, regenerated with
+
+    python -c "import sys; sys.path.insert(0, 'tests'); \\
+        from test_golden import diagnostics_report; \\
+        sys.stdout.write(diagnostics_report())" > $G/diagnostics.txt
+
 `mudd check --format text` is snapshotted as its exit code line followed by
 its stdout, on CSVs written by `mudd synth` from the bundled models (the
 SYNTH table below); text output carries verdicts and violated constraints
 but no witness values. After writing each CSV of SYNTH with
 
-    python -m mudd synth <model> --flows <flows> --samples 40 --noise 1 \
+    python -m mudd synth <model> --flows <flows> --samples 40 --noise 1 \\
         --seed <seed> -o <name>.csv
 
 each check snapshot is regenerated with
 
-    { python -m mudd check <model> <csvs...> <flags...> > out.txt; \
+    { python -m mudd check <model> <csvs...> <flags...> > out.txt; \\
       echo "exit: $?"; cat out.txt; } > $G/check_<name>.txt
 
 using the model, CSVs and flags of its CHECKS row. `haswell_mmu.mudd` takes
@@ -39,15 +54,34 @@ import pytest
 
 from mudd import bundled_path, linprog
 from mudd.cli import main
+from mudd.dsl import DslParseError, DslSource, parse
+from mudd.model import CounterNamespace
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden"
 
-CONSTRAINTS = [
+MODELS = [
     ("haswell_mmu", ("haswell_mmu.mudd",), "haswell_counters.txt"),
     *[(m, (f"{m}.mudd",), None) for m in
       ("pde_lookup_first", "stlb_pde_walk", "walk_init_first", "walk_outcome")],
     *[(f"catalog_m{i}", ("catalog", f"m{i}.mudd"), None) for i in range(12)],
 ]
+
+
+def diagnostics_report() -> str:
+    """The diagnostics of each source in tests/data/dsl_errors, in file name
+    order, checked against the counters of counters.txt there."""
+    errors = DATA / "dsl_errors"
+    ns = CounterNamespace((errors / "counters.txt").read_text(encoding="utf-8").split())
+    reports = []
+    for path in sorted(errors.glob("*.mudd")):
+        try:
+            parse(DslSource(path.read_bytes().decode("utf-8"), path.name), ns)
+        except DslParseError as exc:
+            reports.append(str(exc))
+        else:
+            reports.append(f"{path.name}: parsed without diagnostics")
+    return "\n".join(reports) + "\n"
 
 
 SYNTH = {
@@ -82,13 +116,28 @@ def synth_csvs(tmp_path_factory):
     return out
 
 
-def _assert_snapshot(capsys, argv, name):
+def _assert_snapshot(capsys, argv, name, suffix=".json"):
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert out.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
+    assert out.encode("utf-8") == (GOLDEN / f"{name}{suffix}").read_bytes()
 
 
-@pytest.mark.parametrize("name,model,namespace", CONSTRAINTS, ids=[c[0] for c in CONSTRAINTS])
+@pytest.mark.parametrize("output_format", ["text", "json"])
+@pytest.mark.parametrize("name,model,namespace", MODELS, ids=[c[0] for c in MODELS])
+def test_paths_match_snapshot(capsys, name, model, namespace, output_format):
+    argv = ["paths", str(bundled_path(*model)), "--format", output_format]
+    if namespace is not None:
+        argv += ["--namespace", str(bundled_path(namespace))]
+    suffix = ".txt" if output_format == "text" else ".json"
+    _assert_snapshot(capsys, argv, f"paths_{name}", suffix)
+
+
+def test_diagnostics_match_snapshot():
+    report = diagnostics_report()
+    assert report.encode("utf-8") == (GOLDEN / "diagnostics.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name,model,namespace", MODELS, ids=[c[0] for c in MODELS])
 def test_constraints_match_snapshot(capsys, monkeypatch, name, model, namespace):
     # deduction runs no LP: every exact LP goes through solve_equality_form
     def no_lp(*args, **kwargs):
