@@ -41,8 +41,8 @@ def bundled_path(*parts: str) -> Path:
     return Path(str(_files("mudd").joinpath("data", *parts)))
 
 
-# numpy-backed: imported on first use, so that `paths`, `constraints` and
-# `explore` start without loading numpy
+# imported on first use, so that `paths`, `constraints` and `explore` start
+# without them; of the three, only `synth` needs numpy
 _LAZY = {
     name: module
     for module, names in {

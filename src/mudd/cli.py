@@ -169,7 +169,7 @@ def cmd_constraints(args, cfg: RunConfig) -> int:
 
 
 def cmd_check(args, cfg: RunConfig) -> int:
-    from . import feasibility, stats  # numpy: only `check` and `synth` load it
+    from . import feasibility, stats
 
     model = dsl.parse_file(args.model, cfg.namespace)
     observations = []
@@ -235,7 +235,14 @@ def _parse_noise(text, n):
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
-    from . import stats, synth
+    from . import stats
+
+    try:
+        from . import synth
+    except ModuleNotFoundError as exc:
+        if (exc.name or "").partition(".")[0] != "numpy":
+            raise
+        raise MuddError("mudd synth needs numpy (pip install 'mudd[synth]')") from None
 
     model = dsl.parse_file(args.model, cfg.namespace)
     paths = enumerate_mupaths(model, cfg.cap)
@@ -332,10 +339,6 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    # check's eigendecompositions are small: BLAS threads gain nothing there
-    # and oversubscribe the cores of forked `--jobs` workers. OpenBLAS reads
-    # this once, when numpy loads, which no subcommand has done yet
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = main()
     except Exception:  # a bug, not an input error: exit 2, never 1 (infeasible)

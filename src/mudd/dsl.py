@@ -412,12 +412,17 @@ def _topo_order(model: MuDD) -> list[int]:
 def format_model(model: MuDD) -> str:
     """Render a diagram back to source text.
 
-    Recovers block structure from the causality DAG (branch rejoin points are
-    immediate postdominators of decision nodes). Diagrams built by parse()
-    print each node exactly once; arbitrary hand-built DAGs may print shared
-    tails more than once, which preserves the path set and signatures.
+    Recovers block structure from the causality DAG. A switch's cases rejoin
+    at the immediate postdominator of its decision node; when some case ends
+    in `done`, that is the virtual sink, and the cases that do not end in
+    `done` rejoin instead at the first node (in topological order) that two
+    of them reach. A case that never rejoins stops where its enclosing case
+    does. Diagrams built by parse() print each node exactly once; arbitrary
+    hand-built DAGs may print shared tails more than once, which preserves
+    the path set and signatures.
     """
     ipdom = _immediate_postdominators(model)
+    position = {nid: i for i, nid in enumerate(_topo_order(model))}
     lines: list[str] = []
     emitted: set[int] = set()
     hb_nodes = {nid for edge in model.happens_before for nid in edge}
@@ -436,6 +441,23 @@ def format_model(model: MuDD) -> str:
 
     def prefix(node_id: int) -> str:
         return f"{labels[node_id]}: " if node_id in labels else ""
+
+    def rejoin(decision: int) -> int:
+        if ipdom[decision] != _SINK:
+            return ipdom[decision]
+        first_case: dict[int, int] = {}  # node -> first case that reaches it
+        shared = []
+        for case, edge in enumerate(model.out_edges[decision]):
+            todo, seen = [edge.dst], {edge.dst}
+            while todo:
+                node_id = todo.pop()
+                if first_case.setdefault(node_id, case) != case:
+                    shared.append(node_id)
+                for e in model.out_edges[node_id]:
+                    if e.dst not in seen:
+                        seen.add(e.dst)
+                        todo.append(e.dst)
+        return min(shared, key=position.__getitem__, default=_SINK)
 
     def emit_chain(node_id: int, stop: int, indent: int) -> None:
         pad = "    " * indent
@@ -457,11 +479,11 @@ def format_model(model: MuDD) -> str:
                 lines.append(f"{pad}{prefix(current)}done;")
                 return
             elif node.kind == "decision":
-                cont = ipdom[current]
+                cont = rejoin(current)
                 lines.append(f"{pad}{prefix(current)}switch ({node.name}) {{")
                 for e in model.out_edges[current]:
                     lines.append(f"{pad}    case {e.value}:")
-                    emit_chain(e.dst, cont, indent + 2)
+                    emit_chain(e.dst, stop if cont == _SINK else cont, indent + 2)
                 lines.append(f"{pad}}}")
                 if cont == _SINK:
                     return

@@ -86,8 +86,7 @@ class _IntegerBox:
 
     @classmethod
     def of(cls, region: ConfidenceRegion) -> "_IntegerBox":
-        rows = [region.center.tolist(), *region.axes.tolist(),
-                region.half_lengths.tolist()]
+        rows = [region.center, *region.axes, region.half_lengths]
         ratios = [[float(x).as_integer_ratio() for x in row] for row in rows]
         scale = max((d for row in ratios for _, d in row), default=1)  # powers of two
         ints = [[m * (scale // d) for m, d in row] for row in ratios]
@@ -99,6 +98,33 @@ class _IntegerBox:
                   for x, c in zip(point, self.center)]  # scale*den*(v - c)
         return all(abs(_dot(e, offset)) <= self.scale * den * h
                    for e, h in zip(self.axes, self.half))
+
+
+@dataclass(frozen=True)
+class _Signatures:
+    """Validated signatures: the number of paths, the distinct signatures,
+    and the first path index of each."""
+
+    paths: int
+    distinct: tuple[tuple[int, ...], ...]
+    owners: tuple[int, ...]
+
+    @classmethod
+    def of(cls, model_sigs: Sequence, n: int, cap: int) -> "_Signatures":
+        sigs = [_as_vector(s) for s in model_sigs]
+        if len(sigs) > cap:
+            raise PathExplosion(f"{len(sigs)} flow variables exceed the cap of {cap}")
+        for s in sigs:
+            if len(s) != n:
+                raise DimensionMismatch(
+                    f"signature dimension {len(s)} does not match region dimension {n}"
+                )
+            if any(c < 0 for c in s):
+                raise ValueError("signatures must be non-negative")
+        owners: dict[tuple[int, ...], int] = {}  # signature -> its first input index
+        for i, s in enumerate(sigs):
+            owners.setdefault(s, i)
+        return cls(len(sigs), tuple(owners), tuple(owners.values()))
 
 
 def check_feasibility(
@@ -127,39 +153,29 @@ def check_feasibility(
     each merged flow on the first path of its signature. `compress` is
     accepted and ignored: merging is the only formulation.
     """
-    sigs = tuple(_as_vector(s) for s in model_sigs)
-    if len(sigs) > cap:
-        raise PathExplosion(f"{len(sigs)} flow variables exceed the cap of {cap}")
     n = region.dimension
-    for s in sigs:
-        if len(s) != n:
-            raise DimensionMismatch(
-                f"signature dimension {len(s)} does not match region dimension {n}"
-            )
-        if any(c < 0 for c in s):
-            raise ValueError("signatures must be non-negative")
-
-    owners: dict[tuple[int, ...], int] = {}  # signature -> its first input index
-    for i, s in enumerate(sigs):
-        owners.setdefault(s, i)
-    lp_sigs = list(owners)
+    if isinstance(model_sigs, _Signatures):  # validated once by batch_check
+        sigs = model_sigs
+    else:
+        sigs = _Signatures.of(model_sigs, n, cap)
+    lp_sigs = list(sigs.distinct)
 
     if constraints is None:
         constraints = constraints_from_signatures(
             lp_sigs, CounterNamespace(f"v{i}" for i in range(n)))
-    violated = attribute_violations(constraints, region)
+    box = _IntegerBox.of(region)
+    violated = attribute_violations(constraints, box)
     if violated:
         return FeasibilityVerdict(feasible=False, violated_constraints=violated)
 
-    box = _IntegerBox.of(region)
     solution = _centre_witness(lp_sigs, constraints.equalities, box)
     if solution is None:
         solution = _box_lp(lp_sigs, box)
     if solution is None:
         return FeasibilityVerdict(feasible=False)
 
-    flows = [Fraction(0)] * len(sigs)
-    for owner, flow in zip(owners.values(), solution):
+    flows = [Fraction(0)] * sigs.paths
+    for owner, flow in zip(sigs.owners, solution):
         flows[owner] = flow
     # the point S f, summed once per distinct signature over integer numerators
     den = lcm(*(f.denominator for f in solution))
@@ -241,7 +257,7 @@ def _box_lp(
 
 
 def attribute_violations(
-    constraints: ConstraintSet, region: ConfidenceRegion
+    constraints: ConstraintSet, region: ConfidenceRegion | _IntegerBox
 ) -> tuple[Constraint, ...]:
     """Constraints whose half-space (or hyperplane) the whole region misses.
 
@@ -252,9 +268,9 @@ def attribute_violations(
     integers: times scale**2 they are scale*(a.C) -+ sum_i |a.E_i| * H_i.
     A region can be disjoint from the cone while straddling a corner of it,
     in which case no single constraint is violated everywhere and this
-    returns empty.
+    returns empty. `check_feasibility` passes the integer box it has built.
     """
-    box = _IntegerBox.of(region)
+    box = region if isinstance(region, _IntegerBox) else _IntegerBox.of(region)
     n = len(box.center)
     live = [(e, h) for e, h in zip(box.axes, box.half) if h]
     out = []
@@ -262,8 +278,9 @@ def attribute_violations(
         a = constraint.coefficients
         if len(a) != n:
             raise DimensionMismatch("constraint dimension does not match region")
-        base = box.scale * _dot(a, box.center)
-        spread = sum(abs(_dot(a, e)) * h for e, h in live)
+        terms = [(j, x) for j, x in enumerate(a) if x]  # deduced constraints are sparse
+        base = box.scale * sum(x * box.center[j] for j, x in terms)
+        spread = sum(abs(sum(x * e[j] for j, x in terms)) * h for e, h in live)
         if base + spread < 0:
             out.append(constraint)
         elif constraint.kind == "equality" and base - spread > 0:
@@ -341,9 +358,9 @@ def batch_check(
     of parallelism. Per-cell errors are recorded, not raised.
 
     Each observation is checked in its own namespace, which projection may
-    have restricted: the model's signatures are restricted to it and its
-    constraints deduced once per distinct namespace. `independent` drops
-    counter correlations from every region.
+    have restricted: the model's signatures are restricted to it, validated
+    and deduplicated, and its constraints deduced, once per distinct
+    namespace. `independent` drops counter correlations from every region.
     """
     cells: list[BatchCell] = []
     work = []
@@ -359,7 +376,8 @@ def batch_check(
             names = obs.namespace.names
             try:
                 if names not in deduced:
-                    deduced[names] = _in_namespace(base, model.namespace, obs.namespace)
+                    sigs, constraints = _in_namespace(base, model.namespace, obs.namespace)
+                    deduced[names] = (_Signatures.of(sigs, len(names), cap), constraints)
             except MuddError as exc:
                 cells.append(BatchCell(model_name, obs.run_id, None, error=str(exc)))
                 continue

@@ -7,6 +7,11 @@ ellipsoid of that covariance at a chi-square quantile, approximated by its
 principal-axis bounding box: axis directions are covariance eigenvectors and
 half-lengths are sqrt(eigenvalue * quantile). Correlated counters shrink the
 box in the correlated directions, which is the whole point.
+
+Everything here uses only the standard library: the moments are sums by
+`math.fsum`, and the symmetric eigendecomposition is Householder
+tridiagonalisation followed by the implicit QL algorithm (EISPACK
+`tred2`/`tql2`). Regions hold tuples of floats.
 """
 from __future__ import annotations
 
@@ -16,10 +21,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
+from operator import mul
 from pathlib import Path
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .errors import (
     MissingCounter,
@@ -32,36 +37,49 @@ from .errors import (
 from .model import CounterNamespace
 
 
+Vector = tuple[float, ...]
+Matrix = tuple[Vector, ...]
+
+
 @dataclass
 class ObservationSet:
-    """Interval samples for one program run; rows are samples, columns counters."""
+    """Interval samples for one program run; rows are samples, columns counters.
+
+    `sample_matrix` is any two-dimensional sequence of non-negative reals
+    (lists of floats from `load_observations`, an array from `mudd.synth`)
+    and is kept as given.
+    """
 
     run_id: str
-    sample_matrix: np.ndarray
+    sample_matrix: Sequence[Sequence[float]]
     namespace: CounterNamespace
     provenance: tuple[str, ...] = ()
     clamped: int = 0
 
     def __post_init__(self):
-        matrix = np.asarray(self.sample_matrix, dtype=float)
-        if matrix.ndim != 2:
+        try:
+            rows = [list(row) for row in self.sample_matrix]
+        except TypeError:
+            rows = None
+        if rows is None or not all(type(x) is float or isinstance(x, Real)
+                                   for row in rows for x in row):
             raise ValueError("sample matrix must be two-dimensional")
-        if matrix.shape[0] < 2:
+        if len(rows) < 2:
             raise TooFewSamples(
-                f"run {self.run_id!r} has {matrix.shape[0]} samples; need at least 2"
+                f"run {self.run_id!r} has {len(rows)} samples; need at least 2"
             )
-        if matrix.shape[1] != len(self.namespace):
-            raise ValueError(
-                f"sample matrix has {matrix.shape[1]} columns for "
-                f"{len(self.namespace)} counters"
-            )
-        if np.any(matrix < 0):
+        width = len(self.namespace)
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(
+                    f"sample matrix has {len(row)} columns for {width} counters"
+                )
+        if any(x < 0 for row in rows for x in row):
             raise ValueError(f"run {self.run_id!r} contains negative counter values")
-        self.sample_matrix = matrix
 
     @property
     def sample_count(self) -> int:
-        return self.sample_matrix.shape[0]
+        return len(self.sample_matrix)
 
 
 @dataclass
@@ -72,27 +90,33 @@ class ConfidenceRegion:
     axes rows are orthonormal eigenvectors of the mean covariance.
     """
 
-    center: np.ndarray
-    axes: np.ndarray  # rows are eigenvectors
-    half_lengths: np.ndarray
-    eigenvalues: np.ndarray
+    center: Vector
+    axes: Matrix  # rows are eigenvectors
+    half_lengths: Vector
+    eigenvalues: Vector
     alpha: float
     sample_count: int
 
     def contains(self, point: Sequence, tol: float = 0.0) -> bool:
-        delta = np.asarray(point, dtype=float) - self.center
-        return bool(np.all(np.abs(self.axes @ delta) <= self.half_lengths + tol))
+        if len(point) != self.dimension:
+            raise ValueError(
+                f"point of dimension {len(point)} for a region of dimension "
+                f"{self.dimension}"
+            )
+        delta = [float(x) - c for x, c in zip(point, self.center)]
+        return all(abs(math.fsum(map(mul, e, delta))) <= h + tol
+                   for e, h in zip(self.axes, self.half_lengths))
 
     @property
     def dimension(self) -> int:
-        return self.center.shape[0]
+        return len(self.center)
 
     def scaled(self, factor: float) -> "ConfidenceRegion":
         """Same center and axes with every half-length multiplied by factor."""
         return ConfidenceRegion(
             center=self.center,
             axes=self.axes,
-            half_lengths=self.half_lengths * factor,
+            half_lengths=tuple(h * factor for h in self.half_lengths),
             eigenvalues=self.eigenvalues,
             alpha=self.alpha,
             sample_count=self.sample_count,
@@ -100,9 +124,9 @@ class ConfidenceRegion:
 
     def to_json(self) -> dict:
         return {
-            "center": self.center.tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "half_lengths": self.half_lengths.tolist(),
+            "center": [float(x) for x in self.center],
+            "eigenvalues": [float(x) for x in self.eigenvalues],
+            "half_lengths": [float(x) for x in self.half_lengths],
             "alpha": self.alpha,
             "samples": self.sample_count,
         }
@@ -110,16 +134,20 @@ class ConfidenceRegion:
 
 def point_region(point: Sequence, alpha: float = 0.01) -> ConfidenceRegion:
     """Degenerate region containing exactly one point (all half-lengths zero)."""
-    center = np.asarray(point, dtype=float)
-    n = center.shape[0]
+    center = tuple(float(x) for x in point)
+    n = len(center)
     return ConfidenceRegion(
         center=center,
-        axes=np.eye(n),
-        half_lengths=np.zeros(n),
-        eigenvalues=np.zeros(n),
+        axes=_identity(n),
+        half_lengths=(0.0,) * n,
+        eigenvalues=(0.0,) * n,
         alpha=alpha,
         sample_count=2,
     )
+
+
+def _identity(n: int) -> Matrix:
+    return tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
 
 
 def load_observations(
@@ -213,7 +241,7 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
         raise TooFewSamples(f"run {run_id!r} has {len(rows)} samples; need at least 2")
     return ObservationSet(
         run_id=run_id,
-        sample_matrix=np.array(rows, dtype=float),
+        sample_matrix=rows,
         namespace=namespace,
         provenance=tuple(provenance),
     )
@@ -231,26 +259,45 @@ def write_observations(obs: ObservationSet, dest: Union[str, Path, io.TextIOBase
         writer.writerow([i] + [format(x, ".17g") for x in row])
 
 
-def mean_and_covariance(obs: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def mean_and_covariance(obs: ObservationSet) -> tuple[Vector, Matrix, Matrix]:
     """Sample mean, unbiased sample covariance, and plugin mean covariance.
 
     The mean covariance is the sample covariance divided by the sample count.
-    Raises NonFiniteStatistics when counter values are so large that the mean
-    or covariance overflows.
+    Each sum is a `math.fsum` of the rounded terms. A constant column has
+    its value as its mean and an exactly zero row and column of covariance;
+    the covariance is filled above the diagonal and mirrored, so it is
+    exactly symmetric. Raises NonFiniteStatistics when counter values are so
+    large that the mean or covariance overflows.
     """
-    matrix = obs.sample_matrix
-    m = matrix.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = matrix.mean(axis=0)
-        centered = matrix - mean
-        cov = (centered.T @ centered) / (m - 1)
-        cov = (cov + cov.T) / 2.0
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+    m = obs.sample_count
+    columns = [[float(x) for x in col] for col in zip(*obs.sample_matrix)]
+    n = len(columns)
+    mean = []
+    deviations = []  # (column, its deviations from the mean) of every varying column
+    try:
+        for j, col in enumerate(columns):
+            first = col[0]
+            if all(x == first for x in col):
+                mean.append(first)
+                continue
+            mu = math.fsum(col) / m
+            mean.append(mu)
+            deviations.append((j, [x - mu for x in col]))
+        cov = [[0.0] * n for _ in range(n)]
+        for t, (j, dj) in enumerate(deviations):
+            for k, dk in deviations[t:]:
+                cov[j][k] = cov[k][j] = math.fsum(map(mul, dj, dk)) / (m - 1)
+    except (OverflowError, ValueError):  # fsum: intermediate overflow, or inf - inf
+        cov = None
+    if cov is None or not all(map(math.isfinite, mean)) or not all(
+        math.isfinite(x) for row in cov for x in row
+    ):
         raise NonFiniteStatistics(
             f"run {obs.run_id!r}: sample mean or covariance overflows; "
             "counter values are too large"
         )
-    return mean, cov, cov / m
+    mean_cov = tuple(tuple(x / m for x in row) for row in cov)
+    return tuple(mean), tuple(map(tuple, cov)), mean_cov
 
 
 def chi_square_quantile(dof: int, p: float) -> float:
@@ -316,29 +363,202 @@ def _chi_square_cdf(dof: int, x: float) -> float:
     return total
 
 
-def eigendecompose(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigendecompose(sigma: Sequence[Sequence[float]]) -> tuple[Vector, Matrix]:
     """Eigenvalues (descending, clamped at zero) and orthonormal eigenvectors (rows).
 
-    Raises NotSymmetric when the input is not symmetric within 1e-12.
-    Covariance matrices are positive semidefinite up to rounding, so small
-    negative eigenvalues are clamped to zero.
+    Raises NotSymmetric when the input is not square or not symmetric within
+    1e-12 of its largest entry (at least 1), and ValueError when an entry is
+    not finite. Each all-zero row i of the symmetrized matrix is the
+    eigenpair (0, e_i) as it stands; the block of the other rows goes
+    through Householder tridiagonalisation and the implicit QL algorithm
+    (`_symmetric_eigen`). Covariance matrices are positive semidefinite up
+    to rounding, so small negative eigenvalues are clamped to zero. Raises
+    ArithmeticError when V^T diag(values) V misses the input by more than
+    1e-9 * (1 + its largest entry).
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+    try:
+        a = [[float(x) for x in row] for row in sigma]
+    except TypeError:
+        raise NotSymmetric("matrix is not square") from None
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise NotSymmetric("matrix is not square")
-    scale = max(1.0, float(np.abs(sigma).max()) if sigma.size else 1.0)
-    if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12 * scale):
+    if not all(all(map(math.isfinite, row)) for row in a):
+        raise ValueError("matrix has non-finite entries")
+    peak = max((max(map(abs, row)) for row in a if row), default=0.0)
+    tol = 1e-12 * max(1.0, peak)
+    transpose = [list(col) for col in zip(*a)]
+    if a == transpose:  # exactly symmetric, as every covariance here is
+        sym = a
+    elif all(abs(x - y) <= tol for row, col in zip(a, transpose) for x, y in zip(row, col)):
+        sym = [[x if x == y else (x + y) / 2.0 for x, y in zip(row, col)]
+               for row, col in zip(a, transpose)]
+    else:
         raise NotSymmetric("matrix is not symmetric within 1e-12")
-    values, vectors = np.linalg.eigh((sigma + sigma.T) / 2.0)
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    vectors = vectors[:, order]
-    values = np.clip(values, 0.0, None)
-    recon = (vectors * values) @ vectors.T
-    bound = 1e-9 * (1.0 + float(np.abs(sigma).max()) if sigma.size else 1.0)
-    if float(np.abs(recon - sigma).max()) > bound:
+
+    values = [0.0] * n
+    vectors = [list(row) for row in _identity(n)]
+    block = [i for i in range(n) if any(sym[i])]
+    if block:
+        sub = [[sym[i][j] for j in block] for i in block]
+        for i, value, z in zip(block, *_symmetric_eigen(sub)):
+            values[i] = value
+            vectors[i] = [0.0] * n
+            for j, x in zip(block, z):
+                vectors[i][j] = x
+    order = sorted(range(n), key=lambda i: -values[i])
+    values = tuple(values[i] if values[i] > 0.0 else 0.0 for i in order)
+    axes = tuple(tuple(vectors[i]) for i in order)
+
+    rank = sum(1 for v in values if v)
+    columns = [col[:rank] for col in zip(*axes)]  # columns[i][k] = axes[k][i]
+    scaled = [[v * x for v, x in zip(values, col)] for col in columns]
+    error = max((abs(sum(map(mul, scaled[i], columns[j])) - x)
+                 for i in range(n) for j in range(i, n) for x in (a[i][j], a[j][i])),
+                default=0.0)
+    if not error <= 1e-9 * (1.0 + peak):  # also refuses a NaN
         raise ArithmeticError("eigendecomposition failed the reconstruction bound")
-    return values, vectors.T
+    return values, axes
+
+
+_QL_ITERATIONS = 30  # per eigenvalue, as in EISPACK
+
+
+def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
+    """Eigenvalues d and eigenvectors z (z[i] belongs to d[i]) of symmetric a.
+
+    EISPACK `tred2` then `tql2`, as in JAMA's EigenvalueDecomposition
+    (Golub & Van Loan, Matrix Computations, 8.3): Householder reflections
+    reduce a to tridiagonal form with diagonal d and subdiagonal e and
+    accumulate the orthogonal transform, and implicitly shifted QL sweeps
+    of Givens rotations diagonalise it. JAMA's V (eigenvectors in columns)
+    is kept transposed, w = V^T, so each rotation combines two rows.
+    """
+    n = len(a)
+    w = [list(row) for row in a]  # a is symmetric, so this is V^T = V
+    d = list(w[n - 1])  # d[j] = V[n-1][j] = w[j][n-1]
+    e = [0.0] * n
+
+    # tred2: Householder reduction to tridiagonal form
+    for i in range(n - 1, 0, -1):
+        scale = sum(abs(x) for x in d[:i])
+        h = 0.0
+        if scale == 0.0:
+            e[i] = d[i - 1]
+            for j in range(i):
+                d[j] = w[j][i - 1]
+                w[j][i] = 0.0
+                w[i][j] = 0.0
+        else:
+            for k in range(i):
+                d[k] /= scale
+                h += d[k] * d[k]
+            f = d[i - 1]
+            g = math.sqrt(h)
+            if f > 0:
+                g = -g
+            e[i] = scale * g
+            h -= f * g
+            d[i - 1] = f - g
+            for j in range(i):
+                e[j] = 0.0
+            for j in range(i):
+                f = d[j]
+                w[i][j] = f
+                row = w[j]
+                e[j] += row[j] * f + sum(map(mul, row[j + 1:i], d[j + 1:i]))
+                e[j + 1:i] = [x + y * f for x, y in zip(e[j + 1:i], row[j + 1:i])]
+            f = 0.0
+            for j in range(i):
+                e[j] /= h
+                f += e[j] * d[j]
+            hh = f / (h + h)
+            for j in range(i):
+                e[j] -= hh * d[j]
+            for j in range(i):
+                f = d[j]
+                g = e[j]
+                row = w[j]
+                row[j:i] = [x - (f * y + g * z)
+                            for x, y, z in zip(row[j:i], e[j:i], d[j:i])]
+                d[j] = row[i - 1]
+                row[i] = 0.0
+        d[i] = h
+
+    # tred2: accumulate the transformations
+    for i in range(n - 1):
+        w[i][n - 1] = w[i][i]
+        w[i][i] = 1.0
+        h = d[i + 1]
+        u = w[i + 1]
+        if h != 0.0:
+            for k in range(i + 1):
+                d[k] = u[k] / h
+            for j in range(i + 1):
+                row = w[j]
+                g = sum(map(mul, u[:i + 1], row[:i + 1]))
+                row[:i + 1] = [x - g * y for x, y in zip(row[:i + 1], d)]
+        for k in range(i + 1):
+            u[k] = 0.0
+    for j in range(n):
+        d[j] = w[j][n - 1]
+        w[j][n - 1] = 0.0
+    w[n - 1][n - 1] = 1.0
+
+    # tql2: implicit QL on the tridiagonal (d, e)
+    e = e[1:] + [0.0]
+    f = 0.0
+    tst1 = 0.0
+    eps = 2.0**-52
+    for l in range(n):
+        tst1 = max(tst1, abs(d[l]) + abs(e[l]))
+        m = l
+        while m < n - 1 and abs(e[m]) > eps * tst1:
+            m += 1
+        iterations = 0
+        while m > l:
+            iterations += 1
+            if iterations > _QL_ITERATIONS:
+                raise ArithmeticError("eigendecomposition did not converge")
+            g = d[l]
+            p = (d[l + 1] - g) / (2.0 * e[l])
+            r = math.hypot(p, 1.0)
+            if p < 0:
+                r = -r
+            d[l] = e[l] / (p + r)
+            d[l + 1] = e[l] * (p + r)
+            dl1 = d[l + 1]
+            h = g - d[l]
+            for i in range(l + 2, n):
+                d[i] -= h
+            f += h
+            p = d[m]
+            c = c2 = c3 = 1.0
+            el1 = e[l + 1]
+            s = s2 = 0.0
+            for i in range(m - 1, l - 1, -1):
+                c3 = c2
+                c2 = c
+                s2 = s
+                g = c * e[i]
+                h = c * p
+                r = math.hypot(p, e[i])
+                e[i + 1] = s * r
+                s = e[i] / r
+                c = p / r
+                p = c * d[i] - s * g
+                d[i + 1] = h + s * (c * g + s * d[i])
+                lo, hi = w[i], w[i + 1]
+                w[i + 1] = [s * x + c * y for x, y in zip(lo, hi)]
+                w[i] = [c * x - s * y for x, y in zip(lo, hi)]
+            p = -s * s2 * c3 * el1 * e[l] / dl1
+            e[l] = s * p
+            d[l] = c * p
+            if abs(e[l]) <= eps * tst1:
+                break
+        d[l] += f
+        e[l] = 0.0
+    return d, w
 
 
 def build_confidence_region(
@@ -358,15 +578,15 @@ def build_confidence_region(
         raise ValueError("alpha must lie in (0, 1)")
     mean, _, mean_cov = mean_and_covariance(obs)
     if independent:
-        mean_cov = np.diag(np.diag(mean_cov))
+        mean_cov = tuple(tuple(x if i == j else 0.0 for j, x in enumerate(row))
+                         for i, row in enumerate(mean_cov))
     values, axes = eigendecompose(mean_cov)
     dof = len(obs.namespace)
     quantile = chi_square_quantile(dof, 1.0 - alpha)
-    half = np.sqrt(values * quantile)
     return ConfidenceRegion(
         center=mean,
         axes=axes,
-        half_lengths=half,
+        half_lengths=tuple(math.sqrt(v * quantile) for v in values),
         eigenvalues=values,
         alpha=alpha,
         sample_count=obs.sample_count,

@@ -473,8 +473,8 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 def test_subcommands_load_numpy_and_pool_only_when_used(tmp_path):
-    # `paths`, `constraints` and `explore` need no numpy and no process
-    # pool; `check --jobs 1` needs numpy but no pool
+    # only `synth` needs numpy, and only `check` above one job a process pool
+    csv = Path(__file__).resolve().parent / "data" / "csv" / "outcome.csv"
     script = f"""
 import sys
 import mudd
@@ -485,23 +485,30 @@ def loaded():
 
 model = str(mudd.bundled_path("walk_outcome.mudd"))
 catalog = str(mudd.bundled_path("catalog", "search_catalog.json"))
-csv = {str(tmp_path / "run.csv")!r}
+csv = {str(csv)!r}
 assert cli.main(["paths", model]) == 0
 assert cli.main(["constraints", model]) == 0
 assert cli.main(["constraints", str(mudd.bundled_path("haswell_mmu.mudd"))]) == 0
 assert cli.main(["explore", catalog]) == 0
 print("after explore:", loaded())
-assert cli.main(["synth", model, "--flows", "100,50,20", "--samples", "30",
-                 "--noise", "2", "--seed", "3", "-o", csv]) == 0
 assert cli.main(["check", model, csv, csv, "--jobs", "1"]) == 0
-print("after check:", loaded())
+print("after check --jobs 1:", loaded())
+assert cli.main(["check", model, csv, csv, "--jobs", "2"]) == 0
+print("after check --jobs 2:", loaded())
+assert cli.main(["synth", model, "--flows", "100,50,20", "--samples", "30",
+                 "--noise", "2", "--seed", "3", "-o", {str(tmp_path / "run.csv")!r}]) == 0
+print("after synth:", loaded())
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert "after explore: []" in lines
-    assert "after check: ['numpy']" in lines
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("after ")]
+    assert lines == [
+        "after explore: []",
+        "after check --jobs 1: []",
+        "after check --jobs 2: ['concurrent.futures']",
+        "after synth: ['concurrent.futures', 'numpy']",
+    ]
 
 
 LAZY_NAMES = [
@@ -552,29 +559,6 @@ except AttributeError as exc:
         exec("from mudd import no_such_name", {})
 
 
-@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
-def test_entry_defaults_blas_to_one_thread(tmp_path, preset, expected):
-    script = """
-import os
-import sys
-import mudd
-from mudd import cli
-model = str(mudd.bundled_path("walk_init_first.mudd"))
-sys.argv = ["mudd", "check", model, "missing.csv"]
-try:
-    cli.entry()
-except SystemExit as exc:
-    print("exit", exc.code)
-print(os.environ.get("OPENBLAS_NUM_THREADS"))
-"""
-    env = {k: v for k, v in src_env().items() if k != "OPENBLAS_NUM_THREADS"}
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, cwd=tmp_path, timeout=120)
-    assert proc.stdout.splitlines() == ["exit 2", expected]
-
-
 def test_unexpected_exception_prints_traceback_and_exits_2(capsys, monkeypatch, walk_model):
     # 1 means "some observation infeasible", so a bug must not exit 1
     from mudd import cli
@@ -583,7 +567,6 @@ def test_unexpected_exception_prints_traceback_and_exits_2(capsys, monkeypatch, 
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "cmd_paths", broken)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # entry() sets it when unset
     monkeypatch.setattr(sys, "argv", ["mudd", "paths", walk_model])
     with pytest.raises(SystemExit) as exc:
         cli.entry()

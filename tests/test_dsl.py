@@ -159,6 +159,19 @@ class TestRoundTrip:
         reparsed = parse(format_model(model), model.namespace)
         assert _path_summary(model) == _path_summary(reparsed)
 
+    @pytest.mark.parametrize("src", [
+        "switch (P) { case a: done; case b: case c: } action e;",
+        "switch (P) { case a: done; case b: case c: } L: action e;",
+    ], ids=["unlabeled", "labeled"])
+    def test_tail_after_partly_done_switch_printed_once(self, src):
+        # the cases that do not end in `done` rejoin at `e`, which prints
+        # once after the switch, not once per rejoining case
+        model = parse(src)
+        reparsed = parse(format_model(model), model.namespace)
+        assert reparsed.nodes == model.nodes
+        assert reparsed.causality == model.causality
+        assert _path_summary(reparsed) == _path_summary(model)
+
     def test_deep_model_round_trips(self, bundled, haswell_namespace):
         model = dsl.parse_file(bundled("haswell_mmu.mudd"), haswell_namespace)
         reparsed = parse(format_model(model), haswell_namespace)

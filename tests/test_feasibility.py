@@ -23,7 +23,7 @@ from mudd.geometry import (
     deduce_constraints,
 )
 from mudd.model import CounterNamespace, enumerate_mupaths, signature_of, signatures_of_model
-from mudd.stats import ConfidenceRegion, build_confidence_region, point_region
+from mudd.stats import ConfidenceRegion, ObservationSet, build_confidence_region, point_region
 from mudd.synth import SynthSpec, generate
 from mudd.synth import exact_counters as synth_exact
 
@@ -334,6 +334,24 @@ class TestDecisionPath:
         assert equality in verdict.violated_constraints
 
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_on_the_equalities_stay_feasible(self, haswell_namespace, seed):
+        # every sample is a non-negative integer flow combination of the
+        # Haswell signatures, so it satisfies each deduced equality exactly
+        # and the covariance has exact null directions; their rounding-level
+        # eigenvalues (clamped to 0, or about 1e-16 of the largest) must not
+        # make the run infeasible
+        model = dsl.parse_file(bundled_path("haswell_mmu.mudd"), haswell_namespace)
+        sigs = np.array([s.counts for s in signatures_of_model(model)])
+        rng = np.random.default_rng(seed)
+        low, high = [(0, 3), (0, 40), (100, 400), (0, 2)][seed % 4]
+        rows = (rng.integers(low, high, size=(50, len(sigs))) @ sigs).tolist()
+        obs = ObservationSet(f"exact{seed}", rows, haswell_namespace)
+        for independent in (False, True):
+            cell, = batch_check([("haswell", model)], [obs], independent=independent)
+            assert cell.error is None and cell.verdict.feasible
+
+
 class TestRefinement:
     def test_refined_model_breaks_the_constraint(self, bundled):
         refined = dsl.parse_file(
@@ -449,6 +467,34 @@ class TestBatch:
         bad, ok = batch_check([("m", model)], obs)
         assert bad.error == "LinAlgError: Eigenvalues did not converge"
         assert ok.verdict.feasible
+
+    def test_signatures_validated_once_and_box_built_once_per_cell(self, bundled,
+                                                                   monkeypatch):
+        import mudd.feasibility as feasibility
+
+        counts = {"_as_vector": 0, "of": 0}
+        real_vector, real_box = feasibility._as_vector, feasibility._IntegerBox.of
+
+        def as_vector(sig):
+            counts["_as_vector"] += 1
+            return real_vector(sig)
+
+        def box_of(region):
+            counts["of"] += 1
+            return real_box(region)
+
+        monkeypatch.setattr(feasibility, "_as_vector", as_vector)
+        monkeypatch.setattr(feasibility._IntegerBox, "of", staticmethod(box_of))
+        model = dsl.parse_file(bundled("walk_init_first.mudd"))
+        obs = [
+            generate(SynthSpec(model=model, flows=(2.0, 1.0), samples=8, noise=0.1, seed=s),
+                     run_id=f"r{s}")
+            for s in range(4)
+        ]
+        cells = batch_check([("m", model)], obs)
+        assert all(c.verdict.feasible for c in cells)
+        paths = len(enumerate_mupaths(model))
+        assert counts == {"_as_vector": paths, "of": 4}
 
     def test_empty_observation_list(self, bundled):
         model = dsl.parse_file(bundled("walk_init_first.mudd"))

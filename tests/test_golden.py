@@ -32,14 +32,15 @@ snapshot, regenerated with
         sys.stdout.write(diagnostics_report())" > $G/diagnostics.txt
 
 `mudd check --format text` is snapshotted as its exit code line followed by
-its stdout, on CSVs written by `mudd synth` from the bundled models (the
-SYNTH table below); text output carries verdicts and violated constraints
-but no witness values. After writing each CSV of SYNTH with
+its stdout, on the CSVs in tests/data/csv/, which `mudd synth` writes from
+the bundled models (the SYNTH table below; a test checks that it still
+writes them byte for byte); text output carries verdicts and violated
+constraints but no witness values. Each CSV of SYNTH is
 
     python -m mudd synth <model> --flows <flows> --samples 40 --noise 1 \\
-        --seed <seed> -o <name>.csv
+        --seed <seed> -o tests/data/csv/<name>.csv
 
-each check snapshot is regenerated with
+and each check snapshot is regenerated with
 
     { python -m mudd check <model> <csvs...> <flags...> > out.txt; \\
       echo "exit: $?"; cat out.txt; } > $G/check_<name>.txt
@@ -48,6 +49,10 @@ using the model, CSVs and flags of its CHECKS row. `haswell_mmu.mudd` takes
 `--namespace $D/haswell_counters.txt` in both commands. Regenerate only when
 a behaviour change is intended.
 """
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +64,7 @@ from mudd.model import CounterNamespace
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden"
+CSVS = DATA / "csv"
 
 MODELS = [
     ("haswell_mmu", ("haswell_mmu.mudd",), "haswell_counters.txt"),
@@ -106,14 +112,17 @@ def _namespace_args(model):
     return []
 
 
-@pytest.fixture(scope="module")
-def synth_csvs(tmp_path_factory):
-    out = tmp_path_factory.mktemp("synth")
+def test_committed_csvs_are_what_synth_writes(tmp_path):
     for name, (model, flows, seed) in SYNTH.items():
         argv = ["synth", str(bundled_path(model)), "--flows", flows, "--samples", "40",
-                "--noise", "1", "--seed", str(seed), "-o", str(out / f"{name}.csv")]
+                "--noise", "1", "--seed", str(seed), "-o", str(tmp_path / f"{name}.csv")]
         assert main(argv + _namespace_args(model)) == 0
-    return out
+        assert (tmp_path / f"{name}.csv").read_bytes() == (CSVS / f"{name}.csv").read_bytes()
+
+
+def _check_argv(model, csvs, flags, jobs):
+    return ["check", str(bundled_path(model)), *(str(CSVS / f"{c}.csv") for c in csvs),
+            *flags, "--jobs", jobs, "--format", "text", *_namespace_args(model)]
 
 
 def _assert_snapshot(capsys, argv, name, suffix=".json"):
@@ -157,10 +166,57 @@ def test_explore_matches_snapshot(capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("name,model,csvs,flags", CHECKS, ids=[c[0] for c in CHECKS])
-def test_check_text_matches_snapshot(capsys, synth_csvs, name, model, csvs, flags, jobs):
+def test_check_text_matches_snapshot(capsys, name, model, csvs, flags, jobs):
     capsys.readouterr()
-    argv = ["check", str(bundled_path(model)), *(str(synth_csvs / f"{c}.csv") for c in csvs),
-            *flags, "--jobs", jobs, "--format", "text", *_namespace_args(model)]
-    code = main(argv)
+    code = main(_check_argv(model, csvs, flags, jobs))
     got = f"exit: {code}\n{capsys.readouterr().out}"
     assert got.encode("utf-8") == (GOLDEN / f"check_{name}.txt").read_bytes()
+
+
+BLOCK_NUMPY = """
+import contextlib, io, json, sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, BlockNumpy())
+from mudd.cli import main
+
+results = {}
+for key, argv in json.loads(sys.argv[1]).items():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results[key] = [code, out.getvalue(), err.getvalue()]
+results["numpy loaded"] = "numpy" in sys.modules
+print(json.dumps(results))
+"""
+
+
+def test_check_runs_without_numpy(capsys):
+    # numpy is needed by `synth` only: with `import numpy` refused, `check`
+    # prints what it prints normally, and `synth` says what it needs
+    runs = {f"{name} --jobs {jobs}": _check_argv(model, csvs, flags, jobs)
+            for name, model, csvs, flags in CHECKS for jobs in ("1", "2")}
+    runs["synth"] = ["synth", str(bundled_path("walk_init_first.mudd")), "--flows", "1"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", BLOCK_NUMPY, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    for name, _, _, _ in CHECKS:
+        for jobs in ("1", "2"):
+            key = f"{name} --jobs {jobs}"
+            capsys.readouterr()
+            code = main(runs[key])
+            normal = capsys.readouterr()
+            assert results[key] == [code, normal.out, normal.err]
+            assert f"exit: {code}\n{normal.out}" == (GOLDEN / f"check_{name}.txt").read_text("utf-8")
+    code, out, err = results["synth"]
+    assert (code, out) == (2, "")
+    assert err.startswith("error: mudd synth needs numpy")
+    assert results["numpy loaded"] is False
