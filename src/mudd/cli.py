@@ -42,6 +42,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise MuddError("alpha must lie in (0, 1)")
+        if 1.0 - self.alpha == 1.0:
+            raise MuddError(f"alpha {self.alpha!r} is too small: 1 - alpha rounds to 1")
         if self.cap < 1:
             raise MuddError("cap must be at least 1")
         if self.output_format not in ("text", "json"):

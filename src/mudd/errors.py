@@ -50,6 +50,11 @@ class NonNumericCell(MuddError):
     """An observation file contains a cell that does not parse as a number."""
 
 
+class MalformedCsv(MuddError):
+    """An observation file names a column twice in its header, or has a row
+    whose cell count differs from the header's."""
+
+
 class NegativeCell(MuddError):
     """An observation file contains a negative counter value."""
 

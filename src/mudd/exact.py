@@ -1,20 +1,52 @@
 """Exact linear-algebra kernel shared by deduction, the hull and the LP.
 
-Reduced row echelon form with its null-space basis, the primitive integer
-form of a rational vector, and gcd normalization of an integer row.
+One integer row step, `combine` (p*a - f*b divided by its gcd), and
+`pivot`, which applies it to zero a column outside one row; the row
+reduction, the simplex and the hull's new facet normals are all built on
+them. Around that: the dot product, reduced row echelon form with its
+null-space basis, and the primitive integer form of a rational vector.
 Entries may be ints or Fractions, and a float counts as its exact binary
 value; elimination runs on integer rows, and nothing here rounds.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Sequence
+from math import gcd, lcm
+from operator import mul
+from typing import MutableSequence, Sequence
+
+
+def dot(a: Sequence, b: Sequence):
+    return sum(map(mul, a, b))
 
 
 def rational(x):
     """An int or Fraction as it is; anything else (a float) as its exact Fraction."""
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def combine(a: Sequence[int], b: Sequence[int], p: int, f: int) -> list[int]:
+    """The integer row p*a - f*b divided by the gcd of its entries.
+
+    A positive p keeps the orientation of a; a zero result stays zero.
+    """
+    row = [p * x - f * y for x, y in zip(a, b)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def pivot(rows: MutableSequence[Sequence[int]], r: int, c: int) -> None:
+    """Zero column c outside row r, in place.
+
+    Every other row with a nonzero f in column c becomes
+    combine(row, rows[r], rows[r][c], f); row r itself is left as it is.
+    """
+    piv_row = rows[r]
+    p = piv_row[c]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            rows[i] = combine(row, piv_row, p, f)
 
 
 def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -23,9 +55,9 @@ def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], li
     The pivot columns of a matrix whose columns are vectors v_1..v_m select
     the first maximal independent subset of v_1..v_m, in order.
 
-    Each row is scaled to a primitive integer row, and each elimination step
-    is row_i <- p*row_i - f*row_r followed by a row gcd, so no Fraction is
-    built until every pivot row is divided by its pivot at the end.
+    Each row is scaled to a primitive integer row and eliminated by `pivot`,
+    so no Fraction is built until every pivot row is divided by its pivot
+    at the end.
     """
     ints: list[list[int]] = []
     for given in rows:
@@ -38,14 +70,7 @@ def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], li
         if pivot_row is None:
             continue
         ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
-        piv_row = ints[r]
-        p = piv_row[c]
-        for i in range(len(ints)):
-            f = ints[i][c]
-            if i != r and f:
-                row = [p * x - f * y for x, y in zip(ints[i], piv_row)]
-                normalize_row(row)
-                ints[i] = row
+        pivot(ints, r, c)
         pivots.append(c)
         r += 1
     reduced = [
@@ -77,33 +102,7 @@ def null_space(rows: Sequence[Sequence], ncols: int) -> tuple[list[int], list[li
 
 def primitive(v: Sequence) -> tuple[int, ...]:
     """`v` scaled by a positive rational to coprime integers (zero stays zero)."""
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in v))
     ints = [x.numerator * (denom // x.denominator) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        return tuple(x // g for x in ints)
-    return tuple(ints)
-
-
-def normalize_row(row: list[int], denom: int = 0) -> int:
-    """Divide an integer row, and with it its denominator, by their common gcd.
-
-    Divides `row` in place and returns the divisor, which the caller applies
-    to `denom`; returns 1 when nothing divides (an all-zero row with no
-    denominator included).
-    """
-    g = denom
-    for x in row:
-        if x:
-            g = gcd(g, x if x > 0 else -x)
-            if g == 1:
-                return 1
-    if g > 1:
-        for j in range(len(row)):
-            row[j] //= g
-        return g
-    return 1
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)

@@ -52,7 +52,7 @@ class ModelCatalog:
                 )
 
 
-def load_catalog(path, *, parse_models: bool = True) -> ModelCatalog:
+def load_catalog(path) -> ModelCatalog:
     """Read a catalog JSON file; model paths resolve relative to it."""
     path = Path(path)
     try:
@@ -79,7 +79,7 @@ def load_catalog(path, *, parse_models: bool = True) -> ModelCatalog:
             parent = (item["parent"]["name"], item["parent"]["kind"])
         model = None
         model_path = item.get("model")
-        if model_path and parse_models:
+        if model_path:
             resolved = path.parent / model_path
             try:
                 model = dsl.parse_file(resolved, ns)

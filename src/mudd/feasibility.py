@@ -43,10 +43,6 @@ from .model import (
 from .stats import ConfidenceRegion, ObservationSet, build_confidence_region
 
 
-def _dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b) if x)
-
-
 @dataclass(frozen=True)
 class FeasibilityVerdict:
     feasible: bool
@@ -96,7 +92,7 @@ class _IntegerBox:
         den = lcm(*(x.denominator for x in point))
         offset = [x.numerator * (den // x.denominator) * self.scale - den * c
                   for x, c in zip(point, self.center)]  # scale*den*(v - c)
-        return all(abs(_dot(e, offset)) <= self.scale * den * h
+        return all(abs(exact.dot(e, offset)) <= self.scale * den * h
                    for e, h in zip(self.axes, self.half))
 
 
@@ -207,14 +203,14 @@ def _centre_witness(
     membership LP finds no flows.
     """
     rows = [list(c.coefficients) for c in equalities]
-    residual = [-_dot(a, box.center) for a in rows]
+    residual = [-exact.dot(a, box.center) for a in rows]
     pinned = [e for e, h in zip(box.axes, box.half) if h == 0]
     rows += pinned
     residual += [0] * len(pinned)
     w: list = list(box.center)
     if any(residual):
         k = len(rows)
-        gram = [[_dot(a, b) for b in rows] + [r] for a, r in zip(rows, residual)]
+        gram = [[exact.dot(a, b) for b in rows] + [r] for a, r in zip(rows, residual)]
         reduced, pivots = exact.rref(gram, k + 1)
         if pivots and pivots[-1] == k:
             return None  # the equalities and pinned axes share no point
@@ -239,20 +235,20 @@ def _box_lp(
     the box bounds on v. Substituting v through the flow equation is an
     exact presolve: signatures are non-negative so v >= 0 is implied, and
     the counter witness is reconstructed from the flows afterwards. Each
-    axis gives -h_i <= e_i.(v - c) <= h_i, with the entries of e_i, c and
-    h_i recovered exactly from the integer box.
+    axis gives -h_i <= e_i.(v - c) <= h_i; times scale**2, in the integer
+    box, that is scale*(E_i.s) f <= scale*H_i + E_i.C and its negation
+    <= scale*H_i - E_i.C.
     """
     a_ub = []
     b_ub = []
     scale = box.scale
     for e, h in zip(box.axes, box.half):
-        proj_center = Fraction(_dot(e, box.center), scale * scale)
-        half = Fraction(h, scale)
-        row = [Fraction(_dot(e, s), scale) for s in lp_sigs]
+        proj_center = exact.dot(e, box.center)
+        row = [scale * exact.dot(e, s) for s in lp_sigs]
         a_ub.append(row)
-        b_ub.append(proj_center + half)
+        b_ub.append(scale * h + proj_center)
         a_ub.append([-x for x in row])
-        b_ub.append(half - proj_center)
+        b_ub.append(scale * h - proj_center)
     return linprog.feasible_point(len(lp_sigs), (), (), a_ub, b_ub)
 
 
@@ -305,8 +301,7 @@ def refinement_candidates(
     out = []
     for path in enumerate_mupaths(candidate_model, cap):
         sig = signature_of(path, ns)
-        value = sum(c * x for c, x in zip(violated.coefficients, sig.counts))
-        if value < 0:
+        if exact.dot(violated.coefficients, sig.counts) < 0:
             out.append(path)
     return tuple(out)
 

@@ -227,16 +227,13 @@ def remove_interior_generators(gens: Sequence) -> tuple[Vector, ...]:
 # step 3: facet enumeration through the conic hull
 
 
-def conic_hull_facets(
-    gens: Sequence, projection: Optional[ProjectionMap] = None
-) -> tuple[Constraint, ...]:
+def conic_hull_facets(gens: Sequence) -> tuple[Constraint, ...]:
     """Facet inequalities a.v >= 0 of the cone spanned by full-rank generators.
 
     The integer generators, extreme or not, are hulled as rays by the exact
     double-description kernel, which needs a pointed cone: every generator
     must be non-negative and nonzero. Each facet is checked to hold on every
-    generator. Facets are lifted back to original coordinates when a
-    projection is given.
+    generator.
     """
     vectors = list(dict.fromkeys(_as_vector(g) for g in gens))
     if not vectors:
@@ -246,15 +243,12 @@ def conic_hull_facets(
 
     facets = set(hull.convex_hull_hyperplanes(vectors))
     for coeffs in facets:
-        if any(sum(c * g for c, g in zip(coeffs, v)) < 0 for v in vectors):
+        if any(exact.dot(coeffs, v) < 0 for v in vectors):
             raise DegenerateHull(f"facet {coeffs} is not one-sided on the generators")
 
-    lifted = sorted(
-        projection.lift(f) if projection is not None else f for f in facets
-    )
     return tuple(
         Constraint(kind="inequality", coefficients=f, provenance="conic-hull")
-        for f in lifted
+        for f in sorted(facets)
     )
 
 

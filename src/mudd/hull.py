@@ -16,22 +16,18 @@ coefficients are positive, and is nonzero because n_v and n_h are
 independent. Adjacency is combinatorial: h and v share at least d-2 tight
 rays, and no third facet is tight on all of them (Fukuda & Prodon, "Double
 description method revisited", 1996). A non-extreme ray costs one dot
-product per facet. Only the seed simplex needs an elimination; every later
-normal is integer arithmetic.
+product per facet. The seed simplex is one `exact.rref`, and every later
+normal is one `exact.combine` of two adjacent facets, the Gauss-Jordan step
+of the double description method.
 """
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
 from . import exact
 from .errors import DegenerateHull
 
 Ray = tuple[int, ...]
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
 
 
 def convex_hull_hyperplanes(rays: Sequence[Sequence[int]]) -> list[Ray]:
@@ -69,7 +65,7 @@ def convex_hull_hyperplanes(rays: Sequence[Sequence[int]]) -> list[Ray]:
             continue
         kept, hidden, visible = [], [], []
         for k, (n, tight) in enumerate(facets):
-            side = _dot(n, p)
+            side = exact.dot(n, p)
             if side > 0:
                 kept.append((n, tight))
                 hidden.append((k, side))
@@ -86,9 +82,7 @@ def convex_hull_hyperplanes(rays: Sequence[Sequence[int]]) -> list[Ray]:
                     ridge <= z for k, (_, z) in enumerate(facets) if k != h and k != v
                 ):
                     continue
-                combined = [s_h * a - s_v * b for a, b in zip(n_v, n_h)]
-                g = gcd(*combined)
-                kept.append((tuple(x // g for x in combined), ridge | {idx}))
+                kept.append((tuple(exact.combine(n_v, n_h, s_h, s_v)), ridge | {idx}))
         facets = kept
 
     return [n for n, _ in facets]

@@ -2,17 +2,19 @@
 
 Pure feasibility (no objective): minimize the sum of artificial variables
 with Bland's rule on both the entering and leaving choice, which precludes
-cycling, so termination is unconditional. Rows are kept as integer vectors
-with one positive denominator each; pivoting uses cross-multiplication and
-one row-level gcd, so verdicts are exact without per-entry rational
-normalization overhead.
+cycling, so termination is unconditional. The tableau is integer rows with
+the phase-one cost row last, and each step is one `exact.pivot` on a
+positive entry, which keeps every row's orientation. A row may carry any
+positive scale: the ratio test compares within one row at a time, the
+entering choice reads only signs of the cost row, and the solution is read
+as rhs / basic entry, so no denominators are kept.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import normalize_row, primitive, rational
+from .exact import pivot, primitive, rational
 
 
 def solve_equality_form(
@@ -59,30 +61,28 @@ def solve_equality_form(
 
     n_art = len(art_rows)
     total = num_vars + n_art
-    denoms: list[int] = []
-    for i in range(m):
-        rhs = rows[i].pop()
-        rows[i].extend([0] * n_art)
-        rows[i].append(rhs)
-        denoms.append(1)
+    for row in rows:
+        rhs = row.pop()
+        row.extend([0] * n_art)
+        row.append(rhs)
     for k, i in enumerate(art_rows):
         rows[i][num_vars + k] = 1
         basis[i] = num_vars + k
 
-    # reduced costs for min(sum of artificials); artificial rows have unit
-    # basic entries so the initial cost row is integral with denominator 1
+    # reduced costs for min(sum of artificials), kept as tableau row m;
+    # artificial rows have unit basic entries, so the row is integral
     cost = [0] * (total + 1)
     for k in range(n_art):
         cost[num_vars + k] = 1
     for i in art_rows:
-        row = rows[i]
-        for j in range(total + 1):
-            if row[j]:
-                cost[j] -= row[j]
-    cost_denom = 1
+        for j, x in enumerate(rows[i]):
+            if x:
+                cost[j] -= x
+    rows.append(cost)
 
     rhs_col = total
     while True:
+        cost = rows[m]
         entering = -1
         for j in range(total):
             if cost[j] < 0:
@@ -107,28 +107,10 @@ def solve_equality_form(
                     leaving = i
         if leaving < 0:
             raise ArithmeticError("phase-one simplex became unbounded")
-
-        piv_row = rows[leaving]
-        piv = piv_row[entering]
-        for i in range(m):
-            if i == leaving:
-                continue
-            f = rows[i][entering]
-            if f:
-                row = [x * piv - f * y for x, y in zip(rows[i], piv_row)]
-                rows[i] = row
-                denoms[i] *= piv
-                denoms[i] //= normalize_row(row, denoms[i])
-        f = cost[entering]
-        if f:
-            cost = [x * piv - f * y for x, y in zip(cost, piv_row)]
-            cost_denom *= piv
-            cost_denom //= normalize_row(cost, cost_denom)
-        denoms[leaving] = piv
-        denoms[leaving] //= normalize_row(piv_row, piv)
+        pivot(rows, leaving, entering)
         basis[leaving] = entering
 
-    if cost[rhs_col] != 0:
+    if rows[m][rhs_col] != 0:
         return None
     x = [Fraction(0)] * num_vars
     for i in range(m):

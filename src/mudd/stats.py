@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import (
+    MalformedCsv,
     MissingCounter,
     NegativeCell,
     NonFiniteStatistics,
@@ -167,6 +168,8 @@ def load_observations(
     the namespace raises MissingCounter even then. Extra columns are ignored
     with a warning. A cell that is not a finite number raises NonNumericCell,
     a negative one NegativeCell; both name the run, line and counter column.
+    A header that names a column twice, or a row with more or fewer cells
+    than the header, raises MalformedCsv naming the run and the line.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -184,6 +187,9 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
     except StopIteration:
         raise TooFewSamples(f"run {run_id!r}: empty file") from None
     header = [h.strip() for h in header]
+    twice = next((n for i, n in enumerate(header) if n in header[:i]), None)
+    if twice is not None:
+        raise MalformedCsv(f"run {run_id!r} line 1 column {twice!r}: named twice in the header")
     skip = 1 if header and header[0] == "t" else 0
     names = header[skip:]
     provenance: list[str] = []
@@ -213,14 +219,15 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
+        if len(row) != len(header):
+            raise MalformedCsv(
+                f"run {run_id!r} line {lineno}: row has too "
+                f"{'few' if len(row) < len(header) else 'many'} columns "
+                f"({len(row)} cells, {len(header)} header names)"
+            )
         sample = []
         for name, col in zip(namespace.names, order):
-            try:
-                cell = row[col]
-            except IndexError:
-                raise NonNumericCell(
-                    f"run {run_id!r} line {lineno}: row has too few columns"
-                ) from None
+            cell = row[col]
             try:
                 value = float(cell)
             except ValueError:

@@ -7,6 +7,7 @@ collapses to a point that lies in the source cone by construction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -31,8 +32,12 @@ class SynthSpec:
     def __post_init__(self):
         if self.samples < 2:
             raise ValueError("need at least 2 samples")
+        if not all(math.isfinite(f) for f in self.flows):
+            raise ValueError("flows must be finite")
         if any(f < 0 for f in self.flows):
             raise ValueError("flows must be non-negative")
+        if not np.isfinite(self.noise).all():
+            raise ValueError("noise must be finite")
 
 
 def exact_counters(spec: SynthSpec, cap: int = DEFAULT_PATH_CAP) -> tuple[Fraction, ...]:

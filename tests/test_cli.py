@@ -144,6 +144,24 @@ class TestCheck:
         assert "walk_outcome x ok: feasible" in out.splitlines()
         assert f"error: run 'neg' line 4 column '{column}': '{cells[2]}'" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        # the first load.causes_walk column makes the run infeasible, the
+        # second feasible; neither may be picked silently
+        (lambda rows: [rows[0] + ",load.causes_walk"] + [r + ",100" for r in rows[1:]],
+         "run 'bad' line 1 column 'load.causes_walk': named twice in the header"),
+        (lambda rows: rows[:2] + [rows[2] + ",7"] + rows[3:],
+         "run 'bad' line 3: row has too many columns (4 cells, 3 header names)"),
+    ])
+    def test_malformed_csv_names_the_run_and_keeps_the_batch(
+            self, capsys, walk_model, exact_csv, tmp_path, edit, message):
+        rows = ["t,load.causes_walk,load.pde$_miss"] + [f"{i},1,2" for i in range(6)]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(edit(rows)) + "\n")
+        code, out, err = run(capsys, "check", walk_model, exact_csv, str(bad))
+        assert code == 2
+        assert out == "walk_init_first x exact: feasible\n"
+        assert err == f"error: {message}\n"
+
     def test_json_and_text_agree(self, capsys, walk_model, exact_csv, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(
@@ -320,6 +338,23 @@ class TestSynth:
                            "--samples", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--flows", "inf"], "flows"),
+        (["--flows", "1e400"], "flows"),
+        (["--flows", "nan"], "flows"),
+        (["--flows", "1", "--noise", "nan"], "noise"),
+        (["--flows", "1", "--noise", "inf"], "noise"),
+    ])
+    def test_non_finite_flows_or_noise_exit_2(self, capsys, walk_model, tmp_path,
+                                              flags, field):
+        out = tmp_path / "out.csv"
+        code, stdout, err = run(capsys, "synth", walk_model, *flags, "--samples", "3",
+                                "-o", str(out))
+        assert code == 2
+        assert err == f"error: {field} must be finite\n"
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestExplore:
     def test_bundled_catalog(self, capsys, bundled):
@@ -420,6 +455,13 @@ class TestConfig:
     def test_bad_alpha_exits_2(self, capsys, walk_model, exact_csv):
         code, _, err = run(capsys, "check", walk_model, exact_csv, "--alpha", "1.5")
         assert code == 2
+
+    def test_alpha_too_small_for_its_level_exits_2(self, capsys, walk_model, exact_csv):
+        # 1 - 1e-17 is 1.0 in floating point: one error, not one per cell
+        code, out, err = run(capsys, "check", walk_model, exact_csv, "--alpha", "1e-17")
+        assert code == 2
+        assert out == ""
+        assert err == "error: alpha 1e-17 is too small: 1 - alpha rounds to 1\n"
 
     def test_bad_config_value_names_file_line_and_key(self, capsys, walk_model,
                                                       exact_csv, tmp_path):

@@ -130,21 +130,98 @@ class TestPrimitive:
             assert g == 1
 
 
-class TestNormalizeRow:
-    def test_divides_row_and_reports_divisor(self):
-        row = [4, -6, 0, 10]
-        assert exact.normalize_row(row) == 2
-        assert row == [2, -3, 0, 5]
+def _row_gcd(row):
+    g = 0
+    for x in row:
+        g = gcd(g, x)
+    return g
 
-    def test_denominator_takes_part(self):
-        row = [4, 8]
-        assert exact.normalize_row(row, 6) == 2
-        assert row == [2, 4]
-        row = [4, 8]
-        assert exact.normalize_row(row, 3) == 1
-        assert row == [4, 8]
 
-    def test_zero_row(self):
-        row = [0, 0]
-        assert exact.normalize_row(row) == 1
-        assert row == [0, 0]
+_rows = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
+        min_size=2,
+        max_size=5,
+    )
+)
+
+
+class TestCombine:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_rows, p=st.integers(-6, 6), f=st.integers(-6, 6))
+    def test_primitive_multiple_of_p_a_minus_f_b(self, rows, p, f):
+        a, b = rows[0], rows[1]
+        out = exact.combine(a, b, p, f)
+        raw = [p * x - f * y for x, y in zip(a, b)]
+        if not any(raw):
+            assert out == raw  # a zero result stays zero
+            return
+        assert _row_gcd(out) == 1
+        g = _row_gcd(raw)
+        # a positive divisor: the orientation of p*a - f*b is kept
+        assert [x * g for x in out] == raw
+
+    def test_positive_p_keeps_orientation_of_a(self):
+        assert exact.combine([3, 6], [1, 0], 2, 0) == [1, 2]
+        assert exact.combine([3, 6], [1, 0], -2, 0) == [-1, -2]
+
+    def test_zero_result_stays_zero(self):
+        assert exact.combine([2, 4], [1, 2], 1, 2) == [0, 0]
+
+    def test_hull_step_vanishes_on_the_new_ray(self):
+        # (n_h.p) n_v - (n_v.p) n_h, with n_h.p > 0 > n_v.p
+        n_v, n_h, p = (1, -1), (0, 1), (1, 2)
+        s_v, s_h = exact.dot(n_v, p), exact.dot(n_h, p)
+        normal = exact.combine(n_v, n_h, s_h, s_v)
+        assert exact.dot(normal, p) == 0
+        assert normal == [2, -1]
+
+
+class TestPivot:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_rows, data=st.data())
+    def test_column_is_zeroed_outside_the_pivot_row(self, rows, data):
+        ncols = len(rows[0])
+        candidates = [(r, c) for r in range(len(rows)) for c in range(ncols) if rows[r][c]]
+        if not candidates:
+            return
+        r, c = data.draw(st.sampled_from(candidates))
+        before = [list(row) for row in rows]
+        exact.pivot(rows, r, c)
+        assert rows[r] == before[r]  # the pivot row is left as it is
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            assert row[c] == 0
+            if before[i][c] == 0:
+                assert row == before[i]  # rows already zero there are untouched
+            else:
+                assert _row_gcd(row) in (0, 1)
+                assert row == exact.combine(before[i], before[r], before[r][c], before[i][c])
+        # the pivot keeps the row space
+        assert exact.rref(rows, ncols) == exact.rref(before, ncols)
+
+
+def test_dot():
+    assert exact.dot([1, -2, 0], [3, 4, 5]) == -5
+    assert exact.dot([], []) == 0
+    assert exact.dot([Fraction(1, 2), 2], [4, Fraction(1, 4)]) == Fraction(5, 2)
+
+
+def test_only_the_kernel_takes_row_gcds():
+    # the integer row step lives in `exact.combine`; a gcd anywhere else in
+    # the package is a second copy of it
+    import ast
+    from pathlib import Path
+
+    package = Path(exact.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and any(a.name == "gcd" for a in node.names):
+                offenders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr == "gcd":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mudd.linprog import feasible_point, solve_equality_form
 
@@ -104,3 +106,59 @@ def test_shape_errors():
         solve_equality_form([[1, 2]], [1, 2], 2)
     with pytest.raises(ValueError):
         solve_equality_form([[1, 2, 3]], [1], 2)
+
+
+# ---------------------------------------------------------------------------
+# differential test against scipy's HiGHS, a test-only oracle
+
+
+def _matrix(rows, cols):
+    return st.lists(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def _rhs(rows):
+    return st.lists(st.integers(-6, 6), min_size=rows, max_size=rows)
+
+
+@st.composite
+def _systems(draw, min_eq=0, max_ub=4):
+    """Small integer systems: n, A_eq, b_eq, A_ub, b_ub."""
+    n = draw(st.integers(1, 5))
+    m_eq = draw(st.integers(min_eq, 3))
+    m_ub = draw(st.integers(0, max_ub))
+    return (n, draw(_matrix(m_eq, n)), draw(_rhs(m_eq)),
+            draw(_matrix(m_ub, n)), draw(_rhs(m_ub)))
+
+
+def _highs_feasible(n, A_eq, b_eq, A_ub, b_ub) -> bool:
+    from scipy.optimize import linprog
+
+    result = linprog([0] * n, A_ub=A_ub or None, b_ub=b_ub or None,
+                     A_eq=A_eq or None, b_eq=b_eq or None, bounds=(0, None),
+                     method="highs")
+    assert result.status in (0, 2), result.message  # solved, or proved infeasible
+    return result.status == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems())
+def test_feasible_point_agrees_with_highs(system):
+    n, A_eq, b_eq, A_ub, b_ub = system
+    x = feasible_point(n, A_eq, b_eq, A_ub, b_ub)
+    assert (x is not None) == _highs_feasible(n, A_eq, b_eq, A_ub, b_ub)
+    if x is not None:
+        assert len(x) == n and all(v >= 0 for v in x)
+        assert all(sum(a * v for a, v in zip(row, x)) == r for row, r in zip(A_eq, b_eq))
+        assert all(sum(a * v for a, v in zip(row, x)) <= r for row, r in zip(A_ub, b_ub))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems(min_eq=1, max_ub=0))
+def test_solve_equality_form_agrees_with_highs(system):
+    n, A, b, _, _ = system
+    x = solve_equality_form(A, b, n)
+    assert (x is not None) == _highs_feasible(n, A, b, [], [])
+    if x is not None:
+        assert len(x) == n and all(v >= 0 for v in x)
+        assert all(sum(a * v for a, v in zip(row, x)) == r for row, r in zip(A, b))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mudd.errors import (
+    MalformedCsv,
     MissingCounter,
     NegativeCell,
     NonFiniteStatistics,
@@ -73,6 +74,22 @@ class TestLoader:
         # a negative zero is zero
         obs = load_observations(io.StringIO("a,b\n-0.0,1\n2,3\n"), NS2)
         assert obs.sample_matrix[0][0] == 0
+
+    def test_header_naming_a_column_twice(self):
+        # the later copy used to win silently
+        src = io.StringIO("t,a,b,a\n0,1,2,9\n1,3,4,9\n")
+        with pytest.raises(MalformedCsv, match="^run 'r' line 1 column 'a': named twice"):
+            load_observations(src, NS2, run_id="r")
+
+    def test_ragged_rows(self):
+        src = io.StringIO("a,b\n1,2\n3,4,5\n")
+        with pytest.raises(MalformedCsv, match="^run 'r' line 3: row has too many columns"):
+            load_observations(src, NS2, run_id="r")
+        # too few, even when only an unmodeled column is short
+        src = io.StringIO("a,b,c\n1,2,0\n3,4\n")
+        with pytest.warns(UserWarning, match="unmodeled"):
+            with pytest.raises(MalformedCsv, match="^run 'r' line 3: row has too few columns"):
+                load_observations(src, NS2, run_id="r")
 
     def test_too_few_samples(self):
         src = io.StringIO("a,b\n1,2\n")

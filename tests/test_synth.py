@@ -41,6 +41,14 @@ class TestExactCounters:
         with pytest.raises(ValueError):
             SynthSpec(model=two_path_model, flows=(-1.0, 0.0), samples=2)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_non_finite_flow_or_noise_rejected(self, two_path_model, bad):
+        with pytest.raises(ValueError, match="^flows must be finite$"):
+            SynthSpec(model=two_path_model, flows=(1.0, bad), samples=2)
+        for noise in (bad, [1.0, bad], [[1.0, 0.0], [0.0, bad]]):
+            with pytest.raises(ValueError, match="^noise must be finite$"):
+                SynthSpec(model=two_path_model, flows=(1.0, 1.0), samples=2, noise=noise)
+
 
 class TestGenerate:
     def test_zero_noise_constant_rows(self, two_path_model):
