@@ -6,50 +6,44 @@ Exit codes: 0 all feasible / success, 1 some observation infeasible,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-import traceback
-import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
-from . import dsl, exploration
+from . import dsl
 from .errors import MuddError
-from .geometry import deduce_constraints
-from .model import DEFAULT_PATH_CAP, CounterNamespace, enumerate_mupaths, signature_of
+from .model import DEFAULT_PATH_CAP, CounterNamespace, Record, enumerate_mupaths, signature_of
 
+# a subcommand imports what only it runs in its own body, so that `paths`
+# loads no module beyond `dsl` and `model`
 
 # input errors: one `error: ...` line on stderr, and exit 2
 _INPUT_ERRORS = (MuddError, OSError, ValueError)
 _CONFIG_KEYS = ("alpha", "cap", "format", "jobs")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """Resolved run settings: flags beat the config file, which beats
     environment and built-in defaults."""
 
-    alpha: float = 0.01
-    cap: int = DEFAULT_PATH_CAP
-    output_format: str = "text"
-    jobs: int = 1
-    project: bool = False
-    independent: bool = False
-    namespace: Optional[CounterNamespace] = None
+    _fields = ("alpha", "cap", "output_format", "jobs", "project", "independent",
+               "namespace")
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
+    def __init__(self, alpha: float = 0.01, cap: int = DEFAULT_PATH_CAP,
+                 output_format: str = "text", jobs: int = 1, project: bool = False,
+                 independent: bool = False, namespace: CounterNamespace | None = None):
+        if not 0.0 < alpha < 1.0:
             raise MuddError("alpha must lie in (0, 1)")
-        if 1.0 - self.alpha == 1.0:
-            raise MuddError(f"alpha {self.alpha!r} is too small: 1 - alpha rounds to 1")
-        if self.cap < 1:
+        if 1.0 - alpha == 1.0:
+            raise MuddError(f"alpha {alpha!r} is too small: 1 - alpha rounds to 1")
+        if cap < 1:
             raise MuddError("cap must be at least 1")
-        if self.output_format not in ("text", "json"):
-            raise MuddError(f"unknown output format {self.output_format!r}")
-        if self.jobs < 1:
+        if output_format not in ("text", "json"):
+            raise MuddError(f"unknown output format {output_format!r}")
+        if jobs < 1:
             raise MuddError("jobs must be at least 1")
+        self._set(alpha=alpha, cap=cap, output_format=output_format, jobs=jobs,
+                  project=project, independent=independent, namespace=namespace)
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
@@ -144,6 +138,8 @@ def cmd_paths(args, cfg: RunConfig) -> int:
                     },
                 }
             )
+        import json
+
         print(json.dumps(rows, indent=2))
         return 0
     for i, p in enumerate(paths, 1):
@@ -156,9 +152,13 @@ def cmd_paths(args, cfg: RunConfig) -> int:
 
 
 def cmd_constraints(args, cfg: RunConfig) -> int:
+    from . import geometry
+
     model = dsl.parse_file(args.model, cfg.namespace)
-    constraints = deduce_constraints(model, cfg.cap)
+    constraints = geometry.deduce_constraints(model, cfg.cap)
     if cfg.output_format == "json":
+        import json
+
         print(json.dumps(constraints.to_json(), indent=2))
         return 0
     print(f"Equalities ({len(constraints.equalities)}):")
@@ -171,6 +171,8 @@ def cmd_constraints(args, cfg: RunConfig) -> int:
 
 
 def cmd_check(args, cfg: RunConfig) -> int:
+    import warnings
+
     from . import feasibility, stats
 
     model = dsl.parse_file(args.model, cfg.namespace)
@@ -215,6 +217,8 @@ def cmd_check(args, cfg: RunConfig) -> int:
 
 
 def cmd_explore(args, cfg: RunConfig) -> int:
+    from . import exploration
+
     catalog = exploration.load_catalog(args.catalog)
     expansion = exploration.expansion_results(catalog, cfg.cap)
     if cfg.output_format == "json":
@@ -344,6 +348,8 @@ def entry() -> None:
     try:
         code = main()
     except Exception:  # a bug, not an input error: exit 2, never 1 (infeasible)
+        import traceback
+
         traceback.print_exc()
         code = 2
     raise SystemExit(code)

@@ -35,28 +35,28 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .errors import MuddError
-from .model import CausalityEdge, CounterNamespace, MuDD, Node
+from .model import CausalityEdge, CounterNamespace, MuDD, Node, Record
 
 
-@dataclass(frozen=True)
-class DslSource:
+class DslSource(Record):
     """Raw text plus an origin tag used in diagnostics."""
 
-    text: str
-    origin: str = "<inline>"
+    _fields = ("text", "origin")
+
+    def __init__(self, text: str, origin: str = "<inline>"):
+        self._set(text=text, origin=origin)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    kind: str  # syntax-error | unknown-counter | duplicate-label | empty-switch |
-    #            unreachable-statement | duplicate-case | unknown-label
-    line: int
-    col: int
-    message: str
+class Diagnostic(Record):
+    _fields = ("kind", "line", "col", "message")
+
+    def __init__(self, kind: str, line: int, col: int, message: str):
+        # kind: syntax-error | unknown-counter | duplicate-label | empty-switch |
+        #       unreachable-statement | duplicate-case | unknown-label
+        self._set(kind=kind, line=line, col=col, message=message)
 
 
 class DslParseError(MuddError):
@@ -115,7 +115,7 @@ class _Parser:
     `done`, and in dead code, which is parsed but builds nothing.
     """
 
-    def __init__(self, tokens: list[_Token], ns: Optional[CounterNamespace]):
+    def __init__(self, tokens: list[_Token], ns: CounterNamespace | None):
         self.tokens = tokens
         self.pos = 0
         self.ns = ns
@@ -155,7 +155,7 @@ class _Parser:
         else:
             self.expected(repr(text))
 
-    def expect_word(self, what: str) -> Optional[str]:
+    def expect_word(self, what: str) -> str | None:
         if self.peek().kind == "word":
             return self.advance().text
         self.expected(what)
@@ -177,7 +177,7 @@ class _Parser:
             self.note("unreachable-statement", tok, "statement after done is unreachable")
         return hooks is not None
 
-    def register(self, label: Optional[_Token], node_id: Optional[int]) -> None:
+    def register(self, label: _Token | None, node_id: int | None) -> None:
         if label is None:
             return
         if label.text in self.labels:
@@ -185,7 +185,7 @@ class _Parser:
         elif node_id is not None:
             self.labels[label.text] = node_id
 
-    def node(self, hooks, tok, label, kind: str, name: Optional[str]) -> int:
+    def node(self, hooks, tok, label, kind: str, name: str | None) -> int:
         node_id = len(self.nodes)
         if kind == "counter":
             if self.ns is not None and name not in self.ns:
@@ -270,7 +270,7 @@ class _Parser:
             if self.runs(hooks, unreachable, tok):
                 node_id = self.node(hooks, tok, label, "decision", prop)
             values: list[str] = []
-            dangling: list[tuple[int, Optional[str]]] = []
+            dangling: list[tuple[int, str | None]] = []
             while True:
                 case = self.peek()
                 if case.kind == "eof":
@@ -312,7 +312,7 @@ class _Parser:
 
 def parse(
     src: DslSource | str,
-    ns: Optional[CounterNamespace] = None,
+    ns: CounterNamespace | None = None,
 ) -> MuDD:
     """Parse source text into a MuDD.
 
@@ -357,7 +357,7 @@ def parse(
     return model
 
 
-def parse_file(path, ns: Optional[CounterNamespace] = None) -> MuDD:
+def parse_file(path, ns: CounterNamespace | None = None) -> MuDD:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(DslSource(text=fh.read(), origin=str(path)), ns)
 

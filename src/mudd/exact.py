@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import MutableSequence, Sequence
+from collections.abc import MutableSequence, Sequence
 
 
 def dot(a: Sequence, b: Sequence):

@@ -9,51 +9,58 @@ the whole thing as a table. It never generates feature variants.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from . import dsl
 from .errors import CatalogError, DimensionMismatch, MuddError, NoFeasibleModel
 from .geometry import cone_membership, normalize_signatures
-from .model import DEFAULT_PATH_CAP, CounterNamespace, MuDD, signatures_of_model
+from .model import DEFAULT_PATH_CAP, CounterNamespace, MuDD, Record, signatures_of_model
 
 
-@dataclass
-class ModelEntry:
-    name: str
-    features: frozenset[str]
-    infeasible_count: int
-    model: Optional[MuDD] = None
-    model_path: Optional[str] = None
-    parent: Optional[tuple[str, str]] = None  # (name, "relaxation" | "pruning")
+class ModelEntry(Record):
+    """One explored model; `parent` is (name, "relaxation" | "pruning")."""
 
-    def __post_init__(self):
-        if self.infeasible_count < 0:
-            raise CatalogError(f"entry {self.name!r} has a negative infeasible count")
-        if self.parent is not None and self.parent[1] not in ("relaxation", "pruning"):
-            raise CatalogError(
-                f"entry {self.name!r} has unknown edge kind {self.parent[1]!r}"
-            )
+    _fields = ("name", "features", "infeasible_count", "model", "model_path", "parent")
+
+    def __init__(self, name: str, features: frozenset[str], infeasible_count: int,
+                 model: MuDD | None = None, model_path: str | None = None,
+                 parent: tuple[str, str] | None = None):
+        if infeasible_count < 0:
+            raise CatalogError(f"entry {name!r} has a negative infeasible count")
+        if parent is not None and parent[1] not in ("relaxation", "pruning"):
+            raise CatalogError(f"entry {name!r} has unknown edge kind {parent[1]!r}")
+        self._set(name=name, features=features, infeasible_count=infeasible_count,
+                  model=model, model_path=model_path, parent=parent)
 
 
-@dataclass
-class ModelCatalog:
-    entries: dict[str, ModelEntry]
-    dataset_id: str = ""
-    feature_order: tuple[str, ...] = ()
-    namespace: Optional[CounterNamespace] = None
+class ModelCatalog(Record):
+    _fields = ("entries", "dataset_id", "feature_order", "namespace")
 
-    def __post_init__(self):
-        for entry in self.entries.values():
-            if entry.parent is not None and entry.parent[0] not in self.entries:
+    def __init__(self, entries: dict[str, ModelEntry], dataset_id: str = "",
+                 feature_order: tuple[str, ...] = (),
+                 namespace: CounterNamespace | None = None):
+        for entry in entries.values():
+            if entry.parent is not None and entry.parent[0] not in entries:
                 raise CatalogError(
                     f"entry {entry.name!r} references missing parent {entry.parent[0]!r}"
                 )
+        self._set(entries=entries, dataset_id=dataset_id, feature_order=feature_order,
+                  namespace=namespace)
+
+
+_PARENT_SHAPE = '{"name": <entry name>, "kind": "relaxation" | "pruning"}'
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
 def load_catalog(path) -> ModelCatalog:
-    """Read a catalog JSON file; model paths resolve relative to it."""
+    """Read a catalog JSON file; model paths resolve relative to it.
+
+    A value of the wrong type raises CatalogError naming the file, the
+    entry (by name, or by position when the name itself is bad) and the key.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -61,24 +68,50 @@ def load_catalog(path) -> ModelCatalog:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
     if not isinstance(raw, dict) or "entries" not in raw:
         raise CatalogError(f"catalog {path} has no entries")
+
+    def bad(where: str, key: str, expected: str, value) -> CatalogError:
+        return CatalogError(f"catalog {path}: {where}{key!r} must be {expected}, got {value!r}")
+
+    for key in ("namespace", "features"):
+        if raw.get(key) is not None and not _is_strings(raw[key]):
+            raise bad("", key, "a list of strings", raw[key])
+    if not isinstance(raw["entries"], list):
+        raise bad("", "entries", "a list of objects", raw["entries"])
     ns = None
     if raw.get("namespace"):
-        ns = CounterNamespace(raw["namespace"])
-    entries: dict[str, ModelEntry] = {}
-    for item in raw["entries"]:
         try:
-            name = item["name"]
-            features = frozenset(item.get("features", []))
-            count = int(item["infeasible_count"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CatalogError(f"catalog {path}: malformed entry {item!r}") from exc
+            ns = CounterNamespace(raw["namespace"])
+        except MuddError as exc:
+            raise CatalogError(f"catalog {path}: 'namespace': {exc}") from None
+    entries: dict[str, ModelEntry] = {}
+    for position, item in enumerate(raw["entries"], 1):
+        if not isinstance(item, dict):
+            raise bad("", f"entries[{position}]", "an object", item)
+        name = item.get("name")
+        where = f"entry {name!r}: " if isinstance(name, str) else f"entry {position}: "
+        for key in ("name", "infeasible_count"):
+            if key not in item:
+                raise CatalogError(f"catalog {path}: {where}missing {key!r}")
+        if not isinstance(name, str):
+            raise bad(where, "name", "a string", name)
+        count = item["infeasible_count"]
+        if type(count) is not int or count < 0:
+            raise bad(where, "infeasible_count", "a non-negative integer", count)
+        features = item.get("features", [])
+        if not _is_strings(features):
+            raise bad(where, "features", "a list of strings", features)
+        parent = item.get("parent")
+        if parent is not None:
+            if not (isinstance(parent, dict) and isinstance(parent.get("name"), str)
+                    and parent.get("kind") in ("relaxation", "pruning")):
+                raise bad(where, "parent", _PARENT_SHAPE, parent)
+            parent = (parent["name"], parent["kind"])
+        model_path = item.get("model")
+        if model_path is not None and not isinstance(model_path, str):
+            raise bad(where, "model", "a path string", model_path)
         if name in entries:
             raise CatalogError(f"catalog {path}: duplicate entry name {name!r}")
-        parent = None
-        if item.get("parent"):
-            parent = (item["parent"]["name"], item["parent"]["kind"])
         model = None
-        model_path = item.get("model")
         if model_path:
             resolved = path.parent / model_path
             try:
@@ -87,20 +120,17 @@ def load_catalog(path) -> ModelCatalog:
                 raise CatalogError(
                     f"catalog {path}: entry {name!r} model {resolved}: {exc}"
                 ) from exc
-        entries[name] = ModelEntry(
-            name=name,
-            features=features,
-            infeasible_count=count,
-            model=model,
-            model_path=model_path,
-            parent=parent,
+        entries[name] = ModelEntry(name, frozenset(features), count, model=model,
+                                   model_path=model_path, parent=parent)
+    try:
+        return ModelCatalog(
+            entries=entries,
+            dataset_id=raw.get("dataset_id", ""),
+            feature_order=tuple(raw.get("features") or ()),
+            namespace=ns,
         )
-    return ModelCatalog(
-        entries=entries,
-        dataset_id=raw.get("dataset_id", ""),
-        feature_order=tuple(raw.get("features", ())),
-        namespace=ns,
-    )
+    except CatalogError as exc:
+        raise CatalogError(f"catalog {path}: {exc}") from None
 
 
 def classify(catalog: ModelCatalog) -> tuple[frozenset[str], frozenset[str]]:
@@ -173,7 +203,7 @@ def expansion_results(catalog: ModelCatalog, cap: int = DEFAULT_PATH_CAP) -> lis
     return out
 
 
-def render_search_report(catalog: ModelCatalog, expansion: Optional[list[dict]] = None) -> str:
+def render_search_report(catalog: ModelCatalog, expansion: list[dict] | None = None) -> str:
     """Aligned text table of entries, features and counts.
 
     Inclusion-minimal feasible entries are starred. A hint notes the
@@ -220,7 +250,7 @@ def render_search_report(catalog: ModelCatalog, expansion: Optional[list[dict]] 
     return "\n".join(lines) + "\n"
 
 
-def report_json(catalog: ModelCatalog, expansion: Optional[list[dict]] = None) -> str:
+def report_json(catalog: ModelCatalog, expansion: list[dict] | None = None) -> str:
     feasible, infeasible = classify(catalog)
     out = {
         "dataset_id": catalog.dataset_id,

@@ -22,11 +22,9 @@ every test below is exact. Each observation takes one decision sequence:
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
 
 from . import exact, linprog
 from .errors import DimensionMismatch, MuddError, PathExplosion
@@ -36,19 +34,25 @@ from .model import (
     CounterNamespace,
     MuDD,
     MuPath,
+    Record,
     enumerate_mupaths,
     signature_of,
     signatures_of_model,
 )
-from .stats import ConfidenceRegion, ObservationSet, build_confidence_region
+from .stats import ConfidenceRegion, ObservationSet, build_confidence_region, check_alpha
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
-    feasible: bool
-    witness_flow: Optional[tuple[Fraction, ...]] = None  # aligned with input paths
-    witness_point: Optional[tuple[Fraction, ...]] = None
-    violated_constraints: tuple[Constraint, ...] = ()
+class FeasibilityVerdict(Record):
+    """Whether a region meets a cone, with a witness or the violated constraints;
+    `witness_flow` is aligned with the input paths."""
+
+    _fields = ("feasible", "witness_flow", "witness_point", "violated_constraints")
+
+    def __init__(self, feasible: bool, witness_flow: tuple[Fraction, ...] | None = None,
+                 witness_point: tuple[Fraction, ...] | None = None,
+                 violated_constraints: tuple[Constraint, ...] = ()):
+        self._set(feasible=feasible, witness_flow=witness_flow,
+                  witness_point=witness_point, violated_constraints=violated_constraints)
 
     def to_json(self, namespace=None) -> dict:
         out: dict = {"feasible": self.feasible}
@@ -69,16 +73,16 @@ class FeasibilityVerdict:
         return out
 
 
-@dataclass(frozen=True)
 class _IntegerBox:
     """A region with its centre C, axes E (rows) and half-lengths H multiplied
     by `scale`, a power of two, so that all three are integers:
     |e_i.(v - c)| <= h_i iff |E_i.(scale*v - C)| <= scale*H_i."""
 
-    center: list[int]
-    axes: list[list[int]]
-    half: list[int]
-    scale: int
+    def __init__(self, center: list[int], axes: list[list[int]], half: list[int], scale: int):
+        self.center = center
+        self.axes = axes
+        self.half = half
+        self.scale = scale
 
     @classmethod
     def of(cls, region: ConfidenceRegion) -> "_IntegerBox":
@@ -96,14 +100,15 @@ class _IntegerBox:
                    for e, h in zip(self.axes, self.half))
 
 
-@dataclass(frozen=True)
-class _Signatures:
+class _Signatures(Record):
     """Validated signatures: the number of paths, the distinct signatures,
     and the first path index of each."""
 
-    paths: int
-    distinct: tuple[tuple[int, ...], ...]
-    owners: tuple[int, ...]
+    _fields = ("paths", "distinct", "owners")
+
+    def __init__(self, paths: int, distinct: tuple[tuple[int, ...], ...],
+                 owners: tuple[int, ...]):
+        self._set(paths=paths, distinct=distinct, owners=owners)
 
     @classmethod
     def of(cls, model_sigs: Sequence, n: int, cap: int) -> "_Signatures":
@@ -129,7 +134,7 @@ def check_feasibility(
     *,
     cap: int = DEFAULT_PATH_CAP,
     compress: bool = True,
-    constraints: Optional[ConstraintSet] = None,
+    constraints: ConstraintSet | None = None,
 ) -> FeasibilityVerdict:
     """Decide whether the region intersects the cone of the given signatures.
 
@@ -193,7 +198,7 @@ def check_feasibility(
 
 def _centre_witness(
     lp_sigs: Sequence[tuple[int, ...]], equalities: Sequence[Constraint], box: _IntegerBox
-) -> Optional[list[Fraction]]:
+) -> list[Fraction] | None:
     """Flows onto the corrected box centre, or None when it is not a witness.
 
     With w = scale*v, the rows M are the equalities (a.w = 0) and the axes
@@ -228,7 +233,7 @@ def _centre_witness(
 
 def _box_lp(
     lp_sigs: Sequence[tuple[int, ...]], box: _IntegerBox
-) -> Optional[list[Fraction]]:
+) -> list[Fraction] | None:
     """Flows f >= 0 whose counter vector lies in the box, or None.
 
     The LP has variables v >= 0 and f >= 0 with v = sum_p sig_p * f_p and
@@ -310,13 +315,16 @@ def refinement_candidates(
 # batch checking
 
 
-@dataclass(frozen=True)
-class BatchCell:
-    model_name: str
-    run_id: str
-    verdict: Optional[FeasibilityVerdict]
-    error: Optional[str] = None
-    namespace: Optional[CounterNamespace] = None  # the counters the verdict speaks of
+class BatchCell(Record):
+    """One model against one observation: a verdict or an error message.
+    `namespace` holds the counters the verdict speaks of."""
+
+    _fields = ("model_name", "run_id", "verdict", "error", "namespace")
+
+    def __init__(self, model_name: str, run_id: str, verdict: FeasibilityVerdict | None,
+                 error: str | None = None, namespace: CounterNamespace | None = None):
+        self._set(model_name=model_name, run_id=run_id, verdict=verdict, error=error,
+                  namespace=namespace)
 
 
 def _in_namespace(sigs, model_ns: CounterNamespace, ns: CounterNamespace):
@@ -350,13 +358,15 @@ def batch_check(
     jobs: int = 1,
 ) -> tuple[BatchCell, ...]:
     """Every model against every observation; deterministic order regardless
-    of parallelism. Per-cell errors are recorded, not raised.
+    of parallelism. Per-cell errors are recorded, not raised; an alpha
+    that no region can use raises ValueError before any cell runs.
 
     Each observation is checked in its own namespace, which projection may
     have restricted: the model's signatures are restricted to it, validated
     and deduplicated, and its constraints deduced, once per distinct
     namespace. `independent` drops counter correlations from every region.
     """
+    check_alpha(alpha)
     cells: list[BatchCell] = []
     work = []
     for model_name, model in models:
@@ -391,6 +401,8 @@ def batch_check(
 
 
 def verdict_table_json(cells: Sequence[BatchCell]) -> str:
+    import json
+
     rows = []
     for cell in cells:
         row: dict = {"model": cell.model_name, "run": cell.run_id}

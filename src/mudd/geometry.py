@@ -17,9 +17,8 @@ against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
 from . import exact, hull, linprog
 from .errors import DegenerateHull, DimensionMismatch
@@ -28,6 +27,7 @@ from .model import (
     CounterNamespace,
     CounterSignature,
     MuDD,
+    Record,
     signatures_of_model,
 )
 
@@ -44,13 +44,14 @@ def _as_vector(sig) -> Vector:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """One half-space (a.v >= 0) or hyperplane (a.v = 0) with integer coefficients."""
 
-    kind: str  # "equality" | "inequality"
-    coefficients: Vector
-    provenance: str = ""
+    _fields = ("kind", "coefficients", "provenance")
+
+    def __init__(self, kind: str, coefficients: Vector, provenance: str = ""):
+        # kind: "equality" | "inequality"
+        self._set(kind=kind, coefficients=coefficients, provenance=provenance)
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != len(self.coefficients):
@@ -82,11 +83,12 @@ class Constraint:
         return f"{side(neg)} ≤ {side(pos)}"
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    equalities: tuple[Constraint, ...]
-    inequalities: tuple[Constraint, ...]
-    namespace: CounterNamespace
+class ConstraintSet(Record):
+    _fields = ("equalities", "inequalities", "namespace")
+
+    def __init__(self, equalities: tuple[Constraint, ...],
+                 inequalities: tuple[Constraint, ...], namespace: CounterNamespace):
+        self._set(equalities=equalities, inequalities=inequalities, namespace=namespace)
 
     def __iter__(self):
         yield from self.equalities
@@ -113,8 +115,7 @@ class ConstraintSet:
         return out
 
 
-@dataclass(frozen=True)
-class ProjectionMap:
+class ProjectionMap(Record):
     """Bookkeeping for the quotient projection onto the generator span.
 
     Selecting the pivot coordinates of the reduced row echelon form is a
@@ -122,8 +123,10 @@ class ProjectionMap:
     lift back by scattering coefficients into the pivot positions.
     """
 
-    pivot_columns: tuple[int, ...]
-    dimension: int
+    _fields = ("pivot_columns", "dimension")
+
+    def __init__(self, pivot_columns: tuple[int, ...], dimension: int):
+        self._set(pivot_columns=pivot_columns, dimension=dimension)
 
     def project(self, v: Sequence[int]) -> Vector:
         return tuple(v[c] for c in self.pivot_columns)
@@ -154,7 +157,7 @@ def normalize_signatures(sigs: Iterable) -> tuple[CounterSignature, ...]:
 
 
 def find_equalities(
-    gens: Sequence, dim: Optional[int] = None
+    gens: Sequence, dim: int | None = None
 ) -> tuple[tuple[Constraint, ...], tuple[Vector, ...], ProjectionMap]:
     """Equality constraints plus generators re-expressed in full-rank coordinates.
 

@@ -22,7 +22,7 @@ of the double description method.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import exact
 from .errors import DegenerateHull

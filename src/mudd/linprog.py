@@ -11,8 +11,8 @@ as rhs / basic entry, so no denominators are kept.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .exact import pivot, primitive, rational
 
@@ -21,8 +21,8 @@ def solve_equality_form(
     A: Sequence[Sequence],
     b: Sequence,
     num_vars: int,
-    basis_hint: Optional[Sequence[Optional[int]]] = None,
-) -> Optional[list[Fraction]]:
+    basis_hint: Sequence[int | None] | None = None,
+) -> list[Fraction] | None:
     """Find x >= 0 with A x = b, or None if none exists.
 
     basis_hint[i] may name a column usable as the initial basic variable of
@@ -126,7 +126,7 @@ def feasible_point(
     b_eq: Sequence = (),
     A_ub: Sequence[Sequence] = (),
     b_ub: Sequence = (),
-) -> Optional[list[Fraction]]:
+) -> list[Fraction] | None:
     """Find x >= 0 with A_eq x = b_eq and A_ub x <= b_ub (slacks added here).
 
     Returns the structural variables only, or None if the system is
@@ -136,7 +136,7 @@ def feasible_point(
     n_slack = len(A_ub)
     rows: list[list] = []
     rhs: list = []
-    hints: list[Optional[int]] = []
+    hints: list[int | None] = []
     for row, r in zip(A_eq, b_eq):
         rows.append(list(row) + [0] * n_slack)
         rhs.append(r)

@@ -8,9 +8,7 @@ its counter signature, the generator of the model cone downstream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from collections.abc import Iterable, Iterator
 
 from .errors import (
     CycleDetected,
@@ -26,24 +24,61 @@ DEFAULT_PATH_CAP = 100_000
 NODE_KINDS = ("event", "counter", "decision", "done")
 
 
-@dataclass(frozen=True)
-class CounterNamespace:
+class Record:
+    """Base of the package's record classes: immutable, with `==`, `hash`
+    and a `Name(field=value, ...)` repr over the attributes named in
+    `_fields`, in that order.
+
+    A subclass writes its own `__init__`, which validates its arguments and
+    stores them with `_set`. Attributes stored but not named in `_fields`
+    (caches, back references) take no part in `==`, `hash` or the repr.
+    Pickling copies the attribute dictionary and needs nothing more.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, **attrs) -> None:
+        # attribute by attribute: reading `self.__dict__` would give every
+        # instance a dict object of its own, twice the memory of the inline
+        # attribute values CPython keeps otherwise
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class CounterNamespace(Record):
     """Ordered set of distinct counter names; the order fixes vector coordinates."""
 
-    names: tuple[str, ...]
+    _fields = ("names",)
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
-        seen = set()
-        for n in names:
-            if n in seen:
+        index: dict[str, int] = {}
+        for i, n in enumerate(names):
+            if n in index:
                 raise InvalidModel(f"duplicate counter name {n!r} in namespace")
-            seen.add(n)
-        object.__setattr__(self, "names", names)
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
+            index[n] = i
+        self._set(names=names, index=index)
 
     def position(self, name: str) -> int:
         try:
@@ -66,43 +101,44 @@ class CounterNamespace:
         return iter(self.names)
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
     """One diagram node. `name` holds the event name, counter name, or decision property."""
 
-    node_id: int
-    kind: str
-    name: Optional[str] = None
-    label: Optional[str] = None
+    _fields = ("node_id", "kind", "name", "label")
+
+    def __init__(self, node_id: int, kind: str, name: str | None = None,
+                 label: str | None = None):
+        self._set(node_id=node_id, kind=kind, name=name, label=label)
 
 
-@dataclass(frozen=True)
-class CausalityEdge:
-    src: int
-    dst: int
-    value: Optional[str] = None  # case label; set only on decision out-edges
+class CausalityEdge(Record):
+    _fields = ("src", "dst", "value")
+
+    def __init__(self, src: int, dst: int, value: str | None = None):
+        # `value` is the case label; set only on decision out-edges
+        self._set(src=src, dst=dst, value=value)
 
 
-@dataclass(frozen=True)
-class MuDD:
-    """Immutable diagram; validate() checks all structural invariants."""
+class MuDD(Record):
+    """Immutable diagram; validate() checks all structural invariants.
 
-    nodes: tuple[Node, ...]
-    causality: tuple[CausalityEdge, ...]
-    happens_before: tuple[tuple[int, int], ...]
-    entry: int
-    namespace: CounterNamespace
+    `out_edges` maps each node id to its causality edges in declaration
+    order; an edge from a missing node is left for validate() to report.
+    """
 
-    @cached_property
-    def _by_id(self) -> dict[int, Node]:
-        return {n.node_id: n for n in self.nodes}
+    _fields = ("nodes", "causality", "happens_before", "entry", "namespace")
 
-    @cached_property
-    def out_edges(self) -> dict[int, tuple[CausalityEdge, ...]]:
-        out: dict[int, list[CausalityEdge]] = {n.node_id: [] for n in self.nodes}
-        for e in self.causality:
-            out[e.src].append(e)
-        return {k: tuple(v) for k, v in out.items()}
+    def __init__(self, nodes: tuple[Node, ...], causality: tuple[CausalityEdge, ...],
+                 happens_before: tuple[tuple[int, int], ...], entry: int,
+                 namespace: CounterNamespace):
+        out: dict[int, list[CausalityEdge]] = {n.node_id: [] for n in nodes}
+        for e in causality:
+            if e.src in out:
+                out[e.src].append(e)
+        self._set(nodes=nodes, causality=causality, happens_before=happens_before,
+                  entry=entry, namespace=namespace,
+                  _by_id={n.node_id: n for n in nodes},
+                  out_edges={k: tuple(v) for k, v in out.items()})
 
     def node(self, node_id: int) -> Node:
         return self._by_id[node_id]
@@ -181,15 +217,21 @@ class MuDD:
                     stack.pop()
 
 
-@dataclass(frozen=True)
-class MuPath:
-    """One enumerated micro-op execution path through a diagram."""
+class MuPath(Record):
+    """One enumerated micro-op execution path through a diagram.
 
-    nodes_in_order: tuple[Node, ...]
-    property_assignment: tuple[tuple[str, str], ...]  # (property, value) in traversal order
-    happens_before: tuple[tuple[int, int], ...]
+    `property_assignment` holds (property, value) pairs in traversal order.
+    """
 
-    @cached_property
+    _fields = ("nodes_in_order", "property_assignment", "happens_before")
+
+    def __init__(self, nodes_in_order: tuple[Node, ...],
+                 property_assignment: tuple[tuple[str, str], ...],
+                 happens_before: tuple[tuple[int, int], ...]):
+        self._set(nodes_in_order=nodes_in_order, property_assignment=property_assignment,
+                  happens_before=happens_before)
+
+    @property
     def assignment(self) -> dict[str, str]:
         return dict(self.property_assignment)
 
@@ -199,12 +241,16 @@ class MuPath:
         return ", ".join(f"{p}={v}" for p, v in self.property_assignment)
 
 
-@dataclass(frozen=True)
-class CounterSignature:
-    """Per-path vector of counter increment counts, in namespace order."""
+class CounterSignature(Record):
+    """Per-path vector of counter increment counts, in namespace order.
 
-    counts: tuple[int, ...]
-    source_path: Optional[MuPath] = field(default=None, compare=False, repr=False)
+    `source_path` is the path counted, kept out of `==` and the repr.
+    """
+
+    _fields = ("counts",)
+
+    def __init__(self, counts: tuple[int, ...], source_path: MuPath | None = None):
+        self._set(counts=counts, source_path=source_path)
 
 
 def enumerate_mupaths(model: MuDD, cap: int = DEFAULT_PATH_CAP) -> tuple[MuPath, ...]:

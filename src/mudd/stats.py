@@ -19,12 +19,11 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
 from numbers import Real
 from operator import mul
 from pathlib import Path
-from typing import Optional, Sequence, Union
 
 from .errors import (
     MalformedCsv,
@@ -35,15 +34,14 @@ from .errors import (
     NotSymmetric,
     TooFewSamples,
 )
-from .model import CounterNamespace
+from .model import CounterNamespace, Record
 
 
 Vector = tuple[float, ...]
 Matrix = tuple[Vector, ...]
 
 
-@dataclass
-class ObservationSet:
+class ObservationSet(Record):
     """Interval samples for one program run; rows are samples, columns counters.
 
     `sample_matrix` is any two-dimensional sequence of non-negative reals
@@ -51,15 +49,13 @@ class ObservationSet:
     and is kept as given.
     """
 
-    run_id: str
-    sample_matrix: Sequence[Sequence[float]]
-    namespace: CounterNamespace
-    provenance: tuple[str, ...] = ()
-    clamped: int = 0
+    _fields = ("run_id", "sample_matrix", "namespace", "provenance", "clamped")
 
-    def __post_init__(self):
+    def __init__(self, run_id: str, sample_matrix: Sequence[Sequence[float]],
+                 namespace: CounterNamespace, provenance: tuple[str, ...] = (),
+                 clamped: int = 0):
         try:
-            rows = [list(row) for row in self.sample_matrix]
+            rows = [list(row) for row in sample_matrix]
         except TypeError:
             rows = None
         if rows is None or not all(type(x) is float or isinstance(x, Real)
@@ -67,36 +63,37 @@ class ObservationSet:
             raise ValueError("sample matrix must be two-dimensional")
         if len(rows) < 2:
             raise TooFewSamples(
-                f"run {self.run_id!r} has {len(rows)} samples; need at least 2"
+                f"run {run_id!r} has {len(rows)} samples; need at least 2"
             )
-        width = len(self.namespace)
+        width = len(namespace)
         for row in rows:
             if len(row) != width:
                 raise ValueError(
                     f"sample matrix has {len(row)} columns for {width} counters"
                 )
         if any(x < 0 for row in rows for x in row):
-            raise ValueError(f"run {self.run_id!r} contains negative counter values")
+            raise ValueError(f"run {run_id!r} contains negative counter values")
+        self._set(run_id=run_id, sample_matrix=sample_matrix, namespace=namespace,
+                  provenance=provenance, clamped=clamped)
 
     @property
     def sample_count(self) -> int:
         return len(self.sample_matrix)
 
 
-@dataclass
-class ConfidenceRegion:
+class ConfidenceRegion(Record):
     """Principal-axis bounding box of the confidence ellipsoid.
 
     The region is { v : |axes[i] . (v - center)| <= half_lengths[i] for all i };
     axes rows are orthonormal eigenvectors of the mean covariance.
     """
 
-    center: Vector
-    axes: Matrix  # rows are eigenvectors
-    half_lengths: Vector
-    eigenvalues: Vector
-    alpha: float
-    sample_count: int
+    _fields = ("center", "axes", "half_lengths", "eigenvalues", "alpha", "sample_count")
+
+    def __init__(self, center: Vector, axes: Matrix, half_lengths: Vector,
+                 eigenvalues: Vector, alpha: float, sample_count: int):
+        self._set(center=center, axes=axes, half_lengths=half_lengths,
+                  eigenvalues=eigenvalues, alpha=alpha, sample_count=sample_count)
 
     def contains(self, point: Sequence, tol: float = 0.0) -> bool:
         if len(point) != self.dimension:
@@ -152,11 +149,11 @@ def _identity(n: int) -> Matrix:
 
 
 def load_observations(
-    source: Union[str, Path, io.TextIOBase],
+    source: str | Path | io.TextIOBase,
     namespace: CounterNamespace,
     *,
     project: bool = False,
-    run_id: Optional[str] = None,
+    run_id: str | None = None,
 ) -> ObservationSet:
     """Read an interval-sample CSV.
 
@@ -254,7 +251,7 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
     )
 
 
-def write_observations(obs: ObservationSet, dest: Union[str, Path, io.TextIOBase]) -> None:
+def write_observations(obs: ObservationSet, dest: str | Path | io.TextIOBase) -> None:
     """Write the CSV format load_observations reads (t column included)."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
@@ -568,6 +565,14 @@ def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float
     return d, w
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless 1 - alpha is a confidence level in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if 1.0 - alpha == 1.0:
+        raise ValueError(f"alpha {alpha!r} is too small: 1 - alpha rounds to 1")
+
+
 def build_confidence_region(
     obs: ObservationSet,
     alpha: float = 0.01,
@@ -581,8 +586,7 @@ def build_confidence_region(
     equal the full counter dimension, even when the covariance is
     rank-deficient.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     mean, _, mean_cov = mean_and_covariance(obs)
     if independent:
         mean_cov = tuple(tuple(x if i == j else 0.0 for j, x in enumerate(row))

@@ -8,36 +8,33 @@ collapses to a point that lies in the source cone by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .model import DEFAULT_PATH_CAP, MuDD, signatures_of_model
+from .model import DEFAULT_PATH_CAP, MuDD, Record, signatures_of_model
 from .stats import ObservationSet
 
-Noise = Union[float, Sequence[float], np.ndarray]
 
+class SynthSpec(Record):
+    """`flows` holds one flow per path, in enumeration order; `noise` is a
+    scalar sigma, a per-counter sigma vector or a covariance matrix."""
 
-@dataclass(frozen=True)
-class SynthSpec:
-    model: MuDD
-    flows: tuple[float, ...]  # per path, enumeration order
-    samples: int
-    noise: Noise = 0.0
-    seed: int = 0
+    _fields = ("model", "flows", "samples", "noise", "seed")
 
-    def __post_init__(self):
-        if self.samples < 2:
+    def __init__(self, model: MuDD, flows: tuple[float, ...], samples: int,
+                 noise: float | Sequence[float] | np.ndarray = 0.0, seed: int = 0):
+        if samples < 2:
             raise ValueError("need at least 2 samples")
-        if not all(math.isfinite(f) for f in self.flows):
+        if not all(math.isfinite(f) for f in flows):
             raise ValueError("flows must be finite")
-        if any(f < 0 for f in self.flows):
+        if any(f < 0 for f in flows):
             raise ValueError("flows must be non-negative")
-        if not np.isfinite(self.noise).all():
+        if not np.isfinite(noise).all():
             raise ValueError("noise must be finite")
+        self._set(model=model, flows=flows, samples=samples, noise=noise, seed=seed)
 
 
 def exact_counters(spec: SynthSpec, cap: int = DEFAULT_PATH_CAP) -> tuple[Fraction, ...]:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib
 import json
@@ -551,6 +552,42 @@ print("after synth:", loaded())
         "after check --jobs 2: ['concurrent.futures']",
         "after synth: ['concurrent.futures', 'numpy']",
     ]
+
+
+_BASE = ["mudd", "mudd.cli", "mudd.dsl", "mudd.errors", "mudd.model"]
+_GEOMETRY = ["mudd.exact", "mudd.geometry", "mudd.hull", "mudd.linprog"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["paths", "haswell_mmu.mudd"], _BASE),
+    (["constraints", "haswell_mmu.mudd"], _BASE + _GEOMETRY),
+    (["explore", "catalog/search_catalog.json"], _BASE + _GEOMETRY + ["mudd.exploration"]),
+    (["check", "walk_outcome.mudd", "CSV", "--jobs", "1"],
+     _BASE + _GEOMETRY + ["mudd.feasibility", "mudd.stats"]),
+], ids=["paths", "constraints", "explore", "check"])
+def test_subcommand_loads_only_the_modules_it_runs(argv, modules):
+    # `python -m mudd <cmd>` in a fresh interpreter: the mudd modules it
+    # imports, and no `dataclasses` or `inspect` (about 10 ms of start-up)
+    csv = Path(__file__).resolve().parent / "data" / "csv" / "outcome.csv"
+    argv = [str(csv) if a == "CSV" else a for a in argv]
+    argv[1] = str(bundled_path(*argv[1].split("/")))
+    script = """
+import runpy, sys
+before = set(sys.modules)
+sys.argv = ["mudd", *sys.argv[1:]]
+try:
+    runpy.run_module("mudd", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(set(sys.modules) - before)
+print(repr((code, loaded)), file=sys.stderr)
+"""
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=src_env(), timeout=120)
+    code, loaded = ast.literal_eval(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert [m for m in loaded if m.partition(".")[0] == "mudd"] == sorted(modules)
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 LAZY_NAMES = [

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from mudd import dsl, linprog
+from mudd.cli import main
 from mudd.errors import CatalogError, DimensionMismatch, NoFeasibleModel
 from mudd.exploration import (
     ModelCatalog,
@@ -260,6 +261,51 @@ class TestCatalogFile:
         path.write_text(json.dumps({"entries": [{"features": []}]}))
         with pytest.raises(CatalogError):
             load_catalog(path)
+
+
+# each case changes one key of a valid two-entry catalog; the error names the
+# file, the entry and the key, and the expected text follows the file name
+_VALID_ENTRIES = [
+    {"name": "a", "features": ["F"], "infeasible_count": 0},
+    {"name": "b", "features": [], "infeasible_count": 2,
+     "parent": {"name": "a", "kind": "pruning"}},
+]
+_PARENT = '{"name": <entry name>, "kind": "relaxation" | "pruning"}'
+BAD_CATALOGS = [
+    ("entries", {"entries": 3},
+     "'entries' must be a list of objects, got 3"),
+    ("parent-without-kind", {"entries": [_VALID_ENTRIES[0], {**_VALID_ENTRIES[1], "parent": {"name": "a"}}]},
+     f"entry 'b': 'parent' must be {_PARENT}, got {{'name': 'a'}}"),
+    ("parent-string", {"entries": [_VALID_ENTRIES[0], {**_VALID_ENTRIES[1], "parent": "a"}]},
+     f"entry 'b': 'parent' must be {_PARENT}, got 'a'"),
+    ("parent-kind", {"entries": [_VALID_ENTRIES[0], {**_VALID_ENTRIES[1], "parent": {"name": "a", "kind": "sideways"}}]},
+     f"entry 'b': 'parent' must be {_PARENT}, got {{'name': 'a', 'kind': 'sideways'}}"),
+    ("name-list", {"entries": [{**_VALID_ENTRIES[0], "name": ["a"]}]},
+     "entry 1: 'name' must be a string, got ['a']"),
+    ("model-number", {"entries": [{**_VALID_ENTRIES[0], "model": 3}]},
+     "entry 'a': 'model' must be a path string, got 3"),
+    ("features-string", {"entries": [{**_VALID_ENTRIES[0], "features": "TlbPf"}]},
+     "entry 'a': 'features' must be a list of strings, got 'TlbPf'"),
+    ("namespace-string", {"namespace": "xy", "entries": _VALID_ENTRIES},
+     "'namespace' must be a list of strings, got 'xy'"),
+    ("fractional-count", {"entries": [{**_VALID_ENTRIES[0], "infeasible_count": 1.7}]},
+     "entry 'a': 'infeasible_count' must be a non-negative integer, got 1.7"),
+]
+
+
+@pytest.mark.parametrize("blob, message", [case[1:] for case in BAD_CATALOGS],
+                         ids=[case[0] for case in BAD_CATALOGS])
+def test_malformed_catalog_names_file_entry_and_key(tmp_path, capsys, blob, message):
+    valid = tmp_path / "ok.json"
+    valid.write_text(json.dumps({"entries": _VALID_ENTRIES}))
+    assert set(load_catalog(valid).entries) == {"a", "b"}
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(path)
+    assert str(exc.value) == f"catalog {path}: {message}"
+    assert main(["explore", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: catalog {path}: {message}\n")
 
 
 class TestReport:

@@ -496,6 +496,21 @@ class TestBatch:
         paths = len(enumerate_mupaths(model))
         assert counts == {"_as_vector": paths, "of": 4}
 
+    def test_unusable_alpha_raises_once_before_any_cell(self, bundled, monkeypatch):
+        import mudd.feasibility
+
+        started = []
+        monkeypatch.setattr(mudd.feasibility, "_check_cell", started.append)
+        model = dsl.parse_file(bundled("walk_init_first.mudd"))
+        obs = [
+            generate(SynthSpec(model=model, flows=(1.0, 1.0), samples=5, seed=1), run_id=r)
+            for r in ("a", "b")
+        ]
+        with pytest.raises(ValueError) as exc:
+            batch_check([("m", model)], obs, 1e-17)
+        assert str(exc.value) == "alpha 1e-17 is too small: 1 - alpha rounds to 1"
+        assert started == []
+
     def test_empty_observation_list(self, bundled):
         model = dsl.parse_file(bundled("walk_init_first.mudd"))
         assert batch_check([("m", model)], []) == ()

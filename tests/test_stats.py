@@ -334,6 +334,16 @@ def psd_matrices(n, rng):
 
 
 class TestConfidenceRegion:
+    @pytest.mark.parametrize("alpha, message", [
+        (0.0, "alpha must lie in (0, 1)"),
+        (1.0, "alpha must lie in (0, 1)"),
+        (1e-17, "alpha 1e-17 is too small: 1 - alpha rounds to 1"),
+    ])
+    def test_unusable_alpha_rejected(self, alpha, message):
+        with pytest.raises(ValueError) as exc:
+            build_confidence_region(obs_from([[3, 4], [5, 6]]), alpha)
+        assert str(exc.value) == message
+
     def test_zero_covariance_is_a_point(self):
         region = build_confidence_region(obs_from([[3, 4], [3, 4]]))
         assert np.allclose(region.half_lengths, 0)
