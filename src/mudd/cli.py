@@ -172,10 +172,13 @@ def cmd_constraints(args, cfg: RunConfig) -> int:
 
 def cmd_check(args, cfg: RunConfig) -> int:
     import warnings
+    from collections import Counter
 
     from . import feasibility, stats
 
     model = dsl.parse_file(args.model, cfg.namespace)
+    # a run is named by its file's stem, or by its path where CSVs share a stem
+    stems = Counter(Path(p).stem for p in set(args.observations))
     observations = []
     load_failed = False
     for p in args.observations:
@@ -186,7 +189,8 @@ def cmd_check(args, cfg: RunConfig) -> int:
             warnings.simplefilter("always")
             try:
                 observations.append(
-                    stats.load_observations(p, model.namespace, project=cfg.project)
+                    stats.load_observations(p, model.namespace, project=cfg.project,
+                                            run_id=p if stems[Path(p).stem] > 1 else None)
                 )
             except _INPUT_ERRORS as exc:
                 failure = exc

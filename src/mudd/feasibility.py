@@ -22,6 +22,7 @@ every test below is exact. Each observation takes one decision sequence:
 """
 from __future__ import annotations
 
+import os
 from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
@@ -348,6 +349,19 @@ def _check_cell(args):
                          error=f"{type(exc).__name__}: {exc}")
 
 
+# A Haswell cell costs about 12 ms, so a worker pays for its start only over
+# many cells. On 2 vCPUs, `--jobs 2` lost to `--jobs 1` at 8, 16 and 24
+# cells and by no more than 3% from 32 cells on (the sweep is in
+# CHANGES.md), so each worker must get at least this many cells.
+_CELLS_PER_WORKER = 16
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def batch_check(
     models: Sequence[tuple[str, MuDD]],
     observation_sets: Sequence[ObservationSet],
@@ -365,6 +379,10 @@ def batch_check(
     have restricted: the model's signatures are restricted to it, validated
     and deduplicated, and its constraints deduced, once per distinct
     namespace. `independent` drops counter correlations from every region.
+
+    `jobs` is a ceiling: a process pool starts only when at least two
+    workers each get `_CELLS_PER_WORKER` cells, with no more workers than
+    usable CPUs. A worker that dies raises MuddError.
     """
     check_alpha(alpha)
     cells: list[BatchCell] = []
@@ -389,12 +407,19 @@ def batch_check(
             sigs, constraints = deduced[names]
             work.append((model_name, sigs, constraints, obs, alpha, cap, independent))
 
-    if jobs > 1 and len(work) > 1:
+    workers = min(jobs, _usable_cpus(), len(work) // _CELLS_PER_WORKER) if jobs > 1 else 1
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        # fork starts every worker at once: never more than there are cells
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            cells.extend(pool.map(_check_cell, work))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                cells.extend(pool.map(_check_cell, work))
+        except BrokenProcessPool:
+            raise MuddError(
+                f"a worker process of the {workers}-worker check pool died "
+                "(killed, or out of memory?); the batch has no verdicts"
+            ) from None
     else:
         cells.extend(_check_cell(t) for t in work)
     return tuple(sorted(cells, key=lambda c: (c.model_name, c.run_id)))

@@ -20,9 +20,11 @@ def run(capsys, *argv):
 
 
 def src_env():
-    """The environment with this checkout's `src` first on PYTHONPATH."""
+    """The environment with this checkout's `src` first on PYTHONPATH, and
+    without MUDD_JOBS."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = {k: v for k, v in os.environ.items() if k != "MUDD_JOBS"}
+    return dict(env, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
@@ -309,6 +311,53 @@ class TestCheck:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_shared_stems_use_the_paths_as_run_ids(self, capsys, walk_model, exact_csv,
+                                                   tmp_path, monkeypatch, fmt):
+        # a/x.csv and b/x.csv are told apart by their paths; y.csv, named
+        # twice, shares its stem with no other CSV and keeps it
+        monkeypatch.chdir(tmp_path)
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+        (tmp_path / "a" / "x.csv").write_text(Path(exact_csv).read_text())
+        (tmp_path / "y.csv").write_text(Path(exact_csv).read_text())
+        (tmp_path / "b" / "x.csv").write_text("\n".join(
+            ["t,load.causes_walk,load.pde$_miss"] + [f"{i},1,2" for i in range(6)]) + "\n")
+        code, out, err = run(capsys, "check", walk_model, "a/x.csv", "y.csv", "b/x.csv",
+                             "y.csv", "--format", fmt)
+        assert code == 1 and err == ""
+        if fmt == "json":
+            rows = [(row["run"], row["feasible"]) for row in json.loads(out)]
+        else:
+            rows = [tuple(line.split(" x ", 1)[1].split(": ")) for line in out.splitlines()
+                    if not line.startswith(" ")]
+            rows = [(run_id, verdict == "feasible") for run_id, verdict in rows]
+        assert rows == [("a/x.csv", True), ("b/x.csv", False), ("y", True), ("y", True)]
+
+    def test_dead_worker_is_one_error_line(self, capsys, monkeypatch, walk_model, exact_csv):
+        # a worker killed mid-batch (say, out of memory) is not a mudd bug:
+        # one `error:` line and exit 2, no traceback
+        from mudd import cli, feasibility
+
+        monkeypatch.setattr(feasibility, "_CELLS_PER_WORKER", 1)
+        monkeypatch.setattr(feasibility, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(feasibility, "_check_cell", _die_in_worker)
+        monkeypatch.setattr(sys, "argv", ["mudd", "check", walk_model, exact_csv, exact_csv,
+                                          "--jobs", "2"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: a worker process of the 2-worker check pool died "
+                                "(killed, or out of memory?); the batch has no verdicts\n")
+
+
+def _die_in_worker(args):
+    """A `_check_cell` whose worker process dies, as when it is OOM-killed;
+    module-level, so that the pool pickles it by name."""
+    os._exit(1)
+
 
 class TestSynth:
     def test_zero_noise_constant_rows(self, capsys, walk_model):
@@ -516,7 +565,8 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 def test_subcommands_load_numpy_and_pool_only_when_used(tmp_path):
-    # only `synth` needs numpy, and only `check` above one job a process pool
+    # only `synth` needs numpy, and only `check` whose workers each get
+    # `_CELLS_PER_WORKER` cells a process pool
     csv = Path(__file__).resolve().parent / "data" / "csv" / "outcome.csv"
     script = f"""
 import sys
@@ -538,6 +588,11 @@ assert cli.main(["check", model, csv, csv, "--jobs", "1"]) == 0
 print("after check --jobs 1:", loaded())
 assert cli.main(["check", model, csv, csv, "--jobs", "2"]) == 0
 print("after check --jobs 2:", loaded())
+from mudd import feasibility
+feasibility._CELLS_PER_WORKER = 1
+feasibility._usable_cpus = lambda: 2
+assert cli.main(["check", model, csv, csv, "--jobs", "2"]) == 0
+print("after check --jobs 2, one cell per worker:", loaded())
 assert cli.main(["synth", model, "--flows", "100,50,20", "--samples", "30",
                  "--noise", "2", "--seed", "3", "-o", {str(tmp_path / "run.csv")!r}]) == 0
 print("after synth:", loaded())
@@ -549,7 +604,8 @@ print("after synth:", loaded())
     assert lines == [
         "after explore: []",
         "after check --jobs 1: []",
-        "after check --jobs 2: ['concurrent.futures']",
+        "after check --jobs 2: []",
+        "after check --jobs 2, one cell per worker: ['concurrent.futures']",
         "after synth: ['concurrent.futures', 'numpy']",
     ]
 

@@ -515,24 +515,46 @@ class TestBatch:
         model = dsl.parse_file(bundled("walk_init_first.mudd"))
         assert batch_check([("m", model)], []) == ()
 
-    def test_parallel_matches_serial(self, bundled):
+    def test_parallel_matches_serial(self, bundled, monkeypatch):
+        # a real forked pool, started by the cut-off of one cell per worker,
+        # returns the serial cells: witnesses and violated constraints too
+        import concurrent.futures
+
+        import mudd.feasibility
+
+        started = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(mudd.feasibility, "_CELLS_PER_WORKER", 1)
+        monkeypatch.setattr(mudd.feasibility, "_usable_cpus", lambda: 2)
         model = dsl.parse_file(bundled("walk_init_first.mudd"))
         obs = [
             generate(SynthSpec(model=model, flows=(2.0, 1.0), samples=8, noise=0.1, seed=s), run_id=f"r{s}")
             for s in range(4)
         ]
+        bad = generate(SynthSpec(model=model, flows=(0.0, 0.0), samples=5, seed=0), run_id="bad")
+        bad.sample_matrix[:, 1] = 7.0  # misses without walks
+        obs.append(bad)
         serial = batch_check([("m", model)], obs)
+        assert started == []
         parallel = batch_check([("m", model)], obs, jobs=2)
-        assert [(c.model_name, c.run_id, c.verdict.feasible) for c in serial] == [
-            (c.model_name, c.run_id, c.verdict.feasible) for c in parallel
-        ]
+        assert started == [2]
+        assert parallel == serial
+        assert [c.verdict.feasible for c in serial] == [False, True, True, True, True]
+        assert serial[0].verdict.violated_constraints
+        assert all(c.verdict.witness_point is not None for c in serial[1:])
 
     def test_pool_starts_no_more_workers_than_cells(self, bundled, monkeypatch):
         import concurrent.futures
 
         import mudd.feasibility
 
-        started = []
+        started, counted = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -556,10 +578,28 @@ class TestBatch:
             generate(SynthSpec(model=model, flows=(2.0, 1.0), samples=5, seed=s), run_id=f"r{s}")
             for s in range(3)
         ]
-        assert all(c.verdict.feasible for c in batch_check([("m", model)], obs[:2], jobs=16))
-        batch_check([("m", model)], obs, jobs=2)
-        batch_check([("m", model)], obs[:1], jobs=16)  # one cell: no pool
-        assert started == [2, 2]
+        k = mudd.feasibility._CELLS_PER_WORKER
+        table = [  # cells, jobs, usable CPUs -> workers (None: no pool)
+            (1, 16, 2, None),
+            (8, 2, 2, None),
+            (2 * k - 1, 2, 2, None),  # one worker short of K cells
+            (2 * k, 2, 2, 2),
+            (2 * k, 16, 2, 2),        # no more workers than usable CPUs
+            (3 * k, 16, 4, 3),        # no more workers than K-cell shares
+            (3 * k, 2, 4, 2),         # --jobs is the ceiling
+            (4 * k, 1, 4, None),      # one job: the CPUs are never counted
+            (4 * k, 16, 1, None),     # one usable CPU
+        ]
+        for cells, jobs, cpus, workers in table:
+            started.clear()
+            counted.clear()
+            monkeypatch.setattr(mudd.feasibility, "_usable_cpus",
+                                lambda cpus=cpus: counted.append(cpus) or cpus)
+            result = batch_check([("m", model)], [obs[i % 3] for i in range(cells)], jobs=jobs)
+            case = (cells, jobs, cpus)
+            assert len(result) == cells and all(c.verdict.feasible for c in result), case
+            assert started == ([] if workers is None else [workers]), case
+            assert counted == ([] if jobs == 1 else [cpus]), case
 
     def test_renderings(self, bundled):
         model = dsl.parse_file(bundled("walk_init_first.mudd"))
