@@ -6,81 +6,55 @@ Exit codes: 0 all feasible / success, 1 some observation infeasible,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from . import dsl
 from .errors import MuddError
-from .model import DEFAULT_PATH_CAP, CounterNamespace, Record, enumerate_mupaths, signature_of
+from .model import DEFAULT_PATH_CAP, CounterNamespace, enumerate_mupaths, signature_of
 
 # a subcommand imports what only it runs in its own body, so that `paths`
 # loads no module beyond `dsl` and `model`
 
 # input errors: one `error: ...` line on stderr, and exit 2
 _INPUT_ERRORS = (MuddError, OSError, ValueError)
-_CONFIG_KEYS = ("alpha", "cap", "format", "jobs")
+# the settings a `--config` file may give, and their defaults
+_DEFAULTS = {"alpha": 0.01, "cap": DEFAULT_PATH_CAP, "format": "text"}
 
 
-class RunConfig(Record):
-    """Resolved run settings: flags beat the config file, which beats
-    environment and built-in defaults."""
-
-    _fields = ("alpha", "cap", "output_format", "jobs", "project", "independent",
-               "namespace")
-
-    def __init__(self, alpha: float = 0.01, cap: int = DEFAULT_PATH_CAP,
-                 output_format: str = "text", jobs: int = 1, project: bool = False,
-                 independent: bool = False, namespace: CounterNamespace | None = None):
-        if not 0.0 < alpha < 1.0:
-            raise MuddError("alpha must lie in (0, 1)")
-        if 1.0 - alpha == 1.0:
-            raise MuddError(f"alpha {alpha!r} is too small: 1 - alpha rounds to 1")
-        if cap < 1:
-            raise MuddError("cap must be at least 1")
-        if output_format not in ("text", "json"):
-            raise MuddError(f"unknown output format {output_format!r}")
-        if jobs < 1:
-            raise MuddError("jobs must be at least 1")
-        self._set(alpha=alpha, cap=cap, output_format=output_format, jobs=jobs,
-                  project=project, independent=independent, namespace=namespace)
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        path = getattr(args, "config", None)
-        overrides = _read_config_file(path)
-
-        def pick(flag, key, cast, fallback):
-            value = getattr(args, flag, None)
-            if value is not None:
-                return value
-            if key not in overrides:
-                return fallback
-            text, lineno = overrides[key]
-            try:
-                return cast(text)
-            except ValueError:
-                raise MuddError(
-                    f"{path}:{lineno}: {key}: {text!r} is not a valid {cast.__name__}"
-                ) from None
-
-        jobs = pick("jobs", "jobs", int, None)
-        return cls(
-            alpha=pick("alpha", "alpha", float, 0.01),
-            cap=pick("cap", "cap", int, DEFAULT_PATH_CAP),
-            output_format=pick("format", "format", str, "text"),
-            jobs=_default_jobs(args) if jobs is None else jobs,
-            project=bool(getattr(args, "project", False)),
-            independent=bool(getattr(args, "independent", False)),
-            namespace=_load_namespace(getattr(args, "namespace", None)),
-        )
+def _settle(args) -> None:
+    """Fill each setting the user left unset on `args` from `--config`,
+    else from its default; check cap, format and jobs, and load
+    `--namespace`."""
+    overrides = _read_config_file(args.config)
+    for key, default in _DEFAULTS.items():
+        if getattr(args, key, None) is not None:
+            continue
+        if key not in overrides:
+            setattr(args, key, default)
+            continue
+        text, lineno = overrides[key]
+        cast = type(default)
+        try:
+            setattr(args, key, cast(text))
+        except ValueError:
+            raise MuddError(
+                f"{args.config}:{lineno}: {key}: {text!r} is not a valid {cast.__name__}"
+            ) from None
+    if args.cap < 1:
+        raise MuddError("cap must be at least 1")
+    if args.format not in ("text", "json"):
+        raise MuddError(f"unknown output format {args.format!r}")
+    if getattr(args, "jobs", None) is not None and args.jobs < 1:
+        raise MuddError("jobs must be at least 1")
+    args.namespace = _load_namespace(getattr(args, "namespace", None))
 
 
 def _load_namespace(path):
     if path is None:
         return None
     names = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             names.append(line)
@@ -93,70 +67,47 @@ def _read_config_file(path) -> dict:
     if not path:
         return {}
     overrides = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise MuddError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _DEFAULTS:
             raise MuddError(
                 f"{path}:{lineno}: unknown key {key!r}; valid keys are "
-                + ", ".join(_CONFIG_KEYS)
+                + ", ".join(_DEFAULTS)
             )
         overrides[key] = (value, lineno)
     return overrides
 
 
-def _default_jobs(args) -> int:
-    """MUDD_JOBS when it is set and the subcommand takes --jobs, else 1."""
-    env = os.environ.get("MUDD_JOBS")
-    if not env or not hasattr(args, "jobs"):
-        return 1
-    try:
-        jobs = int(env)
-    except ValueError:
-        raise MuddError(f"MUDD_JOBS: {env!r} is not a valid int") from None
-    if jobs < 1:
-        raise MuddError(f"MUDD_JOBS: {env!r} is less than 1")
-    return jobs
-
-
-def cmd_paths(args, cfg: RunConfig) -> int:
-    model = dsl.parse_file(args.model, cfg.namespace)
-    paths = enumerate_mupaths(model, cfg.cap)
-    if cfg.output_format == "json":
-        rows = []
-        for p in paths:
-            sig = signature_of(p, model.namespace)
-            rows.append(
-                {
-                    "properties": dict(p.property_assignment),
-                    "signature": {
-                        n: c for n, c in zip(model.namespace.names, sig.counts) if c
-                    },
-                }
-            )
+def cmd_paths(args) -> int:
+    model = dsl.parse_file(args.model, args.namespace)
+    names = model.namespace.names
+    rows = [
+        (p, {n: c for n, c in zip(names, signature_of(p, model.namespace).counts) if c})
+        for p in enumerate_mupaths(model, args.cap)
+    ]
+    if args.format == "json":
         import json
 
-        print(json.dumps(rows, indent=2))
+        print(json.dumps([{"properties": dict(p.property_assignment), "signature": sig}
+                          for p, sig in rows], indent=2))
         return 0
-    for i, p in enumerate(paths, 1):
-        sig = signature_of(p, model.namespace)
-        counts = " ".join(
-            f"{n}={c}" for n, c in zip(model.namespace.names, sig.counts) if c
-        )
+    for i, (p, sig) in enumerate(rows, 1):
+        counts = " ".join(f"{n}={c}" for n, c in sig.items())
         print(f"{i}. {p.describe()} | {counts or '(all zero)'}")
     return 0
 
 
-def cmd_constraints(args, cfg: RunConfig) -> int:
+def cmd_constraints(args) -> int:
     from . import geometry
 
-    model = dsl.parse_file(args.model, cfg.namespace)
-    constraints = geometry.deduce_constraints(model, cfg.cap)
-    if cfg.output_format == "json":
+    model = dsl.parse_file(args.model, args.namespace)
+    constraints = geometry.deduce_constraints(model, args.cap)
+    if args.format == "json":
         import json
 
         print(json.dumps(constraints.to_json(), indent=2))
@@ -170,13 +121,14 @@ def cmd_constraints(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_check(args, cfg: RunConfig) -> int:
+def cmd_check(args) -> int:
     import warnings
     from collections import Counter
 
     from . import feasibility, stats
 
-    model = dsl.parse_file(args.model, cfg.namespace)
+    stats.check_alpha(args.alpha)
+    model = dsl.parse_file(args.model, args.namespace)
     # a run is named by its file's stem, or by its path where CSVs share a stem
     stems = Counter(Path(p).stem for p in set(args.observations))
     observations = []
@@ -189,7 +141,7 @@ def cmd_check(args, cfg: RunConfig) -> int:
             warnings.simplefilter("always")
             try:
                 observations.append(
-                    stats.load_observations(p, model.namespace, project=cfg.project,
+                    stats.load_observations(p, model.namespace, project=args.project,
                                             run_id=p if stems[Path(p).stem] > 1 else None)
                 )
             except _INPUT_ERRORS as exc:
@@ -204,12 +156,12 @@ def cmd_check(args, cfg: RunConfig) -> int:
     cells = feasibility.batch_check(
         [(Path(args.model).stem, model)],
         observations,
-        cfg.alpha,
-        cap=cfg.cap,
-        independent=cfg.independent,
-        jobs=cfg.jobs,
+        args.alpha,
+        cap=args.cap,
+        independent=args.independent,
+        jobs=args.jobs,
     )
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(feasibility.verdict_table_json(cells))
     else:
         print(feasibility.verdict_table_text(cells))
@@ -220,31 +172,32 @@ def cmd_check(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_explore(args, cfg: RunConfig) -> int:
+def cmd_explore(args) -> int:
     from . import exploration
 
     catalog = exploration.load_catalog(args.catalog)
-    expansion = exploration.expansion_results(catalog, cfg.cap)
-    if cfg.output_format == "json":
+    expansion = exploration.expansion_results(catalog, args.cap)
+    if args.format == "json":
         print(exploration.report_json(catalog, expansion))
     else:
         print(exploration.render_search_report(catalog, expansion), end="")
     return 0
 
 
-def _parse_noise(text, n):
-    if text is None:
-        return 0.0
-    parts = [p for p in text.split(",") if p.strip()]
-    values = [float(p) for p in parts]
-    if len(values) == 1:
-        return values[0]
-    if len(values) != n:
-        raise MuddError(f"--noise needs 1 or {n} values, got {len(values)}")
+def _numbers(flag, text, n) -> list[float]:
+    """The comma-separated value of `flag`: one number, or n of them."""
+    values = []
+    for part in filter(str.strip, text.split(",")):
+        try:
+            values.append(float(part))
+        except ValueError:
+            raise MuddError(f"{flag}: {part.strip()!r} is not a number") from None
+    if len(values) not in (1, n):
+        raise MuddError(f"{flag} needs 1 or {n} values, got {len(values)}")
     return values
 
 
-def cmd_synth(args, cfg: RunConfig) -> int:
+def cmd_synth(args) -> int:
     from . import stats
 
     try:
@@ -254,22 +207,19 @@ def cmd_synth(args, cfg: RunConfig) -> int:
             raise
         raise MuddError("mudd synth needs numpy (pip install 'mudd[synth]')") from None
 
-    model = dsl.parse_file(args.model, cfg.namespace)
-    paths = enumerate_mupaths(model, cfg.cap)
-    parts = [p for p in args.flows.split(",") if p.strip()]
-    flows = [float(p) for p in parts]
-    if len(flows) == 1:
-        flows = flows * len(paths)
-    if len(flows) != len(paths):
-        raise MuddError(f"--flows needs 1 or {len(paths)} values, got {len(flows)}")
+    model = dsl.parse_file(args.model, args.namespace)
+    paths = enumerate_mupaths(model, args.cap)
+    flows = _numbers("--flows", args.flows, len(paths))
+    noise = _numbers("--noise", "0" if args.noise is None else args.noise,
+                     len(model.namespace))
     spec = synth.SynthSpec(
         model=model,
-        flows=tuple(flows),
+        flows=tuple(flows * len(paths) if len(flows) == 1 else flows),
         samples=args.samples,
-        noise=_parse_noise(args.noise, len(model.namespace)),
+        noise=noise[0] if len(noise) == 1 else noise,
         seed=args.seed,
     )
-    obs = synth.generate(spec, run_id=Path(args.model).stem, cap=cfg.cap)
+    obs = synth.generate(spec, run_id=Path(args.model).stem, cap=args.cap)
     if args.output:
         stats.write_observations(obs, args.output)
     else:
@@ -310,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--independent", action="store_true",
                    help="ablation: drop counter correlations from the region")
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel observation checks (default MUDD_JOBS or 1)")
+                   help="at most this many check workers (default: usable CPUs)")
     common(p)
     p.set_defaults(func=cmd_check)
 
@@ -338,8 +288,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        return args.func(args, cfg)
+        _settle(args)
+        return args.func(args)
     except dsl.DslParseError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -358,7 +358,7 @@ def parse(
 
 
 def parse_file(path, ns: CounterNamespace | None = None) -> MuDD:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse(DslSource(text=fh.read(), origin=str(path)), ns)
 
 

@@ -369,7 +369,7 @@ def batch_check(
     *,
     cap: int = DEFAULT_PATH_CAP,
     independent: bool = False,
-    jobs: int = 1,
+    jobs: int | None = None,
 ) -> tuple[BatchCell, ...]:
     """Every model against every observation; deterministic order regardless
     of parallelism. Per-cell errors are recorded, not raised; an alpha
@@ -380,9 +380,9 @@ def batch_check(
     and deduplicated, and its constraints deduced, once per distinct
     namespace. `independent` drops counter correlations from every region.
 
-    `jobs` is a ceiling: a process pool starts only when at least two
-    workers each get `_CELLS_PER_WORKER` cells, with no more workers than
-    usable CPUs. A worker that dies raises MuddError.
+    A process pool starts only when at least two workers each get
+    `_CELLS_PER_WORKER` cells, with no more workers than usable CPUs or
+    than `jobs` where it is given. A worker that dies raises MuddError.
     """
     check_alpha(alpha)
     cells: list[BatchCell] = []
@@ -407,7 +407,9 @@ def batch_check(
             sigs, constraints = deduced[names]
             work.append((model_name, sigs, constraints, obs, alpha, cap, independent))
 
-    workers = min(jobs, _usable_cpus(), len(work) // _CELLS_PER_WORKER) if jobs > 1 else 1
+    workers = 1 if jobs == 1 else len(work) // _CELLS_PER_WORKER
+    if workers > 1:
+        workers = min(workers, _usable_cpus(), workers if jobs is None else jobs)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool

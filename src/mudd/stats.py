@@ -171,7 +171,7 @@ def load_observations(
     if isinstance(source, (str, Path)):
         path = Path(source)
         rid = run_id if run_id is not None else path.stem
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             return _read_csv(fh, namespace, project=project, run_id=rid)
     rid = run_id if run_id is not None else "<stream>"
     return _read_csv(source, namespace, project=project, run_id=rid)
@@ -183,6 +183,8 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
         header = next(reader)
     except StopIteration:
         raise TooFewSamples(f"run {run_id!r}: empty file") from None
+    if header:  # a stream may still start with a byte order mark
+        header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
     twice = next((n for i, n in enumerate(header) if n in header[:i]), None)
     if twice is not None:

@@ -7,12 +7,6 @@ import mudd
 from mudd.model import CounterNamespace, MuDD
 
 
-@pytest.fixture(autouse=True)
-def _no_mudd_jobs(monkeypatch):
-    # an exported MUDD_JOBS must not pick the code path a test takes
-    monkeypatch.delenv("MUDD_JOBS", raising=False)
-
-
 @pytest.fixture(scope="session")
 def bundled():
     return mudd.bundled_path

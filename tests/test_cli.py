@@ -1,8 +1,10 @@
 import ast
+import codecs
 import csv
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,11 +22,9 @@ def run(capsys, *argv):
 
 
 def src_env():
-    """The environment with this checkout's `src` first on PYTHONPATH, and
-    without MUDD_JOBS."""
+    """The environment with this checkout's `src` first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "MUDD_JOBS"}
-    return dict(env, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
@@ -405,6 +405,16 @@ class TestSynth:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--flows", "1,abc"], "--flows: 'abc' is not a number"),
+        (["--flows", "1", "--noise", "x"], "--noise: 'x' is not a number"),
+        (["--flows", "2,1", "--noise", "0.5, 1e"], "--noise: '1e' is not a number"),
+    ])
+    def test_non_numeric_flows_or_noise_name_the_flag(self, capsys, walk_model, flags,
+                                                      message):
+        code, out, err = run(capsys, "synth", walk_model, *flags, "--samples", "3")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestExplore:
     def test_bundled_catalog(self, capsys, bundled):
@@ -461,47 +471,6 @@ class TestConfig:
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
 
-    def test_env_var_jobs(self, capsys, walk_model, exact_csv, monkeypatch):
-        monkeypatch.setenv("MUDD_JOBS", "2")
-        code, out, _ = run(capsys, "check", walk_model, exact_csv)
-        assert code == 0
-
-    @pytest.mark.parametrize("value, reason", [
-        ("two", "is not a valid int"),
-        ("1.5", "is not a valid int"),
-        ("0", "is less than 1"),
-        ("-3", "is less than 1"),
-    ])
-    def test_bad_env_var_jobs_exits_2(self, capsys, walk_model, exact_csv, monkeypatch,
-                                      value, reason):
-        monkeypatch.setenv("MUDD_JOBS", value)
-        code, out, err = run(capsys, "check", walk_model, exact_csv)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: MUDD_JOBS: {value!r} {reason}\n"
-
-    def test_env_var_jobs_unread_when_overridden(self, capsys, walk_model, exact_csv,
-                                                 monkeypatch, tmp_path):
-        monkeypatch.setenv("MUDD_JOBS", "two")
-        code, _, _ = run(capsys, "check", walk_model, exact_csv, "--jobs", "1")
-        assert code == 0
-        cfg = tmp_path / "defaults.cfg"
-        cfg.write_text("jobs=1\n")
-        code, _, _ = run(capsys, "check", walk_model, exact_csv, "--config", str(cfg))
-        assert code == 0
-
-    @pytest.mark.parametrize("value", ["two", "0"])
-    def test_env_var_jobs_ignored_by_other_subcommands(self, capsys, walk_model, bundled,
-                                                       monkeypatch, tmp_path, value):
-        monkeypatch.setenv("MUDD_JOBS", value)
-        catalog = str(bundled("catalog", "search_catalog.json"))
-        for argv in (["paths", walk_model], ["constraints", walk_model],
-                     ["explore", catalog],
-                     ["synth", walk_model, "--flows", "1", "--samples", "3",
-                      "-o", str(tmp_path / "s.csv")]):
-            code, _, err = run(capsys, *argv)
-            assert (argv[0], code, err) == (argv[0], 0, "")
-
     def test_bad_alpha_exits_2(self, capsys, walk_model, exact_csv):
         code, _, err = run(capsys, "check", walk_model, exact_csv, "--alpha", "1.5")
         assert code == 2
@@ -521,10 +490,10 @@ class TestConfig:
         assert code == 2
         assert out == ""
         assert err == f"error: {cfg}:3: alpha: 'abc' is not a valid float\n"
-        cfg.write_text("jobs=two\n")
+        cfg.write_text("cap=two\n")
         code, _, err = run(capsys, "check", walk_model, exact_csv, "--config", str(cfg))
         assert code == 2
-        assert err == f"error: {cfg}:1: jobs: 'two' is not a valid int\n"
+        assert err == f"error: {cfg}:1: cap: 'two' is not a valid int\n"
 
     def test_unknown_config_key_names_file_line_and_key(self, capsys, walk_model,
                                                         exact_csv, tmp_path):
@@ -534,13 +503,48 @@ class TestConfig:
         assert code == 2
         assert out == ""
         assert err == (f"error: {cfg}:3: unknown key 'alhpa'; "
-                       "valid keys are alpha, cap, format, jobs\n")
+                       "valid keys are alpha, cap, format\n")
+        cfg.write_text("jobs=2\n")
+        code, out, err = run(capsys, "check", walk_model, exact_csv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {cfg}:1: unknown key 'jobs'; "
+                       "valid keys are alpha, cap, format\n")
 
     def test_namespace_file(self, capsys, walk_model, tmp_path):
         ns = tmp_path / "names.txt"
         ns.write_text("load.pde$_miss\nload.causes_walk\n")
         code, out, _ = run(capsys, "paths", walk_model, "--namespace", str(ns))
         assert code == 0
+
+
+@pytest.mark.parametrize("kind", ["csv", "model", "namespace", "config", "catalog"])
+def test_byte_order_mark_is_ignored(capsys, tmp_path, kind):
+    # each text input saved with a UTF-8 byte order mark reads as without one
+    for name in ("plain", "bom"):
+        d = tmp_path / name
+        shutil.copytree(bundled_path("catalog"), d / "catalog")
+        shutil.copy(Path(__file__).resolve().parent / "data" / "csv" / "outcome.csv", d)
+        shutil.copy(bundled_path("walk_init_first.mudd"), d / "model.mudd")
+        (d / "names.txt").write_text("load.causes_walk\nload.pde$_miss\n")
+        (d / "defaults.cfg").write_text("format=json\n")
+    files = {"csv": "outcome.csv", "model": "model.mudd", "namespace": "names.txt",
+             "config": "defaults.cfg", "catalog": "catalog/search_catalog.json"}
+    marked = tmp_path / "bom" / files[kind]
+    marked.write_bytes(codecs.BOM_UTF8 + marked.read_bytes())
+    walk_outcome = str(bundled_path("walk_outcome.mudd"))
+
+    def argv(d):
+        return {
+            "csv": ["check", walk_outcome, str(d / "outcome.csv")],
+            "model": ["paths", str(d / "model.mudd")],
+            "namespace": ["paths", str(d / "model.mudd"), "--namespace", str(d / "names.txt")],
+            "config": ["constraints", str(d / "model.mudd"), "--config", str(d / "defaults.cfg")],
+            "catalog": ["explore", str(d / "catalog" / "search_catalog.json")],
+        }[kind]
+
+    plain = run(capsys, *argv(tmp_path / "plain"))
+    assert plain[0] == 0 and plain[2] == ""
+    assert run(capsys, *argv(tmp_path / "bom")) == plain
 
 
 def test_mudd_runs_without_scipy(tmp_path):
@@ -698,7 +702,7 @@ def test_unexpected_exception_prints_traceback_and_exits_2(capsys, monkeypatch, 
     # 1 means "some observation infeasible", so a bug must not exit 1
     from mudd import cli
 
-    def broken(args, cfg):
+    def broken(args):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "cmd_paths", broken)

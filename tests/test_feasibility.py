@@ -540,7 +540,7 @@ class TestBatch:
         bad = generate(SynthSpec(model=model, flows=(0.0, 0.0), samples=5, seed=0), run_id="bad")
         bad.sample_matrix[:, 1] = 7.0  # misses without walks
         obs.append(bad)
-        serial = batch_check([("m", model)], obs)
+        serial = batch_check([("m", model)], obs, jobs=1)
         assert started == []
         parallel = batch_check([("m", model)], obs, jobs=2)
         assert started == [2]
@@ -589,6 +589,9 @@ class TestBatch:
             (3 * k, 2, 4, 2),         # --jobs is the ceiling
             (4 * k, 1, 4, None),      # one job: the CPUs are never counted
             (4 * k, 16, 1, None),     # one usable CPU
+            (2 * k, None, 2, 2),      # no --jobs: as many workers as CPUs allow
+            (3 * k, None, 4, 3),
+            (2 * k - 1, None, 4, None),  # under two K-cell shares: CPUs never counted
         ]
         for cells, jobs, cpus, workers in table:
             started.clear()
@@ -599,7 +602,8 @@ class TestBatch:
             case = (cells, jobs, cpus)
             assert len(result) == cells and all(c.verdict.feasible for c in result), case
             assert started == ([] if workers is None else [workers]), case
-            assert counted == ([] if jobs == 1 else [cpus]), case
+            asked = jobs != 1 and cells // k >= 2
+            assert counted == ([cpus] if asked else []), case
 
     def test_renderings(self, bundled):
         model = dsl.parse_file(bundled("walk_init_first.mudd"))

@@ -39,6 +39,12 @@ class TestLoader:
         assert np.shape(obs.sample_matrix) == (3, 2)
         assert list(obs.sample_matrix[0]) == [1.0, 2.0]
 
+    def test_stream_byte_order_mark_is_ignored(self):
+        # a file is read as utf-8-sig; a text stream may still carry the mark
+        src = io.StringIO("\ufeffb,a\n2,1\n4,3\n")
+        obs = load_observations(src, NS2)
+        assert list(obs.sample_matrix[0]) == [1.0, 2.0]
+
     def test_columns_reordered_to_namespace(self):
         src = io.StringIO("b,a\n2,1\n4,3\n")
         obs = load_observations(src, NS2)
