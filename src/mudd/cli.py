@@ -6,6 +6,8 @@ Exit codes: 0 all feasible / success, 1 some observation infeasible,
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 from pathlib import Path
 
@@ -299,6 +301,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # What is alive at exit dies with the process, so the collections of
+    # interpreter shutdown need not walk it, and a frozen object they skip.
+    # Registered before `main`, the freeze runs after every hook `main`
+    # registers; a process that calls `entry` and goes on (a test) freezes
+    # nothing until it exits, and registers it once however often it calls.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         code = main()
     except Exception:  # a bug, not an input error: exit 2, never 1 (infeasible)

@@ -13,9 +13,10 @@ every test below is exact. Each observation takes one decision sequence:
 2. Witness. Otherwise the box centre is moved exactly, by the least-norm
    correction, onto the equalities and onto every axis of zero half-length.
    If the moved point v is still in the box, one exact membership LP over
-   the distinct signatures looks for flows f >= 0 with S f = v; finding them
-   proves v is in the cone without trusting the constraints: feasible, with
-   v as the witness.
+   the distinct signatures looks for flows f >= 0 with S f = v on the pivot
+   coordinates of the deduction, which fix a point on the equalities, so S f
+   = v on every coordinate; finding them proves v is in the cone without
+   trusting the inequalities: feasible, with v as the witness.
 3. Fallback. Otherwise the box straddles the cone boundary (at a corner no
    single constraint excludes it) and the exact box LP decides: flows f >= 0
    whose counter vector S f lies in the box, or none.
@@ -170,7 +171,7 @@ def check_feasibility(
     if violated:
         return FeasibilityVerdict(feasible=False, violated_constraints=violated)
 
-    solution = _centre_witness(lp_sigs, constraints.equalities, box)
+    solution = _centre_witness(lp_sigs, constraints, box)
     if solution is None:
         solution = _box_lp(lp_sigs, box)
     if solution is None:
@@ -198,7 +199,7 @@ def check_feasibility(
 
 
 def _centre_witness(
-    lp_sigs: Sequence[tuple[int, ...]], equalities: Sequence[Constraint], box: _IntegerBox
+    lp_sigs: Sequence[tuple[int, ...]], constraints: ConstraintSet, box: _IntegerBox
 ) -> list[Fraction] | None:
     """Flows onto the corrected box centre, or None when it is not a witness.
 
@@ -207,8 +208,14 @@ def _centre_witness(
     w = C + M^T y with (M M^T) y = -(M C - r), solved exactly. None when
     those rows are inconsistent, when w leaves the box, or when the
     membership LP finds no flows.
+
+    The LP equates S f and v only on the constraints' pivot columns (on
+    every coordinate where they carry none). Both meet every equality, S f
+    because each equality holds on every signature; the points that do form
+    the span the deduction found, where a point is fixed by its pivot
+    coordinates, so S f = v on every coordinate.
     """
-    rows = [list(c.coefficients) for c in equalities]
+    rows = [list(c.coefficients) for c in constraints.equalities]
     residual = [-exact.dot(a, box.center) for a in rows]
     pinned = [e for e, h in zip(box.axes, box.half) if h == 0]
     rows += pinned
@@ -228,8 +235,11 @@ def _centre_witness(
     point = [Fraction(x, box.scale) for x in w]
     if not box.contains(point):
         return None
-    columns = [[s[i] for s in lp_sigs] for i in range(len(point))]
-    return linprog.solve_equality_form(columns, point, len(lp_sigs))
+    pivots = constraints.pivot_columns
+    if pivots is None:
+        pivots = range(len(point))
+    columns = [[s[i] for s in lp_sigs] for i in pivots]
+    return linprog.solve_equality_form(columns, [point[i] for i in pivots], len(lp_sigs))
 
 
 def _box_lp(

@@ -36,6 +36,8 @@ Vector = tuple[int, ...]
 
 def _as_vector(sig) -> Vector:
     counts = sig.counts if isinstance(sig, CounterSignature) else sig
+    if type(counts) is tuple and all(type(c) is int for c in counts):
+        return counts  # already a vector: signatures mostly arrive as one
     out = []
     for c in counts:
         if c != int(c):
@@ -84,11 +86,18 @@ class Constraint(Record):
 
 
 class ConstraintSet(Record):
+    """Deduced constraints. `pivot_columns`, where deduction gives them, are
+    the pivots of `find_equalities`: coordinates that determine a point of
+    the generators' span, so a point on the equalities is fixed by them
+    alone. They take no part in `==`."""
+
     _fields = ("equalities", "inequalities", "namespace")
 
     def __init__(self, equalities: tuple[Constraint, ...],
-                 inequalities: tuple[Constraint, ...], namespace: CounterNamespace):
-        self._set(equalities=equalities, inequalities=inequalities, namespace=namespace)
+                 inequalities: tuple[Constraint, ...], namespace: CounterNamespace,
+                 pivot_columns: tuple[int, ...] | None = None):
+        self._set(equalities=equalities, inequalities=inequalities, namespace=namespace,
+                  pivot_columns=pivot_columns)
 
     def __iter__(self):
         yield from self.equalities
@@ -316,7 +325,8 @@ def constraints_from_signatures(
                 )
     inequalities.sort(key=lambda c: c.coefficients)
     return ConstraintSet(
-        equalities=equalities, inequalities=tuple(inequalities), namespace=namespace
+        equalities=equalities, inequalities=tuple(inequalities), namespace=namespace,
+        pivot_columns=projection.pivot_columns,
     )
 
 

@@ -650,6 +650,28 @@ print(repr((code, loaded)), file=sys.stderr)
     assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
+def test_exit_freezes_the_live_heap(capsys):
+    # `entry` registers `gc.freeze` with atexit before `main` runs, so the
+    # collections of interpreter shutdown skip every object alive at exit;
+    # a hook registered before `entry` runs after it, as the last one
+    argv = ["paths", str(bundled_path("haswell_mmu.mudd")),
+            "--namespace", str(bundled_path("haswell_counters.txt"))]
+    script = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen:", gc.get_freeze_count(), file=sys.stderr))
+sys.argv = ["mudd", *sys.argv[1:]]
+from mudd import cli
+cli.entry()
+"""
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    label, count = proc.stderr.splitlines()[-1].split()
+    assert label == "frozen:" and int(count) > 0
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and proc.stdout == out
+
+
 LAZY_NAMES = [
     ("feasibility", "FeasibilityVerdict"),
     ("feasibility", "attribute_violations"),

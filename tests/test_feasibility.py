@@ -18,6 +18,7 @@ from mudd.feasibility import (
 )
 from mudd.geometry import (
     Constraint,
+    ConstraintSet,
     cone_membership,
     constraints_from_signatures,
     deduce_constraints,
@@ -253,6 +254,18 @@ def box_lp_oracle(sigs, region):
     return linprog.feasible_point(len(sigs), (), (), a_ub, b_ub)
 
 
+def assert_witness_on_every_coordinate(sigs, region, cs, verdict):
+    """S f equals the witness point on every coordinate, and the point is
+    the one the membership LP gives over every coordinate, not only over
+    the pivot columns of `cs`."""
+    f, v = verdict.witness_flow, verdict.witness_point
+    assert v == tuple(sum(x * s[i] for x, s in zip(f, sigs)) for i in range(len(v)))
+    assert cs.pivot_columns is not None
+    every_row = ConstraintSet(cs.equalities, cs.inequalities, cs.namespace)
+    assert every_row.pivot_columns is None
+    assert check_feasibility(sigs, region, constraints=every_row).witness_point == v
+
+
 def in_box_exactly(point, region):
     center = [Fraction(float(x)) for x in region.center]
     return all(
@@ -300,7 +313,9 @@ class TestDecisionPath:
             f, v = verdict.witness_flow, verdict.witness_point
             assert len(f) == len(gens) and all(x >= 0 for x in f)
             assert in_box_exactly(v, region)
-            assert v == tuple(sum(x * g[i] for x, g in zip(f, gens)) for i in range(len(v)))
+            names = CounterNamespace(f"v{i}" for i in range(len(v)))
+            cs = constraints_from_signatures(gens, names)
+            assert_witness_on_every_coordinate(gens, region, cs, verdict)
         else:
             assert verdict.witness_flow is None
         for c in verdict.violated_constraints:
@@ -347,9 +362,21 @@ class TestDecisionPath:
         low, high = [(0, 3), (0, 40), (100, 400), (0, 2)][seed % 4]
         rows = (rng.integers(low, high, size=(50, len(sigs))) @ sigs).tolist()
         obs = ObservationSet(f"exact{seed}", rows, haswell_namespace)
+        # as `--project` gives it for a CSV without the `store.*` columns
+        kept = [i for i, n in enumerate(haswell_namespace.names) if not n.startswith("store.")]
+        projected = ObservationSet(f"projected{seed}", [[r[i] for i in kept] for r in rows],
+                                   CounterNamespace(haswell_namespace.names[i] for i in kept))
         for independent in (False, True):
-            cell, = batch_check([("haswell", model)], [obs], independent=independent)
-            assert cell.error is None and cell.verdict.feasible
+            cells = batch_check([("haswell", model)], [obs, projected],
+                                independent=independent)
+            for cell, o in zip(cells, (obs, projected)):
+                assert cell.error is None and cell.verdict.feasible
+                positions = [haswell_namespace.position(n) for n in o.namespace.names]
+                cell_sigs = [tuple(s[i] for i in positions) for s in sigs.tolist()]
+                cs = constraints_from_signatures(cell_sigs, o.namespace)
+                assert len(cs.pivot_columns) < len(o.namespace)
+                region = build_confidence_region(o, independent=independent)
+                assert_witness_on_every_coordinate(cell_sigs, region, cs, cell.verdict)
 
 
 class TestRefinement:
