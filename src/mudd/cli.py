@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import dsl
-from .errors import MuddError
+from .errors import MuddError, read_text
 from .model import DEFAULT_PATH_CAP, CounterNamespace, enumerate_mupaths, signature_of
 
 # a subcommand imports what only it runs in its own body, so that `paths`
@@ -56,7 +56,7 @@ def _load_namespace(path):
     if path is None:
         return None
     names = []
-    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
+    for line in read_text(path, path).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             names.append(line)
@@ -69,7 +69,7 @@ def _read_config_file(path) -> dict:
     if not path:
         return {}
     overrides = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

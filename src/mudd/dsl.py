@@ -37,7 +37,7 @@ import re
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import MuddError
+from .errors import MuddError, read_text
 from .model import CausalityEdge, CounterNamespace, MuDD, Node, Record
 
 
@@ -358,8 +358,7 @@ def parse(
 
 
 def parse_file(path, ns: CounterNamespace | None = None) -> MuDD:
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse(DslSource(text=fh.read(), origin=str(path)), ns)
+    return parse(DslSource(text=read_text(path, str(path)), origin=str(path)), ns)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +370,6 @@ _SINK = -1
 
 def _immediate_postdominators(model: MuDD) -> dict[int, int]:
     """ipdom over causality edges, with a virtual sink below every done node."""
-    order = _topo_order(model)
     depth: dict[int, int] = {_SINK: 0}
     ipdom: dict[int, int] = {}
 
@@ -383,7 +381,7 @@ def _immediate_postdominators(model: MuDD) -> dict[int, int]:
                 a = ipdom[a] if a != _SINK else _SINK
         return a
 
-    for node_id in reversed(order):
+    for node_id in reversed(model.order):
         succs = [e.dst for e in model.out_edges[node_id]] or [_SINK]
         cand = succs[0]
         for s in succs[1:]:
@@ -391,22 +389,6 @@ def _immediate_postdominators(model: MuDD) -> dict[int, int]:
         ipdom[node_id] = cand
         depth[node_id] = depth[cand] + 1
     return ipdom
-
-
-def _topo_order(model: MuDD) -> list[int]:
-    indeg = {n.node_id: 0 for n in model.nodes}
-    for e in model.causality:
-        indeg[e.dst] += 1
-    ready = [n.node_id for n in model.nodes if indeg[n.node_id] == 0]
-    out: list[int] = []
-    while ready:
-        nid = ready.pop()
-        out.append(nid)
-        for e in model.out_edges[nid]:
-            indeg[e.dst] -= 1
-            if indeg[e.dst] == 0:
-                ready.append(e.dst)
-    return out
 
 
 def format_model(model: MuDD) -> str:
@@ -422,7 +404,7 @@ def format_model(model: MuDD) -> str:
     the path set and signatures.
     """
     ipdom = _immediate_postdominators(model)
-    position = {nid: i for i, nid in enumerate(_topo_order(model))}
+    position = {nid: i for i, nid in enumerate(model.order)}
     lines: list[str] = []
     emitted: set[int] = set()
     hb_nodes = {nid for edge in model.happens_before for nid in edge}

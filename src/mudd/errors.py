@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `read_text`, which
+reports a file that is not UTF-8 text as one of them."""
 
 
 class MuddError(Exception):
@@ -73,3 +74,23 @@ class NoFeasibleModel(MuddError):
 
 class CatalogError(MuddError):
     """A model catalog file is malformed or has broken references."""
+
+
+def read_text(path, name: str) -> str:
+    """The text of the file at `path`, decoded as UTF-8 without a leading
+    byte order mark, with each line end made "\\n" as `open` makes it. A
+    byte that is not UTF-8 raises MuddError that names the file as `name`,
+    and the line of the byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # in one call: an incremental decoder takes a file holding part of
+        # a byte order mark for an empty one
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is every byte after the byte order mark
+        line = len((exc.object[:exc.start] + b".").splitlines())
+        raise MuddError(
+            f"{name} line {line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 text"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from . import dsl
-from .errors import CatalogError, DimensionMismatch, MuddError, NoFeasibleModel
+from .errors import CatalogError, DimensionMismatch, MuddError, NoFeasibleModel, read_text
 from .geometry import cone_membership, normalize_signatures
 from .model import DEFAULT_PATH_CAP, CounterNamespace, MuDD, Record, signatures_of_model
 
@@ -63,7 +63,7 @@ def load_catalog(path) -> ModelCatalog:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8-sig"))
+        raw = json.loads(read_text(path, f"catalog {path}"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
     if not isinstance(raw, dict) or "entries" not in raw:
@@ -177,9 +177,9 @@ def cone_expansion_check(parent: MuDD, child: MuDD, cap: int = DEFAULT_PATH_CAP)
     if parent.namespace.names != child.namespace.names:
         raise DimensionMismatch("parent and child use different counter namespaces")
     child_gens = normalize_signatures(signatures_of_model(child, cap))
-    shared = {gen.counts for gen in child_gens}
+    shared = set(child_gens)
     for gen in normalize_signatures(signatures_of_model(parent, cap)):
-        if gen.counts not in shared and not cone_membership(child_gens, gen.counts):
+        if gen not in shared and not cone_membership(child_gens, gen):
             return False
     return True
 

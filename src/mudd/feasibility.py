@@ -347,10 +347,10 @@ def _in_namespace(sigs, model_ns: CounterNamespace, ns: CounterNamespace):
 
 
 def _check_cell(args):
-    model_name, sigs, constraints, obs, alpha, cap, independent = args
+    model_name, sigs, constraints, obs, alpha, independent = args
     try:
         region = build_confidence_region(obs, alpha, independent=independent)
-        verdict = check_feasibility(sigs, region, cap=cap, constraints=constraints)
+        verdict = check_feasibility(sigs, region, constraints=constraints)
         return BatchCell(model_name, obs.run_id, verdict, namespace=obs.namespace)
     except MuddError as exc:
         return BatchCell(model_name, obs.run_id, None, error=str(exc))
@@ -415,7 +415,7 @@ def batch_check(
                 cells.append(BatchCell(model_name, obs.run_id, None, error=str(exc)))
                 continue
             sigs, constraints = deduced[names]
-            work.append((model_name, sigs, constraints, obs, alpha, cap, independent))
+            work.append((model_name, sigs, constraints, obs, alpha, independent))
 
     workers = 1 if jobs == 1 else len(work) // _CELLS_PER_WORKER
     if workers > 1:

@@ -1,19 +1,20 @@
 """Model cones and explicit constraint deduction.
 
-The cone of a diagram is generated by its path counter signatures. Its facet
-description is deduced in three steps: signatures are scaled to primitive
-integer vectors and deduplicated; Gaussian elimination yields the equality
-constraints and a full-rank coordinate projection; the projected generators
-are hulled as integer rays by the double-description kernel, which accepts
-non-extreme rays, to enumerate the facet inequalities. Deduction runs no LP.
-All arithmetic is exact: signatures are small integers, facet normals are
-integer combinations of them and elimination runs on integer rows, where
-floating point rounding could flip a facet.
+The cone of a diagram is generated by its path counter signatures, taken as
+primitive, deduplicated integer tuples. Its facet description is deduced in
+three steps: Gaussian elimination yields the equality constraints and the
+pivot columns, coordinates that fix a point of the generators' span; the
+generators on the pivots are hulled as integer rays by the
+double-description kernel, which accepts non-extreme rays; and each facet
+is written back into counter coordinates at the pivots. Deduction runs no
+LP. All arithmetic is exact: signatures are small integers, facet normals
+are integer combinations of them and elimination runs on integer rows,
+where floating point rounding could flip a facet.
 
-`cone_membership` and `remove_interior_generators` answer the same questions
-from the generators alone, by exact membership LPs; they are the
-V-representation reference that the deduced constraints can be checked
-against.
+`cone_membership` decides by an exact LP whether a point is a non-negative
+combination of generators: `explore` checks its relaxation edges with it,
+and with `remove_interior_generators` it is the V-representation reference
+that tests check the deduced constraints against.
 """
 from __future__ import annotations
 
@@ -124,30 +125,7 @@ class ConstraintSet(Record):
         return out
 
 
-class ProjectionMap(Record):
-    """Bookkeeping for the quotient projection onto the generator span.
-
-    Selecting the pivot coordinates of the reduced row echelon form is a
-    linear isomorphism of the span, so facets found in reduced coordinates
-    lift back by scattering coefficients into the pivot positions.
-    """
-
-    _fields = ("pivot_columns", "dimension")
-
-    def __init__(self, pivot_columns: tuple[int, ...], dimension: int):
-        self._set(pivot_columns=pivot_columns, dimension=dimension)
-
-    def project(self, v: Sequence[int]) -> Vector:
-        return tuple(v[c] for c in self.pivot_columns)
-
-    def lift(self, coeffs: Sequence[int]) -> Vector:
-        full = [0] * self.dimension
-        for c, coeff in zip(self.pivot_columns, coeffs):
-            full[c] = coeff
-        return tuple(full)
-
-
-def normalize_signatures(sigs: Iterable) -> tuple[CounterSignature, ...]:
+def normalize_signatures(sigs: Iterable) -> tuple[Vector, ...]:
     """Primitive, deduplicated, lexicographically sorted generators.
 
     Each nonzero signature is divided by the gcd of its entries; zero
@@ -158,7 +136,7 @@ def normalize_signatures(sigs: Iterable) -> tuple[CounterSignature, ...]:
         v = _as_vector(sig)
         if any(v):
             seen.add(exact.primitive(v))
-    return tuple(CounterSignature(counts=v) for v in sorted(seen))
+    return tuple(sorted(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +145,9 @@ def normalize_signatures(sigs: Iterable) -> tuple[CounterSignature, ...]:
 
 def find_equalities(
     gens: Sequence, dim: int | None = None
-) -> tuple[tuple[Constraint, ...], tuple[Vector, ...], ProjectionMap]:
-    """Equality constraints plus generators re-expressed in full-rank coordinates.
+) -> tuple[tuple[Constraint, ...], tuple[Vector, ...], tuple[int, ...]]:
+    """Equality constraints, the generators in full-rank coordinates, and
+    the pivot columns that give those coordinates.
 
     The equalities are an integer basis of the orthogonal complement of the
     generator span (the null space of the generator matrix); an empty
@@ -193,9 +172,9 @@ def find_equalities(
         equalities.append(
             Constraint(kind="equality", coefficients=v, provenance="gaussian-elimination")
         )
-    projection = ProjectionMap(pivot_columns=tuple(pivots), dimension=dim)
-    reduced = tuple(dict.fromkeys(projection.project(v) for v in vectors))
-    return tuple(equalities), reduced, projection
+    pivots = tuple(pivots)
+    reduced = tuple(dict.fromkeys(tuple(v[c] for c in pivots) for v in vectors))
+    return tuple(equalities), reduced, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +202,7 @@ def remove_interior_generators(gens: Sequence) -> tuple[Vector, ...]:
     After deduplication the survivors are exactly the extreme rays, so the
     cone is unchanged; order of removal does not matter for pointed cones.
     """
-    vectors = list(dict.fromkeys(_as_vector(g) for g in gens))
-    keep = list(vectors)
+    keep = list(dict.fromkeys(_as_vector(g) for g in gens))
     i = 0
     while i < len(keep):
         others = keep[:i] + keep[i + 1 :]
@@ -300,33 +278,25 @@ def constraints_from_signatures(
     the hull runs per block, on every deduplicated generator of the block.
     This leaves the output unchanged and keeps decoupled models cheap.
     """
-    gens = [s.counts for s in normalize_signatures(sigs)]
-    dim = len(namespace)
-    equalities, reduced, projection = find_equalities(gens, dim)
+    gens = normalize_signatures(sigs)
+    equalities, reduced, pivots = find_equalities(gens, len(namespace))
     inequalities: list[Constraint] = []
-    if reduced:
-        rdim = len(reduced[0])
-        for block in _support_blocks(reduced, rdim):
-            block_gens = [
-                tuple(g[c] for c in block)
-                for g in reduced
-                if any(g[c] for c in block)
-            ]
-            for facet in conic_hull_facets(block_gens):
-                in_reduced = [0] * rdim
-                for c, coeff in zip(block, facet.coefficients):
-                    in_reduced[c] = coeff
-                inequalities.append(
-                    Constraint(
-                        kind="inequality",
-                        coefficients=projection.lift(in_reduced),
-                        provenance="conic-hull",
-                    )
-                )
+    for block in _support_blocks(reduced, len(pivots)):
+        block_gens = [
+            tuple(g[c] for c in block)
+            for g in reduced
+            if any(g[c] for c in block)
+        ]
+        for facet in conic_hull_facets(block_gens):
+            coefficients = [0] * len(namespace)
+            for c, coeff in zip(block, facet.coefficients):
+                coefficients[pivots[c]] = coeff
+            inequalities.append(Constraint(kind="inequality", coefficients=tuple(coefficients),
+                                           provenance="conic-hull"))
     inequalities.sort(key=lambda c: c.coefficients)
     return ConstraintSet(
         equalities=equalities, inequalities=tuple(inequalities), namespace=namespace,
-        pivot_columns=projection.pivot_columns,
+        pivot_columns=pivots,
     )
 
 

@@ -124,6 +124,9 @@ class MuDD(Record):
 
     `out_edges` maps each node id to its causality edges in declaration
     order; an edge from a missing node is left for validate() to report.
+    `order` is a topological order of the node ids by Kahn's algorithm: of
+    the nodes ready at once, the one readied last goes first. A cycle
+    leaves its nodes, and every node below it, out of `order`.
     """
 
     _fields = ("nodes", "causality", "happens_before", "entry", "namespace")
@@ -135,10 +138,26 @@ class MuDD(Record):
         for e in causality:
             if e.src in out:
                 out[e.src].append(e)
+        out_edges = {k: tuple(v) for k, v in out.items()}
+        indegree = dict.fromkeys(out_edges, 0)
+        for edges in out_edges.values():
+            for e in edges:
+                if e.dst in indegree:
+                    indegree[e.dst] += 1
+        ready = [n.node_id for n in nodes if indegree[n.node_id] == 0]
+        order = []
+        while ready:
+            node_id = ready.pop()
+            order.append(node_id)
+            for e in out_edges[node_id]:
+                if e.dst in indegree:
+                    indegree[e.dst] -= 1
+                    if indegree[e.dst] == 0:
+                        ready.append(e.dst)
         self._set(nodes=nodes, causality=causality, happens_before=happens_before,
                   entry=entry, namespace=namespace,
                   _by_id={n.node_id: n for n in nodes},
-                  out_edges={k: tuple(v) for k, v in out.items()})
+                  out_edges=out_edges, order=tuple(order))
 
     def node(self, node_id: int) -> Node:
         return self._by_id[node_id]
@@ -188,33 +207,20 @@ class MuDD(Record):
                     )
                 if out[0].value is not None:
                     raise InvalidModel(f"non-decision node {n.node_id} has a labeled edge")
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        # iterative three-color DFS over causality edges
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {n.node_id: WHITE for n in self.nodes}
-        for root in color:
-            if color[root] != WHITE:
-                continue
-            stack: list[tuple[int, int]] = [(root, 0)]
-            color[root] = GRAY
-            while stack:
-                node_id, i = stack[-1]
-                edges = self.out_edges[node_id]
-                if i < len(edges):
-                    stack[-1] = (node_id, i + 1)
-                    nxt = edges[i].dst
-                    if color[nxt] == GRAY:
-                        raise CycleDetected(
-                            f"causality cycle through node {nxt}; diagrams must be acyclic"
-                        )
-                    if color[nxt] == WHITE:
-                        color[nxt] = GRAY
-                        stack.append((nxt, 0))
-                else:
-                    color[node_id] = BLACK
-                    stack.pop()
+        if len(self.order) < len(self.nodes):
+            # each node left out has a predecessor left out; walking back
+            # through them must repeat a node, and that node is on a cycle
+            placed = set(self.order)
+            back = {e.dst: e.src for e in self.causality
+                    if e.src not in placed and e.dst not in placed}
+            node_id = next(n.node_id for n in self.nodes if n.node_id not in placed)
+            seen = set()
+            while node_id not in seen:
+                seen.add(node_id)
+                node_id = back[node_id]
+            raise CycleDetected(
+                f"causality cycle through node {node_id}; diagrams must be acyclic"
+            )
 
 
 class MuPath(Record):

@@ -33,6 +33,7 @@ from .errors import (
     NonNumericCell,
     NotSymmetric,
     TooFewSamples,
+    read_text,
 )
 from .model import CounterNamespace, Record
 
@@ -167,12 +168,14 @@ def load_observations(
     a negative one NegativeCell; both name the run, line and counter column.
     A header that names a column twice, or a row with more or fewer cells
     than the header, raises MalformedCsv naming the run and the line.
+    A file that is not UTF-8 text raises MuddError naming the run and the
+    line of the first bad byte.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
         rid = run_id if run_id is not None else path.stem
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            return _read_csv(fh, namespace, project=project, run_id=rid)
+        text = read_text(path, f"run {rid!r}")
+        return _read_csv(io.StringIO(text), namespace, project=project, run_id=rid)
     rid = run_id if run_id is not None else "<stream>"
     return _read_csv(source, namespace, project=project, run_id=rid)
 

@@ -20,7 +20,8 @@ from .stats import ObservationSet
 
 class SynthSpec(Record):
     """`flows` holds one flow per path, in enumeration order; `noise` is a
-    scalar sigma, a per-counter sigma vector or a covariance matrix."""
+    scalar sigma, a per-counter sigma vector or a covariance matrix. Flows
+    and sigmas must be non-negative."""
 
     _fields = ("model", "flows", "samples", "noise", "seed")
 
@@ -34,6 +35,8 @@ class SynthSpec(Record):
             raise ValueError("flows must be non-negative")
         if not np.isfinite(noise).all():
             raise ValueError("noise must be finite")
+        if np.ndim(noise) < 2 and (np.asarray(noise) < 0).any():
+            raise ValueError("noise must be non-negative")
         self._set(model=model, flows=flows, samples=samples, noise=noise, seed=seed)
 
 

@@ -75,7 +75,7 @@ def test_three_counter_walk_facets():
     ns = model.namespace
     assert set(ns.names) == {"load.ret_stlb_miss", "load.walk_done", "load.causes_walk"}
 
-    gens = [s.counts for s in normalize_signatures(signatures_of_model(model))]
+    gens = list(normalize_signatures(signatures_of_model(model)))
     oracle = brute_force_facets(gens, 3)
     deduced = deduce_constraints(model)
     assert deduced.equalities == ()
@@ -255,7 +255,7 @@ def test_end_to_end_soundness():
         src, ns = _random_model_source(rng)
         model = dsl.parse(src, ns)
         sigs = signatures_of_model(model)
-        gens = [s.counts for s in normalize_signatures(sigs)]
+        gens = normalize_signatures(sigs)
         if not gens:
             continue
         models_checked += 1
@@ -314,7 +314,7 @@ def test_performance_at_scale(haswell_namespace):
     assert "load.stlb_hit_4k + load.stlb_hit_2m = load.stlb_hit" in eq_displays
     assert "load.walk_done_4k + load.walk_done_2m + load.walk_done_1g = load.walk_done" in eq_displays
     # spot-check the deduced system against the generating cone
-    gens = [s.counts for s in normalize_signatures(sigs)]
+    gens = normalize_signatures(sigs)
     for g in gens[:5]:
         assert constraints.satisfied_by(g)
     _report(

@@ -415,6 +415,11 @@ class TestSynth:
         code, out, err = run(capsys, "synth", walk_model, *flags, "--samples", "3")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("noise", ["-1", "1,-2"])
+    def test_negative_noise_exits_2(self, capsys, walk_model, noise):
+        code, out, err = run(capsys, "synth", walk_model, "--flows", "1", "--noise", noise)
+        assert (code, out, err) == (2, "", "error: noise must be non-negative\n")
+
 
 class TestExplore:
     def test_bundled_catalog(self, capsys, bundled):
@@ -545,6 +550,47 @@ def test_byte_order_mark_is_ignored(capsys, tmp_path, kind):
     plain = run(capsys, *argv(tmp_path / "plain"))
     assert plain[0] == 0 and plain[2] == ""
     assert run(capsys, *argv(tmp_path / "bom")) == plain
+
+
+@pytest.mark.parametrize("kind", ["csv", "model", "namespace", "config", "catalog"])
+def test_non_utf8_input_names_its_file(capsys, monkeypatch, tmp_path, kind):
+    # a byte that is not UTF-8 on line 2 gives one error line naming the file
+    shutil.copytree(bundled_path("catalog"), tmp_path / "catalog")
+    shutil.copy(Path(__file__).resolve().parent / "data" / "csv" / "outcome.csv", tmp_path)
+    shutil.copy(tmp_path / "outcome.csv", tmp_path / "good.csv")
+    shutil.copy(bundled_path("walk_init_first.mudd"), tmp_path / "model.mudd")
+    (tmp_path / "names.txt").write_text("load.causes_walk\nload.pde$_miss\n")
+    (tmp_path / "defaults.cfg").write_text("format=json\ncap=10\n")
+    walk_outcome = str(bundled_path("walk_outcome.mudd"))
+    bad, argv, named = {
+        "csv": ("outcome.csv", ["check", walk_outcome, "outcome.csv", "good.csv"],
+                "run 'outcome'"),
+        "model": ("model.mudd", ["paths", "model.mudd"], "model.mudd"),
+        "namespace": ("names.txt", ["paths", "model.mudd", "--namespace", "names.txt"],
+                      "names.txt"),
+        "config": ("defaults.cfg", ["constraints", "model.mudd", "--config", "defaults.cfg"],
+                   "defaults.cfg"),
+        "catalog": ("catalog/search_catalog.json", ["explore", "catalog/search_catalog.json"],
+                    "catalog catalog/search_catalog.json"),
+    }[kind]
+    first, rest = (tmp_path / bad).read_bytes().split(b"\n", 1)
+    (tmp_path / bad).write_bytes(first + b"\n\xff" + rest)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {named} line 2: byte 0xff is not UTF-8 text\n"
+    if kind == "csv":  # the batch's other CSV keeps its verdict
+        assert out.strip().endswith("good: feasible")
+    else:
+        assert out == ""
+
+
+def test_part_of_a_byte_order_mark_is_not_utf8(capsys, tmp_path):
+    # not an empty model: the file ends inside a multi-byte sequence
+    path = tmp_path / "cut.mudd"
+    path.write_bytes(codecs.BOM_UTF8[:2])
+    code, out, err = run(capsys, "paths", str(path))
+    assert (code, out, err) == (2, "", f"error: {path} line 1: byte 0xef is not UTF-8 text\n")
 
 
 def test_mudd_runs_without_scipy(tmp_path):

@@ -218,7 +218,7 @@ class TestSharedGenerators:
             child = product(ns, _mutated(rng, names, blocks))
             child_gens = normalize_signatures(signatures_of_model(child))
             expected = all(
-                cone_membership(child_gens, gen.counts)
+                cone_membership(child_gens, gen)
                 for gen in normalize_signatures(signatures_of_model(parent))
             )
             assert cone_expansion_check(parent, child) == expected, seed

@@ -65,6 +65,20 @@ class TestValidation:
         with pytest.raises(CycleDetected):
             model.validate()
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_cycle_error_names_a_node_on_the_cycle(self, reverse):
+        # tail 0 -> 2 enters the cycle 3 -> 4 -> 3; 4 also leaves for done 1,
+        # which lies below the cycle but not on it
+        ns = CounterNamespace([])
+        nodes = (Node(0, "event", "a"), Node(1, "done"), Node(2, "event", "b"),
+                 Node(3, "event", "c"), Node(4, "decision", "p"))
+        edges = (CausalityEdge(0, 2), CausalityEdge(2, 3), CausalityEdge(3, 4),
+                 CausalityEdge(4, 3, "again"), CausalityEdge(4, 1, "out"))
+        model = MuDD(nodes=nodes[::-1] if reverse else nodes, causality=edges,
+                     happens_before=(), entry=0, namespace=ns)
+        with pytest.raises(CycleDetected, match=r"cycle through node [34];"):
+            model.validate()
+
     def test_counter_must_be_in_namespace(self):
         ns = CounterNamespace(["known"])
         model = chain(("counter", "unknown"), ns=ns)

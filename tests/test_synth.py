@@ -49,6 +49,15 @@ class TestExactCounters:
             with pytest.raises(ValueError, match="^noise must be finite$"):
                 SynthSpec(model=two_path_model, flows=(1.0, 1.0), samples=2, noise=noise)
 
+    @pytest.mark.parametrize("noise", [-1.0, -1, [1.0, -2.0]])
+    def test_negative_sigma_rejected(self, two_path_model, noise):
+        with pytest.raises(ValueError, match="^noise must be non-negative$"):
+            SynthSpec(model=two_path_model, flows=(1.0, 1.0), samples=2, noise=noise)
+
+    def test_covariance_may_have_negative_entries(self, two_path_model):
+        cov = [[1.0, -0.5], [-0.5, 1.0]]
+        SynthSpec(model=two_path_model, flows=(1.0, 1.0), samples=2, noise=cov)
+
 
 class TestGenerate:
     def test_zero_noise_constant_rows(self, two_path_model):
