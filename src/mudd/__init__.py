@@ -27,8 +27,8 @@ _SUBMODULES = frozenset({"cli", "dsl", "errors", "exact", "exploration", "feasib
 _LAZY = {
     name: module
     for module, names in {
-        "dsl": ("DslParseError", "DslSource", "format_diagnostics", "format_model",
-                "parse", "parse_file"),
+        "dsl": ("DslParseError", "format_diagnostics", "format_model", "parse",
+                "parse_file"),
         "geometry": ("Constraint", "ConstraintSet", "cone_membership",
                      "conic_hull_facets", "constraints_from_signatures",
                      "deduce_constraints", "find_equalities", "normalize_signatures",

@@ -1,13 +1,16 @@
 """Command-line surface: paths, constraints, check, explore, synth.
 
 Exit codes: 0 all feasible / success, 1 some observation infeasible,
-2 any error (parse diagnostics, bad input files, broken references).
+2 any error (parse diagnostics, bad input files, broken references). A
+closed stdout ends the process by SIGPIPE, silently.
 """
 from __future__ import annotations
 
 import argparse
 import atexit
 import gc
+import os
+import signal
 import sys
 from pathlib import Path
 
@@ -18,8 +21,9 @@ from .model import DEFAULT_PATH_CAP, CounterNamespace, enumerate_mupaths, signat
 # a subcommand imports what only it runs in its own body, so that `paths`
 # loads no module beyond `dsl` and `model`
 
-# input errors: one `error: ...` line on stderr, and exit 2
-_INPUT_ERRORS = (MuddError, OSError, ValueError)
+# input errors: one `error: ...` line on stderr, and exit 2; an output
+# encoding that cannot spell a file name counts as one
+_INPUT_ERRORS = (MuddError, OSError, UnicodeEncodeError)
 # the settings a `--config` file may give, and their defaults
 _DEFAULTS = {"alpha": 0.01, "cap": DEFAULT_PATH_CAP, "format": "text"}
 
@@ -295,6 +299,8 @@ def main(argv=None) -> int:
     except dsl.DslParseError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise  # not an input error: `entry` ends the process
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -310,6 +316,15 @@ def entry() -> None:
     atexit.register(gc.freeze)
     try:
         code = main()
+        sys.stdout.flush()  # what a pipe's buffer holds fails here, not at exit
+    except BrokenPipeError:
+        # the reader of stdout has gone: end silently, killed by SIGPIPE as
+        # other tools end. SIGPIPE is ignored until now, so that the writes
+        # of a check pool whose workers died fail and are reported.
+        if hasattr(signal, "SIGPIPE"):
+            signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+            os.kill(os.getpid(), signal.SIGPIPE)
+        code = 2
     except Exception:  # a bug, not an input error: exit 2, never 1 (infeasible)
         import traceback
 

@@ -41,15 +41,6 @@ from .errors import MuddError, read_text
 from .model import CausalityEdge, CounterNamespace, MuDD, Node, Record
 
 
-class DslSource(Record):
-    """Raw text plus an origin tag used in diagnostics."""
-
-    _fields = ("text", "origin")
-
-    def __init__(self, text: str, origin: str = "<inline>"):
-        self._set(text=text, origin=origin)
-
-
 class Diagnostic(Record):
     _fields = ("kind", "line", "col", "message")
 
@@ -310,18 +301,14 @@ class _Parser:
         return hooks
 
 
-def parse(
-    src: DslSource | str,
-    ns: CounterNamespace | None = None,
-) -> MuDD:
+def parse(text: str, ns: CounterNamespace | None = None, origin: str = "<inline>") -> MuDD:
     """Parse source text into a MuDD.
 
     With ns=None the namespace is inferred from counter statements in order of
-    first appearance. Raises DslParseError carrying every diagnostic.
+    first appearance. Raises DslParseError carrying every diagnostic, each
+    prefixed with `origin`.
     """
-    if isinstance(src, str):
-        src = DslSource(text=src)
-    tokens, diags = _tokenize(src.text)
+    tokens, diags = _tokenize(text)
     parser = _Parser(tokens, ns)
     hooks = parser.block((), [])
     if hooks or not parser.nodes:  # the implicit `done` at the end of the text
@@ -336,7 +323,7 @@ def parse(
             hb.append((parser.labels[first], parser.labels[second]))
     diags += parser.syntax + parser.semantic
     if diags:
-        raise DslParseError(diags, src.origin)
+        raise DslParseError(diags, origin)
 
     # a decision's out-edges go in case order: an empty case's edge is only
     # made at the rejoin, after the edges of the cases below it
@@ -346,19 +333,17 @@ def parse(
             values = parser.cases[node_id]
             edges.sort(key=lambda e: values.index(e.value))
         causality.extend(edges)
-    model = MuDD(
+    return MuDD(
         nodes=tuple(parser.nodes),
         causality=tuple(causality),
         happens_before=tuple(hb),
         entry=0,
         namespace=ns if ns is not None else CounterNamespace(parser.counters),
     )
-    model.validate()
-    return model
 
 
 def parse_file(path, ns: CounterNamespace | None = None) -> MuDD:
-    return parse(DslSource(text=read_text(path, str(path)), origin=str(path)), ns)
+    return parse(read_text(path, str(path)), ns, str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ class MuddError(Exception):
     """Base class for all package-specific errors."""
 
 
+class InvalidValue(MuddError, ValueError):
+    """An argument lies outside its domain: an alpha, a synthesis setting.
+    Also a ValueError, which library callers may catch instead."""
+
+
 class InvalidModel(MuddError):
     """A diagram violates a structural invariant."""
 
@@ -52,8 +57,9 @@ class NonNumericCell(MuddError):
 
 
 class MalformedCsv(MuddError):
-    """An observation file names a column twice in its header, or has a row
-    whose cell count differs from the header's."""
+    """An observation file names a column twice in its header, has a row
+    whose cell count differs from the header's, or has a line the `csv`
+    module cannot read."""
 
 
 class NegativeCell(MuddError):

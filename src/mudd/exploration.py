@@ -107,7 +107,8 @@ def load_catalog(path) -> ModelCatalog:
                 raise bad(where, "parent", _PARENT_SHAPE, parent)
             parent = (parent["name"], parent["kind"])
         model_path = item.get("model")
-        if model_path is not None and not isinstance(model_path, str):
+        if model_path is not None and not (isinstance(model_path, str)
+                                           and "\0" not in model_path):
             raise bad(where, "model", "a path string", model_path)
         if name in entries:
             raise CatalogError(f"catalog {path}: duplicate entry name {name!r}")
@@ -116,10 +117,17 @@ def load_catalog(path) -> ModelCatalog:
             resolved = path.parent / model_path
             try:
                 model = dsl.parse_file(resolved, ns)
-            except (OSError, MuddError) as exc:
+            except dsl.DslParseError as exc:
+                # each diagnostic names the model file, as `mudd paths` prints it
                 raise CatalogError(
-                    f"catalog {path}: entry {name!r} model {resolved}: {exc}"
+                    f"catalog {path}: entry {name!r}: model does not parse\n{exc}"
                 ) from exc
+            except OSError as exc:
+                raise CatalogError(
+                    f"catalog {path}: entry {name!r} model {resolved}: {exc.strerror}"
+                ) from exc
+            except MuddError as exc:  # not UTF-8: the message names the model file
+                raise CatalogError(f"catalog {path}: entry {name!r} model {exc}") from exc
         entries[name] = ModelEntry(name, frozenset(features), count, model=model,
                                    model_path=model_path, parent=parent)
     try:

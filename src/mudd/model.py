@@ -120,13 +120,11 @@ class CausalityEdge(Record):
 
 
 class MuDD(Record):
-    """Immutable diagram; validate() checks all structural invariants.
+    """Immutable diagram, checked for every structural invariant when built.
 
     `out_edges` maps each node id to its causality edges in declaration
-    order; an edge from a missing node is left for validate() to report.
-    `order` is a topological order of the node ids by Kahn's algorithm: of
-    the nodes ready at once, the one readied last goes first. A cycle
-    leaves its nodes, and every node below it, out of `order`.
+    order. `order` is a topological order of the node ids by Kahn's
+    algorithm: of the nodes ready at once, the one readied last goes first.
     """
 
     _fields = ("nodes", "causality", "happens_before", "entry", "namespace")
@@ -134,86 +132,72 @@ class MuDD(Record):
     def __init__(self, nodes: tuple[Node, ...], causality: tuple[CausalityEdge, ...],
                  happens_before: tuple[tuple[int, int], ...], entry: int,
                  namespace: CounterNamespace):
-        out: dict[int, list[CausalityEdge]] = {n.node_id: [] for n in nodes}
-        for e in causality:
-            if e.src in out:
-                out[e.src].append(e)
-        out_edges = {k: tuple(v) for k, v in out.items()}
-        indegree = dict.fromkeys(out_edges, 0)
-        for edges in out_edges.values():
-            for e in edges:
-                if e.dst in indegree:
-                    indegree[e.dst] += 1
-        ready = [n.node_id for n in nodes if indegree[n.node_id] == 0]
-        order = []
-        while ready:
-            node_id = ready.pop()
-            order.append(node_id)
-            for e in out_edges[node_id]:
-                if e.dst in indegree:
-                    indegree[e.dst] -= 1
-                    if indegree[e.dst] == 0:
-                        ready.append(e.dst)
-        self._set(nodes=nodes, causality=causality, happens_before=happens_before,
-                  entry=entry, namespace=namespace,
-                  _by_id={n.node_id: n for n in nodes},
-                  out_edges=out_edges, order=tuple(order))
-
-    def node(self, node_id: int) -> Node:
-        return self._by_id[node_id]
-
-    def validate(self) -> None:
-        ids = set()
-        for n in self.nodes:
-            if n.node_id in ids:
+        by_id: dict[int, Node] = {}
+        for n in nodes:
+            if n.node_id in by_id:
                 raise InvalidModel(f"duplicate node id {n.node_id}")
-            ids.add(n.node_id)
+            by_id[n.node_id] = n
             if n.kind not in NODE_KINDS:
                 raise InvalidModel(f"node {n.node_id} has unknown kind {n.kind!r}")
             if n.kind == "counter":
-                if n.name not in self.namespace:
+                if n.name not in namespace:
                     raise UnknownCounter(
                         f"counter node {n.node_id} references {n.name!r}, "
                         "which is not in the namespace"
                     )
             if n.kind in ("event", "decision") and not n.name:
                 raise InvalidModel(f"{n.kind} node {n.node_id} has no name")
-        if self.entry not in ids:
-            raise InvalidModel(f"entry node {self.entry} does not exist")
-        for e in self.causality:
-            if e.src not in ids or e.dst not in ids:
+        if entry not in by_id:
+            raise InvalidModel(f"entry node {entry} does not exist")
+        out: dict[int, list[CausalityEdge]] = {node_id: [] for node_id in by_id}
+        for e in causality:
+            if e.src not in out or e.dst not in out:
                 raise InvalidModel(f"causality edge {e} references a missing node")
-        for src, dst in self.happens_before:
-            if src not in ids or dst not in ids:
+            out[e.src].append(e)
+        for src, dst in happens_before:
+            if src not in by_id or dst not in by_id:
                 raise InvalidModel(f"happens-before edge ({src}, {dst}) references a missing node")
-        for n in self.nodes:
-            out = self.out_edges[n.node_id]
+        out_edges = {k: tuple(v) for k, v in out.items()}
+        for n in nodes:
+            edges = out_edges[n.node_id]
             if n.kind == "done":
-                if out:
+                if edges:
                     raise InvalidModel(f"done node {n.node_id} has outgoing causality edges")
             elif n.kind == "decision":
-                if not out:
+                if not edges:
                     raise InvalidModel(f"decision node {n.node_id} has no outgoing edges")
-                values = [e.value for e in out]
+                values = [e.value for e in edges]
                 if None in values:
                     raise InvalidModel(f"decision node {n.node_id} has an unlabeled edge")
                 if len(set(values)) != len(values):
                     raise InvalidModel(f"decision node {n.node_id} has duplicate edge labels")
             else:
-                if len(out) != 1:
+                if len(edges) != 1:
                     raise InvalidModel(
                         f"{n.kind} node {n.node_id} must have exactly one outgoing edge, "
-                        f"has {len(out)}"
+                        f"has {len(edges)}"
                     )
-                if out[0].value is not None:
+                if edges[0].value is not None:
                     raise InvalidModel(f"non-decision node {n.node_id} has a labeled edge")
-        if len(self.order) < len(self.nodes):
+        indegree = dict.fromkeys(out_edges, 0)
+        for e in causality:
+            indegree[e.dst] += 1
+        ready = [n.node_id for n in nodes if indegree[n.node_id] == 0]
+        order = []
+        while ready:
+            node_id = ready.pop()
+            order.append(node_id)
+            for e in out_edges[node_id]:
+                indegree[e.dst] -= 1
+                if indegree[e.dst] == 0:
+                    ready.append(e.dst)
+        if len(order) < len(nodes):
             # each node left out has a predecessor left out; walking back
             # through them must repeat a node, and that node is on a cycle
-            placed = set(self.order)
-            back = {e.dst: e.src for e in self.causality
+            placed = set(order)
+            back = {e.dst: e.src for e in causality
                     if e.src not in placed and e.dst not in placed}
-            node_id = next(n.node_id for n in self.nodes if n.node_id not in placed)
+            node_id = next(n.node_id for n in nodes if n.node_id not in placed)
             seen = set()
             while node_id not in seen:
                 seen.add(node_id)
@@ -221,6 +205,12 @@ class MuDD(Record):
             raise CycleDetected(
                 f"causality cycle through node {node_id}; diagrams must be acyclic"
             )
+        self._set(nodes=nodes, causality=causality, happens_before=happens_before,
+                  entry=entry, namespace=namespace, _by_id=by_id,
+                  out_edges=out_edges, order=tuple(order))
+
+    def node(self, node_id: int) -> Node:
+        return self._by_id[node_id]
 
 
 class MuPath(Record):
@@ -248,15 +238,12 @@ class MuPath(Record):
 
 
 class CounterSignature(Record):
-    """Per-path vector of counter increment counts, in namespace order.
-
-    `source_path` is the path counted, kept out of `==` and the repr.
-    """
+    """Per-path vector of counter increment counts, in namespace order."""
 
     _fields = ("counts",)
 
-    def __init__(self, counts: tuple[int, ...], source_path: MuPath | None = None):
-        self._set(counts=counts, source_path=source_path)
+    def __init__(self, counts: tuple[int, ...]):
+        self._set(counts=counts)
 
 
 def enumerate_mupaths(model: MuDD, cap: int = DEFAULT_PATH_CAP) -> tuple[MuPath, ...]:
@@ -264,12 +251,11 @@ def enumerate_mupaths(model: MuDD, cap: int = DEFAULT_PATH_CAP) -> tuple[MuPath,
 
     Branches over every value of an unassigned decision property; an already
     assigned property follows its matching edge. Raises PathExplosion when the
-    path count exceeds `cap`, CycleDetected for cyclic causality edges, and
-    DanglingDecision when an assigned property has no matching edge.
+    path count exceeds `cap`, and DanglingDecision when an assigned property
+    has no matching edge.
     """
     if cap < 1:
         raise ValueError("cap must be a positive integer")
-    model.validate()
     out = model.out_edges
     paths: list[MuPath] = []
     trail: list[Node] = []
@@ -349,7 +335,7 @@ def signature_of(path: MuPath, ns: CounterNamespace) -> CounterSignature:
     for node in path.nodes_in_order:
         if node.kind == "counter":
             counts[ns.position(node.name)] += 1
-    return CounterSignature(counts=tuple(counts), source_path=path)
+    return CounterSignature(counts=tuple(counts))
 
 
 def signatures_of_model(model: MuDD, cap: int = DEFAULT_PATH_CAP) -> tuple[CounterSignature, ...]:

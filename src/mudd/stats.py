@@ -26,6 +26,7 @@ from operator import mul
 from pathlib import Path
 
 from .errors import (
+    InvalidValue,
     MalformedCsv,
     MissingCounter,
     NegativeCell,
@@ -166,8 +167,9 @@ def load_observations(
     the namespace raises MissingCounter even then. Extra columns are ignored
     with a warning. A cell that is not a finite number raises NonNumericCell,
     a negative one NegativeCell; both name the run, line and counter column.
-    A header that names a column twice, or a row with more or fewer cells
-    than the header, raises MalformedCsv naming the run and the line.
+    A header that names a column twice, a row with more or fewer cells than
+    the header, or a line `csv` cannot read, raises MalformedCsv naming the
+    run and the line.
     A file that is not UTF-8 text raises MuddError naming the run and the
     line of the first bad byte.
     """
@@ -180,8 +182,23 @@ def load_observations(
     return _read_csv(source, namespace, project=project, run_id=rid)
 
 
-def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
+def _rows(fh, run_id):
+    """The rows of a CSV stream; a line `csv` cannot read, such as one with
+    a field longer than `csv.field_size_limit()`, raises MalformedCsv
+    naming the run and the line."""
     reader = csv.reader(fh)
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise MalformedCsv(f"run {run_id!r} line {reader.line_num}: {exc}") from None
+        yield row
+
+
+def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
+    reader = _rows(fh, run_id)
     try:
         header = next(reader)
     except StopIteration:
@@ -571,11 +588,11 @@ def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float
 
 
 def check_alpha(alpha: float) -> None:
-    """Raise ValueError unless 1 - alpha is a confidence level in (0, 1)."""
+    """Raise InvalidValue unless 1 - alpha is a confidence level in (0, 1)."""
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+        raise InvalidValue("alpha must lie in (0, 1)")
     if 1.0 - alpha == 1.0:
-        raise ValueError(f"alpha {alpha!r} is too small: 1 - alpha rounds to 1")
+        raise InvalidValue(f"alpha {alpha!r} is too small: 1 - alpha rounds to 1")
 
 
 def build_confidence_region(

@@ -13,30 +13,33 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidValue
 from .model import DEFAULT_PATH_CAP, MuDD, Record, signatures_of_model
 from .stats import ObservationSet
 
 
 class SynthSpec(Record):
     """`flows` holds one flow per path, in enumeration order; `noise` is a
-    scalar sigma, a per-counter sigma vector or a covariance matrix. Flows
-    and sigmas must be non-negative."""
+    scalar sigma, a per-counter sigma vector or a covariance matrix. Flows,
+    sigmas and the seed must be non-negative; a value out of range raises
+    InvalidValue."""
 
     _fields = ("model", "flows", "samples", "noise", "seed")
 
     def __init__(self, model: MuDD, flows: tuple[float, ...], samples: int,
                  noise: float | Sequence[float] | np.ndarray = 0.0, seed: int = 0):
         if samples < 2:
-            raise ValueError("need at least 2 samples")
+            raise InvalidValue("need at least 2 samples")
         if not all(math.isfinite(f) for f in flows):
-            raise ValueError("flows must be finite")
+            raise InvalidValue("flows must be finite")
         if any(f < 0 for f in flows):
-            raise ValueError("flows must be non-negative")
+            raise InvalidValue("flows must be non-negative")
         if not np.isfinite(noise).all():
-            raise ValueError("noise must be finite")
+            raise InvalidValue("noise must be finite")
         if np.ndim(noise) < 2 and (np.asarray(noise) < 0).any():
-            raise ValueError("noise must be non-negative")
+            raise InvalidValue("noise must be non-negative")
+        if seed < 0:
+            raise InvalidValue("seed must be non-negative")
         self._set(model=model, flows=flows, samples=samples, noise=noise, seed=seed)
 
 
@@ -85,7 +88,7 @@ def generate(spec: SynthSpec, run_id: str = "synth", cap: int = DEFAULT_PATH_CAP
             if arr.shape != (n, n):
                 raise DimensionMismatch("covariance shape does not match")
             if float(np.min(np.linalg.eigvalsh((arr + arr.T) / 2))) < -1e-9:
-                raise ValueError("noise covariance must be positive semidefinite")
+                raise InvalidValue("noise covariance must be positive semidefinite")
             draws = rng.multivariate_normal(np.zeros(n), arr, size=spec.samples,
                                             method="eigh")
         else:

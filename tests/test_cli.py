@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,11 @@ class TestCheck:
          "run 'bad' line 1 column 'load.causes_walk': named twice in the header"),
         (lambda rows: rows[:2] + [rows[2] + ",7"] + rows[3:],
          "run 'bad' line 3: row has too many columns (4 cells, 3 header names)"),
+        # a cell longer than the csv module reads
+        (lambda rows: rows[:3] + ["2,1," + "9" * 200_000] + rows[4:],
+         f"run 'bad' line 4: field larger than field limit ({csv.field_size_limit()})"),
+        (lambda rows: [rows[0] + "," + "x" * 200_000] + rows[1:],
+         f"run 'bad' line 1: field larger than field limit ({csv.field_size_limit()})"),
     ])
     def test_malformed_csv_names_the_run_and_keeps_the_batch(
             self, capsys, walk_model, exact_csv, tmp_path, edit, message):
@@ -164,6 +170,17 @@ class TestCheck:
         assert code == 2
         assert out == "walk_init_first x exact: feasible\n"
         assert err == f"error: {message}\n"
+
+    def test_unencodable_run_name_is_an_input_error(self, walk_model, exact_csv, tmp_path):
+        # stdout's encoding cannot spell the run name: one error line, no traceback
+        csv_path = tmp_path / "caf\u00e9.csv"
+        shutil.copy(exact_csv, csv_path)
+        proc = subprocess.run([sys.executable, "-m", "mudd", "check", walk_model, str(csv_path)],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(src_env(), PYTHONIOENCODING="ascii"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: 'ascii' codec can't encode character '\\xe9'")
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_json_and_text_agree(self, capsys, walk_model, exact_csv, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -420,6 +437,10 @@ class TestSynth:
         code, out, err = run(capsys, "synth", walk_model, "--flows", "1", "--noise", noise)
         assert (code, out, err) == (2, "", "error: noise must be non-negative\n")
 
+    def test_negative_seed_exits_2(self, capsys, walk_model):
+        code, out, err = run(capsys, "synth", walk_model, "--flows", "1", "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be non-negative\n")
+
 
 class TestExplore:
     def test_bundled_catalog(self, capsys, bundled):
@@ -441,6 +462,28 @@ class TestExplore:
         ]}))
         code, _, err = run(capsys, "explore", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("model, lines", [
+        # each diagnostic once, as `mudd paths` prints it, after one error line
+        (b"counter x;\ncounter ;\nswitch (p) { }\n",
+         ["error: catalog cat.json: entry 'a': model does not parse",
+          "m.mudd:2:9: syntax-error: expected a counter name, found ';'",
+          "m.mudd:3:1: empty-switch: switch has no cases"]),
+        (b"counter x;\n\xff\n",
+         ["error: catalog cat.json: entry 'a' model m.mudd line 2: "
+          "byte 0xff is not UTF-8 text"]),
+        (None, ["error: catalog cat.json: entry 'a' model m.mudd: No such file or directory"]),
+    ], ids=["two-diagnostics", "not-utf8", "missing"])
+    def test_entry_model_errors_name_each_file_once(self, capsys, monkeypatch, tmp_path,
+                                                    model, lines):
+        (tmp_path / "cat.json").write_text(json.dumps({"entries": [
+            {"name": "a", "infeasible_count": 0, "model": "m.mudd"}
+        ]}))
+        if model is not None:
+            (tmp_path / "m.mudd").write_bytes(model)
+            assert run(capsys, "paths", str(tmp_path / "m.mudd"))[0] == 2
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "explore", "cat.json") == (2, "", "\n".join(lines) + "\n")
 
     def test_empty_catalog(self, capsys, tmp_path):
         path = tmp_path / "cat.json"
@@ -718,6 +761,20 @@ cli.entry()
     assert code == 0 and proc.stdout == out
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_the_process_silently():
+    # as a process killed by SIGPIPE ends: no error line, and the signal's status
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mudd", "paths", str(bundled_path("haswell_mmu.mudd"))],
+            stdout=write_end, stderr=subprocess.PIPE, env=src_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, b"")
+
+
 LAZY_NAMES = [
     ("feasibility", "FeasibilityVerdict"),
     ("feasibility", "attribute_violations"),
@@ -767,17 +824,19 @@ except AttributeError as exc:
 
 
 def test_unexpected_exception_prints_traceback_and_exits_2(capsys, monkeypatch, walk_model):
-    # 1 means "some observation infeasible", so a bug must not exit 1
+    # 1 means "some observation infeasible", so a bug must not exit 1; a
+    # ValueError is a bug too unless mudd raised it as an input error
     from mudd import cli
 
-    def broken(args):
-        raise RuntimeError("boom")
+    for error in (RuntimeError, ValueError):
+        def broken(args):
+            raise error("boom")
 
-    monkeypatch.setattr(cli, "cmd_paths", broken)
-    monkeypatch.setattr(sys, "argv", ["mudd", "paths", walk_model])
-    with pytest.raises(SystemExit) as exc:
-        cli.entry()
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("Traceback (most recent call last):\n")
-    assert err.endswith("RuntimeError: boom\n")
+        monkeypatch.setattr(cli, "cmd_paths", broken)
+        monkeypatch.setattr(sys, "argv", ["mudd", "paths", walk_model])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith(f"{error.__name__}: boom\n")

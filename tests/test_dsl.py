@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mudd import dsl
-from mudd.dsl import DslParseError, DslSource, format_diagnostics, format_model, parse
+from mudd.dsl import DslParseError, format_diagnostics, format_model, parse
 from mudd.model import CounterNamespace, enumerate_mupaths, signature_of
 
 
@@ -111,7 +111,7 @@ class TestDiagnostics:
 
     def test_format_diagnostics_stable(self):
         try:
-            parse(DslSource("counter ;", origin="model.mudd"))
+            parse("counter ;", origin="model.mudd")
         except DslParseError as exc:
             rendered = format_diagnostics(exc.diagnostics, "model.mudd")
             assert rendered.startswith("model.mudd:1:9:")

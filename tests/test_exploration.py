@@ -284,6 +284,9 @@ BAD_CATALOGS = [
      "entry 1: 'name' must be a string, got ['a']"),
     ("model-number", {"entries": [{**_VALID_ENTRIES[0], "model": 3}]},
      "entry 'a': 'model' must be a path string, got 3"),
+    # no file name holds a NUL byte; `open` would raise ValueError for it
+    ("model-nul", {"entries": [{**_VALID_ENTRIES[0], "model": "m\u0000.mudd"}]},
+     "entry 'a': 'model' must be a path string, got 'm\\x00.mudd'"),
     ("features-string", {"entries": [{**_VALID_ENTRIES[0], "features": "TlbPf"}]},
      "entry 'a': 'features' must be a list of strings, got 'TlbPf'"),
     ("namespace-string", {"namespace": "xy", "entries": _VALID_ENTRIES},

@@ -59,7 +59,7 @@ import pytest
 
 from mudd import bundled_path, linprog
 from mudd.cli import main
-from mudd.dsl import DslParseError, DslSource, parse
+from mudd.dsl import DslParseError, parse
 from mudd.model import CounterNamespace
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -82,7 +82,7 @@ def diagnostics_report() -> str:
     reports = []
     for path in sorted(errors.glob("*.mudd")):
         try:
-            parse(DslSource(path.read_bytes().decode("utf-8"), path.name), ns)
+            parse(path.read_bytes().decode("utf-8"), ns, path.name)
         except DslParseError as exc:
             reports.append(str(exc))
         else:

@@ -61,9 +61,8 @@ class TestValidation:
         ns = CounterNamespace([])
         nodes = (Node(0, "event", "a"), Node(1, "event", "b"))
         edges = (CausalityEdge(0, 1), CausalityEdge(1, 0))
-        model = MuDD(nodes=nodes, causality=edges, happens_before=(), entry=0, namespace=ns)
         with pytest.raises(CycleDetected):
-            model.validate()
+            MuDD(nodes=nodes, causality=edges, happens_before=(), entry=0, namespace=ns)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_cycle_error_names_a_node_on_the_cycle(self, reverse):
@@ -74,37 +73,33 @@ class TestValidation:
                  Node(3, "event", "c"), Node(4, "decision", "p"))
         edges = (CausalityEdge(0, 2), CausalityEdge(2, 3), CausalityEdge(3, 4),
                  CausalityEdge(4, 3, "again"), CausalityEdge(4, 1, "out"))
-        model = MuDD(nodes=nodes[::-1] if reverse else nodes, causality=edges,
-                     happens_before=(), entry=0, namespace=ns)
         with pytest.raises(CycleDetected, match=r"cycle through node [34];"):
-            model.validate()
+            MuDD(nodes=nodes[::-1] if reverse else nodes, causality=edges,
+                 happens_before=(), entry=0, namespace=ns)
 
     def test_counter_must_be_in_namespace(self):
         ns = CounterNamespace(["known"])
-        model = chain(("counter", "unknown"), ns=ns)
         with pytest.raises(UnknownCounter):
-            model.validate()
+            chain(("counter", "unknown"), ns=ns)
 
     def test_done_must_be_terminal(self):
         ns = CounterNamespace([])
         nodes = (Node(0, "done"), Node(1, "done"))
-        model = MuDD(
-            nodes=nodes,
-            causality=(CausalityEdge(0, 1),),
-            happens_before=(),
-            entry=0,
-            namespace=ns,
-        )
         with pytest.raises(InvalidModel):
-            model.validate()
+            MuDD(
+                nodes=nodes,
+                causality=(CausalityEdge(0, 1),),
+                happens_before=(),
+                entry=0,
+                namespace=ns,
+            )
 
     def test_decision_labels_distinct(self):
         ns = CounterNamespace([])
         nodes = (Node(0, "decision", "p"), Node(1, "done"), Node(2, "done"))
         edges = (CausalityEdge(0, 1, "x"), CausalityEdge(0, 2, "x"))
-        model = MuDD(nodes=nodes, causality=edges, happens_before=(), entry=0, namespace=ns)
         with pytest.raises(InvalidModel):
-            model.validate()
+            MuDD(nodes=nodes, causality=edges, happens_before=(), entry=0, namespace=ns)
 
 
 class TestEnumeration:

@@ -14,7 +14,6 @@ from mudd.geometry import Constraint, ConstraintSet
 from mudd.model import (
     CausalityEdge,
     CounterNamespace,
-    CounterSignature,
     Node,
     enumerate_mupaths,
     signature_of,
@@ -67,8 +66,6 @@ def test_unpickled_records_keep_their_derived_state(model):
     assert copy.out_edges == model.out_edges
     assert copy.node(model.entry) == model.node(model.entry)
     path = enumerate_mupaths(model)[1]
-    sig = pickle.loads(pickle.dumps(signature_of(path, model.namespace)))
-    assert sig.source_path == path
     assert pickle.loads(pickle.dumps(path)).assignment == path.assignment
 
 
@@ -80,14 +77,6 @@ def test_equality_hash_and_repr_read_the_fields():
     assert edge != Node(0, "event")  # another class never compares equal
     assert repr(edge) == "CausalityEdge(src=0, dst=1, value=None)"
     assert repr(CounterNamespace(["a", "b"])) == "CounterNamespace(names=('a', 'b'))"
-
-
-def test_signature_source_path_is_outside_equality_and_repr(model):
-    path = enumerate_mupaths(model)[0]
-    sig = signature_of(path, model.namespace)
-    bare = CounterSignature(sig.counts)
-    assert sig == bare and hash(sig) == hash(bare)
-    assert repr(sig) == f"CounterSignature(counts={sig.counts!r})"
 
 
 def test_records_refuse_assignment():

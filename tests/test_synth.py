@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mudd import dsl
-from mudd.errors import DimensionMismatch
+from mudd.errors import DimensionMismatch, MuddError
 from mudd.feasibility import check_feasibility
 from mudd.model import signatures_of_model
 from mudd.stats import build_confidence_region
@@ -53,6 +53,12 @@ class TestExactCounters:
     def test_negative_sigma_rejected(self, two_path_model, noise):
         with pytest.raises(ValueError, match="^noise must be non-negative$"):
             SynthSpec(model=two_path_model, flows=(1.0, 1.0), samples=2, noise=noise)
+
+    def test_negative_seed_rejected(self, two_path_model):
+        # an input error for the CLI, and a ValueError for library callers
+        with pytest.raises(ValueError, match="^seed must be non-negative$") as exc:
+            SynthSpec(model=two_path_model, flows=(1.0, 1.0), samples=2, seed=-1)
+        assert isinstance(exc.value, MuddError)
 
     def test_covariance_may_have_negative_entries(self, two_path_model):
         cov = [[1.0, -0.5], [-0.5, 1.0]]
