@@ -59,11 +59,15 @@ def _settle(args) -> None:
 def _load_namespace(path):
     if path is None:
         return None
-    names = []
-    for line in read_text(path, path).splitlines():
+    names: dict[str, int] = {}  # name -> its line
+    for lineno, line in enumerate(read_text(path, path).splitlines(), 1):
         line = line.strip()
-        if line and not line.startswith("#"):
-            names.append(line)
+        if not line or line.startswith("#"):
+            continue
+        if line in names:
+            raise MuddError(f"{path}:{lineno}: duplicate counter name {line!r} "
+                            f"(first on line {names[line]})")
+        names[line] = lineno
     return CounterNamespace(names)
 
 
@@ -240,11 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, namespace=True):
+    def common(p, namespace=True, format=True):
         p.add_argument("--cap", type=int, default=None, help="path enumeration cap")
         if namespace:
             p.add_argument("--namespace", help="file listing counter names, one per line")
-        p.add_argument("--format", choices=["text", "json"], default=None)
+        if format:
+            p.add_argument("--format", choices=["text", "json"], default=None)
         p.add_argument("--config", help="key=value defaults file")
 
     p = sub.add_parser("paths", help="list paths and signatures of a model")
@@ -284,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gaussian sigma, scalar or comma-separated per counter")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", help="write CSV here instead of stdout")
-    common(p)
+    common(p, format=False)  # it writes CSV only
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -64,7 +64,9 @@ def load_catalog(path) -> ModelCatalog:
     path = Path(path)
     try:
         raw = json.loads(read_text(path, f"catalog {path}"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
+        raise CatalogError(f"cannot read catalog {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
     if not isinstance(raw, dict) or "entries" not in raw:
         raise CatalogError(f"catalog {path} has no entries")
@@ -131,7 +133,7 @@ def load_catalog(path) -> ModelCatalog:
         entries[name] = ModelEntry(name, frozenset(features), count, model=model,
                                    model_path=model_path, parent=parent)
     try:
-        return ModelCatalog(
+        catalog = ModelCatalog(
             entries=entries,
             dataset_id=raw.get("dataset_id", ""),
             feature_order=tuple(raw.get("features") or ()),
@@ -139,6 +141,24 @@ def load_catalog(path) -> ModelCatalog:
         )
     except CatalogError as exc:
         raise CatalogError(f"catalog {path}: {exc}") from None
+    for parent, child in _relaxations(catalog):
+        if parent.model.namespace.names != child.model.namespace.names:
+            raise CatalogError(
+                f"catalog {path}: relaxation {parent.name!r} -> {child.name!r}: the two "
+                "models infer different counter namespaces; fix one order with the "
+                "catalog's 'namespace' key"
+            )
+    return catalog
+
+
+def _relaxations(catalog: ModelCatalog):
+    """(parent, child) entry pairs of the relaxation edges where both have a model."""
+    for entry in catalog.entries.values():
+        if entry.parent is None or entry.parent[1] != "relaxation":
+            continue
+        parent = catalog.entries[entry.parent[0]]
+        if parent.model is not None and entry.model is not None:
+            yield parent, entry
 
 
 def classify(catalog: ModelCatalog) -> tuple[frozenset[str], frozenset[str]]:
@@ -194,21 +214,14 @@ def cone_expansion_check(parent: MuDD, child: MuDD, cap: int = DEFAULT_PATH_CAP)
 
 def expansion_results(catalog: ModelCatalog, cap: int = DEFAULT_PATH_CAP) -> list[dict]:
     """Validate every recorded relaxation edge; entries without models are skipped."""
-    out = []
-    for entry in catalog.entries.values():
-        if entry.parent is None or entry.parent[1] != "relaxation":
-            continue
-        parent = catalog.entries[entry.parent[0]]
-        if parent.model is None or entry.model is None:
-            continue
-        out.append(
-            {
-                "parent": parent.name,
-                "child": entry.name,
-                "expanded": cone_expansion_check(parent.model, entry.model, cap),
-            }
-        )
-    return out
+    return [
+        {
+            "parent": parent.name,
+            "child": child.name,
+            "expanded": cone_expansion_check(parent.model, child.model, cap),
+        }
+        for parent, child in _relaxations(catalog)
+    ]
 
 
 def render_search_report(catalog: ModelCatalog, expansion: list[dict] | None = None) -> str:

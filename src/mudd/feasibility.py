@@ -56,7 +56,7 @@ class FeasibilityVerdict(Record):
         self._set(feasible=feasible, witness_flow=witness_flow,
                   witness_point=witness_point, violated_constraints=violated_constraints)
 
-    def to_json(self, namespace=None) -> dict:
+    def to_json(self, namespace: CounterNamespace) -> dict:
         out: dict = {"feasible": self.feasible}
         if self.witness_point is not None:
             out["witness_point"] = [float(x) for x in self.witness_point]
@@ -64,14 +64,9 @@ class FeasibilityVerdict(Record):
             out["witness_flow"] = {
                 str(i): float(f) for i, f in enumerate(self.witness_flow) if f != 0
             }
-        if namespace is not None:
-            out["violated_constraints"] = [
-                c.display(namespace) for c in self.violated_constraints
-            ]
-        else:
-            out["violated_constraints"] = [
-                list(c.coefficients) for c in self.violated_constraints
-            ]
+        out["violated_constraints"] = [
+            c.display(namespace) for c in self.violated_constraints
+        ]
         return out
 
 
@@ -265,7 +260,7 @@ def _box_lp(
         b_ub.append(scale * h + proj_center)
         a_ub.append([-x for x in row])
         b_ub.append(scale * h - proj_center)
-    return linprog.feasible_point(len(lp_sigs), (), (), a_ub, b_ub)
+    return linprog.feasible_point(len(lp_sigs), a_ub, b_ub)
 
 
 def attribute_violations(
@@ -462,9 +457,5 @@ def verdict_table_text(cells: Sequence[BatchCell]) -> str:
         else:
             lines.append(f"{cell.model_name} x {cell.run_id}: INFEASIBLE")
             for c in cell.verdict.violated_constraints:
-                if cell.namespace is not None:
-                    rendered = c.display(cell.namespace)
-                else:
-                    rendered = str(list(c.coefficients))
-                lines.append(f"    violated: {rendered}")
+                lines.append(f"    violated: {c.display(cell.namespace)}")
     return "\n".join(lines)

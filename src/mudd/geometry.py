@@ -144,21 +144,17 @@ def normalize_signatures(sigs: Iterable) -> tuple[Vector, ...]:
 
 
 def find_equalities(
-    gens: Sequence, dim: int | None = None
+    gens: Sequence, dim: int
 ) -> tuple[tuple[Constraint, ...], tuple[Vector, ...], tuple[int, ...]]:
     """Equality constraints, the generators in full-rank coordinates, and
     the pivot columns that give those coordinates.
 
     The equalities are an integer basis of the orthogonal complement of the
-    generator span (the null space of the generator matrix); an empty
-    generator set therefore yields v_i = 0 for every coordinate (pass dim
-    explicitly in that case).
+    generator span in dimension `dim` (the null space of the generator
+    matrix); an empty generator set therefore yields v_i = 0 for every
+    coordinate.
     """
     vectors = [_as_vector(g) for g in gens]
-    if dim is None:
-        if not vectors:
-            raise ValueError("dimension is required for an empty generator set")
-        dim = len(vectors[0])
     for v in vectors:
         if len(v) != dim:
             raise DimensionMismatch("generator length does not match dimension")

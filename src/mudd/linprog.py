@@ -121,33 +121,23 @@ def solve_equality_form(
 
 
 def feasible_point(
-    num_vars: int,
-    A_eq: Sequence[Sequence] = (),
-    b_eq: Sequence = (),
-    A_ub: Sequence[Sequence] = (),
-    b_ub: Sequence = (),
+    num_vars: int, A_ub: Sequence[Sequence], b_ub: Sequence
 ) -> list[Fraction] | None:
-    """Find x >= 0 with A_eq x = b_eq and A_ub x <= b_ub (slacks added here).
+    """Find x >= 0 with A_ub x <= b_ub (slacks added here).
 
     Returns the structural variables only, or None if the system is
-    infeasible. Slack columns of inequality rows with non-negative bounds
-    seed the initial basis, so artificials are only created where needed.
+    infeasible. Slack columns of rows with non-negative bounds seed the
+    initial basis, so artificials are only created where needed.
     """
     n_slack = len(A_ub)
     rows: list[list] = []
-    rhs: list = []
     hints: list[int | None] = []
-    for row, r in zip(A_eq, b_eq):
-        rows.append(list(row) + [0] * n_slack)
-        rhs.append(r)
-        hints.append(None)
-    for k, (row, r) in enumerate(zip(A_ub, b_ub)):
+    for k, row in enumerate(A_ub):
         slack = [0] * n_slack
         slack[k] = 1
         rows.append(list(row) + slack)
-        rhs.append(r)
         hints.append(num_vars + k)
-    solution = solve_equality_form(rows, rhs, num_vars + n_slack, basis_hint=hints)
+    solution = solve_equality_form(rows, b_ub, num_vars + n_slack, basis_hint=hints)
     if solution is None:
         return None
     return solution[:num_vars]

@@ -90,12 +90,10 @@ class ConfidenceRegion(Record):
     axes rows are orthonormal eigenvectors of the mean covariance.
     """
 
-    _fields = ("center", "axes", "half_lengths", "eigenvalues", "alpha", "sample_count")
+    _fields = ("center", "axes", "half_lengths")
 
-    def __init__(self, center: Vector, axes: Matrix, half_lengths: Vector,
-                 eigenvalues: Vector, alpha: float, sample_count: int):
-        self._set(center=center, axes=axes, half_lengths=half_lengths,
-                  eigenvalues=eigenvalues, alpha=alpha, sample_count=sample_count)
+    def __init__(self, center: Vector, axes: Matrix, half_lengths: Vector):
+        self._set(center=center, axes=axes, half_lengths=half_lengths)
 
     def contains(self, point: Sequence, tol: float = 0.0) -> bool:
         if len(point) != self.dimension:
@@ -111,39 +109,12 @@ class ConfidenceRegion(Record):
     def dimension(self) -> int:
         return len(self.center)
 
-    def scaled(self, factor: float) -> "ConfidenceRegion":
-        """Same center and axes with every half-length multiplied by factor."""
-        return ConfidenceRegion(
-            center=self.center,
-            axes=self.axes,
-            half_lengths=tuple(h * factor for h in self.half_lengths),
-            eigenvalues=self.eigenvalues,
-            alpha=self.alpha,
-            sample_count=self.sample_count,
-        )
 
-    def to_json(self) -> dict:
-        return {
-            "center": [float(x) for x in self.center],
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "half_lengths": [float(x) for x in self.half_lengths],
-            "alpha": self.alpha,
-            "samples": self.sample_count,
-        }
-
-
-def point_region(point: Sequence, alpha: float = 0.01) -> ConfidenceRegion:
+def point_region(point: Sequence) -> ConfidenceRegion:
     """Degenerate region containing exactly one point (all half-lengths zero)."""
     center = tuple(float(x) for x in point)
     n = len(center)
-    return ConfidenceRegion(
-        center=center,
-        axes=_identity(n),
-        half_lengths=(0.0,) * n,
-        eigenvalues=(0.0,) * n,
-        alpha=alpha,
-        sample_count=2,
-    )
+    return ConfidenceRegion(center=center, axes=_identity(n), half_lengths=(0.0,) * n)
 
 
 def _identity(n: int) -> Matrix:
@@ -164,9 +135,11 @@ def load_observations(
     in the namespace but absent from the file raise MissingCounter unless
     `project` is set, in which case the namespace is restricted and the
     projection is recorded in provenance; a file that shares no counter with
-    the namespace raises MissingCounter even then. Extra columns are ignored
-    with a warning. A cell that is not a finite number raises NonNumericCell,
-    a negative one NegativeCell; both name the run, line and counter column.
+    the namespace, as every file does with an empty one, raises
+    MissingCounter even then. Extra columns are ignored with a warning. A
+    cell that is not a finite number raises NonNumericCell, a negative one
+    NegativeCell; both name the run, the physical line and the counter
+    column.
     A header that names a column twice, a row with more or fewer cells than
     the header, or a line `csv` cannot read, raises MalformedCsv naming the
     run and the line.
@@ -183,24 +156,27 @@ def load_observations(
 
 
 def _rows(fh, run_id):
-    """The rows of a CSV stream; a line `csv` cannot read, such as one with
-    a field longer than `csv.field_size_limit()`, raises MalformedCsv
-    naming the run and the line."""
+    """(line, row) for each row of a CSV stream, where `line` is the
+    physical line the row starts on (a quoted cell may hold line breaks);
+    a line `csv` cannot read, such as one with a field longer than
+    `csv.field_size_limit()`, raises MalformedCsv naming the run and the
+    line."""
     reader = csv.reader(fh)
     while True:
+        line = reader.line_num + 1
         try:
             row = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
             raise MalformedCsv(f"run {run_id!r} line {reader.line_num}: {exc}") from None
-        yield row
+        yield line, row
 
 
 def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
     reader = _rows(fh, run_id)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise TooFewSamples(f"run {run_id!r}: empty file") from None
     if header:  # a stream may still start with a byte order mark
@@ -221,21 +197,21 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
         )
     present = set(names)
     missing = [n for n in namespace.names if n not in present]
+    if missing and not project:
+        raise MissingCounter(
+            f"run {run_id!r} lacks counters: {', '.join(missing)} "
+            "(use projection to restrict the namespace)"
+        )
+    if len(missing) == len(namespace):  # a model with no counters too
+        raise MissingCounter(f"run {run_id!r} shares no counter with the model")
     if missing:
-        if not project:
-            raise MissingCounter(
-                f"run {run_id!r} lacks counters: {', '.join(missing)} "
-                "(use projection to restrict the namespace)"
-            )
-        if len(missing) == len(namespace):
-            raise MissingCounter(f"run {run_id!r} shares no counter with the model")
         namespace = namespace.restrict(present)
         provenance.append("projected-out:" + ",".join(missing))
 
     col_of = {n: i + skip for i, n in enumerate(names)}
     order = [col_of[n] for n in namespace.names]
     rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in reader:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(header):
@@ -606,9 +582,11 @@ def build_confidence_region(
     `independent` drops the off-diagonal covariance (the ablation baseline
     that treats counters as uncorrelated). The chi-square degrees of freedom
     equal the full counter dimension, even when the covariance is
-    rank-deficient.
+    rank-deficient. A run with no counter raises MissingCounter.
     """
     check_alpha(alpha)
+    if not obs.namespace.names:
+        raise MissingCounter(f"run {obs.run_id!r} shares no counter with the model")
     mean, _, mean_cov = mean_and_covariance(obs)
     if independent:
         mean_cov = tuple(tuple(x if i == j else 0.0 for j, x in enumerate(row))
@@ -620,7 +598,4 @@ def build_confidence_region(
         center=mean,
         axes=axes,
         half_lengths=tuple(math.sqrt(v * quantile) for v in values),
-        eigenvalues=values,
-        alpha=alpha,
-        sample_count=obs.sample_count,
     )

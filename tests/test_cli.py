@@ -219,6 +219,16 @@ class TestCheck:
         assert "error: run 'unrelated' shares no counter with the model\n" in err
         assert "zero-size" not in err
 
+    @pytest.mark.parametrize("project", [[], ["--project"]])
+    def test_model_without_counters_names_the_run(self, capsys, tmp_path, project):
+        (tmp_path / "zc.mudd").write_text("action a;\n")
+        (tmp_path / "zc.csv").write_text("x\n1\n2\n")
+        code, out, err = run(capsys, "check", str(tmp_path / "zc.mudd"),
+                             str(tmp_path / "zc.csv"), *project)
+        assert (code, out) == (2, "")
+        assert err == ("warning: run 'zc': ignoring unmodeled columns x\n"
+                       "error: run 'zc' shares no counter with the model\n")
+
     def test_mixed_projections_render_per_cell(self, capsys, walk_model, tmp_path):
         partial = tmp_path / "a_partial.csv"
         partial.write_text("t,load.causes_walk\n0,1\n1,1\n")
@@ -437,6 +447,13 @@ class TestSynth:
         code, out, err = run(capsys, "synth", walk_model, "--flows", "1", "--noise", noise)
         assert (code, out, err) == (2, "", "error: noise must be non-negative\n")
 
+    def test_format_flag_rejected(self, capsys, walk_model):
+        # synth writes CSV only
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", walk_model, "--flows", "1", "--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
     def test_negative_seed_exits_2(self, capsys, walk_model):
         code, out, err = run(capsys, "synth", walk_model, "--flows", "1", "--seed", "-1")
         assert (code, out, err) == (2, "", "error: seed must be non-negative\n")
@@ -484,6 +501,14 @@ class TestExplore:
             assert run(capsys, "paths", str(tmp_path / "m.mudd"))[0] == 2
         monkeypatch.chdir(tmp_path)
         assert run(capsys, "explore", "cat.json") == (2, "", "\n".join(lines) + "\n")
+
+    def test_unreadable_catalog_names_the_file_once(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "dir.json").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "explore", "nope.json") == (
+            2, "", "error: cannot read catalog nope.json: No such file or directory\n")
+        assert run(capsys, "explore", "dir.json") == (
+            2, "", "error: cannot read catalog dir.json: Is a directory\n")
 
     def test_empty_catalog(self, capsys, tmp_path):
         path = tmp_path / "cat.json"
@@ -564,6 +589,13 @@ class TestConfig:
         code, out, _ = run(capsys, "paths", walk_model, "--namespace", str(ns))
         assert code == 0
 
+    def test_namespace_file_naming_a_counter_twice(self, capsys, walk_model, tmp_path):
+        ns = tmp_path / "names.txt"
+        ns.write_text("load.pde$_miss\n# walks\nload.causes_walk\nload.pde$_miss\n")
+        assert run(capsys, "paths", walk_model, "--namespace", str(ns)) == (
+            2, "", f"error: {ns}:4: duplicate counter name 'load.pde$_miss' "
+                   "(first on line 1)\n")
+
 
 @pytest.mark.parametrize("kind", ["csv", "model", "namespace", "config", "catalog"])
 def test_byte_order_mark_is_ignored(capsys, tmp_path, kind):
@@ -634,6 +666,22 @@ def test_part_of_a_byte_order_mark_is_not_utf8(capsys, tmp_path):
     path.write_bytes(codecs.BOM_UTF8[:2])
     code, out, err = run(capsys, "paths", str(path))
     assert (code, out, err) == (2, "", f"error: {path} line 1: byte 0xef is not UTF-8 text\n")
+
+
+def test_readme_refutation_runs_as_shown(tmp_path):
+    # the README's two-minute refutation, run by `sh` with `python3` and
+    # `mudd` meaning this interpreter: each `#   ` line is its output, in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### A two-minute refutation\n\n```sh\n", 1)[1].split("```", 1)[0]
+    expected = [line[4:] for line in block.splitlines() if line.startswith("#   ")]
+    assert len(expected) == 4
+    script = 'python3() { "$PY" "$@"; }\nmudd() { "$PY" -m mudd "$@"; }\n' + block
+    proc = subprocess.run(["sh", "-c", script], capture_output=True, cwd=tmp_path,
+                          env=dict(src_env(), PY=sys.executable, PYTHONIOENCODING="utf-8"),
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr  # the last command, `check`: infeasible
+    out = iter(proc.stdout.decode("utf-8").splitlines())
+    assert all(line in out for line in expected), proc.stdout  # a subsequence
 
 
 def test_mudd_runs_without_scipy(tmp_path):

@@ -256,6 +256,28 @@ class TestCatalogFile:
         with pytest.raises(CatalogError):
             load_catalog(path)
 
+    def test_relaxation_between_inferred_namespaces(self, tmp_path, capsys):
+        # each model infers its own counter order; the catalog fixes none
+        (tmp_path / "ab.mudd").write_text("counter a;\ncounter b;\n")
+        (tmp_path / "ba.mudd").write_text("counter b;\ncounter a;\n")
+        blob = {"entries": [
+            {"name": "p", "infeasible_count": 1, "model": "ab.mudd"},
+            {"name": "c", "infeasible_count": 0, "model": "ba.mudd",
+             "parent": {"name": "p", "kind": "relaxation"}},
+        ]}
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(blob))
+        message = (f"catalog {path}: relaxation 'p' -> 'c': the two models infer different "
+                   "counter namespaces; fix one order with the catalog's 'namespace' key")
+        with pytest.raises(CatalogError) as exc:
+            load_catalog(path)
+        assert str(exc.value) == message
+        assert main(["explore", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        path.write_text(json.dumps({"namespace": ["a", "b"], **blob}))
+        assert expansion_results(load_catalog(path)) == [
+            {"parent": "p", "child": "c", "expanded": True}]
+
     def test_malformed_entry(self, tmp_path):
         path = tmp_path / "cat.json"
         path.write_text(json.dumps({"entries": [{"features": []}]}))

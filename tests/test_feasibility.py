@@ -29,17 +29,11 @@ from mudd.synth import SynthSpec, generate
 from mudd.synth import exact_counters as synth_exact
 
 
-def box_region(center, axes, half_lengths, alpha=0.01):
-    center = np.asarray(center, float)
-    axes = np.asarray(axes, float)
-    half = np.asarray(half_lengths, float)
+def box_region(center, axes, half_lengths):
     return ConfidenceRegion(
-        center=center,
-        axes=axes,
-        half_lengths=half,
-        eigenvalues=half**2,
-        alpha=alpha,
-        sample_count=2,
+        center=np.asarray(center, float),
+        axes=np.asarray(axes, float),
+        half_lengths=np.asarray(half_lengths, float),
     )
 
 
@@ -138,7 +132,7 @@ class TestCheckFeasibility:
             center = [rng.uniform(0, 4) for _ in range(dim)]
             half = [rng.uniform(0, 1) for _ in range(dim)]
             small = box_region(center, np.eye(dim), half)
-            grown = small.scaled(2.5)
+            grown = box_region(center, np.eye(dim), [h * 2.5 for h in half])
             if check_feasibility(gens, small).feasible:
                 assert check_feasibility(gens, grown).feasible
 
@@ -251,7 +245,7 @@ def box_lp_oracle(sigs, region):
         row = [sum(e[j] * s[j] for j in range(n)) for s in sigs]
         a_ub += [row, [-x for x in row]]
         b_ub += [proj + Fraction(h), Fraction(h) - proj]
-    return linprog.feasible_point(len(sigs), (), (), a_ub, b_ub)
+    return linprog.feasible_point(len(sigs), a_ub, b_ub)
 
 
 def assert_witness_on_every_coordinate(sigs, region, cs, verdict):

@@ -53,13 +53,13 @@ class TestNormalize:
 
 class TestEqualities:
     def test_single_generator_line(self):
-        eqs, reduced, pivots = find_equalities([(1, 2)])
+        eqs, reduced, pivots = find_equalities([(1, 2)], 2)
         assert [e.coefficients for e in eqs] == [(2, -1)]
         assert reduced == ((1,),)
         assert pivots == (0,)
 
     def test_full_rank_no_equalities(self):
-        eqs, reduced, _ = find_equalities([(1, 0), (0, 1)])
+        eqs, reduced, _ = find_equalities([(1, 0), (0, 1)], 2)
         assert eqs == ()
         assert set(reduced) == {(1, 0), (0, 1)}
 
@@ -67,7 +67,7 @@ class TestEqualities:
         # coords: (total, part_a, part_b); every generator satisfies
         # total = part_a + part_b
         gens = [(1, 1, 0), (1, 0, 1), (2, 1, 1)]
-        eqs, _, _ = find_equalities(gens)
+        eqs, _, _ = find_equalities(gens, 3)
         assert [e.coefficients for e in eqs] == [(1, -1, -1)]
 
     def test_empty_generators_pin_every_coordinate(self):
@@ -77,7 +77,7 @@ class TestEqualities:
 
     def test_equalities_annihilate_generators(self):
         gens = [(1, 2, 3), (2, 4, 6), (0, 1, 1)]
-        eqs, _, _ = find_equalities(gens)
+        eqs, _, _ = find_equalities(gens, 3)
         for e in eqs:
             for g in gens:
                 assert sum(a * x for a, x in zip(e.coefficients, g)) == 0

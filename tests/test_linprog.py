@@ -52,9 +52,17 @@ def test_feasible_point_infeasible_box():
     assert feasible_point(1, A_ub=[[1], [-1]], b_ub=[1, -2]) is None
 
 
+def _with_equalities(A_eq, b_eq, A_ub, b_ub):
+    """Inequality rows for A_eq x = b_eq and A_ub x <= b_ub: each equality
+    row as the pair a.x <= b and -a.x <= -b."""
+    rows = list(A_ub) + [r for a in A_eq for r in (list(a), [-x for x in a])]
+    rhs = list(b_ub) + [r for b in b_eq for r in (b, -b)]
+    return rows, rhs
+
+
 def test_mixed_system():
     # x + y = 4 with x <= 1 forces y >= 3
-    x = feasible_point(2, A_eq=[[1, 1]], b_eq=[4], A_ub=[[1, 0]], b_ub=[1])
+    x = feasible_point(2, *_with_equalities([[1, 1]], [4], [[1, 0]], [1]))
     assert x is not None
     assert x[0] + x[1] == 4
     assert x[0] <= 1
@@ -95,7 +103,7 @@ def test_int_fraction_and_dyadic_float_entries_agree():
     assert solutions[0] is not None
     assert all(x == solutions[0] for x in solutions)
     assert all(type(v) is Fraction for v in solutions[0])
-    points = [feasible_point(4, A_eq=a[:2], b_eq=rhs[:2], A_ub=a[2:], b_ub=rhs[2:])
+    points = [feasible_point(4, *_with_equalities(a[:2], rhs[:2], a[2:], rhs[2:]))
               for a, rhs in forms]
     assert points[0] is not None
     assert all(x == points[0] for x in points)
@@ -145,7 +153,7 @@ def _highs_feasible(n, A_eq, b_eq, A_ub, b_ub) -> bool:
 @given(_systems())
 def test_feasible_point_agrees_with_highs(system):
     n, A_eq, b_eq, A_ub, b_ub = system
-    x = feasible_point(n, A_eq, b_eq, A_ub, b_ub)
+    x = feasible_point(n, *_with_equalities(A_eq, b_eq, A_ub, b_ub))
     assert (x is not None) == _highs_feasible(n, A_eq, b_eq, A_ub, b_ub)
     if x is not None:
         assert len(x) == n and all(v >= 0 for v in x)

@@ -81,6 +81,22 @@ class TestLoader:
         obs = load_observations(io.StringIO("a,b\n-0.0,1\n2,3\n"), NS2)
         assert obs.sample_matrix[0][0] == 0
 
+    @pytest.mark.parametrize("last, error, message", [
+        ("5,x", NonNumericCell, "^run 'r' line 5 column 'b': 'x'"),
+        ("5,6,7", MalformedCsv, "^run 'r' line 5: row has too many columns"),
+    ], ids=["non-numeric", "ragged"])
+    def test_errors_name_the_physical_line(self, last, error, message):
+        # the quoted cell of line 2 runs on to line 3, so the fourth record
+        # is on line 5
+        src = io.StringIO(f'a,b\n"1\n",2\n3,4\n{last}\n')
+        with pytest.raises(error, match=message):
+            load_observations(src, NS2, run_id="r")
+
+    def test_model_without_counters(self):
+        with pytest.warns(UserWarning, match="unmodeled"):
+            with pytest.raises(MissingCounter, match="^run 'r' shares no counter with the model$"):
+                load_observations(io.StringIO("x\n1\n2\n"), CounterNamespace([]), run_id="r")
+
     def test_header_naming_a_column_twice(self):
         # the later copy used to win silently
         src = io.StringIO("t,a,b,a\n0,1,2,9\n1,3,4,9\n")
@@ -406,6 +422,11 @@ class TestConfidenceRegion:
         assert np.allclose(np.sort(r1.half_lengths), np.sort(r2.half_lengths), rtol=1e-8)
         assert np.allclose(q @ r1.center + 500, r2.center, rtol=1e-9)
 
+    def test_run_without_counters_is_an_input_error(self):
+        obs = ObservationSet("zc", [[], []], CounterNamespace([]))
+        with pytest.raises(MissingCounter, match="^run 'zc' shares no counter with the model$"):
+            build_confidence_region(obs)
+
     def test_point_region_helper(self):
         region = point_region([1.0, 2.0])
         assert region.contains([1, 2])
@@ -413,12 +434,8 @@ class TestConfidenceRegion:
 
     def test_fields_are_tuples_of_floats(self):
         region = build_confidence_region(obs_from([[1, 2], [3, 5], [2, 2]]))
-        for field in (region.center, region.half_lengths, region.eigenvalues, *region.axes):
+        for field in (region.center, region.half_lengths, *region.axes):
             assert type(field) is tuple and all(type(x) is float for x in field)
         assert region.dimension == 2
         with pytest.raises(ValueError, match="dimension"):
             region.contains([1.0, 2.0, 3.0])
-
-    def test_json_fields(self):
-        blob = build_confidence_region(obs_from([[1, 2], [3, 4]])).to_json()
-        assert {"center", "eigenvalues", "half_lengths", "alpha", "samples"} <= set(blob)
