@@ -24,33 +24,12 @@ from .model import DEFAULT_PATH_CAP, CounterNamespace, enumerate_mupaths, signat
 # input errors: one `error: ...` line on stderr, and exit 2; an output
 # encoding that cannot spell a file name counts as one
 _INPUT_ERRORS = (MuddError, OSError, UnicodeEncodeError)
-# the settings a `--config` file may give, and their defaults
-_DEFAULTS = {"alpha": 0.01, "cap": DEFAULT_PATH_CAP, "format": "text"}
 
 
 def _settle(args) -> None:
-    """Fill each setting the user left unset on `args` from `--config`,
-    else from its default; check cap, format and jobs, and load
-    `--namespace`."""
-    overrides = _read_config_file(args.config)
-    for key, default in _DEFAULTS.items():
-        if getattr(args, key, None) is not None:
-            continue
-        if key not in overrides:
-            setattr(args, key, default)
-            continue
-        text, lineno = overrides[key]
-        cast = type(default)
-        try:
-            setattr(args, key, cast(text))
-        except ValueError:
-            raise MuddError(
-                f"{args.config}:{lineno}: {key}: {text!r} is not a valid {cast.__name__}"
-            ) from None
+    """Check cap and jobs, and load `--namespace`."""
     if args.cap < 1:
         raise MuddError("cap must be at least 1")
-    if args.format not in ("text", "json"):
-        raise MuddError(f"unknown output format {args.format!r}")
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         raise MuddError("jobs must be at least 1")
     args.namespace = _load_namespace(getattr(args, "namespace", None))
@@ -69,28 +48,6 @@ def _load_namespace(path):
                             f"(first on line {names[line]})")
         names[line] = lineno
     return CounterNamespace(names)
-
-
-def _read_config_file(path) -> dict:
-    """key=value lines supply defaults for flags the user did not pass;
-    maps each key to its value text and line number."""
-    if not path:
-        return {}
-    overrides = {}
-    for lineno, line in enumerate(read_text(path, path).splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise MuddError(f"{path}:{lineno}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS:
-            raise MuddError(
-                f"{path}:{lineno}: unknown key {key!r}; valid keys are "
-                + ", ".join(_DEFAULTS)
-            )
-        overrides[key] = (value, lineno)
-    return overrides
 
 
 def cmd_paths(args) -> int:
@@ -245,12 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, namespace=True, format=True):
-        p.add_argument("--cap", type=int, default=None, help="path enumeration cap")
+        p.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP, help="path enumeration cap")
         if namespace:
             p.add_argument("--namespace", help="file listing counter names, one per line")
         if format:
-            p.add_argument("--format", choices=["text", "json"], default=None)
-        p.add_argument("--config", help="key=value defaults file")
+            p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("paths", help="list paths and signatures of a model")
     p.add_argument("model")
@@ -265,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="test observation CSVs against a model")
     p.add_argument("model")
     p.add_argument("observations", nargs="+")
-    p.add_argument("--alpha", type=float, default=None, help="significance level")
+    p.add_argument("--alpha", type=float, default=0.01, help="significance level")
     p.add_argument("--project", action="store_true",
                    help="restrict the namespace to counters present in each CSV")
     p.add_argument("--independent", action="store_true",

@@ -24,7 +24,7 @@ class UnknownCounter(MuddError):
 
 
 class PathExplosion(MuddError):
-    """Path enumeration exceeded the configured cap."""
+    """Path enumeration exceeded the cap it was given."""
 
 
 class DanglingDecision(MuddError):

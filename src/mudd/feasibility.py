@@ -354,7 +354,7 @@ def _check_cell(args):
                          error=f"{type(exc).__name__}: {exc}")
 
 
-# A Haswell cell costs about 12 ms, so a worker pays for its start only over
+# A Haswell cell costs about 7 ms, so a worker pays for its start only over
 # many cells. On 2 vCPUs, `--jobs 2` lost to `--jobs 1` at 8, 16 and 24
 # cells and by no more than 3% from 32 cells on (the sweep is in
 # CHANGES.md), so each worker must get at least this many cells.

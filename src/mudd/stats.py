@@ -46,7 +46,7 @@ Matrix = tuple[Vector, ...]
 class ObservationSet(Record):
     """Interval samples for one program run; rows are samples, columns counters.
 
-    `sample_matrix` is any two-dimensional sequence of non-negative reals
+    `sample_matrix` is any two-dimensional sequence of finite non-negative reals
     (lists of floats from `load_observations`, an array from `mudd.synth`)
     and is kept as given.
     """
@@ -73,6 +73,8 @@ class ObservationSet(Record):
                 raise ValueError(
                     f"sample matrix has {len(row)} columns for {width} counters"
                 )
+        if any(x != x or abs(x) == math.inf for row in rows for x in row):
+            raise ValueError(f"run {run_id!r} contains non-finite counter values")
         if any(x < 0 for row in rows for x in row):
             raise ValueError(f"run {run_id!r} contains negative counter values")
         self._set(run_id=run_id, sample_matrix=sample_matrix, namespace=namespace,
@@ -415,8 +417,10 @@ def eigendecompose(sigma: Sequence[Sequence[float]]) -> tuple[Vector, Matrix]:
     rank = sum(1 for v in values if v)
     columns = [col[:rank] for col in zip(*axes)]  # columns[i][k] = axes[k][i]
     scaled = [[v * x for v, x in zip(values, col)] for col in columns]
+    # outside the block both sides are 0.0, up to the symmetry tolerance
     error = max((abs(sum(map(mul, scaled[i], columns[j])) - x)
-                 for i in range(n) for j in range(i, n) for x in (a[i][j], a[j][i])),
+                 for at, i in enumerate(block) for j in block[at:]
+                 for x in (a[i][j], a[j][i])),
                 default=0.0)
     if not error <= 1e-9 * (1.0 + peak):  # also refuses a NaN
         raise ArithmeticError("eigendecomposition failed the reconstruction bound")
@@ -509,6 +513,7 @@ def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float
 
     # tql2: implicit QL on the tridiagonal (d, e)
     e = e[1:] + [0.0]
+    cols = range(n)
     f = 0.0
     tst1 = 0.0
     eps = 2.0**-52
@@ -551,8 +556,8 @@ def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float
                 p = c * d[i] - s * g
                 d[i + 1] = h + s * (c * g + s * d[i])
                 lo, hi = w[i], w[i + 1]
-                w[i + 1] = [s * x + c * y for x, y in zip(lo, hi)]
-                w[i] = [c * x - s * y for x, y in zip(lo, hi)]
+                w[i + 1] = [s * lo[k] + c * hi[k] for k in cols]
+                w[i] = [c * lo[k] - s * hi[k] for k in cols]
             p = -s * s2 * c3 * el1 * e[l] / dl1
             e[l] = s * p
             d[l] = c * p

@@ -4,6 +4,7 @@ import csv
 import importlib
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -528,22 +529,6 @@ class TestExplore:
 
 
 class TestConfig:
-    def test_config_file_defaults(self, capsys, walk_model, tmp_path):
-        cfg = tmp_path / "defaults.cfg"
-        cfg.write_text("format=json\n")
-        code, out, _ = run(capsys, "constraints", walk_model, "--config", str(cfg))
-        assert code == 0
-        json.loads(out)
-
-    def test_flag_overrides_config(self, capsys, walk_model, tmp_path):
-        cfg = tmp_path / "defaults.cfg"
-        cfg.write_text("format=json\n")
-        code, out, _ = run(capsys, "constraints", walk_model,
-                           "--config", str(cfg), "--format", "text")
-        assert code == 0
-        with pytest.raises(json.JSONDecodeError):
-            json.loads(out)
-
     def test_bad_alpha_exits_2(self, capsys, walk_model, exact_csv):
         code, _, err = run(capsys, "check", walk_model, exact_csv, "--alpha", "1.5")
         assert code == 2
@@ -554,34 +539,6 @@ class TestConfig:
         assert code == 2
         assert out == ""
         assert err == "error: alpha 1e-17 is too small: 1 - alpha rounds to 1\n"
-
-    def test_bad_config_value_names_file_line_and_key(self, capsys, walk_model,
-                                                      exact_csv, tmp_path):
-        cfg = tmp_path / "defaults.cfg"
-        cfg.write_text("# defaults\nformat=json\nalpha=abc\n")
-        code, out, err = run(capsys, "check", walk_model, exact_csv, "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {cfg}:3: alpha: 'abc' is not a valid float\n"
-        cfg.write_text("cap=two\n")
-        code, _, err = run(capsys, "check", walk_model, exact_csv, "--config", str(cfg))
-        assert code == 2
-        assert err == f"error: {cfg}:1: cap: 'two' is not a valid int\n"
-
-    def test_unknown_config_key_names_file_line_and_key(self, capsys, walk_model,
-                                                        exact_csv, tmp_path):
-        cfg = tmp_path / "defaults.cfg"
-        cfg.write_text("# defaults\nformat=json\nalhpa=0.05\n")
-        code, out, err = run(capsys, "check", walk_model, exact_csv, "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert err == (f"error: {cfg}:3: unknown key 'alhpa'; "
-                       "valid keys are alpha, cap, format\n")
-        cfg.write_text("jobs=2\n")
-        code, out, err = run(capsys, "check", walk_model, exact_csv, "--config", str(cfg))
-        assert (code, out) == (2, "")
-        assert err == (f"error: {cfg}:1: unknown key 'jobs'; "
-                       "valid keys are alpha, cap, format\n")
 
     def test_namespace_file(self, capsys, walk_model, tmp_path):
         ns = tmp_path / "names.txt"
@@ -597,7 +554,47 @@ class TestConfig:
                    "(first on line 1)\n")
 
 
-@pytest.mark.parametrize("kind", ["csv", "model", "namespace", "config", "catalog"])
+_SHARED_FLAGS = {"--help", "--cap", "--namespace", "--format"}
+_HELP_FLAGS = {
+    "paths": _SHARED_FLAGS,
+    "constraints": _SHARED_FLAGS,
+    "check": _SHARED_FLAGS | {"--alpha", "--project", "--independent", "--jobs"},
+    "explore": {"--help", "--cap", "--format"},
+    "synth": {"--help", "--cap", "--namespace", "--flows", "--samples", "--noise",
+              "--seed", "--output"},
+}
+
+
+@pytest.mark.parametrize("command", _HELP_FLAGS)
+def test_help_lists_each_flag(capsys, command):
+    # sets of flags, not text: argparse lays help out differently by version
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert re.search(rf"^ +{command} ", capsys.readouterr().out, re.MULTILINE)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)) == (
+        _HELP_FLAGS[command])
+
+
+@pytest.mark.parametrize("argv", [
+    ["paths", "m.mudd"],
+    ["constraints", "m.mudd"],
+    ["check", "m.mudd", "r.csv"],
+    ["explore", "catalog.json"],
+    ["synth", "m.mudd", "--flows", "1"],
+], ids=lambda argv: argv[0])
+def test_config_flag_is_rejected(capsys, argv):
+    # every setting is a flag of the command that uses it
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", "x"])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --config x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["csv", "model", "namespace", "catalog"])
 def test_byte_order_mark_is_ignored(capsys, tmp_path, kind):
     # each text input saved with a UTF-8 byte order mark reads as without one
     for name in ("plain", "bom"):
@@ -606,9 +603,8 @@ def test_byte_order_mark_is_ignored(capsys, tmp_path, kind):
         shutil.copy(Path(__file__).resolve().parent / "data" / "csv" / "outcome.csv", d)
         shutil.copy(bundled_path("walk_init_first.mudd"), d / "model.mudd")
         (d / "names.txt").write_text("load.causes_walk\nload.pde$_miss\n")
-        (d / "defaults.cfg").write_text("format=json\n")
     files = {"csv": "outcome.csv", "model": "model.mudd", "namespace": "names.txt",
-             "config": "defaults.cfg", "catalog": "catalog/search_catalog.json"}
+             "catalog": "catalog/search_catalog.json"}
     marked = tmp_path / "bom" / files[kind]
     marked.write_bytes(codecs.BOM_UTF8 + marked.read_bytes())
     walk_outcome = str(bundled_path("walk_outcome.mudd"))
@@ -618,7 +614,6 @@ def test_byte_order_mark_is_ignored(capsys, tmp_path, kind):
             "csv": ["check", walk_outcome, str(d / "outcome.csv")],
             "model": ["paths", str(d / "model.mudd")],
             "namespace": ["paths", str(d / "model.mudd"), "--namespace", str(d / "names.txt")],
-            "config": ["constraints", str(d / "model.mudd"), "--config", str(d / "defaults.cfg")],
             "catalog": ["explore", str(d / "catalog" / "search_catalog.json")],
         }[kind]
 
@@ -627,7 +622,7 @@ def test_byte_order_mark_is_ignored(capsys, tmp_path, kind):
     assert run(capsys, *argv(tmp_path / "bom")) == plain
 
 
-@pytest.mark.parametrize("kind", ["csv", "model", "namespace", "config", "catalog"])
+@pytest.mark.parametrize("kind", ["csv", "model", "namespace", "catalog"])
 def test_non_utf8_input_names_its_file(capsys, monkeypatch, tmp_path, kind):
     # a byte that is not UTF-8 on line 2 gives one error line naming the file
     shutil.copytree(bundled_path("catalog"), tmp_path / "catalog")
@@ -635,7 +630,6 @@ def test_non_utf8_input_names_its_file(capsys, monkeypatch, tmp_path, kind):
     shutil.copy(tmp_path / "outcome.csv", tmp_path / "good.csv")
     shutil.copy(bundled_path("walk_init_first.mudd"), tmp_path / "model.mudd")
     (tmp_path / "names.txt").write_text("load.causes_walk\nload.pde$_miss\n")
-    (tmp_path / "defaults.cfg").write_text("format=json\ncap=10\n")
     walk_outcome = str(bundled_path("walk_outcome.mudd"))
     bad, argv, named = {
         "csv": ("outcome.csv", ["check", walk_outcome, "outcome.csv", "good.csv"],
@@ -643,8 +637,6 @@ def test_non_utf8_input_names_its_file(capsys, monkeypatch, tmp_path, kind):
         "model": ("model.mudd", ["paths", "model.mudd"], "model.mudd"),
         "namespace": ("names.txt", ["paths", "model.mudd", "--namespace", "names.txt"],
                       "names.txt"),
-        "config": ("defaults.cfg", ["constraints", "model.mudd", "--config", "defaults.cfg"],
-                   "defaults.cfg"),
         "catalog": ("catalog/search_catalog.json", ["explore", "catalog/search_catalog.json"],
                     "catalog catalog/search_catalog.json"),
     }[kind]

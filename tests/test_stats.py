@@ -129,6 +129,13 @@ class TestLoader:
         with pytest.raises(ValueError):
             obs_from([[1, -2], [3, 4]])
 
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, cell):
+        # a CSV cannot carry one, but synth and library callers build runs directly
+        for rows in ([[1.0, cell], [2.0, 3.0], [1.5, 2.0]], np.array([[1.0, 2.0], [cell, 3.0]])):
+            with pytest.raises(ValueError, match="^run 'r' contains non-finite counter values$"):
+                ObservationSet("r", rows, NS2)
+
     def test_matrix_kept_as_given(self):
         rows = [[1.0, 2.0], [3.0, 4.0]]
         assert ObservationSet("r", rows, NS2).sample_matrix is rows
