@@ -310,7 +310,12 @@ def parse(text: str, ns: CounterNamespace | None = None, origin: str = "<inline>
     """
     tokens, diags = _tokenize(text)
     parser = _Parser(tokens, ns)
-    hooks = parser.block((), [])
+    try:
+        hooks = parser.block((), [])
+    except RecursionError:  # each nested switch costs the descent a few frames
+        tok = parser.peek()
+        raise DslParseError([Diagnostic("syntax-error", tok.line, tok.col,
+                                        "switches nested too deeply to parse")], origin) from None
     if hooks or not parser.nodes:  # the implicit `done` at the end of the text
         parser.node(hooks, None, None, "done", None)
     # orders resolve last: a label may be defined below the order naming it

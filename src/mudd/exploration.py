@@ -20,17 +20,16 @@ from .model import DEFAULT_PATH_CAP, CounterNamespace, MuDD, Record, signatures_
 class ModelEntry(Record):
     """One explored model; `parent` is (name, "relaxation" | "pruning")."""
 
-    _fields = ("name", "features", "infeasible_count", "model", "model_path", "parent")
+    _fields = ("name", "features", "infeasible_count", "model", "parent")
 
     def __init__(self, name: str, features: frozenset[str], infeasible_count: int,
-                 model: MuDD | None = None, model_path: str | None = None,
-                 parent: tuple[str, str] | None = None):
+                 model: MuDD | None = None, parent: tuple[str, str] | None = None):
         if infeasible_count < 0:
             raise CatalogError(f"entry {name!r} has a negative infeasible count")
         if parent is not None and parent[1] not in ("relaxation", "pruning"):
             raise CatalogError(f"entry {name!r} has unknown edge kind {parent[1]!r}")
         self._set(name=name, features=features, infeasible_count=infeasible_count,
-                  model=model, model_path=model_path, parent=parent)
+                  model=model, parent=parent)
 
 
 class ModelCatalog(Record):
@@ -130,8 +129,7 @@ def load_catalog(path) -> ModelCatalog:
                 ) from exc
             except MuddError as exc:  # not UTF-8: the message names the model file
                 raise CatalogError(f"catalog {path}: entry {name!r} model {exc}") from exc
-        entries[name] = ModelEntry(name, frozenset(features), count, model=model,
-                                   model_path=model_path, parent=parent)
+        entries[name] = ModelEntry(name, frozenset(features), count, model=model, parent=parent)
     try:
         catalog = ModelCatalog(
             entries=entries,

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import exact, linprog
-from .errors import DimensionMismatch, MuddError, PathExplosion
+from .errors import DimensionMismatch, MuddError
 from .geometry import Constraint, ConstraintSet, _as_vector, constraints_from_signatures
 from .model import (
     DEFAULT_PATH_CAP,
@@ -108,10 +108,8 @@ class _Signatures(Record):
         self._set(paths=paths, distinct=distinct, owners=owners)
 
     @classmethod
-    def of(cls, model_sigs: Sequence, n: int, cap: int) -> "_Signatures":
+    def of(cls, model_sigs: Sequence, n: int) -> "_Signatures":
         sigs = [_as_vector(s) for s in model_sigs]
-        if len(sigs) > cap:
-            raise PathExplosion(f"{len(sigs)} flow variables exceed the cap of {cap}")
         for s in sigs:
             if len(s) != n:
                 raise DimensionMismatch(
@@ -129,7 +127,6 @@ def check_feasibility(
     model_sigs: Sequence,
     region: ConfidenceRegion,
     *,
-    cap: int = DEFAULT_PATH_CAP,
     compress: bool = True,
     constraints: ConstraintSet | None = None,
 ) -> FeasibilityVerdict:
@@ -155,7 +152,7 @@ def check_feasibility(
     if isinstance(model_sigs, _Signatures):  # validated once by batch_check
         sigs = model_sigs
     else:
-        sigs = _Signatures.of(model_sigs, n, cap)
+        sigs = _Signatures.of(model_sigs, n)
     lp_sigs = list(sigs.distinct)
 
     if constraints is None:
@@ -204,11 +201,11 @@ def _centre_witness(
     those rows are inconsistent, when w leaves the box, or when the
     membership LP finds no flows.
 
-    The LP equates S f and v only on the constraints' pivot columns (on
-    every coordinate where they carry none). Both meet every equality, S f
-    because each equality holds on every signature; the points that do form
-    the span the deduction found, where a point is fixed by its pivot
-    coordinates, so S f = v on every coordinate.
+    The LP equates S f and v only on the constraints' pivot columns. Both
+    meet every equality, S f because each equality holds on every
+    signature; the points that do form the span the deduction found, where
+    a point is fixed by its pivot coordinates, so S f = v on every
+    coordinate.
     """
     rows = [list(c.coefficients) for c in constraints.equalities]
     residual = [-exact.dot(a, box.center) for a in rows]
@@ -231,8 +228,6 @@ def _centre_witness(
     if not box.contains(point):
         return None
     pivots = constraints.pivot_columns
-    if pivots is None:
-        pivots = range(len(point))
     columns = [[s[i] for s in lp_sigs] for i in pivots]
     return linprog.solve_equality_form(columns, [point[i] for i in pivots], len(lp_sigs))
 
@@ -405,7 +400,7 @@ def batch_check(
             try:
                 if names not in deduced:
                     sigs, constraints = _in_namespace(base, model.namespace, obs.namespace)
-                    deduced[names] = (_Signatures.of(sigs, len(names), cap), constraints)
+                    deduced[names] = (_Signatures.of(sigs, len(names)), constraints)
             except MuddError as exc:
                 cells.append(BatchCell(model_name, obs.run_id, None, error=str(exc)))
                 continue

@@ -87,16 +87,18 @@ class Constraint(Record):
 
 
 class ConstraintSet(Record):
-    """Deduced constraints. `pivot_columns`, where deduction gives them, are
-    the pivots of `find_equalities`: coordinates that determine a point of
-    the generators' span, so a point on the equalities is fixed by them
-    alone. They take no part in `==`."""
+    """Deduced constraints. `pivot_columns` are coordinates that fix a point
+    on the equalities: deduction gives the pivots of `find_equalities`, and
+    a hand-built set defaults to every coordinate. They take no part in
+    `==`."""
 
     _fields = ("equalities", "inequalities", "namespace")
 
     def __init__(self, equalities: tuple[Constraint, ...],
                  inequalities: tuple[Constraint, ...], namespace: CounterNamespace,
                  pivot_columns: tuple[int, ...] | None = None):
+        if pivot_columns is None:
+            pivot_columns = tuple(range(len(namespace)))
         self._set(equalities=equalities, inequalities=inequalities, namespace=namespace,
                   pivot_columns=pivot_columns)
 
@@ -128,15 +130,11 @@ class ConstraintSet(Record):
 def normalize_signatures(sigs: Iterable) -> tuple[Vector, ...]:
     """Primitive, deduplicated, lexicographically sorted generators.
 
-    Each nonzero signature is divided by the gcd of its entries; zero
-    signatures contribute nothing to the cone and are dropped.
+    Equal signatures merge first, so each distinct one is divided by the
+    gcd of its entries once; zero signatures contribute nothing to the cone
+    and are dropped.
     """
-    seen: set[Vector] = set()
-    for sig in sigs:
-        v = _as_vector(sig)
-        if any(v):
-            seen.add(exact.primitive(v))
-    return tuple(sorted(seen))
+    return tuple(sorted({exact.primitive(v) for v in set(map(_as_vector, sigs)) if any(v)}))
 
 
 # ---------------------------------------------------------------------------
@@ -242,54 +240,24 @@ def conic_hull_facets(gens: Sequence) -> tuple[Constraint, ...]:
 # composition
 
 
-def _support_blocks(gens: Sequence[Vector], dim: int) -> list[tuple[int, ...]]:
-    """Partition coordinates into connected components of generator supports."""
-    parent = list(range(dim))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        support = [i for i, x in enumerate(g) if x]
-        for a, b in zip(support, support[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    blocks: dict[int, list[int]] = {}
-    for c in range(dim):
-        blocks.setdefault(find(c), []).append(c)
-    return [tuple(v) for _, v in sorted(blocks.items(), key=lambda kv: kv[1][0])]
-
-
 def constraints_from_signatures(
     sigs: Iterable, namespace: CounterNamespace
 ) -> ConstraintSet:
     """Run the three deduction steps on raw signatures; no LP runs.
 
-    Counters that never co-occur in a generator split the cone into a direct
-    sum; its facets are exactly the per-block facets padded with zeros, so
-    the hull runs per block, on every deduplicated generator of the block.
-    This leaves the output unchanged and keeps decoupled models cheap.
+    One hull takes every generator on the pivot columns, a direct sum of
+    counters that never co-occur included: a ray of one summand costs the
+    kernel one dot product per facet of the other.
     """
     gens = normalize_signatures(sigs)
     equalities, reduced, pivots = find_equalities(gens, len(namespace))
-    inequalities: list[Constraint] = []
-    for block in _support_blocks(reduced, len(pivots)):
-        block_gens = [
-            tuple(g[c] for c in block)
-            for g in reduced
-            if any(g[c] for c in block)
-        ]
-        for facet in conic_hull_facets(block_gens):
-            coefficients = [0] * len(namespace)
-            for c, coeff in zip(block, facet.coefficients):
-                coefficients[pivots[c]] = coeff
-            inequalities.append(Constraint(kind="inequality", coefficients=tuple(coefficients),
-                                           provenance="conic-hull"))
-    inequalities.sort(key=lambda c: c.coefficients)
+    inequalities = []
+    for facet in conic_hull_facets(reduced):
+        coefficients = [0] * len(namespace)
+        for c, coeff in zip(pivots, facet.coefficients):
+            coefficients[c] = coeff
+        inequalities.append(Constraint(kind="inequality", coefficients=tuple(coefficients),
+                                       provenance="conic-hull"))
     return ConstraintSet(
         equalities=equalities, inequalities=tuple(inequalities), namespace=namespace,
         pivot_columns=pivots,

@@ -138,13 +138,14 @@ def load_observations(
     `project` is set, in which case the namespace is restricted and the
     projection is recorded in provenance; a file that shares no counter with
     the namespace, as every file does with an empty one, raises
-    MissingCounter even then. Extra columns are ignored with a warning. A
+    MissingCounter even then. Extra columns are ignored with a warning that
+    names each, or gives the 1-based position of one whose name is empty. A
     cell that is not a finite number raises NonNumericCell, a negative one
     NegativeCell; both name the run, the physical line and the counter
     column.
-    A header that names a column twice, a row with more or fewer cells than
-    the header, or a line `csv` cannot read, raises MalformedCsv naming the
-    run and the line.
+    A header that names a column twice (an empty name aside), a row with
+    more or fewer cells than the header, or a line `csv` cannot read, raises
+    MalformedCsv naming the run and the line.
     A file that is not UTF-8 text raises MuddError naming the run and the
     line of the first bad byte.
     """
@@ -184,17 +185,18 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
     if header:  # a stream may still start with a byte order mark
         header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
-    twice = next((n for i, n in enumerate(header) if n in header[:i]), None)
+    twice = next((n for i, n in enumerate(header) if n and n in header[:i]), None)
     if twice is not None:
         raise MalformedCsv(f"run {run_id!r} line 1 column {twice!r}: named twice in the header")
     skip = 1 if header and header[0] == "t" else 0
     names = header[skip:]
     provenance: list[str] = []
 
-    extra = [n for n in names if n not in namespace]
+    extra = sorted(n for n in names if n and n not in namespace)
+    extra += [f"(unnamed column {i})" for i, n in enumerate(header, 1) if not n]
     if extra:
         warnings.warn(
-            f"run {run_id!r}: ignoring unmodeled columns {', '.join(sorted(extra))}",
+            f"run {run_id!r}: ignoring unmodeled columns {', '.join(extra)}",
             stacklevel=3,
         )
     present = set(names)

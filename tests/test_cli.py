@@ -30,6 +30,10 @@ def src_env():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
+# one counter under 3,000 nested switches, on one line
+DEEP_SWITCHES = "switch (p) { case a: " * 3000 + "counter x;" + " }" * 3000 + "\n"
+
+
 @pytest.fixture
 def walk_model():
     return str(bundled_path("walk_init_first.mudd"))
@@ -73,6 +77,17 @@ class TestPaths:
         assert (code, out, err) == (0, "1. (no decisions) | c=5000\n", "")
         code, out, err = run(capsys, "constraints", str(path))
         assert (code, out, err) == (0, "Equalities (0):\nInequalities (1):\n0 ≤ c\n", "")
+
+    @pytest.mark.parametrize("sub", ["paths", "constraints"])
+    def test_deep_nesting_is_one_diagnostic(self, tmp_path, sub):
+        # the recursive descent runs out of stack long before 3,000 levels
+        path = tmp_path / "deep.mudd"
+        path.write_text(DEEP_SWITCHES)
+        proc = subprocess.run([sys.executable, "-m", "mudd", sub, str(path)],
+                              capture_output=True, text=True, env=src_env(), timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert re.fullmatch(rf"{re.escape(str(path))}:1:\d+: syntax-error: "
+                            "switches nested too deeply to parse\n", proc.stderr)
 
     def test_json_mode(self, capsys, bundled):
         code, out, _ = run(capsys, "paths", str(bundled("stlb_pde_walk.mudd")),
@@ -314,6 +329,32 @@ class TestCheck:
         assert procs[1].returncode == procs[0].returncode == 0
         assert procs[1].stdout == procs[0].stdout.replace("x exact:", "x wide:")
 
+    @pytest.mark.parametrize("blanks, columns", [
+        ((3,), "(unnamed column 4)"),
+        ((3, 4), "(unnamed column 4), (unnamed column 5)"),
+        ((2,), "(unnamed column 3)"),
+    ], ids=["trailing-comma", "two-trailing-commas", "middle"])
+    def test_nameless_columns_are_ignored_by_position(self, capsys, walk_model, exact_csv,
+                                                      tmp_path, blanks, columns):
+        infeasible = tmp_path / "walks.csv"
+        infeasible.write_text("t,load.causes_walk,load.pde$_miss\n"
+                              + "".join(f"{i},1,2\n" for i in range(5)))
+        for plain in (Path(exact_csv), infeasible):
+            with open(plain, newline="") as fh:
+                rows = list(csv.reader(fh))
+            for at in blanks:
+                rows = [row[:at] + ["" if r == 0 else "7"] + row[at:]
+                        for r, row in enumerate(rows)]
+            blank = tmp_path / "blank" / plain.name
+            blank.parent.mkdir(exist_ok=True)
+            with open(blank, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            expected = run(capsys, "check", walk_model, str(plain))
+            assert expected[0] in (0, 1) and expected[2] == ""
+            assert run(capsys, "check", walk_model, str(blank)) == (
+                expected[0], expected[1],
+                f"warning: run '{plain.stem}': ignoring unmodeled columns {columns}\n")
+
     def test_independent_ablation_flag(self, capsys, walk_model, tmp_path):
         # correlated data whose truth sits just past the walk bound: the
         # correlated region refutes it, the diagonal ablation cannot
@@ -502,6 +543,18 @@ class TestExplore:
             assert run(capsys, "paths", str(tmp_path / "m.mudd"))[0] == 2
         monkeypatch.chdir(tmp_path)
         assert run(capsys, "explore", "cat.json") == (2, "", "\n".join(lines) + "\n")
+
+    def test_deeply_nested_entry_model_is_one_diagnostic(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "cat.json").write_text(json.dumps({"entries": [
+            {"name": "a", "infeasible_count": 0, "model": "m.mudd"}
+        ]}))
+        (tmp_path / "m.mudd").write_text(DEEP_SWITCHES)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "explore", "cat.json")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: catalog cat.json: entry 'a': model does not parse\n"
+                            r"m\.mudd:1:\d+: syntax-error: switches nested too deeply to parse\n",
+                            err)
 
     def test_unreadable_catalog_names_the_file_once(self, capsys, monkeypatch, tmp_path):
         (tmp_path / "dir.json").mkdir()

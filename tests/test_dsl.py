@@ -109,6 +109,16 @@ class TestDiagnostics:
                 parse(src)
             assert "syntax-error" in kinds(exc.value)
 
+    def test_nesting_within_the_stack_parses(self):
+        model = parse("switch (p) { case a: " * 200 + "counter x;" + " }" * 200)
+        assert len(model.nodes) == 202  # the switches, the counter and the end
+
+    def test_nesting_beyond_the_stack_is_one_diagnostic(self):
+        with pytest.raises(DslParseError) as exc:
+            parse("switch (p) { case a: " * 3000 + "counter x;" + " }" * 3000)
+        assert [(d.kind, d.line, d.message) for d in exc.value.diagnostics] == [
+            ("syntax-error", 1, "switches nested too deeply to parse")]
+
     def test_format_diagnostics_stable(self):
         try:
             parse("counter ;", origin="model.mudd")
