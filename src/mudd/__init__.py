@@ -4,11 +4,11 @@ Parse a model, enumerate its paths and counter signatures, deduce the
 explicit constraints of its counter cone, build correlated confidence
 regions from noisy samples, and test the two for intersection.
 
-`import mudd` loads only `mudd.errors`: every other submodule, and every
-name re-exported here, is imported on first use.
+`import mudd` loads no submodule: each is imported on first use, as
+`mudd.<submodule>`. Library names are imported from their own modules
+(`from mudd.dsl import parse`); of the modules only `mudd.synth` needs
+numpy.
 """
-from .errors import MuddError
-
 __version__ = "0.1.0"
 
 
@@ -23,29 +23,6 @@ def bundled_path(*parts: str):
 _SUBMODULES = frozenset({"cli", "dsl", "errors", "exact", "exploration", "feasibility",
                          "geometry", "hull", "linprog", "model", "stats", "synth"})
 
-# re-exported name -> its module; of these modules only `synth` needs numpy
-_LAZY = {
-    name: module
-    for module, names in {
-        "dsl": ("DslParseError", "format_diagnostics", "format_model", "parse",
-                "parse_file"),
-        "geometry": ("Constraint", "ConstraintSet", "cone_membership",
-                     "conic_hull_facets", "constraints_from_signatures",
-                     "deduce_constraints", "find_equalities", "normalize_signatures",
-                     "remove_interior_generators"),
-        "model": ("DEFAULT_PATH_CAP", "CounterNamespace", "CounterSignature", "MuDD",
-                  "MuPath", "Node", "enumerate_mupaths", "signature_of",
-                  "signatures_of_model"),
-        "feasibility": ("FeasibilityVerdict", "attribute_violations", "batch_check",
-                        "check_feasibility", "refinement_candidates"),
-        "stats": ("ConfidenceRegion", "ObservationSet", "build_confidence_region",
-                  "chi_square_quantile", "eigendecompose", "load_observations",
-                  "mean_and_covariance", "point_region", "write_observations"),
-        "synth": ("SynthSpec", "exact_counters", "generate"),
-    }.items()
-    for name in names
-}
-
 
 def __getattr__(name: str):
     if name in _SUBMODULES:
@@ -53,8 +30,4 @@ def __getattr__(name: str):
         # importing a submodule binds it here
         __import__(f"{__name__}.{name}")
         return globals()[name]
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(__getattr__(_LAZY[name]), name)
-    globals()[name] = value
-    return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -350,119 +350,3 @@ def parse(text: str, ns: CounterNamespace | None = None, origin: str = "<inline>
 def parse_file(path, ns: CounterNamespace | None = None) -> MuDD:
     return parse(read_text(path, str(path)), ns, str(path))
 
-
-# ---------------------------------------------------------------------------
-# pretty printer
-
-
-_SINK = -1
-
-
-def _immediate_postdominators(model: MuDD) -> dict[int, int]:
-    """ipdom over causality edges, with a virtual sink below every done node."""
-    depth: dict[int, int] = {_SINK: 0}
-    ipdom: dict[int, int] = {}
-
-    def nca(a: int, b: int) -> int:
-        while a != b:
-            if depth[a] < depth[b]:
-                b = ipdom[b] if b != _SINK else _SINK
-            else:
-                a = ipdom[a] if a != _SINK else _SINK
-        return a
-
-    for node_id in reversed(model.order):
-        succs = [e.dst for e in model.out_edges[node_id]] or [_SINK]
-        cand = succs[0]
-        for s in succs[1:]:
-            cand = nca(cand, s)
-        ipdom[node_id] = cand
-        depth[node_id] = depth[cand] + 1
-    return ipdom
-
-
-def format_model(model: MuDD) -> str:
-    """Render a diagram back to source text.
-
-    Recovers block structure from the causality DAG. A switch's cases rejoin
-    at the immediate postdominator of its decision node; when some case ends
-    in `done`, that is the virtual sink, and the cases that do not end in
-    `done` rejoin instead at the first node (in topological order) that two
-    of them reach. A case that never rejoins stops where its enclosing case
-    does. Diagrams built by parse() print each node exactly once; arbitrary
-    hand-built DAGs may print shared tails more than once, which preserves
-    the path set and signatures.
-    """
-    ipdom = _immediate_postdominators(model)
-    position = {nid: i for i, nid in enumerate(model.order)}
-    lines: list[str] = []
-    emitted: set[int] = set()
-    hb_nodes = {nid for edge in model.happens_before for nid in edge}
-    labels: dict[int, str] = {}
-    for n in model.nodes:
-        if n.label is not None:
-            labels[n.node_id] = n.label
-    used = set(labels.values())
-    for nid in sorted(hb_nodes):
-        if nid not in labels:
-            candidate = f"n{nid}"
-            while candidate in used:
-                candidate += "_"
-            labels[nid] = candidate
-            used.add(candidate)
-
-    def prefix(node_id: int) -> str:
-        return f"{labels[node_id]}: " if node_id in labels else ""
-
-    def rejoin(decision: int) -> int:
-        if ipdom[decision] != _SINK:
-            return ipdom[decision]
-        first_case: dict[int, int] = {}  # node -> first case that reaches it
-        shared = []
-        for case, edge in enumerate(model.out_edges[decision]):
-            todo, seen = [edge.dst], {edge.dst}
-            while todo:
-                node_id = todo.pop()
-                if first_case.setdefault(node_id, case) != case:
-                    shared.append(node_id)
-                for e in model.out_edges[node_id]:
-                    if e.dst not in seen:
-                        seen.add(e.dst)
-                        todo.append(e.dst)
-        return min(shared, key=position.__getitem__, default=_SINK)
-
-    def emit_chain(node_id: int, stop: int, indent: int) -> None:
-        pad = "    " * indent
-        current = node_id
-        while current != stop:
-            node = model.node(current)
-            if current in emitted and current in labels:
-                raise MuddError(
-                    f"cannot print: labeled node {current} is shared between branches"
-                )
-            emitted.add(current)
-            if node.kind == "event":
-                lines.append(f"{pad}{prefix(current)}action {node.name};")
-                current = model.out_edges[current][0].dst
-            elif node.kind == "counter":
-                lines.append(f"{pad}{prefix(current)}counter {node.name};")
-                current = model.out_edges[current][0].dst
-            elif node.kind == "done":
-                lines.append(f"{pad}{prefix(current)}done;")
-                return
-            elif node.kind == "decision":
-                cont = rejoin(current)
-                lines.append(f"{pad}{prefix(current)}switch ({node.name}) {{")
-                for e in model.out_edges[current]:
-                    lines.append(f"{pad}    case {e.value}:")
-                    emit_chain(e.dst, stop if cont == _SINK else cont, indent + 2)
-                lines.append(f"{pad}}}")
-                if cont == _SINK:
-                    return
-                current = cont
-
-    # order declarations go first so they are never unreachable after a done
-    for src, dst in model.happens_before:
-        lines.append(f"order {labels[src]} -> {labels[dst]};")
-    emit_chain(model.entry, _SINK, 0)
-    return "\n".join(lines) + "\n"

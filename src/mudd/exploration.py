@@ -43,6 +43,18 @@ class ModelCatalog(Record):
                 raise CatalogError(
                     f"entry {entry.name!r} references missing parent {entry.parent[0]!r}"
                 )
+        rooted: set[str] = set()  # entries whose parent chain ends
+        for name in entries:
+            chain = []
+            while name is not None and name not in rooted and name not in chain:
+                chain.append(name)
+                parent = entries[name].parent
+                name = parent[0] if parent else None
+            if name in chain:
+                cycle = chain[chain.index(name):] + [name]
+                raise CatalogError(f"parent cycle {' -> '.join(map(repr, reversed(cycle)))} "
+                                   "(each entry the parent of the next)")
+            rooted.update(chain)
         self._set(entries=entries, dataset_id=dataset_id, feature_order=feature_order,
                   namespace=namespace)
 
@@ -76,6 +88,8 @@ def load_catalog(path) -> ModelCatalog:
     for key in ("namespace", "features"):
         if raw.get(key) is not None and not _is_strings(raw[key]):
             raise bad("", key, "a list of strings", raw[key])
+    if not isinstance(raw.get("dataset_id", ""), str):
+        raise bad("", "dataset_id", "a string", raw["dataset_id"])
     if not isinstance(raw["entries"], list):
         raise bad("", "entries", "a list of objects", raw["entries"])
     ns = None

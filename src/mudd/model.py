@@ -123,8 +123,7 @@ class MuDD(Record):
     """Immutable diagram, checked for every structural invariant when built.
 
     `out_edges` maps each node id to its causality edges in declaration
-    order. `order` is a topological order of the node ids by Kahn's
-    algorithm: of the nodes ready at once, the one readied last goes first.
+    order.
     """
 
     _fields = ("nodes", "causality", "happens_before", "entry", "namespace")
@@ -182,19 +181,19 @@ class MuDD(Record):
         indegree = dict.fromkeys(out_edges, 0)
         for e in causality:
             indegree[e.dst] += 1
+        # Kahn's algorithm: a node it cannot place is on or below a cycle
         ready = [n.node_id for n in nodes if indegree[n.node_id] == 0]
-        order = []
+        placed = set()
         while ready:
             node_id = ready.pop()
-            order.append(node_id)
+            placed.add(node_id)
             for e in out_edges[node_id]:
                 indegree[e.dst] -= 1
                 if indegree[e.dst] == 0:
                     ready.append(e.dst)
-        if len(order) < len(nodes):
+        if len(placed) < len(nodes):
             # each node left out has a predecessor left out; walking back
             # through them must repeat a node, and that node is on a cycle
-            placed = set(order)
             back = {e.dst: e.src for e in causality
                     if e.src not in placed and e.dst not in placed}
             node_id = next(n.node_id for n in nodes if n.node_id not in placed)
@@ -207,7 +206,7 @@ class MuDD(Record):
             )
         self._set(nodes=nodes, causality=causality, happens_before=happens_before,
                   entry=entry, namespace=namespace, _by_id=by_id,
-                  out_edges=out_edges, order=tuple(order))
+                  out_edges=out_edges)
 
     def node(self, node_id: int) -> Node:
         return self._by_id[node_id]
@@ -232,9 +231,13 @@ class MuPath(Record):
         return dict(self.property_assignment)
 
     def describe(self) -> str:
-        if not self.property_assignment:
-            return "(no decisions)"
-        return ", ".join(f"{p}={v}" for p, v in self.property_assignment)
+        return _describe(self.property_assignment)
+
+
+def _describe(property_assignment) -> str:
+    if not property_assignment:
+        return "(no decisions)"
+    return ", ".join(f"{p}={v}" for p, v in property_assignment)
 
 
 class CounterSignature(Record):
@@ -251,8 +254,10 @@ def enumerate_mupaths(model: MuDD, cap: int = DEFAULT_PATH_CAP) -> tuple[MuPath,
 
     Branches over every value of an unassigned decision property; an already
     assigned property follows its matching edge. Raises PathExplosion when the
-    path count exceeds `cap`, and DanglingDecision when an assigned property
-    has no matching edge.
+    path count exceeds `cap`, DanglingDecision when an assigned property
+    has no matching edge, and OrderingConflict when a path visits the two
+    nodes of a happens-before edge in the other order (or the edge joins a
+    node to itself), naming them by label and the path by its properties.
     """
     if cap < 1:
         raise ValueError("cap must be a positive integer")
@@ -266,18 +271,22 @@ def enumerate_mupaths(model: MuDD, cap: int = DEFAULT_PATH_CAP) -> tuple[MuPath,
         if len(paths) >= cap:
             raise PathExplosion(f"more than {cap} paths; raise the cap or simplify the model")
         index_of = {node.node_id: i for i, node in enumerate(trail)}
+        properties = tuple((p, assignment[p]) for p in assign_order)
         instantiated = []
         for src, dst in model.happens_before:
             if src in index_of and dst in index_of:
                 if index_of[src] >= index_of[dst]:
+                    src_name, dst_name = (model.node(n).label or f"node {n}"
+                                          for n in (src, dst))
                     raise OrderingConflict(
-                        f"happens-before edge ({src}, {dst}) contradicts causality order"
+                        f"order {src_name} -> {dst_name} contradicts causality "
+                        f"on path {_describe(properties)}"
                     )
                 instantiated.append((src, dst))
         paths.append(
             MuPath(
                 nodes_in_order=tuple(trail),
-                property_assignment=tuple((p, assignment[p]) for p in assign_order),
+                property_assignment=properties,
                 happens_before=tuple(instantiated),
             )
         )

@@ -51,11 +51,10 @@ class ObservationSet(Record):
     and is kept as given.
     """
 
-    _fields = ("run_id", "sample_matrix", "namespace", "provenance", "clamped")
+    _fields = ("run_id", "sample_matrix", "namespace", "clamped")
 
     def __init__(self, run_id: str, sample_matrix: Sequence[Sequence[float]],
-                 namespace: CounterNamespace, provenance: tuple[str, ...] = (),
-                 clamped: int = 0):
+                 namespace: CounterNamespace, clamped: int = 0):
         try:
             rows = [list(row) for row in sample_matrix]
         except TypeError:
@@ -78,7 +77,7 @@ class ObservationSet(Record):
         if any(x < 0 for row in rows for x in row):
             raise ValueError(f"run {run_id!r} contains negative counter values")
         self._set(run_id=run_id, sample_matrix=sample_matrix, namespace=namespace,
-                  provenance=provenance, clamped=clamped)
+                  clamped=clamped)
 
     @property
     def sample_count(self) -> int:
@@ -132,12 +131,12 @@ def load_observations(
 ) -> ObservationSet:
     """Read an interval-sample CSV.
 
-    The header row names the counters; an optional leading `t` column is
-    ignored for the math. Columns are reordered to namespace order. Counters
-    in the namespace but absent from the file raise MissingCounter unless
-    `project` is set, in which case the namespace is restricted and the
-    projection is recorded in provenance; a file that shares no counter with
-    the namespace, as every file does with an empty one, raises
+    The header row names the counters; a leading `t` column, the sample
+    index, is ignored when the namespace has no counter `t`. Columns are
+    reordered to namespace order. Counters in the namespace but absent from
+    the file raise MissingCounter unless `project` is set, in which case the
+    namespace is restricted to the counters present; a file that shares no
+    counter with the namespace, as every file does with an empty one, raises
     MissingCounter even then. Extra columns are ignored with a warning that
     names each, or gives the 1-based position of one whose name is empty. A
     cell that is not a finite number raises NonNumericCell, a negative one
@@ -188,9 +187,8 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
     twice = next((n for i, n in enumerate(header) if n and n in header[:i]), None)
     if twice is not None:
         raise MalformedCsv(f"run {run_id!r} line 1 column {twice!r}: named twice in the header")
-    skip = 1 if header and header[0] == "t" else 0
+    skip = 1 if header and header[0] == "t" and "t" not in namespace else 0
     names = header[skip:]
-    provenance: list[str] = []
 
     extra = sorted(n for n in names if n and n not in namespace)
     extra += [f"(unnamed column {i})" for i, n in enumerate(header, 1) if not n]
@@ -210,7 +208,6 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
         raise MissingCounter(f"run {run_id!r} shares no counter with the model")
     if missing:
         namespace = namespace.restrict(present)
-        provenance.append("projected-out:" + ",".join(missing))
 
     col_of = {n: i + skip for i, n in enumerate(names)}
     order = [col_of[n] for n in namespace.names]
@@ -245,24 +242,21 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
         rows.append(sample)
     if len(rows) < 2:
         raise TooFewSamples(f"run {run_id!r} has {len(rows)} samples; need at least 2")
-    return ObservationSet(
-        run_id=run_id,
-        sample_matrix=rows,
-        namespace=namespace,
-        provenance=tuple(provenance),
-    )
+    return ObservationSet(run_id=run_id, sample_matrix=rows, namespace=namespace)
 
 
 def write_observations(obs: ObservationSet, dest: str | Path | io.TextIOBase) -> None:
-    """Write the CSV format load_observations reads (t column included)."""
+    """Write the CSV format load_observations reads, with a leading `t`
+    column of sample indices unless a counter is named `t`."""
     if isinstance(dest, (str, Path)):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_observations(obs, fh)
         return
     writer = csv.writer(dest)
-    writer.writerow(["t"] + list(obs.namespace.names))
+    index = "t" not in obs.namespace
+    writer.writerow(["t"] * index + list(obs.namespace.names))
     for i, row in enumerate(obs.sample_matrix):
-        writer.writerow([i] + [format(x, ".17g") for x in row])
+        writer.writerow([i] * index + [format(x, ".17g") for x in row])
 
 
 def mean_and_covariance(obs: ObservationSet) -> tuple[Vector, Matrix, Matrix]:

@@ -101,6 +101,5 @@ def generate(spec: SynthSpec, run_id: str = "synth", cap: int = DEFAULT_PATH_CAP
         run_id=run_id,
         sample_matrix=matrix,
         namespace=spec.model.namespace,
-        provenance=(f"synth:seed={spec.seed}",),
         clamped=clamped,
     )

@@ -1,7 +1,6 @@
 import ast
 import codecs
 import csv
-import importlib
 import json
 import os
 import re
@@ -88,6 +87,19 @@ class TestPaths:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert re.fullmatch(rf"{re.escape(str(path))}:1:\d+: syntax-error: "
                             "switches nested too deeply to parse\n", proc.stderr)
+
+    @pytest.mark.parametrize("sub", ["paths", "constraints"])
+    @pytest.mark.parametrize("src, message", [
+        ("a: action x;\nb: counter c;\norder b -> a;\n",
+         "order b -> a contradicts causality on path (no decisions)"),
+        ("a: action x;\norder a -> a;\nswitch (S) { case p: counter c; case q: }\n",
+         "order a -> a contradicts causality on path S=p"),
+    ], ids=["backwards", "self"])
+    def test_contradicting_order_names_its_labels(self, capsys, tmp_path, sub, src,
+                                                  message):
+        path = tmp_path / "order.mudd"
+        path.write_text(src)
+        assert run(capsys, sub, str(path)) == (2, "", f"error: {message}\n")
 
     def test_json_mode(self, capsys, bundled):
         code, out, _ = run(capsys, "paths", str(bundled("stlb_pde_walk.mudd")),
@@ -500,6 +512,16 @@ class TestSynth:
         code, out, err = run(capsys, "synth", walk_model, "--flows", "1", "--seed", "-1")
         assert (code, out, err) == (2, "", "error: seed must be non-negative\n")
 
+    def test_counter_named_t_round_trips_through_check(self, capsys, tmp_path):
+        # the sample-index column is left out, so it cannot clash with the counter
+        model = tmp_path / "tu.mudd"
+        model.write_text("counter t; counter u;\n")
+        out = tmp_path / "tu.csv"
+        assert run(capsys, "synth", str(model), "--flows", "3", "--samples", "4",
+                   "-o", str(out)) == (0, "", "")
+        assert out.read_text().splitlines()[0] == "t,u"
+        assert run(capsys, "check", str(model), str(out)) == (0, "tu x tu: feasible\n", "")
+
 
 class TestExplore:
     def test_bundled_catalog(self, capsys, bundled):
@@ -866,34 +888,6 @@ def test_closed_stdout_ends_the_process_silently():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (-signal.SIGPIPE, b"")
-
-
-LAZY_NAMES = [
-    ("feasibility", "FeasibilityVerdict"),
-    ("feasibility", "attribute_violations"),
-    ("feasibility", "batch_check"),
-    ("feasibility", "check_feasibility"),
-    ("feasibility", "refinement_candidates"),
-    ("stats", "ConfidenceRegion"),
-    ("stats", "ObservationSet"),
-    ("stats", "build_confidence_region"),
-    ("stats", "chi_square_quantile"),
-    ("stats", "eigendecompose"),
-    ("stats", "load_observations"),
-    ("stats", "mean_and_covariance"),
-    ("stats", "point_region"),
-    ("stats", "write_observations"),
-    ("synth", "SynthSpec"),
-    ("synth", "exact_counters"),
-    ("synth", "generate"),
-]
-
-
-@pytest.mark.parametrize("module, name", LAZY_NAMES)
-def test_lazy_name_imports_from_package(module, name):
-    namespace = {}
-    exec(f"from mudd import {name}", namespace)
-    assert namespace[name] is getattr(importlib.import_module(f"mudd.{module}"), name)
 
 
 def test_bare_import_resolves_submodules_lazily():

@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mudd import dsl
-from mudd.dsl import DslParseError, format_diagnostics, format_model, parse
+from mudd.dsl import DslParseError, format_diagnostics, parse
+from mudd.errors import OrderingConflict
 from mudd.model import CounterNamespace, enumerate_mupaths, signature_of
 
 
@@ -129,104 +130,123 @@ class TestDiagnostics:
             pytest.fail("expected parse failure")
 
 
-def _path_summary(model):
-    return sorted(
-        (
-            tuple(sorted(p.assignment.items())),
-            signature_of(p, model.namespace).counts,
-        )
-        for p in enumerate_mupaths(model)
-    )
+# property -> its number of cases: a switch on a property assigned higher up
+# the path follows its case, and the pool bounds the paths of a random source
+_CASES = {"P0": 1, "P1": 2, "P2": 2, "P3": 3}
+_COUNTERS = ["c0", "c1", "c2"]
 
 
-class TestRoundTrip:
-    def test_fixture_round_trips(self, bundled):
-        for name in ("stlb_pde_walk", "walk_init_first", "pde_lookup_first", "walk_outcome"):
-            model = dsl.parse_file(bundled(f"{name}.mudd"))
-            reparsed = parse(format_model(model), model.namespace)
-            assert _path_summary(model) == _path_summary(reparsed)
+def _draw_block(data, depth, labels):
+    """A random block of (label, kind, arg) statements, ending where control
+    can no longer fall through, so that no statement is unreachable; returns
+    it and whether control falls through its end."""
+    block = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        kinds = ["counter", "action", "done", "switch"] if depth < 3 else ["counter", "done"]
+        kind = data.draw(st.sampled_from(kinds))
+        label = None
+        if data.draw(st.integers(0, 3)) == 0:
+            label = f"L{len(labels)}"
+            labels.append(label)
+        if kind == "switch":
+            prop = data.draw(st.sampled_from(sorted(_CASES)))
+            cases = [_draw_block(data, depth + 1, labels) for _ in range(_CASES[prop])]
+            block.append((label, kind, (prop, [body for body, _ in cases])))
+            if not any(falls for _, falls in cases):
+                return block, False
+        elif kind == "done":
+            block.append((label, kind, None))
+            return block, False
+        else:
+            name = data.draw(st.sampled_from(_COUNTERS)) if kind == "counter" else f"e{depth}"
+            block.append((label, kind, name))
+    return block, True
 
-    def test_order_statements_round_trip(self):
-        src = """
-        a: action first;
-        b: counter c;
-        order a -> b;
-        """
-        model = parse(src)
-        reparsed = parse(format_model(model), model.namespace)
-        assert len(reparsed.happens_before) == 1
-        assert _path_summary(model) == _path_summary(reparsed)
 
-    def test_property_reuse_round_trips(self):
-        src = """
-        switch (S) {
-            case a:
-                switch (S) { case a: counter c1; case b: counter c2; }
-            case b:
-        }
-        """
-        model = parse(src)
-        reparsed = parse(format_model(model), model.namespace)
-        assert _path_summary(model) == _path_summary(reparsed)
+def _render(block) -> str:
+    lines = []
+    for label, kind, arg in block:
+        prefix = f"{label}: " if label else ""
+        if kind == "switch":
+            prop, bodies = arg
+            cases = " ".join(f"case v{i}: {_render(body)}" for i, body in enumerate(bodies))
+            lines.append(f"{prefix}switch ({prop}) {{ {cases} }}")
+        elif kind == "done":
+            lines.append(f"{prefix}done;")
+        else:
+            lines.append(f"{prefix}{kind} {arg};")
+    return "\n".join(lines)
 
-    @pytest.mark.parametrize("src", [
-        "switch (P) { case a: done; case b: case c: } action e;",
-        "switch (P) { case a: done; case b: case c: } L: action e;",
-    ], ids=["unlabeled", "labeled"])
-    def test_tail_after_partly_done_switch_printed_once(self, src):
-        # the cases that do not end in `done` rejoin at `e`, which prints
-        # once after the switch, not once per rejoining case
-        model = parse(src)
-        reparsed = parse(format_model(model), model.namespace)
-        assert reparsed.nodes == model.nodes
-        assert reparsed.causality == model.causality
-        assert _path_summary(reparsed) == _path_summary(model)
 
-    def test_deep_model_round_trips(self, bundled, haswell_namespace):
-        model = dsl.parse_file(bundled("haswell_mmu.mudd"), haswell_namespace)
-        reparsed = parse(format_model(model), haswell_namespace)
-        assert _path_summary(model) == _path_summary(reparsed)
+def _reference_paths(block):
+    """(property assignment, node trail) of each path, in enumeration order,
+    by running the statements: a switch's case runs, then the statements
+    after the switch; the end of the text is a `done` with no label."""
+    def walk(todo, assignment, trail):
+        if not todo:
+            yield tuple(assignment.items()), trail + [(None, "done", None)]
+            return
+        (label, kind, arg), rest = todo[0], todo[1:]
+        if kind != "switch":
+            node = (label, "event" if kind == "action" else kind, arg)
+            if kind == "done":
+                yield tuple(assignment.items()), trail + [node]
+            else:
+                yield from walk(rest, assignment, trail + [node])
+            return
+        prop, bodies = arg
+        trail = trail + [(label, "decision", prop)]
+        if prop in assignment:
+            yield from walk(bodies[int(assignment[prop][1:])] + rest, assignment, trail)
+            return
+        for i, body in enumerate(bodies):
+            yield from walk(body + rest, {**assignment, prop: f"v{i}"}, trail)
 
-    @settings(max_examples=50, deadline=None)
+    return list(walk(block, {}, []))
+
+
+class TestRandomSources:
+    @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_random_models_round_trip(self, data):
-        counters = ["c0", "c1", "c2"]
-        serial = iter(range(10_000))  # decision properties must be unique
+    def test_paths_match_a_reference_walk(self, data):
+        labels = []
+        block, _ = _draw_block(data, 0, labels)
+        orders = []
+        if labels:
+            pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+            orders = data.draw(st.lists(pairs, max_size=2))
+        src = "\n".join([f"order {a} -> {b};" for a, b in orders] + [_render(block)])
+        model = parse(src, CounterNamespace(_COUNTERS))
 
-        def block(depth, prefix):
-            """Returns (statements, terminated); stops once control cannot fall through."""
-            stmts = []
-            n = data.draw(st.integers(0, 3), label=f"{prefix}n")
-            for i in range(n):
-                kind = data.draw(
-                    st.sampled_from(
-                        ["counter", "action", "switch", "done"]
-                        if depth < 2
-                        else ["counter", "action", "done"]
-                    ),
-                    label=f"{prefix}{i}kind",
-                )
-                if kind == "counter":
-                    stmts.append(f"counter {data.draw(st.sampled_from(counters))};")
-                elif kind == "action":
-                    stmts.append(f"action act{depth}_{i};")
-                elif kind == "done":
-                    stmts.append("done;")
-                    return stmts, True
-                else:
-                    cases = data.draw(st.integers(1, 3), label=f"{prefix}{i}cases")
-                    inner = []
-                    all_dead = True
-                    for c in range(cases):
-                        body, dead = block(depth + 1, f"{prefix}{i}_{c}_")
-                        all_dead = all_dead and dead
-                        inner.append(f"case v{c}: " + " ".join(body))
-                    stmts.append(f"switch (P{next(serial)}) {{ {' '.join(inner)} }}")
-                    if all_dead:
-                        return stmts, True
-            return stmts, False
+        expected = []
+        conflict = None
+        for assignment, trail in _reference_paths(block):
+            position = {label: i for i, (label, _, _) in enumerate(trail) if label}
+            before = []
+            for a, b in orders:
+                if a in position and b in position:
+                    if position[a] >= position[b] and conflict is None:
+                        conflict = (a, b, assignment)
+                    before.append((a, b))
+            counts = tuple(sum(1 for _, kind, name in trail if (kind, name) == ("counter", c))
+                           for c in _COUNTERS)
+            expected.append((assignment, trail, counts, before))
+        if conflict is not None:
+            a, b, assignment = conflict
+            path = ", ".join(f"{p}={v}" for p, v in assignment) or "(no decisions)"
+            with pytest.raises(OrderingConflict) as exc:
+                enumerate_mupaths(model)
+            assert str(exc.value) == f"order {a} -> {b} contradicts causality on path {path}"
+            return
 
-        src = "\n".join(block(0, "top")[0])
-        model = parse(src, CounterNamespace(counters))
-        reparsed = parse(format_model(model), model.namespace)
-        assert _path_summary(model) == _path_summary(reparsed)
+        def label(node_id):
+            return model.node(node_id).label
+
+        actual = [
+            (p.property_assignment,
+             [(n.label, n.kind, n.name) for n in p.nodes_in_order],
+             signature_of(p, model.namespace).counts,
+             [(label(a), label(b)) for a, b in p.happens_before])
+            for p in enumerate_mupaths(model)
+        ]
+        assert actual == expected

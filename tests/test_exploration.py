@@ -315,6 +315,15 @@ BAD_CATALOGS = [
      "'namespace' must be a list of strings, got 'xy'"),
     ("fractional-count", {"entries": [{**_VALID_ENTRIES[0], "infeasible_count": 1.7}]},
      "entry 'a': 'infeasible_count' must be a non-negative integer, got 1.7"),
+    ("dataset-id-object", {"dataset_id": {"x": 1}, "entries": _VALID_ENTRIES},
+     "'dataset_id' must be a string, got {'x': 1}"),
+    ("own-parent", {"entries": [{**_VALID_ENTRIES[0], "parent": {"name": "a", "kind": "pruning"}}]},
+     "parent cycle 'a' -> 'a' (each entry the parent of the next)"),
+    ("parent-cycle", {"entries": [
+        {**_VALID_ENTRIES[0], "parent": {"name": "c", "kind": "relaxation"}},
+        _VALID_ENTRIES[1],
+        {"name": "c", "infeasible_count": 1, "parent": {"name": "b", "kind": "pruning"}}]},
+     "parent cycle 'a' -> 'b' -> 'c' -> 'a' (each entry the parent of the next)"),
 ]
 
 

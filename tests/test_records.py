@@ -35,7 +35,7 @@ def pool_and_model_records(model):
     verdict = FeasibilityVerdict(True, witness_flow=(Fraction(1, 2), Fraction(0)),
                                  witness_point=(Fraction(1, 2), Fraction(1, 3)))
     return [
-        ObservationSet("run", [[1.0, 2.0], [3.0, 4.0]], ns, provenance=("a.csv",), clamped=1),
+        ObservationSet("run", [[1.0, 2.0], [3.0, 4.0]], ns, clamped=1),
         ns,
         ConstraintSet((Constraint("equality", (0, 0)),), (facet,), ns),
         facet,

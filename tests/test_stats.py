@@ -59,7 +59,15 @@ class TestLoader:
         src = io.StringIO("a\n1\n2\n")
         obs = load_observations(src, NS2, project=True)
         assert obs.namespace.names == ("a",)
-        assert any("projected-out:b" in p for p in obs.provenance)
+        assert [list(row) for row in obs.sample_matrix] == [[1.0], [2.0]]
+
+    def test_leading_t_is_a_counter_when_the_model_has_one(self):
+        ns = CounterNamespace(["t", "u"])
+        obs = load_observations(io.StringIO("t,u\n1,2\n3,4\n"), ns)
+        assert [list(row) for row in obs.sample_matrix] == [[1.0, 2.0], [3.0, 4.0]]
+        # without a counter `t` the same column is the sample index
+        obs = load_observations(io.StringIO("t,u\n1,2\n3,4\n"), CounterNamespace(["u"]))
+        assert [list(row) for row in obs.sample_matrix] == [[2.0], [4.0]]
 
     def test_extra_columns_warn_and_ignored(self):
         src = io.StringIO("a,b,unmodeled\n1,2,9\n3,4,9\n")
