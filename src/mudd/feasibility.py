@@ -1,9 +1,9 @@
 """Feasibility of confidence regions against model cones.
 
 A region is the principal-axis box { v : |e_i.(v - c)| <= h_i }. Its bounds
-are floats, and every finite float is a dyadic rational, so scaled by one
-common power of two the centre, axes and half-lengths are integers and
-every test below is exact. Each observation takes one decision sequence:
+are floats, and every finite float is a dyadic rational, so the region
+holds them times one power of two as integers, and every test below is
+exact. Each observation takes one decision sequence:
 
 1. Attribution. Every deduced constraint (an equality a.v = 0 or a facet
    a.v >= 0) is tested against the whole box. Each holds on every
@@ -70,33 +70,6 @@ class FeasibilityVerdict(Record):
         return out
 
 
-class _IntegerBox:
-    """A region with its centre C, axes E (rows) and half-lengths H multiplied
-    by `scale`, a power of two, so that all three are integers:
-    |e_i.(v - c)| <= h_i iff |E_i.(scale*v - C)| <= scale*H_i."""
-
-    def __init__(self, center: list[int], axes: list[list[int]], half: list[int], scale: int):
-        self.center = center
-        self.axes = axes
-        self.half = half
-        self.scale = scale
-
-    @classmethod
-    def of(cls, region: ConfidenceRegion) -> "_IntegerBox":
-        rows = [region.center, *region.axes, region.half_lengths]
-        ratios = [[float(x).as_integer_ratio() for x in row] for row in rows]
-        scale = max((d for row in ratios for _, d in row), default=1)  # powers of two
-        ints = [[m * (scale // d) for m, d in row] for row in ratios]
-        return cls(ints[0], ints[1:-1], ints[-1], scale)
-
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        den = lcm(*(x.denominator for x in point))
-        offset = [x.numerator * (den // x.denominator) * self.scale - den * c
-                  for x, c in zip(point, self.center)]  # scale*den*(v - c)
-        return all(abs(exact.dot(e, offset)) <= self.scale * den * h
-                   for e, h in zip(self.axes, self.half))
-
-
 class _Signatures(Record):
     """Validated signatures: the number of paths, the distinct signatures,
     and the first path index of each."""
@@ -158,14 +131,13 @@ def check_feasibility(
     if constraints is None:
         constraints = constraints_from_signatures(
             lp_sigs, CounterNamespace(f"v{i}" for i in range(n)))
-    box = _IntegerBox.of(region)
-    violated = attribute_violations(constraints, box)
+    violated = attribute_violations(constraints, region)
     if violated:
         return FeasibilityVerdict(feasible=False, violated_constraints=violated)
 
-    solution = _centre_witness(lp_sigs, constraints, box)
+    solution = _centre_witness(lp_sigs, constraints, region)
     if solution is None:
-        solution = _box_lp(lp_sigs, box)
+        solution = _box_lp(lp_sigs, region)
     if solution is None:
         return FeasibilityVerdict(feasible=False)
 
@@ -183,7 +155,7 @@ def check_feasibility(
                     numerators[i] += x * m
     point = tuple(Fraction(x, den) for x in numerators)
     # exact sanity: the reconstructed point lies in the stated box
-    if not box.contains(point):
+    if not region.contains(point):
         raise ArithmeticError("witness point escaped the confidence box")
     return FeasibilityVerdict(
         feasible=True, witness_flow=tuple(flows), witness_point=point
@@ -191,7 +163,7 @@ def check_feasibility(
 
 
 def _centre_witness(
-    lp_sigs: Sequence[tuple[int, ...]], constraints: ConstraintSet, box: _IntegerBox
+    lp_sigs: Sequence[tuple[int, ...]], constraints: ConstraintSet, region: ConfidenceRegion
 ) -> list[Fraction] | None:
     """Flows onto the corrected box centre, or None when it is not a witness.
 
@@ -208,11 +180,11 @@ def _centre_witness(
     coordinate.
     """
     rows = [list(c.coefficients) for c in constraints.equalities]
-    residual = [-exact.dot(a, box.center) for a in rows]
-    pinned = [e for e, h in zip(box.axes, box.half) if h == 0]
+    residual = [-exact.dot(a, region._center) for a in rows]
+    pinned = [e for e, h in zip(region._axes, region._half) if h == 0]
     rows += pinned
     residual += [0] * len(pinned)
-    w: list = list(box.center)
+    w: list = list(region._center)
     if any(residual):
         k = len(rows)
         gram = [[exact.dot(a, b) for b in rows] + [r] for a, r in zip(rows, residual)]
@@ -224,8 +196,8 @@ def _centre_witness(
                 for j, x in enumerate(rows[p]):
                     if x:
                         w[j] += row[k] * x
-    point = [Fraction(x, box.scale) for x in w]
-    if not box.contains(point):
+    point = [Fraction(x, region._scale) for x in w]
+    if not region.contains(point):
         return None
     pivots = constraints.pivot_columns
     columns = [[s[i] for s in lp_sigs] for i in pivots]
@@ -233,7 +205,7 @@ def _centre_witness(
 
 
 def _box_lp(
-    lp_sigs: Sequence[tuple[int, ...]], box: _IntegerBox
+    lp_sigs: Sequence[tuple[int, ...]], region: ConfidenceRegion
 ) -> list[Fraction] | None:
     """Flows f >= 0 whose counter vector lies in the box, or None.
 
@@ -241,15 +213,15 @@ def _box_lp(
     the box bounds on v. Substituting v through the flow equation is an
     exact presolve: signatures are non-negative so v >= 0 is implied, and
     the counter witness is reconstructed from the flows afterwards. Each
-    axis gives -h_i <= e_i.(v - c) <= h_i; times scale**2, in the integer
-    box, that is scale*(E_i.s) f <= scale*H_i + E_i.C and its negation
+    axis gives -h_i <= e_i.(v - c) <= h_i; times scale**2, in the region's
+    integers, that is scale*(E_i.s) f <= scale*H_i + E_i.C and its negation
     <= scale*H_i - E_i.C.
     """
     a_ub = []
     b_ub = []
-    scale = box.scale
-    for e, h in zip(box.axes, box.half):
-        proj_center = exact.dot(e, box.center)
+    scale = region._scale
+    for e, h in zip(region._axes, region._half):
+        proj_center = exact.dot(e, region._center)
         row = [scale * exact.dot(e, s) for s in lp_sigs]
         a_ub.append(row)
         b_ub.append(scale * h + proj_center)
@@ -259,7 +231,7 @@ def _box_lp(
 
 
 def attribute_violations(
-    constraints: ConstraintSet, region: ConfidenceRegion | _IntegerBox
+    constraints: ConstraintSet, region: ConfidenceRegion
 ) -> tuple[Constraint, ...]:
     """Constraints whose half-space (or hyperplane) the whole region misses.
 
@@ -270,18 +242,17 @@ def attribute_violations(
     integers: times scale**2 they are scale*(a.C) -+ sum_i |a.E_i| * H_i.
     A region can be disjoint from the cone while straddling a corner of it,
     in which case no single constraint is violated everywhere and this
-    returns empty. `check_feasibility` passes the integer box it has built.
+    returns empty.
     """
-    box = region if isinstance(region, _IntegerBox) else _IntegerBox.of(region)
-    n = len(box.center)
-    live = [(e, h) for e, h in zip(box.axes, box.half) if h]
+    n = len(region._center)
+    live = [(e, h) for e, h in zip(region._axes, region._half) if h]
     out = []
     for constraint in constraints:
         a = constraint.coefficients
         if len(a) != n:
             raise DimensionMismatch("constraint dimension does not match region")
         terms = [(j, x) for j, x in enumerate(a) if x]  # deduced constraints are sparse
-        base = box.scale * sum(x * box.center[j] for j, x in terms)
+        base = region._scale * sum(x * region._center[j] for j, x in terms)
         spread = sum(abs(sum(x * e[j] for j, x in terms)) * h for e, h in live)
         if base + spread < 0:
             out.append(constraint)

@@ -11,7 +11,7 @@ box in the correlated directions, which is the whole point.
 Everything here uses only the standard library: the moments are sums by
 `math.fsum`, and the symmetric eigendecomposition is Householder
 tridiagonalisation followed by the implicit QL algorithm (EISPACK
-`tred2`/`tql2`). Regions hold tuples of floats.
+`tred2`/`tql2`).
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import io
 import math
 import warnings
 from collections.abc import Sequence
+from fractions import Fraction
 from functools import lru_cache
 from numbers import Real
 from operator import mul
@@ -89,22 +90,49 @@ class ConfidenceRegion(Record):
 
     The region is { v : |axes[i] . (v - center)| <= half_lengths[i] for all i };
     axes rows are orthonormal eigenvectors of the mean covariance.
+    Times one power of two, `_scale`, the centre, axes and half-lengths are
+    the integers `_center`, `_axes` and `_half`, built once here and kept
+    outside `_fields`; containment and the feasibility check decide in them:
+    |e_i.(v - c)| <= h_i iff |E_i.(scale*v - C)| <= scale*H_i. A ragged
+    region or a non-finite entry raises ValueError.
     """
 
     _fields = ("center", "axes", "half_lengths")
 
     def __init__(self, center: Vector, axes: Matrix, half_lengths: Vector):
-        self._set(center=center, axes=axes, half_lengths=half_lengths)
+        n = len(center)
+        if len(axes) != n or len(half_lengths) != n or any(len(e) != n for e in axes):
+            raise ValueError(f"a region of dimension {n} needs {n} axes and half-lengths")
+        try:
+            ratios = [[float(x).as_integer_ratio() for x in row]
+                      for row in (center, *axes, half_lengths)]
+        except (OverflowError, ValueError):
+            raise ValueError("region has non-finite entries") from None
+        scale = max((d for row in ratios for _, d in row), default=1)  # powers of two
+        ints = [[m * (scale // d) for m, d in row] for row in ratios]
+        self._set(center=center, axes=axes, half_lengths=half_lengths,
+                  _scale=scale, _center=ints[0], _axes=ints[1:-1], _half=ints[-1])
 
     def contains(self, point: Sequence, tol: float = 0.0) -> bool:
+        """Exactly whether |e_i.(point - c)| <= h_i + tol for every i, each float
+        at its binary value; a point with a non-finite coordinate is outside."""
         if len(point) != self.dimension:
             raise ValueError(
                 f"point of dimension {len(point)} for a region of dimension "
                 f"{self.dimension}"
             )
-        delta = [float(x) - c for x, c in zip(point, self.center)]
-        return all(abs(math.fsum(map(mul, e, delta))) <= h + tol
-                   for e, h in zip(self.axes, self.half_lengths))
+        try:
+            xs = [Fraction(x) for x in point]
+        except (OverflowError, ValueError):
+            return False
+        slack = Fraction(tol)
+        den = math.lcm(slack.denominator, *(x.denominator for x in xs))
+        scale = self._scale
+        offset = [x.numerator * (den // x.denominator) * scale - den * c
+                  for x, c in zip(xs, self._center)]  # scale*den*(v - c)
+        extra = scale * scale * slack.numerator * (den // slack.denominator)  # scale**2*den*tol
+        return all(abs(sum(map(mul, e, offset))) <= scale * den * h + extra
+                   for e, h in zip(self._axes, self._half))
 
     @property
     def dimension(self) -> int:
@@ -583,7 +611,8 @@ def build_confidence_region(
     `independent` drops the off-diagonal covariance (the ablation baseline
     that treats counters as uncorrelated). The chi-square degrees of freedom
     equal the full counter dimension, even when the covariance is
-    rank-deficient. A run with no counter raises MissingCounter.
+    rank-deficient. A run with no counter raises MissingCounter, and one
+    whose box half-lengths overflow raises NonFiniteStatistics.
     """
     check_alpha(alpha)
     if not obs.namespace.names:
@@ -595,8 +624,10 @@ def build_confidence_region(
     values, axes = eigendecompose(mean_cov)
     dof = len(obs.namespace)
     quantile = chi_square_quantile(dof, 1.0 - alpha)
-    return ConfidenceRegion(
-        center=mean,
-        axes=axes,
-        half_lengths=tuple(math.sqrt(v * quantile) for v in values),
-    )
+    half_lengths = tuple(math.sqrt(v * quantile) for v in values)
+    if not all(map(math.isfinite, half_lengths)):
+        raise NonFiniteStatistics(
+            f"run {obs.run_id!r}: confidence box overflows; "
+            "counter values are too large"
+        )
+    return ConfidenceRegion(center=mean, axes=axes, half_lengths=half_lengths)

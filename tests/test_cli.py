@@ -321,6 +321,20 @@ class TestCheck:
         assert any(line.startswith("walk_outcome x huge: error: run 'huge'") for line in lines)
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_overflowing_box_names_the_run(self, capsys, tmp_path):
+        # the covariance is finite, but a half-length sqrt(v * quantile) is not
+        (tmp_path / "one.mudd").write_text("counter a;\n")
+        (tmp_path / "huge.csv").write_text("a\n0.0\n1.69e+154\n")
+        (tmp_path / "ok.csv").write_text("a\n1.0\n2.0\n")
+        code, out, _ = run(capsys, "check", str(tmp_path / "one.mudd"),
+                           str(tmp_path / "huge.csv"), str(tmp_path / "ok.csv"))
+        assert code == 2
+        assert out.splitlines() == [
+            "one x huge: error: run 'huge': confidence box overflows; "
+            "counter values are too large",
+            "one x ok: feasible",
+        ]
+
     def test_unmodeled_columns_warn_in_one_line(self, walk_model, exact_csv, tmp_path):
         with open(exact_csv, newline="") as fh:
             rows = list(csv.reader(fh))

@@ -367,6 +367,23 @@ class TestDecisionPath:
                 region = build_confidence_region(o, independent=independent)
                 assert_witness_on_every_coordinate(cell_sigs, region, cs, cell.verdict)
 
+    # 0 <= b <= a: the box LP's witness often lies exactly on a box face
+    TWO_PATHS = "counter a; switch (p) { case x: counter b; case y: done; }\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_witness_is_in_the_region_it_was_found_in(self, seed):
+        model = dsl.parse(self.TWO_PATHS)
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(6):
+            a = 10 + rng.gauss(0, 1)
+            rows.append([a, max(0.0, a + 0.3 + rng.gauss(0, 1))])
+        region = build_confidence_region(ObservationSet("r", rows, model.namespace))
+        verdict = check_feasibility([s.counts for s in signatures_of_model(model)], region)
+        if verdict.feasible:
+            assert region.contains(verdict.witness_point)
+
 
 class TestRefinement:
     def test_refined_model_breaks_the_constraint(self, bundled):
@@ -488,19 +505,20 @@ class TestBatch:
                                                                    monkeypatch):
         import mudd.feasibility as feasibility
 
-        counts = {"_as_vector": 0, "of": 0}
-        real_vector, real_box = feasibility._as_vector, feasibility._IntegerBox.of
+        # a region converts its box to integers in its constructor
+        counts = {"_as_vector": 0, "region": 0}
+        real_vector, real_init = feasibility._as_vector, ConfidenceRegion.__init__
 
         def as_vector(sig):
             counts["_as_vector"] += 1
             return real_vector(sig)
 
-        def box_of(region):
-            counts["of"] += 1
-            return real_box(region)
+        def region_init(self, *args, **kwargs):
+            counts["region"] += 1
+            real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(feasibility, "_as_vector", as_vector)
-        monkeypatch.setattr(feasibility._IntegerBox, "of", staticmethod(box_of))
+        monkeypatch.setattr(ConfidenceRegion, "__init__", region_init)
         model = dsl.parse_file(bundled("walk_init_first.mudd"))
         obs = [
             generate(SynthSpec(model=model, flows=(2.0, 1.0), samples=8, noise=0.1, seed=s),
@@ -510,7 +528,7 @@ class TestBatch:
         cells = batch_check([("m", model)], obs)
         assert all(c.verdict.feasible for c in cells)
         paths = len(enumerate_mupaths(model))
-        assert counts == {"_as_vector": paths, "of": 4}
+        assert counts == {"_as_vector": paths, "region": 4}
 
     def test_unusable_alpha_raises_once_before_any_cell(self, bundled, monkeypatch):
         import mudd.feasibility

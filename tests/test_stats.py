@@ -1,5 +1,6 @@
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mudd.errors import (
 )
 from mudd.model import CounterNamespace
 from mudd.stats import (
+    ConfidenceRegion,
     ObservationSet,
     build_confidence_region,
     chi_square_quantile,
@@ -446,6 +448,38 @@ class TestConfidenceRegion:
         region = point_region([1.0, 2.0])
         assert region.contains([1, 2])
         assert not region.contains([1, 2.0001])
+
+    def test_point_on_a_face_is_inside_and_one_beyond_is_outside(self):
+        region = ConfidenceRegion((1.0, 2.0), ((1.0, 0.0), (0.0, 1.0)), (0.5, 0.25))
+        assert region.contains([1.5, 2.25])
+        assert region.contains([Fraction(1, 2), Fraction(7, 4)])
+        beyond = Fraction(3, 2) + Fraction(1, 2**60)
+        assert not region.contains([beyond, 2.0])
+        assert not region.contains([1.0, Fraction(7, 4) - Fraction(1, 2**60)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_is_outside(self, bad):
+        region = ConfidenceRegion((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), (1e300, 1e300))
+        assert not region.contains([bad, 0.0])
+        assert not region.contains([0.0, bad], tol=1.0)
+
+    @pytest.mark.parametrize("center, axes, half", [
+        ((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), (1.0,)),
+        ((0.0, 0.0), ((1.0, 0.0), (0.0,)), (1.0, 1.0)),
+        ((0.0, 0.0), ((1.0, 0.0),), (1.0, 1.0)),
+        ((0.0, math.nan), ((1.0, 0.0), (0.0, 1.0)), (1.0, 1.0)),
+        ((0.0, 0.0), ((1.0, 0.0), (0.0, math.inf)), (1.0, 1.0)),
+        ((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), (1.0, math.inf)),
+    ])
+    def test_ragged_or_non_finite_region_is_rejected(self, center, axes, half):
+        with pytest.raises(ValueError):
+            ConfidenceRegion(center, axes, half)
+
+    def test_numpy_point_with_a_tolerance(self):
+        region = point_region([1.0, 2.0])
+        assert region.contains(np.array([1.0, 2.0 + 5e-10]), tol=1e-9)
+        assert not region.contains(np.array([1.0, 2.0 + 2e-9]), tol=1e-9)
+        assert not region.contains(np.array([1.0, 2.0 + 5e-10]))
 
     def test_fields_are_tuples_of_floats(self):
         region = build_confidence_region(obs_from([[1, 2], [3, 5], [2, 2]]))
