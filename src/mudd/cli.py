@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import dsl
 from .errors import MuddError, read_text
-from .model import DEFAULT_PATH_CAP, CounterNamespace, enumerate_mupaths, signature_of
+from .model import CounterNamespace, enumerate_mupaths, signature_of
 
 # a subcommand imports what only it runs in its own body, so that `paths`
 # loads no module beyond `dsl` and `model`
@@ -27,9 +27,7 @@ _INPUT_ERRORS = (MuddError, OSError, UnicodeEncodeError)
 
 
 def _settle(args) -> None:
-    """Check cap and jobs, and load `--namespace`."""
-    if args.cap < 1:
-        raise MuddError("cap must be at least 1")
+    """Check jobs, and load `--namespace`."""
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         raise MuddError("jobs must be at least 1")
     args.namespace = _load_namespace(getattr(args, "namespace", None))
@@ -55,7 +53,7 @@ def cmd_paths(args) -> int:
     names = model.namespace.names
     rows = [
         (p, {n: c for n, c in zip(names, signature_of(p, model.namespace).counts) if c})
-        for p in enumerate_mupaths(model, args.cap)
+        for p in enumerate_mupaths(model)
     ]
     if args.format == "json":
         import json
@@ -73,7 +71,7 @@ def cmd_constraints(args) -> int:
     from . import geometry
 
     model = dsl.parse_file(args.model, args.namespace)
-    constraints = geometry.deduce_constraints(model, args.cap)
+    constraints = geometry.deduce_constraints(model)
     if args.format == "json":
         import json
 
@@ -124,7 +122,6 @@ def cmd_check(args) -> int:
         [(Path(args.model).stem, model)],
         observations,
         args.alpha,
-        cap=args.cap,
         independent=args.independent,
         jobs=args.jobs,
     )
@@ -143,7 +140,7 @@ def cmd_explore(args) -> int:
     from . import exploration
 
     catalog = exploration.load_catalog(args.catalog)
-    expansion = exploration.expansion_results(catalog, args.cap)
+    expansion = exploration.expansion_results(catalog)
     if args.format == "json":
         print(exploration.report_json(catalog, expansion))
     else:
@@ -175,7 +172,7 @@ def cmd_synth(args) -> int:
         raise MuddError("mudd synth needs numpy (pip install 'mudd[synth]')") from None
 
     model = dsl.parse_file(args.model, args.namespace)
-    paths = enumerate_mupaths(model, args.cap)
+    paths = enumerate_mupaths(model)
     flows = _numbers("--flows", args.flows, len(paths))
     noise = _numbers("--noise", "0" if args.noise is None else args.noise,
                      len(model.namespace))
@@ -186,7 +183,7 @@ def cmd_synth(args) -> int:
         noise=noise[0] if len(noise) == 1 else noise,
         seed=args.seed,
     )
-    obs = synth.generate(spec, run_id=Path(args.model).stem, cap=args.cap)
+    obs = synth.generate(spec, run_id=Path(args.model).stem)
     if args.output:
         stats.write_observations(obs, args.output)
     else:
@@ -202,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, namespace=True, format=True):
-        p.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP, help="path enumeration cap")
         if namespace:
             p.add_argument("--namespace", help="file listing counter names, one per line")
         if format:

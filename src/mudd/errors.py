@@ -1,5 +1,5 @@
 """Exception types shared across the package, and `read_text`, which
-reports a file that is not UTF-8 text as one of them."""
+reports a file that cannot be read, or is not UTF-8 text, as one of them."""
 
 
 class MuddError(Exception):
@@ -24,7 +24,7 @@ class UnknownCounter(MuddError):
 
 
 class PathExplosion(MuddError):
-    """Path enumeration exceeded the cap it was given."""
+    """A model has more paths than `model.PATH_CAP`, the fixed path limit."""
 
 
 class DanglingDecision(MuddError):
@@ -85,10 +85,14 @@ class CatalogError(MuddError):
 def read_text(path, name: str) -> str:
     """The text of the file at `path`, decoded as UTF-8 without a leading
     byte order mark, with each line end made "\\n" as `open` makes it. A
-    byte that is not UTF-8 raises MuddError that names the file as `name`,
-    and the line of the byte."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    file that cannot be read raises MuddError naming `path` as given and
+    the reason; a byte that is not UTF-8 raises MuddError that names the
+    file as `name`, and the line of the byte."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise MuddError(f"{path}: {exc.strerror}") from None
     try:
         # in one call: an incremental decoder takes a file holding part of
         # a byte order mark for an empty one

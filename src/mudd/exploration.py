@@ -14,7 +14,7 @@ from pathlib import Path
 from . import dsl
 from .errors import CatalogError, DimensionMismatch, MuddError, NoFeasibleModel, read_text
 from .geometry import cone_membership, normalize_signatures
-from .model import DEFAULT_PATH_CAP, CounterNamespace, MuDD, Record, signatures_of_model
+from .model import CounterNamespace, MuDD, Record, signatures_of_model
 
 
 class ModelEntry(Record):
@@ -70,13 +70,12 @@ def load_catalog(path) -> ModelCatalog:
     """Read a catalog JSON file; model paths resolve relative to it.
 
     A value of the wrong type raises CatalogError naming the file, the
-    entry (by name, or by position when the name itself is bad) and the key.
+    entry (by name, or by position when the name itself is bad) and the key;
+    so does a top-level `features` or `namespace` that names a value twice.
     """
     path = Path(path)
     try:
         raw = json.loads(read_text(path, f"catalog {path}"))
-    except OSError as exc:
-        raise CatalogError(f"cannot read catalog {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
     if not isinstance(raw, dict) or "entries" not in raw:
@@ -88,6 +87,11 @@ def load_catalog(path) -> ModelCatalog:
     for key in ("namespace", "features"):
         if raw.get(key) is not None and not _is_strings(raw[key]):
             raise bad("", key, "a list of strings", raw[key])
+    seen: set[str] = set()
+    for feature in raw.get("features") or ():
+        if feature in seen:
+            raise CatalogError(f"catalog {path}: 'features': duplicate feature {feature!r}")
+        seen.add(feature)
     if not isinstance(raw.get("dataset_id", ""), str):
         raise bad("", "dataset_id", "a string", raw["dataset_id"])
     if not isinstance(raw["entries"], list):
@@ -137,11 +141,7 @@ def load_catalog(path) -> ModelCatalog:
                 raise CatalogError(
                     f"catalog {path}: entry {name!r}: model does not parse\n{exc}"
                 ) from exc
-            except OSError as exc:
-                raise CatalogError(
-                    f"catalog {path}: entry {name!r} model {resolved}: {exc.strerror}"
-                ) from exc
-            except MuddError as exc:  # not UTF-8: the message names the model file
+            except MuddError as exc:  # unreadable: the message names the model file
                 raise CatalogError(f"catalog {path}: entry {name!r} model {exc}") from exc
         entries[name] = ModelEntry(name, frozenset(features), count, model=model, parent=parent)
     try:
@@ -205,7 +205,7 @@ def minimal_feasible(catalog: ModelCatalog) -> frozenset[str]:
     return frozenset(out)
 
 
-def cone_expansion_check(parent: MuDD, child: MuDD, cap: int = DEFAULT_PATH_CAP) -> bool:
+def cone_expansion_check(parent: MuDD, child: MuDD) -> bool:
     """True iff every parent generator lies in the child's cone (cone grew or held).
 
     Generators are compared normalized (primitive and deduplicated). A parent
@@ -216,21 +216,21 @@ def cone_expansion_check(parent: MuDD, child: MuDD, cap: int = DEFAULT_PATH_CAP)
     """
     if parent.namespace.names != child.namespace.names:
         raise DimensionMismatch("parent and child use different counter namespaces")
-    child_gens = normalize_signatures(signatures_of_model(child, cap))
+    child_gens = normalize_signatures(signatures_of_model(child))
     shared = set(child_gens)
-    for gen in normalize_signatures(signatures_of_model(parent, cap)):
+    for gen in normalize_signatures(signatures_of_model(parent)):
         if gen not in shared and not cone_membership(child_gens, gen):
             return False
     return True
 
 
-def expansion_results(catalog: ModelCatalog, cap: int = DEFAULT_PATH_CAP) -> list[dict]:
+def expansion_results(catalog: ModelCatalog) -> list[dict]:
     """Validate every recorded relaxation edge; entries without models are skipped."""
     return [
         {
             "parent": parent.name,
             "child": child.name,
-            "expanded": cone_expansion_check(parent.model, child.model, cap),
+            "expanded": cone_expansion_check(parent.model, child.model),
         }
         for parent, child in _relaxations(catalog)
     ]

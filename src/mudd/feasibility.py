@@ -32,7 +32,6 @@ from . import exact, linprog
 from .errors import DimensionMismatch, MuddError
 from .geometry import Constraint, ConstraintSet, _as_vector, constraints_from_signatures
 from .model import (
-    DEFAULT_PATH_CAP,
     CounterNamespace,
     MuDD,
     MuPath,
@@ -261,9 +260,7 @@ def attribute_violations(
     return tuple(out)
 
 
-def refinement_candidates(
-    violated: Constraint, candidate_model: MuDD, cap: int = DEFAULT_PATH_CAP
-) -> tuple[MuPath, ...]:
+def refinement_candidates(violated: Constraint, candidate_model: MuDD) -> tuple[MuPath, ...]:
     """Paths of the candidate whose signatures strictly break the constraint.
 
     A violated inequality can only be discharged by a model containing at
@@ -276,7 +273,7 @@ def refinement_candidates(
     if len(violated.coefficients) != len(ns):
         raise DimensionMismatch("constraint dimension does not match model namespace")
     out = []
-    for path in enumerate_mupaths(candidate_model, cap):
+    for path in enumerate_mupaths(candidate_model):
         sig = signature_of(path, ns)
         if exact.dot(violated.coefficients, sig.counts) < 0:
             out.append(path)
@@ -338,7 +335,6 @@ def batch_check(
     observation_sets: Sequence[ObservationSet],
     alpha: float = 0.01,
     *,
-    cap: int = DEFAULT_PATH_CAP,
     independent: bool = False,
     jobs: int | None = None,
 ) -> tuple[BatchCell, ...]:
@@ -360,7 +356,7 @@ def batch_check(
     work = []
     for model_name, model in models:
         try:
-            base = [s.counts for s in signatures_of_model(model, cap)]
+            base = [s.counts for s in signatures_of_model(model)]
         except MuddError as exc:
             cells.extend(BatchCell(model_name, obs.run_id, None, error=str(exc))
                          for obs in observation_sets)

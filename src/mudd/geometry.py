@@ -24,7 +24,6 @@ from fractions import Fraction
 from . import exact, hull, linprog
 from .errors import DegenerateHull, DimensionMismatch
 from .model import (
-    DEFAULT_PATH_CAP,
     CounterNamespace,
     CounterSignature,
     MuDD,
@@ -264,6 +263,6 @@ def constraints_from_signatures(
     )
 
 
-def deduce_constraints(model: MuDD, cap: int = DEFAULT_PATH_CAP) -> ConstraintSet:
+def deduce_constraints(model: MuDD) -> ConstraintSet:
     """Explicit constraint set of a diagram's model cone."""
-    return constraints_from_signatures(signatures_of_model(model, cap), model.namespace)
+    return constraints_from_signatures(signatures_of_model(model), model.namespace)

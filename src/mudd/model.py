@@ -19,7 +19,10 @@ from .errors import (
     UnknownCounter,
 )
 
-DEFAULT_PATH_CAP = 100_000
+# the most paths a model may have; past it enumeration raises PathExplosion.
+# A guard on outside input, not a setting: deducing the constraints of far
+# fewer paths (65,536 distinct signatures) runs for minutes on 2 vCPUs.
+PATH_CAP = 100_000
 
 NODE_KINDS = ("event", "counter", "decision", "done")
 
@@ -249,18 +252,16 @@ class CounterSignature(Record):
         self._set(counts=counts)
 
 
-def enumerate_mupaths(model: MuDD, cap: int = DEFAULT_PATH_CAP) -> tuple[MuPath, ...]:
+def enumerate_mupaths(model: MuDD) -> tuple[MuPath, ...]:
     """All distinct paths of `model`, depth-first, edges in declaration order.
 
     Branches over every value of an unassigned decision property; an already
     assigned property follows its matching edge. Raises PathExplosion when the
-    path count exceeds `cap`, DanglingDecision when an assigned property
+    path count exceeds `PATH_CAP`, DanglingDecision when an assigned property
     has no matching edge, and OrderingConflict when a path visits the two
     nodes of a happens-before edge in the other order (or the edge joins a
     node to itself), naming them by label and the path by its properties.
     """
-    if cap < 1:
-        raise ValueError("cap must be a positive integer")
     out = model.out_edges
     paths: list[MuPath] = []
     trail: list[Node] = []
@@ -268,8 +269,9 @@ def enumerate_mupaths(model: MuDD, cap: int = DEFAULT_PATH_CAP) -> tuple[MuPath,
     assign_order: list[str] = []
 
     def emit() -> None:
-        if len(paths) >= cap:
-            raise PathExplosion(f"more than {cap} paths; raise the cap or simplify the model")
+        if len(paths) >= PATH_CAP:
+            raise PathExplosion(f"more than {PATH_CAP} paths, the fixed limit; "
+                                "simplify the model")
         index_of = {node.node_id: i for i, node in enumerate(trail)}
         properties = tuple((p, assignment[p]) for p in assign_order)
         instantiated = []
@@ -347,6 +349,6 @@ def signature_of(path: MuPath, ns: CounterNamespace) -> CounterSignature:
     return CounterSignature(counts=tuple(counts))
 
 
-def signatures_of_model(model: MuDD, cap: int = DEFAULT_PATH_CAP) -> tuple[CounterSignature, ...]:
+def signatures_of_model(model: MuDD) -> tuple[CounterSignature, ...]:
     """Signatures of every path, duplicates preserved (dedup is a cone concern)."""
-    return tuple(signature_of(p, model.namespace) for p in enumerate_mupaths(model, cap))
+    return tuple(signature_of(p, model.namespace) for p in enumerate_mupaths(model))

@@ -179,7 +179,7 @@ def load_observations(
     if isinstance(source, (str, Path)):
         path = Path(source)
         rid = run_id if run_id is not None else path.stem
-        text = read_text(path, f"run {rid!r}")
+        text = read_text(source, f"run {rid!r}")
         return _read_csv(io.StringIO(text), namespace, project=project, run_id=rid)
     rid = run_id if run_id is not None else "<stream>"
     return _read_csv(source, namespace, project=project, run_id=rid)

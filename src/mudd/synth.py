@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidValue
-from .model import DEFAULT_PATH_CAP, MuDD, Record, signatures_of_model
+from .model import MuDD, Record, signatures_of_model
 from .stats import ObservationSet
 
 
@@ -43,9 +43,9 @@ class SynthSpec(Record):
         self._set(model=model, flows=flows, samples=samples, noise=noise, seed=seed)
 
 
-def exact_counters(spec: SynthSpec, cap: int = DEFAULT_PATH_CAP) -> tuple[Fraction, ...]:
+def exact_counters(spec: SynthSpec) -> tuple[Fraction, ...]:
     """Flow-weighted signature sum, computed exactly."""
-    sigs = signatures_of_model(spec.model, cap)
+    sigs = signatures_of_model(spec.model)
     if len(spec.flows) != len(sigs):
         raise DimensionMismatch(
             f"{len(spec.flows)} flows for {len(sigs)} paths"
@@ -62,7 +62,7 @@ def exact_counters(spec: SynthSpec, cap: int = DEFAULT_PATH_CAP) -> tuple[Fracti
     return tuple(total)
 
 
-def generate(spec: SynthSpec, run_id: str = "synth", cap: int = DEFAULT_PATH_CAP) -> ObservationSet:
+def generate(spec: SynthSpec, run_id: str = "synth") -> ObservationSet:
     """Sample matrix of `samples` rows around exact/samples plus seeded noise.
 
     Negative cells are clamped to zero; the clamp count is recorded on the
@@ -70,7 +70,7 @@ def generate(spec: SynthSpec, run_id: str = "synth", cap: int = DEFAULT_PATH_CAP
     noise they are exact only when exact/samples is representable, e.g.
     integer flows with a power-of-two sample count.
     """
-    exact = exact_counters(spec, cap)
+    exact = exact_counters(spec)
     n = len(exact)
     base = np.array([float(x) / spec.samples for x in exact])
     rng = np.random.default_rng(spec.seed)

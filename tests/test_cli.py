@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import mudd.model
 from mudd import bundled_path
 from mudd.cli import main
 
@@ -400,11 +401,10 @@ class TestCheck:
         assert "load.pde$_miss ≤ load.causes_walk" in out_corr
         assert code_ind == 0
 
-    def test_cap_exceeded_exits_2(self, capsys, bundled):
-        code, _, err = run(capsys, "paths", str(bundled("stlb_pde_walk.mudd")),
-                           "--cap", "2")
-        assert code == 2
-        assert "cap" in err
+    def test_cap_exceeded_exits_2(self, capsys, monkeypatch, bundled):
+        monkeypatch.setattr(mudd.model, "PATH_CAP", 2)
+        assert run(capsys, "paths", str(bundled("stlb_pde_walk.mudd"))) == (
+            2, "", "error: more than 2 paths, the fixed limit; simplify the model\n")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_shared_stems_use_the_paths_as_run_ids(self, capsys, walk_model, exact_csv,
@@ -596,9 +596,9 @@ class TestExplore:
         (tmp_path / "dir.json").mkdir()
         monkeypatch.chdir(tmp_path)
         assert run(capsys, "explore", "nope.json") == (
-            2, "", "error: cannot read catalog nope.json: No such file or directory\n")
+            2, "", "error: nope.json: No such file or directory\n")
         assert run(capsys, "explore", "dir.json") == (
-            2, "", "error: cannot read catalog dir.json: Is a directory\n")
+            2, "", "error: dir.json: Is a directory\n")
 
     def test_empty_catalog(self, capsys, tmp_path):
         path = tmp_path / "cat.json"
@@ -643,13 +643,13 @@ class TestConfig:
                    "(first on line 1)\n")
 
 
-_SHARED_FLAGS = {"--help", "--cap", "--namespace", "--format"}
+_SHARED_FLAGS = {"--help", "--namespace", "--format"}
 _HELP_FLAGS = {
     "paths": _SHARED_FLAGS,
     "constraints": _SHARED_FLAGS,
     "check": _SHARED_FLAGS | {"--alpha", "--project", "--independent", "--jobs"},
-    "explore": {"--help", "--cap", "--format"},
-    "synth": {"--help", "--cap", "--namespace", "--flows", "--samples", "--noise",
+    "explore": {"--help", "--format"},
+    "synth": {"--help", "--namespace", "--flows", "--samples", "--noise",
               "--seed", "--output"},
 }
 
@@ -668,19 +668,31 @@ def test_help_lists_each_flag(capsys, command):
         _HELP_FLAGS[command])
 
 
-@pytest.mark.parametrize("argv", [
+_SUBCOMMAND_ARGV = [
     ["paths", "m.mudd"],
     ["constraints", "m.mudd"],
     ["check", "m.mudd", "r.csv"],
     ["explore", "catalog.json"],
     ["synth", "m.mudd", "--flows", "1"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", _SUBCOMMAND_ARGV, ids=lambda argv: argv[0])
 def test_config_flag_is_rejected(capsys, argv):
     # every setting is a flag of the command that uses it
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--config", "x"])
     assert exc.value.code == 2
     assert "error: unrecognized arguments: --config x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", _SUBCOMMAND_ARGV, ids=lambda argv: argv[0])
+def test_cap_flag_is_rejected(capsys, argv):
+    # the path limit is fixed: `model.PATH_CAP`
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cap", "5"])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --cap 5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["csv", "model", "namespace", "catalog"])
@@ -737,6 +749,27 @@ def test_non_utf8_input_names_its_file(capsys, monkeypatch, tmp_path, kind):
     assert err == f"error: {named} line 2: byte 0xff is not UTF-8 text\n"
     if kind == "csv":  # the batch's other CSV keeps its verdict
         assert out.strip().endswith("good: feasible")
+    else:
+        assert out == ""
+
+
+@pytest.mark.parametrize("kind", ["csv", "model", "namespace"])
+def test_unreadable_input_is_one_error_line(capsys, monkeypatch, tmp_path, kind):
+    # a missing file, or a directory, names the path as given and the reason
+    (tmp_path / "dir.csv").mkdir()
+    shutil.copy(Path(__file__).resolve().parent / "data" / "csv" / "outcome.csv", tmp_path)
+    shutil.copy(bundled_path("walk_outcome.mudd"), tmp_path / "model.mudd")
+    argv, line = {
+        "csv": (["check", "model.mudd", "dir.csv", "outcome.csv"], "dir.csv: Is a directory"),
+        "model": (["paths", "nope.mudd"], "nope.mudd: No such file or directory"),
+        "namespace": (["paths", "model.mudd", "--namespace", "nope.txt"],
+                      "nope.txt: No such file or directory"),
+    }[kind]
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (2, f"error: {line}\n")
+    if kind == "csv":  # the batch's other CSV keeps its verdict
+        assert out == "model x outcome: feasible\n"
     else:
         assert out == ""
 

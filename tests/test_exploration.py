@@ -313,6 +313,8 @@ BAD_CATALOGS = [
      "entry 'a': 'features' must be a list of strings, got 'TlbPf'"),
     ("namespace-string", {"namespace": "xy", "entries": _VALID_ENTRIES},
      "'namespace' must be a list of strings, got 'xy'"),
+    ("features-repeated", {"features": ["F", "G", "F"], "entries": _VALID_ENTRIES},
+     "'features': duplicate feature 'F'"),
     ("fractional-count", {"entries": [{**_VALID_ENTRIES[0], "infeasible_count": 1.7}]},
      "entry 'a': 'infeasible_count' must be a non-negative integer, got 1.7"),
     ("dataset-id-object", {"dataset_id": {"x": 1}, "entries": _VALID_ENTRIES},

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mudd.model
 from mudd import dsl
 from mudd.errors import (
     CycleDetected,
@@ -149,14 +150,16 @@ class TestEnumeration:
         with pytest.raises(DanglingDecision):
             enumerate_mupaths(model)
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
         src = "\n".join(
             f"switch (P{i}) {{ case a: case b: }}" for i in range(5)
         )
         model = dsl.parse(src)
-        assert len(enumerate_mupaths(model, cap=32)) == 32
-        with pytest.raises(PathExplosion):
-            enumerate_mupaths(model, cap=31)
+        monkeypatch.setattr(mudd.model, "PATH_CAP", 32)
+        assert len(enumerate_mupaths(model)) == 32
+        monkeypatch.setattr(mudd.model, "PATH_CAP", 31)
+        with pytest.raises(PathExplosion, match="more than 31 paths"):
+            enumerate_mupaths(model)
 
     def test_deterministic_and_declaration_ordered(self):
         src = """
