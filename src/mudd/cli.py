@@ -22,7 +22,10 @@ from .model import CounterNamespace, enumerate_mupaths, signature_of
 # loads no module beyond `dsl` and `model`
 
 # input errors: one `error: ...` line on stderr, and exit 2; an output
-# encoding that cannot spell a file name counts as one
+# encoding that cannot spell a file name counts as one. Files mudd opens by
+# name raise MuddError, so OSError is here for what fails under them: a
+# check pool that cannot start its workers, or a stdout write that fails
+# with something other than a closed pipe (a full disk)
 _INPUT_ERRORS = (MuddError, OSError, UnicodeEncodeError)
 
 

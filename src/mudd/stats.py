@@ -1,7 +1,7 @@
 """Counter sample ingestion and correlated confidence regions.
 
-Interval samples of counter vectors give a sample mean and covariance; the
-plugin estimate of the mean's covariance is the sample covariance over the
+Interval samples of counter vectors give a sample mean and the plugin
+estimate of the mean's covariance: the unbiased sample covariance over the
 sample count. The confidence region for the true counter vector is the
 ellipsoid of that covariance at a chi-square quantile, approximated by its
 principal-axis bounding box: axis directions are covariance eigenvectors and
@@ -30,6 +30,7 @@ from .errors import (
     InvalidValue,
     MalformedCsv,
     MissingCounter,
+    MuddError,
     NegativeCell,
     NonFiniteStatistics,
     NonNumericCell,
@@ -49,7 +50,9 @@ class ObservationSet(Record):
 
     `sample_matrix` is any two-dimensional sequence of finite non-negative reals
     (lists of floats from `load_observations`, an array from `mudd.synth`)
-    and is kept as given.
+    and is kept as given; fewer than two rows raise TooFewSamples. `clamped`
+    counts the negative draws `mudd.synth.generate` clipped to zero, and is 0
+    for samples read from a file.
     """
 
     _fields = ("run_id", "sample_matrix", "namespace", "clamped")
@@ -268,16 +271,20 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
                 )
             sample.append(value)
         rows.append(sample)
-    if len(rows) < 2:
-        raise TooFewSamples(f"run {run_id!r} has {len(rows)} samples; need at least 2")
     return ObservationSet(run_id=run_id, sample_matrix=rows, namespace=namespace)
 
 
 def write_observations(obs: ObservationSet, dest: str | Path | io.TextIOBase) -> None:
     """Write the CSV format load_observations reads, with a leading `t`
-    column of sample indices unless a counter is named `t`."""
+    column of sample indices unless a counter is named `t`. A path that
+    cannot be opened for writing raises MuddError naming it as given and
+    the reason."""
     if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(dest, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise MuddError(f"{dest}: {exc.strerror}") from None
+        with fh:
             write_observations(obs, fh)
         return
     writer = csv.writer(dest)
@@ -287,15 +294,16 @@ def write_observations(obs: ObservationSet, dest: str | Path | io.TextIOBase) ->
         writer.writerow([i] * index + [format(x, ".17g") for x in row])
 
 
-def mean_and_covariance(obs: ObservationSet) -> tuple[Vector, Matrix, Matrix]:
-    """Sample mean, unbiased sample covariance, and plugin mean covariance.
+def mean_and_covariance(obs: ObservationSet) -> tuple[Vector, Matrix]:
+    """Sample mean and plugin mean covariance.
 
-    The mean covariance is the sample covariance divided by the sample count.
-    Each sum is a `math.fsum` of the rounded terms. A constant column has
-    its value as its mean and an exactly zero row and column of covariance;
-    the covariance is filled above the diagonal and mirrored, so it is
-    exactly symmetric. Raises NonFiniteStatistics when counter values are so
-    large that the mean or covariance overflows.
+    Each mean covariance entry is the unbiased sample covariance, a
+    `math.fsum` of the rounded deviation products over m - 1, divided by
+    the sample count m. A constant column has its value as its mean and an
+    exactly zero row and column of covariance; the matrix is filled above
+    the diagonal and mirrored, so it is exactly symmetric. Raises
+    NonFiniteStatistics when counter values are so large that the mean or
+    covariance overflows.
     """
     m = obs.sample_count
     columns = [[float(x) for x in col] for col in zip(*obs.sample_matrix)]
@@ -311,21 +319,20 @@ def mean_and_covariance(obs: ObservationSet) -> tuple[Vector, Matrix, Matrix]:
             mu = math.fsum(col) / m
             mean.append(mu)
             deviations.append((j, [x - mu for x in col]))
-        cov = [[0.0] * n for _ in range(n)]
+        mean_cov = [[0.0] * n for _ in range(n)]
         for t, (j, dj) in enumerate(deviations):
             for k, dk in deviations[t:]:
-                cov[j][k] = cov[k][j] = math.fsum(map(mul, dj, dk)) / (m - 1)
+                mean_cov[j][k] = mean_cov[k][j] = math.fsum(map(mul, dj, dk)) / (m - 1) / m
     except (OverflowError, ValueError):  # fsum: intermediate overflow, or inf - inf
-        cov = None
-    if cov is None or not all(map(math.isfinite, mean)) or not all(
-        math.isfinite(x) for row in cov for x in row
+        mean_cov = None
+    if mean_cov is None or not all(map(math.isfinite, mean)) or not all(
+        math.isfinite(x) for row in mean_cov for x in row
     ):
         raise NonFiniteStatistics(
             f"run {obs.run_id!r}: sample mean or covariance overflows; "
             "counter values are too large"
         )
-    mean_cov = tuple(tuple(x / m for x in row) for row in cov)
-    return tuple(mean), tuple(map(tuple, cov)), mean_cov
+    return tuple(mean), tuple(map(tuple, mean_cov))
 
 
 def chi_square_quantile(dof: int, p: float) -> float:
@@ -394,15 +401,14 @@ def _chi_square_cdf(dof: int, x: float) -> float:
 def eigendecompose(sigma: Sequence[Sequence[float]]) -> tuple[Vector, Matrix]:
     """Eigenvalues (descending, clamped at zero) and orthonormal eigenvectors (rows).
 
-    Raises NotSymmetric when the input is not square or not symmetric within
-    1e-12 of its largest entry (at least 1), and ValueError when an entry is
-    not finite. Each all-zero row i of the symmetrized matrix is the
-    eigenpair (0, e_i) as it stands; the block of the other rows goes
-    through Householder tridiagonalisation and the implicit QL algorithm
-    (`_symmetric_eigen`). Covariance matrices are positive semidefinite up
-    to rounding, so small negative eigenvalues are clamped to zero. Raises
-    ArithmeticError when V^T diag(values) V misses the input by more than
-    1e-9 * (1 + its largest entry).
+    Raises NotSymmetric when the input is not square or differs from its
+    transpose in any entry, and ValueError when an entry is not finite. Each
+    all-zero row i is the eigenpair (0, e_i) as it stands; the block of the
+    other rows goes through Householder tridiagonalisation and the implicit
+    QL algorithm (`_symmetric_eigen`). Covariance matrices are positive
+    semidefinite up to rounding, so small negative eigenvalues are clamped
+    to zero. Raises ArithmeticError when V^T diag(values) V misses the input
+    by more than 1e-9 * (1 + its largest entry).
     """
     try:
         a = [[float(x) for x in row] for row in sigma]
@@ -413,22 +419,14 @@ def eigendecompose(sigma: Sequence[Sequence[float]]) -> tuple[Vector, Matrix]:
         raise NotSymmetric("matrix is not square")
     if not all(all(map(math.isfinite, row)) for row in a):
         raise ValueError("matrix has non-finite entries")
-    peak = max((max(map(abs, row)) for row in a if row), default=0.0)
-    tol = 1e-12 * max(1.0, peak)
-    transpose = [list(col) for col in zip(*a)]
-    if a == transpose:  # exactly symmetric, as every covariance here is
-        sym = a
-    elif all(abs(x - y) <= tol for row, col in zip(a, transpose) for x, y in zip(row, col)):
-        sym = [[x if x == y else (x + y) / 2.0 for x, y in zip(row, col)]
-               for row, col in zip(a, transpose)]
-    else:
-        raise NotSymmetric("matrix is not symmetric within 1e-12")
+    if a != [list(col) for col in zip(*a)]:
+        raise NotSymmetric("matrix is not symmetric")
 
     values = [0.0] * n
     vectors = [list(row) for row in _identity(n)]
-    block = [i for i in range(n) if any(sym[i])]
+    block = [i for i in range(n) if any(a[i])]
     if block:
-        sub = [[sym[i][j] for j in block] for i in block]
+        sub = [[a[i][j] for j in block] for i in block]
         for i, value, z in zip(block, *_symmetric_eigen(sub)):
             values[i] = value
             vectors[i] = [0.0] * n
@@ -441,11 +439,11 @@ def eigendecompose(sigma: Sequence[Sequence[float]]) -> tuple[Vector, Matrix]:
     rank = sum(1 for v in values if v)
     columns = [col[:rank] for col in zip(*axes)]  # columns[i][k] = axes[k][i]
     scaled = [[v * x for v, x in zip(values, col)] for col in columns]
-    # outside the block both sides are 0.0, up to the symmetry tolerance
-    error = max((abs(sum(map(mul, scaled[i], columns[j])) - x)
-                 for at, i in enumerate(block) for j in block[at:]
-                 for x in (a[i][j], a[j][i])),
+    # outside the block both sides are 0.0; a[i][j] is a[j][i]
+    error = max((abs(sum(map(mul, scaled[i], columns[j])) - a[i][j])
+                 for at, i in enumerate(block) for j in block[at:]),
                 default=0.0)
+    peak = max((max(map(abs, row)) for row in a if row), default=0.0)
     if not error <= 1e-9 * (1.0 + peak):  # also refuses a NaN
         raise ArithmeticError("eigendecomposition failed the reconstruction bound")
     return values, axes
@@ -617,7 +615,7 @@ def build_confidence_region(
     check_alpha(alpha)
     if not obs.namespace.names:
         raise MissingCounter(f"run {obs.run_id!r} shares no counter with the model")
-    mean, _, mean_cov = mean_and_covariance(obs)
+    mean, mean_cov = mean_and_covariance(obs)
     if independent:
         mean_cov = tuple(tuple(x if i == j else 0.0 for j, x in enumerate(row))
                          for i, row in enumerate(mean_cov))

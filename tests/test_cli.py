@@ -536,6 +536,24 @@ class TestSynth:
         assert out.read_text().splitlines()[0] == "t,u"
         assert run(capsys, "check", str(model), str(out)) == (0, "tu x tu: feasible\n", "")
 
+    @pytest.mark.parametrize("output, line", [
+        ("d.csv", "d.csv: Is a directory"),
+        ("nodir/x.csv", "nodir/x.csv: No such file or directory"),
+    ])
+    def test_unwritable_output_is_one_error_line(self, capsys, monkeypatch, tmp_path,
+                                                 walk_model, output, line):
+        # the path as given and the reason, as for a file that cannot be read
+        from mudd import cli
+
+        (tmp_path / "d.csv").mkdir()
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["mudd", "synth", walk_model, "--flows", "1",
+                                          "-o", output])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
 
 class TestExplore:
     def test_bundled_catalog(self, capsys, bundled):

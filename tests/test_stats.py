@@ -164,20 +164,29 @@ class TestLoader:
 
 class TestMoments:
     def test_identical_rows_zero_covariance(self):
-        mean, cov, mean_cov = mean_and_covariance(obs_from([[3, 4], [3, 4], [3, 4]]))
+        mean, mean_cov = mean_and_covariance(obs_from([[3, 4], [3, 4], [3, 4]]))
         assert list(mean) == [3, 4]
-        assert np.allclose(cov, 0)
         assert np.allclose(mean_cov, 0)
 
     def test_hand_computed_two_samples(self):
-        mean, cov, mean_cov = mean_and_covariance(obs_from([[0, 0], [2, 2]]))
+        # sample covariance [[2, 2], [2, 2]] over 2 samples
+        mean, mean_cov = mean_and_covariance(obs_from([[0, 0], [2, 2]]))
         assert list(mean) == [1, 1]
-        assert np.asarray(cov).tolist() == [[2, 2], [2, 2]]
         assert np.asarray(mean_cov).tolist() == [[1, 1], [1, 1]]
 
     def test_anticorrelated_pair(self):
-        _, cov, _ = mean_and_covariance(obs_from([[0, 2], [2, 0]]))
-        assert cov[0][1] == pytest.approx(-2)
+        _, mean_cov = mean_and_covariance(obs_from([[0, 2], [2, 0]]))
+        assert mean_cov[0][1] == pytest.approx(-1)
+
+    def test_returns_mean_and_mean_covariance_only(self):
+        # each entry is the unbiased sample covariance, then over the sample count
+        rows = np.random.default_rng(5).uniform(0, 1e3, (7, 2))
+        result = mean_and_covariance(obs_from(rows))
+        assert len(result) == 2
+        mean, mean_cov = result
+        d = rows - np.asarray(mean)
+        assert all(mean_cov[j][k] == math.fsum(d[:, j] * d[:, k]) / 6 / 7
+                   for j in range(2) for k in range(2))
 
     def test_overflow_names_the_run(self, recwarn):
         huge = obs_from([[1e300, 0], [3e300, 1], [2e300, 2]], run_id="huge")
@@ -191,17 +200,16 @@ class TestMoments:
 
     def test_constant_column_is_exact(self):
         # fsum(0.1, 0.1, 0.1) / 3 is not 0.1; a constant column keeps its value
-        mean, cov, _ = mean_and_covariance(obs_from([[0.1, 1], [0.1, 2], [0.1, 4]]))
+        mean, mean_cov = mean_and_covariance(obs_from([[0.1, 1], [0.1, 2], [0.1, 4]]))
         assert mean[0] == 0.1
-        assert cov[0] == (0.0, 0.0) and cov[1][0] == 0.0
-        assert cov[1][1] == pytest.approx(7 / 3, rel=1e-15)
+        assert mean_cov[0] == (0.0, 0.0) and mean_cov[1][0] == 0.0
+        assert mean_cov[1][1] == pytest.approx(7 / 9, rel=1e-15)
 
     def test_covariance_exactly_symmetric(self):
         rng = np.random.default_rng(12)
         ns = CounterNamespace([f"c{i}" for i in range(6)])
-        _, cov, mean_cov = mean_and_covariance(obs_from(rng.uniform(0, 1e4, (30, 6)), ns))
-        for m in (cov, mean_cov):
-            assert all(m[i][j] == m[j][i] for i in range(6) for j in range(6))
+        _, mean_cov = mean_and_covariance(obs_from(rng.uniform(0, 1e4, (30, 6)), ns))
+        assert all(mean_cov[i][j] == mean_cov[j][i] for i in range(6) for j in range(6))
 
 
 class TestChiSquare:
@@ -303,6 +311,12 @@ class TestEigendecompose:
         with pytest.raises(NotSymmetric):
             eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_one_ulp_off_symmetric_is_refused(self):
+        # no tolerance: an input is symmetric exactly, as every covariance here is
+        sigma = [[2.0, 1.0, 0.5], [1.0, 2.0, 0.25], [0.5, math.nextafter(0.25, 1.0), 2.0]]
+        with pytest.raises(NotSymmetric, match="^matrix is not symmetric$"):
+            eigendecompose(sigma)
+
     def test_non_finite_entries_rejected(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="non-finite"):
@@ -350,8 +364,9 @@ class TestEigendecompose:
 
 
 def psd_matrices(n, rng):
-    """Positive semidefinite test matrices of size n: full rank, rank
-    deficient, with repeated eigenvalues, with all-zero rows, and diagonal."""
+    """Exactly symmetric positive semidefinite test matrices of size n: full
+    rank, rank deficient, with repeated eigenvalues, with all-zero rows, and
+    diagonal."""
     scale = 10.0 ** rng.uniform(-6, 6)
     m = rng.normal(size=(n, n + 3)) * scale
     yield m @ m.T
@@ -360,7 +375,8 @@ def psd_matrices(n, rng):
     yield m @ m.T
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     spectrum = np.repeat([4.0, 1.0, 0.0], [n // 3, n // 3, n - 2 * (n // 3)]) * scale
-    yield (q * spectrum) @ q.T
+    s = (q * spectrum) @ q.T  # symmetric only up to rounding
+    yield (s + s.T) / 2
     m = rng.normal(size=(n, n + 1)) * scale
     full = m @ m.T
     zero = rng.random(n) < 0.3
@@ -397,7 +413,7 @@ class TestConfidenceRegion:
             [[10.0, 10.0], [10.0, 10.0], [10.0 + math.sqrt(2 * m), 10.0], [10.0, 10.0 + math.sqrt(2 * m)]]
         )
         obs = obs_from(base)
-        _, _, mean_cov = mean_and_covariance(obs)
+        _, mean_cov = mean_and_covariance(obs)
         region = build_confidence_region(obs, alpha=0.01)
         expected = np.sqrt(np.linalg.eigvalsh(mean_cov)[::-1] * 9.21034)
         assert np.allclose(region.half_lengths, expected, atol=1e-4)
