@@ -55,15 +55,12 @@ class Constraint(Record):
         # kind: "equality" | "inequality"
         self._set(kind=kind, coefficients=coefficients, provenance=provenance)
 
-    def evaluate(self, point: Sequence) -> Fraction:
+    def satisfied_by(self, point: Sequence) -> bool:
         if len(point) != len(self.coefficients):
             raise DimensionMismatch(
                 f"point has {len(point)} coordinates, constraint has {len(self.coefficients)}"
             )
-        return sum((Fraction(p) * c for p, c in zip(point, self.coefficients)), Fraction(0))
-
-    def satisfied_by(self, point: Sequence) -> bool:
-        value = self.evaluate(point)
+        value = sum((Fraction(p) * c for p, c in zip(point, self.coefficients)), Fraction(0))
         return value == 0 if self.kind == "equality" else value >= 0
 
     def display(self, ns: CounterNamespace) -> str:

@@ -229,10 +229,6 @@ class MuPath(Record):
         self._set(nodes_in_order=nodes_in_order, property_assignment=property_assignment,
                   happens_before=happens_before)
 
-    @property
-    def assignment(self) -> dict[str, str]:
-        return dict(self.property_assignment)
-
     def describe(self) -> str:
         return _describe(self.property_assignment)
 

@@ -142,13 +142,6 @@ class ConfidenceRegion(Record):
         return len(self.center)
 
 
-def point_region(point: Sequence) -> ConfidenceRegion:
-    """Degenerate region containing exactly one point (all half-lengths zero)."""
-    center = tuple(float(x) for x in point)
-    n = len(center)
-    return ConfidenceRegion(center=center, axes=_identity(n), half_lengths=(0.0,) * n)
-
-
 def _identity(n: int) -> Matrix:
     return tuple(tuple(1.0 if i == j else 0.0 for j in range(n)) for i in range(n))
 

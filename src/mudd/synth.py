@@ -20,9 +20,9 @@ from .stats import ObservationSet
 
 class SynthSpec(Record):
     """`flows` holds one flow per path, in enumeration order; `noise` is a
-    scalar sigma, a per-counter sigma vector or a covariance matrix. Flows,
-    sigmas and the seed must be non-negative; a value out of range raises
-    InvalidValue."""
+    scalar sigma, which `generate` draws as that sigma in every counter, a
+    per-counter sigma vector or a covariance matrix. Flows, sigmas and the
+    seed must be non-negative; a value out of range raises InvalidValue."""
 
     _fields = ("model", "flows", "samples", "noise", "seed")
 
@@ -65,21 +65,27 @@ def exact_counters(spec: SynthSpec) -> tuple[Fraction, ...]:
 def generate(spec: SynthSpec, run_id: str = "synth") -> ObservationSet:
     """Sample matrix of `samples` rows around exact/samples plus seeded noise.
 
-    Negative cells are clamped to zero; the clamp count is recorded on the
-    observation set. Same seed, same matrix. Samples are floats: with zero
-    noise they are exact only when exact/samples is representable, e.g.
-    integer flows with a power-of-two sample count.
+    A scalar sigma is drawn as the per-counter vector of that sigma in every
+    counter, so both give the same matrix. Negative cells are clamped to
+    zero; the clamp count is recorded on the observation set. Same seed,
+    same matrix. Samples are floats: with zero noise they are exact only
+    when exact/samples is representable, e.g. integer flows with a
+    power-of-two sample count. A counter total or a sample too large for a
+    float raises InvalidValue naming the run.
     """
     exact = exact_counters(spec)
     n = len(exact)
-    base = np.array([float(x) / spec.samples for x in exact])
+    try:
+        base = np.array([float(x) / spec.samples for x in exact])
+    except OverflowError:
+        raise InvalidValue(
+            f"run {run_id!r}: the flows give a counter total too large for a float"
+        ) from None
     rng = np.random.default_rng(spec.seed)
-    noise = spec.noise
-    if isinstance(noise, (int, float)):
-        sigma = float(noise)
-        draws = rng.normal(0.0, 1.0, size=(spec.samples, n)) * sigma if sigma > 0 else np.zeros((spec.samples, n))
-    else:
-        arr = np.asarray(noise, dtype=float)
+    arr = np.asarray(spec.noise, dtype=float)
+    if arr.ndim == 0:
+        arr = np.full(n, arr)
+    with np.errstate(over="ignore"):  # a sample that overflows is refused below
         if arr.ndim == 1:
             if arr.shape[0] != n:
                 raise DimensionMismatch("per-counter sigma length does not match")
@@ -93,7 +99,11 @@ def generate(spec: SynthSpec, run_id: str = "synth") -> ObservationSet:
                                             method="eigh")
         else:
             raise DimensionMismatch("noise must be a scalar, vector, or matrix")
-    matrix = base + draws
+        matrix = base + draws
+    if not np.isfinite(matrix).all():
+        raise InvalidValue(
+            f"run {run_id!r}: the noise draws a sample too large for a float"
+        )
     clamped = int(np.sum(matrix < 0))
     if clamped:
         matrix = np.clip(matrix, 0.0, None)

@@ -5,6 +5,7 @@ import pytest
 
 import mudd
 from mudd.model import CounterNamespace, MuDD
+from mudd.stats import ConfidenceRegion
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +22,13 @@ def haswell_namespace():
             if line and not line.startswith("#"):
                 names.append(line)
     return CounterNamespace(names)
+
+
+def point_box(point):
+    """The zero-length box at `point`: identity axes, every half-length 0."""
+    n = len(point)
+    axes = tuple(tuple(float(i == j) for j in range(n)) for i in range(n))
+    return ConfidenceRegion(tuple(float(x) for x in point), axes, (0.0,) * n)
 
 
 def paths_by_assignment_bruteforce(model: MuDD):

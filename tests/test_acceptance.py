@@ -26,10 +26,10 @@ from mudd.model import (
     signature_of,
     signatures_of_model,
 )
-from mudd.stats import ObservationSet, build_confidence_region, point_region
+from mudd.stats import ObservationSet, build_confidence_region
 from mudd.synth import SynthSpec, generate
 
-from conftest import brute_force_facets
+from conftest import brute_force_facets, point_box
 
 PDE_BOUND = "load.pde$_miss ≤ load.causes_walk"
 
@@ -56,7 +56,7 @@ def test_refinement_golden(capsys):
     candidates = refinement_candidates(violated, refined)
     assert len(candidates) == 1
     path = candidates[0]
-    assert path.assignment == {"PdeStatus": "Miss", "Abort": "Yes"}
+    assert dict(path.property_assignment) == {"PdeStatus": "Miss", "Abort": "Yes"}
     assert signature_of(path, ns).counts == (0, 1)
 
     elapsed = time.perf_counter() - t0
@@ -273,7 +273,7 @@ def test_end_to_end_soundness():
         extreme = remove_interior_generators(gens)
         removed = extreme[rng.randrange(len(extreme))]
         kept = [s.counts for s in sigs if _primitive(s.counts) != removed]
-        along = point_region([float(x) for x in removed])
+        along = point_box([float(x) for x in removed])
         assert not check_feasibility(kept, along).feasible
     elapsed = time.perf_counter() - t0
     _report(f"end-to-end soundness on 50 random models ({elapsed:.1f}s)")

@@ -554,6 +554,21 @@ class TestSynth:
         assert exc.value.code == 2
         assert capsys.readouterr() == ("", f"error: {line}\n")
 
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning is a second line
+    @pytest.mark.parametrize("flags, what", [
+        (["--flows", "1e308", "--samples", "2"], "the flows give a counter total"),
+        (["--flows", "1", "--noise", "1.7e308", "--seed", "3"], "the noise draws a sample"),
+    ])
+    def test_overflow_is_one_error_line(self, capsys, monkeypatch, walk_model, flags, what):
+        from mudd import cli
+
+        monkeypatch.setattr(sys, "argv", ["mudd", "synth", walk_model, *flags])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 2
+        assert capsys.readouterr() == (
+            "", f"error: run 'walk_init_first': {what} too large for a float\n")
+
 
 class TestExplore:
     def test_bundled_catalog(self, capsys, bundled):

@@ -24,9 +24,11 @@ from mudd.geometry import (
     deduce_constraints,
 )
 from mudd.model import CounterNamespace, enumerate_mupaths, signature_of, signatures_of_model
-from mudd.stats import ConfidenceRegion, ObservationSet, build_confidence_region, point_region
+from mudd.stats import ConfidenceRegion, ObservationSet, build_confidence_region
 from mudd.synth import SynthSpec, generate
 from mudd.synth import exact_counters as synth_exact
+
+from conftest import point_box
 
 
 def box_region(center, axes, half_lengths):
@@ -39,14 +41,14 @@ def box_region(center, axes, half_lengths):
 
 class TestCheckFeasibility:
     def test_origin_point_always_feasible(self):
-        verdict = check_feasibility([(1, 0), (1, 1)], point_region([0.0, 0.0]))
+        verdict = check_feasibility([(1, 0), (1, 1)], point_box([0.0, 0.0]))
         assert verdict.feasible
         assert all(f == 0 for f in verdict.witness_flow)
 
     def test_point_outside_cone(self):
         sigs = [(1, 0), (1, 1)]
         cs = constraints_from_signatures(sigs, CounterNamespace(["walks", "misses"]))
-        verdict = check_feasibility(sigs, point_region([1.0, 2.0]), constraints=cs)
+        verdict = check_feasibility(sigs, point_box([1.0, 2.0]), constraints=cs)
         assert not verdict.feasible
         assert any(c.coefficients == (1, -1) for c in verdict.violated_constraints)
 
@@ -58,7 +60,7 @@ class TestCheckFeasibility:
 
     def test_witness_is_exact(self):
         sigs = [(1, 0), (1, 1)]
-        verdict = check_feasibility(sigs, point_region([2.0, 1.0]))
+        verdict = check_feasibility(sigs, point_box([2.0, 1.0]))
         assert verdict.feasible
         v = verdict.witness_point
         f = verdict.witness_flow
@@ -75,11 +77,11 @@ class TestCheckFeasibility:
         cases = {(3.0, 1.0): True, (2.0, 2.0): True, (4.0, 0.0): True,
                  (0.5, 1.0): False, (2.0, -1.0): False}
         for point, expected in cases.items():
-            assert check_feasibility(base, point_region(point)).feasible == expected
+            assert check_feasibility(base, point_box(point)).feasible == expected
             for _ in range(5):
                 sigs = base + [rng.choice(base) for _ in range(rng.randint(1, 4))]
                 rng.shuffle(sigs)
-                verdict = check_feasibility(sigs, point_region(point))
+                verdict = check_feasibility(sigs, point_box(point))
                 assert verdict.feasible == expected
                 if not verdict.feasible:
                     continue
@@ -94,13 +96,13 @@ class TestCheckFeasibility:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            check_feasibility([(1, 0, 0)], point_region([1.0, 2.0]))
+            check_feasibility([(1, 0, 0)], point_box([1.0, 2.0]))
 
     @pytest.mark.parametrize("bad", [(1.5, 1), (-0.5, 1)])
     def test_non_integer_signature_entry_is_refused(self, bad):
         # neither truncated to (1, 1) nor rounded to a non-negative (0, 1)
         with pytest.raises(ValueError, match="must be integers"):
-            check_feasibility([bad, (0, 1)], point_region([1.0, 1.0]))
+            check_feasibility([bad, (0, 1)], point_box([1.0, 1.0]))
 
     def test_point_region_agrees_with_membership_oracle(self):
         rng = random.Random(99)
@@ -113,7 +115,7 @@ class TestCheckFeasibility:
                 for _ in range(rng.randint(1, 4))
             ]
             point = [float(rng.randint(0, 6)) for _ in range(dim)]
-            verdict = check_feasibility(gens, point_region(point))
+            verdict = check_feasibility(gens, point_box(point))
             assert verdict.feasible == cone_membership(gens, [Fraction(x) for x in point])
 
     def test_monotone_in_half_lengths(self):
@@ -150,7 +152,7 @@ class TestAttribution:
     def test_degenerate_equality_violation(self):
         ns = CounterNamespace(["a", "b"])
         cs = constraints_from_signatures([(1, 1)], ns)  # cone is the diagonal ray
-        region = point_region([1.0, 3.0])
+        region = point_box([1.0, 3.0])
         violated = attribute_violations(cs, region)
         assert any(c.kind == "equality" for c in violated)
 
@@ -203,8 +205,8 @@ class TestAttribution:
             ]
             cs = constraints_from_signatures(gens, ns)
             point = [float(rng.randint(0, 4)), float(rng.randint(0, 4))]
-            verdict = check_feasibility(gens, point_region(point), constraints=cs)
-            violated = attribute_violations(cs, point_region(point))
+            verdict = check_feasibility(gens, point_box(point), constraints=cs)
+            violated = attribute_violations(cs, point_box(point))
             assert verdict.feasible == (not violated)
 
     def test_corner_straddle_can_attribute_nothing(self, monkeypatch):
@@ -395,7 +397,7 @@ class TestRefinement:
         candidates = refinement_candidates(violated, refined)
         assert len(candidates) == 1
         path = candidates[0]
-        assert path.assignment == {"PdeStatus": "Miss", "Abort": "Yes"}
+        assert dict(path.property_assignment) == {"PdeStatus": "Miss", "Abort": "Yes"}
         assert signature_of(path, refined.namespace).counts == (0, 1)
 
     def test_original_model_has_no_candidates(self, bundled):

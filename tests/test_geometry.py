@@ -140,6 +140,14 @@ class TestMembership:
         with pytest.raises(DimensionMismatch):
             cone_membership([(1, 0)], (1, 0, 0))
 
+    @pytest.mark.parametrize("point", [(1,), (1, 0, 0)])
+    def test_constraint_refuses_a_point_of_another_length(self, point):
+        # not zipped down to the shorter of the two
+        c = Constraint(kind="inequality", coefficients=(1, -1))
+        with pytest.raises(DimensionMismatch,
+                           match=f"^point has {len(point)} coordinates, constraint has 2$"):
+            c.satisfied_by(point)
+
     def test_rational_points(self):
         assert cone_membership([(2, 1)], (Fraction(1), Fraction(1, 2)))
         assert not cone_membership([(2, 1)], (Fraction(1), Fraction(1, 3)))

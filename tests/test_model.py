@@ -169,7 +169,7 @@ class TestEnumeration:
         a = enumerate_mupaths(model)
         b = enumerate_mupaths(model)
         assert a == b
-        assert [p.assignment["S"] for p in a] == ["first", "second", "third"]
+        assert [dict(p.property_assignment)["S"] for p in a] == ["first", "second", "third"]
 
     @settings(max_examples=40, deadline=None)
     @given(branches=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
@@ -232,7 +232,7 @@ class TestHappensBefore:
         paths = enumerate_mupaths(model)
         with_hb = [p for p in paths if p.happens_before]
         assert len(with_hb) == 1
-        assert with_hb[0].assignment["S"] == "a"
+        assert dict(with_hb[0].property_assignment)["S"] == "a"
 
     def test_signatures_insensitive_to_happens_before(self):
         ns = CounterNamespace(["c"])

@@ -66,7 +66,7 @@ def test_unpickled_records_keep_their_derived_state(model):
     assert copy.out_edges == model.out_edges
     assert copy.node(model.entry) == model.node(model.entry)
     path = enumerate_mupaths(model)[1]
-    assert pickle.loads(pickle.dumps(path)).assignment == path.assignment
+    assert dict(pickle.loads(pickle.dumps(path)).property_assignment) == dict(path.property_assignment)
 
 
 def test_equality_hash_and_repr_read_the_fields():

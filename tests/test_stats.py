@@ -23,9 +23,10 @@ from mudd.stats import (
     eigendecompose,
     load_observations,
     mean_and_covariance,
-    point_region,
     write_observations,
 )
+
+from conftest import point_box
 
 NS2 = CounterNamespace(["a", "b"])
 
@@ -460,10 +461,11 @@ class TestConfidenceRegion:
         with pytest.raises(MissingCounter, match="^run 'zc' shares no counter with the model$"):
             build_confidence_region(obs)
 
-    def test_point_region_helper(self):
-        region = point_region([1.0, 2.0])
+    def test_zero_length_box_holds_only_its_centre(self):
+        region = point_box([1.0, 2.0])
         assert region.contains([1, 2])
         assert not region.contains([1, 2.0001])
+        assert not region.contains([1.0001, 2])
 
     def test_point_on_a_face_is_inside_and_one_beyond_is_outside(self):
         region = ConfidenceRegion((1.0, 2.0), ((1.0, 0.0), (0.0, 1.0)), (0.5, 0.25))
@@ -492,7 +494,7 @@ class TestConfidenceRegion:
             ConfidenceRegion(center, axes, half)
 
     def test_numpy_point_with_a_tolerance(self):
-        region = point_region([1.0, 2.0])
+        region = point_box([1.0, 2.0])
         assert region.contains(np.array([1.0, 2.0 + 5e-10]), tol=1e-9)
         assert not region.contains(np.array([1.0, 2.0 + 2e-9]), tol=1e-9)
         assert not region.contains(np.array([1.0, 2.0 + 5e-10]))

@@ -101,6 +101,17 @@ class TestGenerate:
         assert obs.clamped > 0
         assert (obs.sample_matrix >= 0).all()
 
+    @pytest.mark.parametrize("sigma", [0, 0.0, 0.5, 3.0])
+    def test_scalar_sigma_is_the_per_counter_vector(self, two_path_model, sigma):
+        # byte for byte, clipped cells and signed zeros included
+        def draw(noise):
+            spec = SynthSpec(model=two_path_model, flows=(3.0, 2.0), samples=20,
+                             noise=noise, seed=8)
+            obs = generate(spec)
+            return np.asarray(obs.sample_matrix).tobytes(), obs.clamped
+
+        assert draw(sigma) == draw(np.full(2, float(sigma)))
+
     def test_per_counter_sigma(self, two_path_model):
         spec = SynthSpec(
             model=two_path_model, flows=(4000.0, 2000.0), samples=200, noise=[0.0, 2.0], seed=3
