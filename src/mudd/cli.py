@@ -160,7 +160,8 @@ def _numbers(flag, text, n) -> list[float]:
         except ValueError:
             raise MuddError(f"{flag}: {part.strip()!r} is not a number") from None
     if len(values) not in (1, n):
-        raise MuddError(f"{flag} needs 1 or {n} values, got {len(values)}")
+        needs = "1 value" if n == 1 else f"1 or {n} values"
+        raise MuddError(f"{flag} needs {needs}, got {len(values)}")
     return values
 
 

@@ -55,7 +55,6 @@ class DslParseError(MuddError):
 
     def __init__(self, diagnostics: Sequence[Diagnostic], origin: str = "<inline>"):
         self.diagnostics = tuple(sorted(diagnostics, key=lambda d: (d.line, d.col)))
-        self.origin = origin
         super().__init__(format_diagnostics(self.diagnostics, origin))
 
 

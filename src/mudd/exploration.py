@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from . import dsl
-from .errors import CatalogError, DimensionMismatch, MuddError, NoFeasibleModel, read_text
+from .errors import MuddError, read_text
 from .geometry import cone_membership, normalize_signatures
 from .model import CounterNamespace, MuDD, Record, signatures_of_model
 
@@ -25,9 +25,9 @@ class ModelEntry(Record):
     def __init__(self, name: str, features: frozenset[str], infeasible_count: int,
                  model: MuDD | None = None, parent: tuple[str, str] | None = None):
         if infeasible_count < 0:
-            raise CatalogError(f"entry {name!r} has a negative infeasible count")
+            raise MuddError(f"entry {name!r} has a negative infeasible count")
         if parent is not None and parent[1] not in ("relaxation", "pruning"):
-            raise CatalogError(f"entry {name!r} has unknown edge kind {parent[1]!r}")
+            raise MuddError(f"entry {name!r} has unknown edge kind {parent[1]!r}")
         self._set(name=name, features=features, infeasible_count=infeasible_count,
                   model=model, parent=parent)
 
@@ -40,7 +40,7 @@ class ModelCatalog(Record):
                  namespace: CounterNamespace | None = None):
         for entry in entries.values():
             if entry.parent is not None and entry.parent[0] not in entries:
-                raise CatalogError(
+                raise MuddError(
                     f"entry {entry.name!r} references missing parent {entry.parent[0]!r}"
                 )
         rooted: set[str] = set()  # entries whose parent chain ends
@@ -52,8 +52,8 @@ class ModelCatalog(Record):
                 name = parent[0] if parent else None
             if name in chain:
                 cycle = chain[chain.index(name):] + [name]
-                raise CatalogError(f"parent cycle {' -> '.join(map(repr, reversed(cycle)))} "
-                                   "(each entry the parent of the next)")
+                raise MuddError(f"parent cycle {' -> '.join(map(repr, reversed(cycle)))} "
+                                "(each entry the parent of the next)")
             rooted.update(chain)
         self._set(entries=entries, dataset_id=dataset_id, feature_order=feature_order,
                   namespace=namespace)
@@ -69,7 +69,7 @@ def _is_strings(value) -> bool:
 def load_catalog(path) -> ModelCatalog:
     """Read a catalog JSON file; model paths resolve relative to it.
 
-    A value of the wrong type raises CatalogError naming the file, the
+    A value of the wrong type raises MuddError naming the file, the
     entry (by name, or by position when the name itself is bad) and the key;
     so does a top-level `features` or `namespace` that names a value twice.
     """
@@ -77,12 +77,12 @@ def load_catalog(path) -> ModelCatalog:
     try:
         raw = json.loads(read_text(path, f"catalog {path}"))
     except json.JSONDecodeError as exc:
-        raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
+        raise MuddError(f"cannot read catalog {path}: {exc}") from exc
     if not isinstance(raw, dict) or "entries" not in raw:
-        raise CatalogError(f"catalog {path} has no entries")
+        raise MuddError(f"catalog {path} has no entries")
 
-    def bad(where: str, key: str, expected: str, value) -> CatalogError:
-        return CatalogError(f"catalog {path}: {where}{key!r} must be {expected}, got {value!r}")
+    def bad(where: str, key: str, expected: str, value) -> MuddError:
+        return MuddError(f"catalog {path}: {where}{key!r} must be {expected}, got {value!r}")
 
     for key in ("namespace", "features"):
         if raw.get(key) is not None and not _is_strings(raw[key]):
@@ -90,7 +90,7 @@ def load_catalog(path) -> ModelCatalog:
     seen: set[str] = set()
     for feature in raw.get("features") or ():
         if feature in seen:
-            raise CatalogError(f"catalog {path}: 'features': duplicate feature {feature!r}")
+            raise MuddError(f"catalog {path}: 'features': duplicate feature {feature!r}")
         seen.add(feature)
     if not isinstance(raw.get("dataset_id", ""), str):
         raise bad("", "dataset_id", "a string", raw["dataset_id"])
@@ -101,7 +101,7 @@ def load_catalog(path) -> ModelCatalog:
         try:
             ns = CounterNamespace(raw["namespace"])
         except MuddError as exc:
-            raise CatalogError(f"catalog {path}: 'namespace': {exc}") from None
+            raise MuddError(f"catalog {path}: 'namespace': {exc}") from None
     entries: dict[str, ModelEntry] = {}
     for position, item in enumerate(raw["entries"], 1):
         if not isinstance(item, dict):
@@ -110,7 +110,7 @@ def load_catalog(path) -> ModelCatalog:
         where = f"entry {name!r}: " if isinstance(name, str) else f"entry {position}: "
         for key in ("name", "infeasible_count"):
             if key not in item:
-                raise CatalogError(f"catalog {path}: {where}missing {key!r}")
+                raise MuddError(f"catalog {path}: {where}missing {key!r}")
         if not isinstance(name, str):
             raise bad(where, "name", "a string", name)
         count = item["infeasible_count"]
@@ -130,7 +130,7 @@ def load_catalog(path) -> ModelCatalog:
                                            and "\0" not in model_path):
             raise bad(where, "model", "a path string", model_path)
         if name in entries:
-            raise CatalogError(f"catalog {path}: duplicate entry name {name!r}")
+            raise MuddError(f"catalog {path}: duplicate entry name {name!r}")
         model = None
         if model_path:
             resolved = path.parent / model_path
@@ -138,11 +138,11 @@ def load_catalog(path) -> ModelCatalog:
                 model = dsl.parse_file(resolved, ns)
             except dsl.DslParseError as exc:
                 # each diagnostic names the model file, as `mudd paths` prints it
-                raise CatalogError(
+                raise MuddError(
                     f"catalog {path}: entry {name!r}: model does not parse\n{exc}"
                 ) from exc
             except MuddError as exc:  # unreadable: the message names the model file
-                raise CatalogError(f"catalog {path}: entry {name!r} model {exc}") from exc
+                raise MuddError(f"catalog {path}: entry {name!r} model {exc}") from exc
         entries[name] = ModelEntry(name, frozenset(features), count, model=model, parent=parent)
     try:
         catalog = ModelCatalog(
@@ -151,11 +151,11 @@ def load_catalog(path) -> ModelCatalog:
             feature_order=tuple(raw.get("features") or ()),
             namespace=ns,
         )
-    except CatalogError as exc:
-        raise CatalogError(f"catalog {path}: {exc}") from None
+    except MuddError as exc:
+        raise MuddError(f"catalog {path}: {exc}") from None
     for parent, child in _relaxations(catalog):
         if parent.model.namespace.names != child.model.namespace.names:
-            raise CatalogError(
+            raise MuddError(
                 f"catalog {path}: relaxation {parent.name!r} -> {child.name!r}: the two "
                 "models infer different counter namespaces; fix one order with the "
                 "catalog's 'namespace' key"
@@ -184,7 +184,7 @@ def required_features(catalog: ModelCatalog) -> frozenset[str]:
     """Features present in every feasible entry; the ones the explored space forces."""
     feasible, _ = classify(catalog)
     if not feasible:
-        raise NoFeasibleModel("no feasible entries in the catalog")
+        raise MuddError("no feasible entries in the catalog")
     names = iter(sorted(feasible))
     out = set(catalog.entries[next(names)].features)
     for name in names:
@@ -215,7 +215,7 @@ def cone_expansion_check(parent: MuDD, child: MuDD) -> bool:
     parent path, so a growing edge typically runs no LP at all.
     """
     if parent.namespace.names != child.namespace.names:
-        raise DimensionMismatch("parent and child use different counter namespaces")
+        raise MuddError("parent and child use different counter namespaces")
     child_gens = normalize_signatures(signatures_of_model(child))
     shared = set(child_gens)
     for gen in normalize_signatures(signatures_of_model(parent)):

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import exact, linprog
-from .errors import DimensionMismatch, MuddError
+from .errors import MuddError
 from .geometry import Constraint, ConstraintSet, _as_vector, constraints_from_signatures
 from .model import (
     CounterNamespace,
@@ -84,7 +84,7 @@ class _Signatures(Record):
         sigs = [_as_vector(s) for s in model_sigs]
         for s in sigs:
             if len(s) != n:
-                raise DimensionMismatch(
+                raise MuddError(
                     f"signature dimension {len(s)} does not match region dimension {n}"
                 )
             if any(c < 0 for c in s):
@@ -249,7 +249,7 @@ def attribute_violations(
     for constraint in constraints:
         a = constraint.coefficients
         if len(a) != n:
-            raise DimensionMismatch("constraint dimension does not match region")
+            raise MuddError("constraint dimension does not match region")
         terms = [(j, x) for j, x in enumerate(a) if x]  # deduced constraints are sparse
         base = region._scale * sum(x * region._center[j] for j, x in terms)
         spread = sum(abs(sum(x * e[j] for j, x in terms)) * h for e, h in live)
@@ -271,7 +271,7 @@ def refinement_candidates(violated: Constraint, candidate_model: MuDD) -> tuple[
         raise ValueError("refinement candidates apply to inequality constraints")
     ns = candidate_model.namespace
     if len(violated.coefficients) != len(ns):
-        raise DimensionMismatch("constraint dimension does not match model namespace")
+        raise MuddError("constraint dimension does not match model namespace")
     out = []
     for path in enumerate_mupaths(candidate_model):
         sig = signature_of(path, ns)
@@ -340,7 +340,7 @@ def batch_check(
 ) -> tuple[BatchCell, ...]:
     """Every model against every observation; deterministic order regardless
     of parallelism. Per-cell errors are recorded, not raised; an alpha
-    that no region can use raises ValueError before any cell runs.
+    that no region can use raises MuddError before any cell runs.
 
     Each observation is checked in its own namespace, which projection may
     have restricted: the model's signatures are restricted to it, validated

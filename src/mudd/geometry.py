@@ -22,7 +22,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from . import exact, hull, linprog
-from .errors import DegenerateHull, DimensionMismatch
+from .errors import MuddError
 from .model import (
     CounterNamespace,
     CounterSignature,
@@ -57,7 +57,7 @@ class Constraint(Record):
 
     def satisfied_by(self, point: Sequence) -> bool:
         if len(point) != len(self.coefficients):
-            raise DimensionMismatch(
+            raise MuddError(
                 f"point has {len(point)} coordinates, constraint has {len(self.coefficients)}"
             )
         value = sum((Fraction(p) * c for p, c in zip(point, self.coefficients)), Fraction(0))
@@ -151,7 +151,7 @@ def find_equalities(
     vectors = [_as_vector(g) for g in gens]
     for v in vectors:
         if len(v) != dim:
-            raise DimensionMismatch("generator length does not match dimension")
+            raise MuddError("generator length does not match dimension")
     pivots, null_basis = exact.null_space(vectors, dim)
     equalities = []
     for coeffs in null_basis:
@@ -177,7 +177,7 @@ def cone_membership(gens: Sequence, point: Sequence) -> bool:
     p = list(point)
     for v in vectors:
         if len(v) != len(p):
-            raise DimensionMismatch(
+            raise MuddError(
                 f"generator dimension {len(v)} does not match point dimension {len(p)}"
             )
     if not vectors:
@@ -219,12 +219,12 @@ def conic_hull_facets(gens: Sequence) -> tuple[Constraint, ...]:
     if not vectors:
         return ()
     if any(min(v) < 0 or not any(v) for v in vectors):
-        raise DegenerateHull("signature generators must be non-negative and nonzero")
+        raise MuddError("signature generators must be non-negative and nonzero")
 
     facets = set(hull.convex_hull_hyperplanes(vectors))
     for coeffs in facets:
         if any(exact.dot(coeffs, v) < 0 for v in vectors):
-            raise DegenerateHull(f"facet {coeffs} is not one-sided on the generators")
+            raise MuddError(f"facet {coeffs} is not one-sided on the generators")
 
     return tuple(
         Constraint(kind="inequality", coefficients=f, provenance="conic-hull")

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from . import exact
-from .errors import DegenerateHull
+from .errors import MuddError
 
 Ray = tuple[int, ...]
 
@@ -40,7 +40,7 @@ def convex_hull_hyperplanes(rays: Sequence[Sequence[int]]) -> list[Ray]:
     """
     rays = list(dict.fromkeys(tuple(int(x) for x in r) for r in rays))
     if not rays:
-        raise DegenerateHull("no rays")
+        raise MuddError("no rays")
     dim = len(rays[0])
 
     # seed simplex: the first independent rays, the pivot columns of the rays
@@ -53,7 +53,7 @@ def convex_hull_hyperplanes(rays: Sequence[Sequence[int]]) -> list[Ray]:
     reduced, pivots = exact.rref(stacked, m + dim)
     seed = [c for c in pivots if c < m]
     if len(seed) != dim:
-        raise DegenerateHull("rays do not span the space")
+        raise MuddError("rays do not span the space")
 
     facets = [
         (exact.primitive(row[m:]), frozenset(seed[:i] + seed[i + 1 :]))

@@ -10,16 +10,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .errors import (
-    CycleDetected,
-    DanglingDecision,
-    InvalidModel,
-    OrderingConflict,
-    PathExplosion,
-    UnknownCounter,
-)
+from .errors import MuddError
 
-# the most paths a model may have; past it enumeration raises PathExplosion.
+# the most paths a model may have; past it enumeration raises MuddError.
 # A guard on outside input, not a setting: deducing the constraints of far
 # fewer paths (65,536 distinct signatures) runs for minutes on 2 vCPUs.
 PATH_CAP = 100_000
@@ -79,7 +72,7 @@ class CounterNamespace(Record):
         index: dict[str, int] = {}
         for i, n in enumerate(names):
             if n in index:
-                raise InvalidModel(f"duplicate counter name {n!r} in namespace")
+                raise MuddError(f"duplicate counter name {n!r} in namespace")
             index[n] = i
         self._set(names=names, index=index)
 
@@ -87,7 +80,7 @@ class CounterNamespace(Record):
         try:
             return self.index[name]
         except KeyError:
-            raise UnknownCounter(f"counter {name!r} not in namespace") from None
+            raise MuddError(f"counter {name!r} not in namespace") from None
 
     def restrict(self, keep: Iterable[str]) -> "CounterNamespace":
         """Sub-namespace with only `keep` names, preserving this order."""
@@ -137,50 +130,50 @@ class MuDD(Record):
         by_id: dict[int, Node] = {}
         for n in nodes:
             if n.node_id in by_id:
-                raise InvalidModel(f"duplicate node id {n.node_id}")
+                raise MuddError(f"duplicate node id {n.node_id}")
             by_id[n.node_id] = n
             if n.kind not in NODE_KINDS:
-                raise InvalidModel(f"node {n.node_id} has unknown kind {n.kind!r}")
+                raise MuddError(f"node {n.node_id} has unknown kind {n.kind!r}")
             if n.kind == "counter":
                 if n.name not in namespace:
-                    raise UnknownCounter(
+                    raise MuddError(
                         f"counter node {n.node_id} references {n.name!r}, "
                         "which is not in the namespace"
                     )
             if n.kind in ("event", "decision") and not n.name:
-                raise InvalidModel(f"{n.kind} node {n.node_id} has no name")
+                raise MuddError(f"{n.kind} node {n.node_id} has no name")
         if entry not in by_id:
-            raise InvalidModel(f"entry node {entry} does not exist")
+            raise MuddError(f"entry node {entry} does not exist")
         out: dict[int, list[CausalityEdge]] = {node_id: [] for node_id in by_id}
         for e in causality:
             if e.src not in out or e.dst not in out:
-                raise InvalidModel(f"causality edge {e} references a missing node")
+                raise MuddError(f"causality edge {e} references a missing node")
             out[e.src].append(e)
         for src, dst in happens_before:
             if src not in by_id or dst not in by_id:
-                raise InvalidModel(f"happens-before edge ({src}, {dst}) references a missing node")
+                raise MuddError(f"happens-before edge ({src}, {dst}) references a missing node")
         out_edges = {k: tuple(v) for k, v in out.items()}
         for n in nodes:
             edges = out_edges[n.node_id]
             if n.kind == "done":
                 if edges:
-                    raise InvalidModel(f"done node {n.node_id} has outgoing causality edges")
+                    raise MuddError(f"done node {n.node_id} has outgoing causality edges")
             elif n.kind == "decision":
                 if not edges:
-                    raise InvalidModel(f"decision node {n.node_id} has no outgoing edges")
+                    raise MuddError(f"decision node {n.node_id} has no outgoing edges")
                 values = [e.value for e in edges]
                 if None in values:
-                    raise InvalidModel(f"decision node {n.node_id} has an unlabeled edge")
+                    raise MuddError(f"decision node {n.node_id} has an unlabeled edge")
                 if len(set(values)) != len(values):
-                    raise InvalidModel(f"decision node {n.node_id} has duplicate edge labels")
+                    raise MuddError(f"decision node {n.node_id} has duplicate edge labels")
             else:
                 if len(edges) != 1:
-                    raise InvalidModel(
+                    raise MuddError(
                         f"{n.kind} node {n.node_id} must have exactly one outgoing edge, "
                         f"has {len(edges)}"
                     )
                 if edges[0].value is not None:
-                    raise InvalidModel(f"non-decision node {n.node_id} has a labeled edge")
+                    raise MuddError(f"non-decision node {n.node_id} has a labeled edge")
         indegree = dict.fromkeys(out_edges, 0)
         for e in causality:
             indegree[e.dst] += 1
@@ -204,7 +197,7 @@ class MuDD(Record):
             while node_id not in seen:
                 seen.add(node_id)
                 node_id = back[node_id]
-            raise CycleDetected(
+            raise MuddError(
                 f"causality cycle through node {node_id}; diagrams must be acyclic"
             )
         self._set(nodes=nodes, causality=causality, happens_before=happens_before,
@@ -252,9 +245,9 @@ def enumerate_mupaths(model: MuDD) -> tuple[MuPath, ...]:
     """All distinct paths of `model`, depth-first, edges in declaration order.
 
     Branches over every value of an unassigned decision property; an already
-    assigned property follows its matching edge. Raises PathExplosion when the
-    path count exceeds `PATH_CAP`, DanglingDecision when an assigned property
-    has no matching edge, and OrderingConflict when a path visits the two
+    assigned property follows its matching edge. Raises MuddError when the
+    path count exceeds `PATH_CAP`, when an assigned property has no
+    matching edge, and when a path visits the two
     nodes of a happens-before edge in the other order (or the edge joins a
     node to itself), naming them by label and the path by its properties.
     """
@@ -266,8 +259,8 @@ def enumerate_mupaths(model: MuDD) -> tuple[MuPath, ...]:
 
     def emit() -> None:
         if len(paths) >= PATH_CAP:
-            raise PathExplosion(f"more than {PATH_CAP} paths, the fixed limit; "
-                                "simplify the model")
+            raise MuddError(f"more than {PATH_CAP} paths, the fixed limit; "
+                            "simplify the model")
         index_of = {node.node_id: i for i, node in enumerate(trail)}
         properties = tuple((p, assignment[p]) for p in assign_order)
         instantiated = []
@@ -276,7 +269,7 @@ def enumerate_mupaths(model: MuDD) -> tuple[MuPath, ...]:
                 if index_of[src] >= index_of[dst]:
                     src_name, dst_name = (model.node(n).label or f"node {n}"
                                           for n in (src, dst))
-                    raise OrderingConflict(
+                    raise MuddError(
                         f"order {src_name} -> {dst_name} contradicts causality "
                         f"on path {_describe(properties)}"
                     )
@@ -314,7 +307,7 @@ def enumerate_mupaths(model: MuDD) -> tuple[MuPath, ...]:
                         node_id = e.dst
                         break
                 else:
-                    raise DanglingDecision(
+                    raise MuddError(
                         f"property {node.name!r} is assigned {value!r} but decision node "
                         f"{node_id} has no matching edge"
                     )

@@ -26,18 +26,7 @@ from numbers import Real
 from operator import mul
 from pathlib import Path
 
-from .errors import (
-    InvalidValue,
-    MalformedCsv,
-    MissingCounter,
-    MuddError,
-    NegativeCell,
-    NonFiniteStatistics,
-    NonNumericCell,
-    NotSymmetric,
-    TooFewSamples,
-    read_text,
-)
+from .errors import MuddError, read_text
 from .model import CounterNamespace, Record
 
 
@@ -50,7 +39,7 @@ class ObservationSet(Record):
 
     `sample_matrix` is any two-dimensional sequence of finite non-negative reals
     (lists of floats from `load_observations`, an array from `mudd.synth`)
-    and is kept as given; fewer than two rows raise TooFewSamples. `clamped`
+    and is kept as given; fewer than two rows raise MuddError. `clamped`
     counts the negative draws `mudd.synth.generate` clipped to zero, and is 0
     for samples read from a file.
     """
@@ -67,7 +56,7 @@ class ObservationSet(Record):
                                    for row in rows for x in row):
             raise ValueError("sample matrix must be two-dimensional")
         if len(rows) < 2:
-            raise TooFewSamples(
+            raise MuddError(
                 f"run {run_id!r} has {len(rows)} samples; need at least 2"
             )
         width = len(namespace)
@@ -158,17 +147,16 @@ def load_observations(
     The header row names the counters; a leading `t` column, the sample
     index, is ignored when the namespace has no counter `t`. Columns are
     reordered to namespace order. Counters in the namespace but absent from
-    the file raise MissingCounter unless `project` is set, in which case the
+    the file raise MuddError unless `project` is set, in which case the
     namespace is restricted to the counters present; a file that shares no
     counter with the namespace, as every file does with an empty one, raises
-    MissingCounter even then. Extra columns are ignored with a warning that
+    MuddError even then. Extra columns are ignored with a warning that
     names each, or gives the 1-based position of one whose name is empty. A
-    cell that is not a finite number raises NonNumericCell, a negative one
-    NegativeCell; both name the run, the physical line and the counter
-    column.
+    cell that is not a finite number, or a negative one, raises MuddError
+    naming the run, the physical line and the counter column.
     A header that names a column twice (an empty name aside), a row with
     more or fewer cells than the header, or a line `csv` cannot read, raises
-    MalformedCsv naming the run and the line.
+    MuddError naming the run and the line.
     A file that is not UTF-8 text raises MuddError naming the run and the
     line of the first bad byte.
     """
@@ -185,7 +173,7 @@ def _rows(fh, run_id):
     """(line, row) for each row of a CSV stream, where `line` is the
     physical line the row starts on (a quoted cell may hold line breaks);
     a line `csv` cannot read, such as one with a field longer than
-    `csv.field_size_limit()`, raises MalformedCsv naming the run and the
+    `csv.field_size_limit()`, raises MuddError naming the run and the
     line."""
     reader = csv.reader(fh)
     while True:
@@ -195,7 +183,7 @@ def _rows(fh, run_id):
         except StopIteration:
             return
         except csv.Error as exc:
-            raise MalformedCsv(f"run {run_id!r} line {reader.line_num}: {exc}") from None
+            raise MuddError(f"run {run_id!r} line {reader.line_num}: {exc}") from None
         yield line, row
 
 
@@ -204,13 +192,13 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
     try:
         _, header = next(reader)
     except StopIteration:
-        raise TooFewSamples(f"run {run_id!r}: empty file") from None
+        raise MuddError(f"run {run_id!r}: empty file") from None
     if header:  # a stream may still start with a byte order mark
         header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
     twice = next((n for i, n in enumerate(header) if n and n in header[:i]), None)
     if twice is not None:
-        raise MalformedCsv(f"run {run_id!r} line 1 column {twice!r}: named twice in the header")
+        raise MuddError(f"run {run_id!r} line 1 column {twice!r}: named twice in the header")
     skip = 1 if header and header[0] == "t" and "t" not in namespace else 0
     names = header[skip:]
 
@@ -224,12 +212,12 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
     present = set(names)
     missing = [n for n in namespace.names if n not in present]
     if missing and not project:
-        raise MissingCounter(
+        raise MuddError(
             f"run {run_id!r} lacks counters: {', '.join(missing)} "
             "(use projection to restrict the namespace)"
         )
     if len(missing) == len(namespace):  # a model with no counters too
-        raise MissingCounter(f"run {run_id!r} shares no counter with the model")
+        raise MuddError(f"run {run_id!r} shares no counter with the model")
     if missing:
         namespace = namespace.restrict(present)
 
@@ -240,7 +228,7 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(header):
-            raise MalformedCsv(
+            raise MuddError(
                 f"run {run_id!r} line {lineno}: row has too "
                 f"{'few' if len(row) < len(header) else 'many'} columns "
                 f"({len(row)} cells, {len(header)} header names)"
@@ -253,12 +241,12 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise NonNumericCell(
+                raise MuddError(
                     f"run {run_id!r} line {lineno} column {name!r}: "
                     f"{cell!r} is not a finite number"
                 )
             if value < 0:
-                raise NegativeCell(
+                raise MuddError(
                     f"run {run_id!r} line {lineno} column {name!r}: "
                     f"{cell!r} is a negative counter value"
                 )
@@ -270,15 +258,14 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
 def write_observations(obs: ObservationSet, dest: str | Path | io.TextIOBase) -> None:
     """Write the CSV format load_observations reads, with a leading `t`
     column of sample indices unless a counter is named `t`. A path that
-    cannot be opened for writing raises MuddError naming it as given and
-    the reason."""
+    cannot be opened, written or closed raises MuddError naming it as given
+    and the reason."""
     if isinstance(dest, (str, Path)):
         try:
-            fh = open(dest, "w", encoding="utf-8", newline="")
+            with open(dest, "w", encoding="utf-8", newline="") as fh:
+                write_observations(obs, fh)
         except OSError as exc:
             raise MuddError(f"{dest}: {exc.strerror}") from None
-        with fh:
-            write_observations(obs, fh)
         return
     writer = csv.writer(dest)
     index = "t" not in obs.namespace
@@ -295,7 +282,7 @@ def mean_and_covariance(obs: ObservationSet) -> tuple[Vector, Matrix]:
     the sample count m. A constant column has its value as its mean and an
     exactly zero row and column of covariance; the matrix is filled above
     the diagonal and mirrored, so it is exactly symmetric. Raises
-    NonFiniteStatistics when counter values are so large that the mean or
+    MuddError when counter values are so large that the mean or
     covariance overflows.
     """
     m = obs.sample_count
@@ -321,7 +308,7 @@ def mean_and_covariance(obs: ObservationSet) -> tuple[Vector, Matrix]:
     if mean_cov is None or not all(map(math.isfinite, mean)) or not all(
         math.isfinite(x) for row in mean_cov for x in row
     ):
-        raise NonFiniteStatistics(
+        raise MuddError(
             f"run {obs.run_id!r}: sample mean or covariance overflows; "
             "counter values are too large"
         )
@@ -394,7 +381,7 @@ def _chi_square_cdf(dof: int, x: float) -> float:
 def eigendecompose(sigma: Sequence[Sequence[float]]) -> tuple[Vector, Matrix]:
     """Eigenvalues (descending, clamped at zero) and orthonormal eigenvectors (rows).
 
-    Raises NotSymmetric when the input is not square or differs from its
+    Raises MuddError when the input is not square or differs from its
     transpose in any entry, and ValueError when an entry is not finite. Each
     all-zero row i is the eigenpair (0, e_i) as it stands; the block of the
     other rows goes through Householder tridiagonalisation and the implicit
@@ -406,14 +393,14 @@ def eigendecompose(sigma: Sequence[Sequence[float]]) -> tuple[Vector, Matrix]:
     try:
         a = [[float(x) for x in row] for row in sigma]
     except TypeError:
-        raise NotSymmetric("matrix is not square") from None
+        raise MuddError("matrix is not square") from None
     n = len(a)
     if any(len(row) != n for row in a):
-        raise NotSymmetric("matrix is not square")
+        raise MuddError("matrix is not square")
     if not all(all(map(math.isfinite, row)) for row in a):
         raise ValueError("matrix has non-finite entries")
     if a != [list(col) for col in zip(*a)]:
-        raise NotSymmetric("matrix is not symmetric")
+        raise MuddError("matrix is not symmetric")
 
     values = [0.0] * n
     vectors = [list(row) for row in _identity(n)]
@@ -454,6 +441,8 @@ def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float
     accumulate the orthogonal transform, and implicitly shifted QL sweeps
     of Givens rotations diagonalise it. JAMA's V (eigenvectors in columns)
     is kept transposed, w = V^T, so each rotation combines two rows.
+    Sums run left to right by `+=`, not by `sum`, which compensates float
+    rounding from Python 3.12 on and so would change the bits by version.
     """
     n = len(a)
     w = [list(row) for row in a]  # a is symmetric, so this is V^T = V
@@ -462,7 +451,9 @@ def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float
 
     # tred2: Householder reduction to tridiagonal form
     for i in range(n - 1, 0, -1):
-        scale = sum(abs(x) for x in d[:i])
+        scale = 0.0
+        for x in d[:i]:
+            scale += abs(x)
         h = 0.0
         if scale == 0.0:
             e[i] = d[i - 1]
@@ -487,7 +478,10 @@ def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float
                 f = d[j]
                 w[i][j] = f
                 row = w[j]
-                e[j] += row[j] * f + sum(map(mul, row[j + 1:i], d[j + 1:i]))
+                g = 0.0
+                for x, y in zip(row[j + 1:i], d[j + 1:i]):
+                    g += x * y
+                e[j] += row[j] * f + g
                 e[j + 1:i] = [x + y * f for x, y in zip(e[j + 1:i], row[j + 1:i])]
             f = 0.0
             for j in range(i):
@@ -517,7 +511,9 @@ def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float
                 d[k] = u[k] / h
             for j in range(i + 1):
                 row = w[j]
-                g = sum(map(mul, u[:i + 1], row[:i + 1]))
+                g = 0.0
+                for x, y in zip(u[:i + 1], row[:i + 1]):
+                    g += x * y
                 row[:i + 1] = [x - g * y for x, y in zip(row[:i + 1], d)]
         for k in range(i + 1):
             u[k] = 0.0
@@ -584,11 +580,11 @@ def _symmetric_eigen(a: list[list[float]]) -> tuple[list[float], list[list[float
 
 
 def check_alpha(alpha: float) -> None:
-    """Raise InvalidValue unless 1 - alpha is a confidence level in (0, 1)."""
+    """Raise MuddError unless 1 - alpha is a confidence level in (0, 1)."""
     if not 0.0 < alpha < 1.0:
-        raise InvalidValue("alpha must lie in (0, 1)")
+        raise MuddError("alpha must lie in (0, 1)")
     if 1.0 - alpha == 1.0:
-        raise InvalidValue(f"alpha {alpha!r} is too small: 1 - alpha rounds to 1")
+        raise MuddError(f"alpha {alpha!r} is too small: 1 - alpha rounds to 1")
 
 
 def build_confidence_region(
@@ -602,12 +598,12 @@ def build_confidence_region(
     `independent` drops the off-diagonal covariance (the ablation baseline
     that treats counters as uncorrelated). The chi-square degrees of freedom
     equal the full counter dimension, even when the covariance is
-    rank-deficient. A run with no counter raises MissingCounter, and one
-    whose box half-lengths overflow raises NonFiniteStatistics.
+    rank-deficient. A run with no counter, or one whose box half-lengths
+    overflow, raises MuddError.
     """
     check_alpha(alpha)
     if not obs.namespace.names:
-        raise MissingCounter(f"run {obs.run_id!r} shares no counter with the model")
+        raise MuddError(f"run {obs.run_id!r} shares no counter with the model")
     mean, mean_cov = mean_and_covariance(obs)
     if independent:
         mean_cov = tuple(tuple(x if i == j else 0.0 for j, x in enumerate(row))
@@ -617,7 +613,7 @@ def build_confidence_region(
     quantile = chi_square_quantile(dof, 1.0 - alpha)
     half_lengths = tuple(math.sqrt(v * quantile) for v in values)
     if not all(map(math.isfinite, half_lengths)):
-        raise NonFiniteStatistics(
+        raise MuddError(
             f"run {obs.run_id!r}: confidence box overflows; "
             "counter values are too large"
         )

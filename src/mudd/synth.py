@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidValue
+from .errors import MuddError
 from .model import MuDD, Record, signatures_of_model
 from .stats import ObservationSet
 
@@ -22,24 +22,24 @@ class SynthSpec(Record):
     """`flows` holds one flow per path, in enumeration order; `noise` is a
     scalar sigma, which `generate` draws as that sigma in every counter, a
     per-counter sigma vector or a covariance matrix. Flows, sigmas and the
-    seed must be non-negative; a value out of range raises InvalidValue."""
+    seed must be non-negative; a value out of range raises MuddError."""
 
     _fields = ("model", "flows", "samples", "noise", "seed")
 
     def __init__(self, model: MuDD, flows: tuple[float, ...], samples: int,
                  noise: float | Sequence[float] | np.ndarray = 0.0, seed: int = 0):
         if samples < 2:
-            raise InvalidValue("need at least 2 samples")
+            raise MuddError("need at least 2 samples")
         if not all(math.isfinite(f) for f in flows):
-            raise InvalidValue("flows must be finite")
+            raise MuddError("flows must be finite")
         if any(f < 0 for f in flows):
-            raise InvalidValue("flows must be non-negative")
+            raise MuddError("flows must be non-negative")
         if not np.isfinite(noise).all():
-            raise InvalidValue("noise must be finite")
+            raise MuddError("noise must be finite")
         if np.ndim(noise) < 2 and (np.asarray(noise) < 0).any():
-            raise InvalidValue("noise must be non-negative")
+            raise MuddError("noise must be non-negative")
         if seed < 0:
-            raise InvalidValue("seed must be non-negative")
+            raise MuddError("seed must be non-negative")
         self._set(model=model, flows=flows, samples=samples, noise=noise, seed=seed)
 
 
@@ -47,7 +47,7 @@ def exact_counters(spec: SynthSpec) -> tuple[Fraction, ...]:
     """Flow-weighted signature sum, computed exactly."""
     sigs = signatures_of_model(spec.model)
     if len(spec.flows) != len(sigs):
-        raise DimensionMismatch(
+        raise MuddError(
             f"{len(spec.flows)} flows for {len(sigs)} paths"
         )
     n = len(spec.model.namespace)
@@ -71,14 +71,14 @@ def generate(spec: SynthSpec, run_id: str = "synth") -> ObservationSet:
     same matrix. Samples are floats: with zero noise they are exact only
     when exact/samples is representable, e.g. integer flows with a
     power-of-two sample count. A counter total or a sample too large for a
-    float raises InvalidValue naming the run.
+    float raises MuddError naming the run.
     """
     exact = exact_counters(spec)
     n = len(exact)
     try:
         base = np.array([float(x) / spec.samples for x in exact])
     except OverflowError:
-        raise InvalidValue(
+        raise MuddError(
             f"run {run_id!r}: the flows give a counter total too large for a float"
         ) from None
     rng = np.random.default_rng(spec.seed)
@@ -88,20 +88,20 @@ def generate(spec: SynthSpec, run_id: str = "synth") -> ObservationSet:
     with np.errstate(over="ignore"):  # a sample that overflows is refused below
         if arr.ndim == 1:
             if arr.shape[0] != n:
-                raise DimensionMismatch("per-counter sigma length does not match")
+                raise MuddError("per-counter sigma length does not match")
             draws = rng.normal(0.0, 1.0, size=(spec.samples, n)) * arr
         elif arr.ndim == 2:
             if arr.shape != (n, n):
-                raise DimensionMismatch("covariance shape does not match")
+                raise MuddError("covariance shape does not match")
             if float(np.min(np.linalg.eigvalsh((arr + arr.T) / 2))) < -1e-9:
-                raise InvalidValue("noise covariance must be positive semidefinite")
+                raise MuddError("noise covariance must be positive semidefinite")
             draws = rng.multivariate_normal(np.zeros(n), arr, size=spec.samples,
                                             method="eigh")
         else:
-            raise DimensionMismatch("noise must be a scalar, vector, or matrix")
+            raise MuddError("noise must be a scalar, vector, or matrix")
         matrix = base + draws
     if not np.isfinite(matrix).all():
-        raise InvalidValue(
+        raise MuddError(
             f"run {run_id!r}: the noise draws a sample too large for a float"
         )
     clamped = int(np.sum(matrix < 0))

@@ -554,6 +554,29 @@ class TestSynth:
         assert exc.value.code == 2
         assert capsys.readouterr() == ("", f"error: {line}\n")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("samples", ["2", "5000"])  # fails on close, or in a write
+    def test_full_disk_is_one_error_line(self, capsys, monkeypatch, walk_model, samples):
+        from mudd import cli
+
+        monkeypatch.setattr(sys, "argv", ["mudd", "synth", walk_model, "--flows", "1",
+                                          "--samples", samples, "-o", "/dev/full"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "error: /dev/full: No space left on device\n")
+
+    @pytest.mark.parametrize("source, flags, message", [
+        ("counter a;", ["--flows", "1,2"], "--flows needs 1 value, got 2"),
+        ("counter a;", ["--flows", "1", "--noise", "1,2"], "--noise needs 1 value, got 2"),
+        ("switch (p) { case x: counter a; case y: counter b; }", ["--flows", "1,2,3"],
+         "--flows needs 1 or 2 values, got 3"),
+    ])
+    def test_value_count_message(self, capsys, tmp_path, source, flags, message):
+        model = tmp_path / "m.mudd"
+        model.write_text(source)
+        assert run(capsys, "synth", str(model), *flags) == (2, "", f"error: {message}\n")
+
     @pytest.mark.filterwarnings("error")  # a numpy overflow warning is a second line
     @pytest.mark.parametrize("flags, what", [
         (["--flows", "1e308", "--samples", "2"], "the flows give a counter total"),
@@ -992,7 +1015,7 @@ except AttributeError as exc:
 
 def test_unexpected_exception_prints_traceback_and_exits_2(capsys, monkeypatch, walk_model):
     # 1 means "some observation infeasible", so a bug must not exit 1; a
-    # ValueError is a bug too unless mudd raised it as an input error
+    # ValueError is a bug too, since mudd raises every input error as MuddError
     from mudd import cli
 
     for error in (RuntimeError, ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from mudd import dsl, linprog
 from mudd.cli import main
-from mudd.errors import CatalogError, DimensionMismatch, NoFeasibleModel
+from mudd.errors import MuddError
 from mudd.exploration import (
     ModelCatalog,
     ModelEntry,
@@ -72,7 +72,7 @@ class TestRequiredFeatures:
         assert required_features(cat) == frozenset()
 
     def test_no_feasible_model(self):
-        with pytest.raises(NoFeasibleModel):
+        with pytest.raises(MuddError, match="^no feasible entries in the catalog$"):
             required_features(catalog(entry("a", ["x"], 1)))
 
     def test_antitone_under_new_feasible_entries(self):
@@ -113,7 +113,7 @@ class TestConeExpansion:
     def test_namespace_mismatch(self):
         parent = dsl.parse("counter a;")
         child = dsl.parse("counter b;")
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MuddError, match="^parent and child use different counter namespaces$"):
             cone_expansion_check(parent, child)
 
     def test_transitive_along_chain(self, bundled):
@@ -241,7 +241,7 @@ class TestCatalogFile:
         }
         path = tmp_path / "cat.json"
         path.write_text(json.dumps(blob))
-        with pytest.raises(CatalogError):
+        with pytest.raises(MuddError, match="entry 'a' references missing parent 'ghost'$"):
             load_catalog(path)
 
     def test_broken_model_reference(self, tmp_path):
@@ -253,7 +253,7 @@ class TestCatalogFile:
         }
         path = tmp_path / "cat.json"
         path.write_text(json.dumps(blob))
-        with pytest.raises(CatalogError):
+        with pytest.raises(MuddError, match=r"entry 'a' model \S*missing\.mudd: No such file"):
             load_catalog(path)
 
     def test_relaxation_between_inferred_namespaces(self, tmp_path, capsys):
@@ -269,7 +269,7 @@ class TestCatalogFile:
         path.write_text(json.dumps(blob))
         message = (f"catalog {path}: relaxation 'p' -> 'c': the two models infer different "
                    "counter namespaces; fix one order with the catalog's 'namespace' key")
-        with pytest.raises(CatalogError) as exc:
+        with pytest.raises(MuddError) as exc:
             load_catalog(path)
         assert str(exc.value) == message
         assert main(["explore", str(path)]) == 2
@@ -281,7 +281,7 @@ class TestCatalogFile:
     def test_malformed_entry(self, tmp_path):
         path = tmp_path / "cat.json"
         path.write_text(json.dumps({"entries": [{"features": []}]}))
-        with pytest.raises(CatalogError):
+        with pytest.raises(MuddError, match="entry 1: missing 'name'$"):
             load_catalog(path)
 
 
@@ -337,7 +337,7 @@ def test_malformed_catalog_names_file_entry_and_key(tmp_path, capsys, blob, mess
     assert set(load_catalog(valid).entries) == {"a", "b"}
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(blob))
-    with pytest.raises(CatalogError) as exc:
+    with pytest.raises(MuddError) as exc:
         load_catalog(path)
     assert str(exc.value) == f"catalog {path}: {message}"
     assert main(["explore", str(path)]) == 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mudd import bundled_path, dsl, linprog
-from mudd.errors import DimensionMismatch
+from mudd.errors import MuddError
 from mudd.feasibility import (
     attribute_violations,
     batch_check,
@@ -95,7 +95,8 @@ class TestCheckFeasibility:
                 assert rebuilt == tuple(Fraction(x) for x in point)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MuddError, match="^signature dimension 3 does not match "
+                                            "region dimension 2$"):
             check_feasibility([(1, 0, 0)], point_box([1.0, 2.0]))
 
     @pytest.mark.parametrize("bad", [(1.5, 1), (-0.5, 1)])
@@ -542,7 +543,7 @@ class TestBatch:
             generate(SynthSpec(model=model, flows=(1.0, 1.0), samples=5, seed=1), run_id=r)
             for r in ("a", "b")
         ]
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(MuddError) as exc:
             batch_check([("m", model)], obs, 1e-17)
         assert str(exc.value) == "alpha 1e-17 is too small: 1 - alpha rounds to 1"
         assert started == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mudd import dsl
-from mudd.errors import DimensionMismatch
+from mudd.errors import MuddError
 from mudd.geometry import (
     Constraint,
     cone_membership,
@@ -137,14 +137,15 @@ class TestMembership:
         assert not cone_membership([(1, 0), (1, 1)], (1, 2))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(MuddError, match="^generator dimension 2 does not match "
+                                            "point dimension 3$"):
             cone_membership([(1, 0)], (1, 0, 0))
 
     @pytest.mark.parametrize("point", [(1,), (1, 0, 0)])
     def test_constraint_refuses_a_point_of_another_length(self, point):
         # not zipped down to the shorter of the two
         c = Constraint(kind="inequality", coefficients=(1, -1))
-        with pytest.raises(DimensionMismatch,
+        with pytest.raises(MuddError,
                            match=f"^point has {len(point)} coordinates, constraint has 2$"):
             c.satisfied_by(point)
 

@@ -4,13 +4,7 @@ from hypothesis import strategies as st
 
 import mudd.model
 from mudd import dsl
-from mudd.errors import (
-    CycleDetected,
-    DanglingDecision,
-    InvalidModel,
-    PathExplosion,
-    UnknownCounter,
-)
+from mudd.errors import MuddError
 from mudd.model import (
     CausalityEdge,
     CounterNamespace,
@@ -45,11 +39,11 @@ class TestNamespace:
         assert list(ns) == ["b", "a", "c"]
 
     def test_duplicate_rejected(self):
-        with pytest.raises(InvalidModel):
+        with pytest.raises(MuddError, match="^duplicate counter name 'x' in namespace$"):
             CounterNamespace(["x", "x"])
 
     def test_unknown_position(self):
-        with pytest.raises(UnknownCounter):
+        with pytest.raises(MuddError, match="^counter 'y' not in namespace$"):
             CounterNamespace(["x"]).position("y")
 
     def test_restrict_preserves_order(self):
@@ -62,7 +56,8 @@ class TestValidation:
         ns = CounterNamespace([])
         nodes = (Node(0, "event", "a"), Node(1, "event", "b"))
         edges = (CausalityEdge(0, 1), CausalityEdge(1, 0))
-        with pytest.raises(CycleDetected):
+        with pytest.raises(MuddError, match=r"^causality cycle through node [01]; "
+                                               "diagrams must be acyclic$"):
             MuDD(nodes=nodes, causality=edges, happens_before=(), entry=0, namespace=ns)
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -74,19 +69,20 @@ class TestValidation:
                  Node(3, "event", "c"), Node(4, "decision", "p"))
         edges = (CausalityEdge(0, 2), CausalityEdge(2, 3), CausalityEdge(3, 4),
                  CausalityEdge(4, 3, "again"), CausalityEdge(4, 1, "out"))
-        with pytest.raises(CycleDetected, match=r"cycle through node [34];"):
+        with pytest.raises(MuddError, match=r"cycle through node [34];"):
             MuDD(nodes=nodes[::-1] if reverse else nodes, causality=edges,
                  happens_before=(), entry=0, namespace=ns)
 
     def test_counter_must_be_in_namespace(self):
         ns = CounterNamespace(["known"])
-        with pytest.raises(UnknownCounter):
+        with pytest.raises(MuddError, match="^counter node 0 references 'unknown', "
+                                            "which is not in the namespace$"):
             chain(("counter", "unknown"), ns=ns)
 
     def test_done_must_be_terminal(self):
         ns = CounterNamespace([])
         nodes = (Node(0, "done"), Node(1, "done"))
-        with pytest.raises(InvalidModel):
+        with pytest.raises(MuddError, match="^done node 0 has outgoing causality edges$"):
             MuDD(
                 nodes=nodes,
                 causality=(CausalityEdge(0, 1),),
@@ -99,7 +95,7 @@ class TestValidation:
         ns = CounterNamespace([])
         nodes = (Node(0, "decision", "p"), Node(1, "done"), Node(2, "done"))
         edges = (CausalityEdge(0, 1, "x"), CausalityEdge(0, 2, "x"))
-        with pytest.raises(InvalidModel):
+        with pytest.raises(MuddError, match="^decision node 0 has duplicate edge labels$"):
             MuDD(nodes=nodes, causality=edges, happens_before=(), entry=0, namespace=ns)
 
 
@@ -147,7 +143,8 @@ class TestEnumeration:
         switch (S) { case a: switch (S) { case b: counter c1; } }
         """
         model = dsl.parse(src)
-        with pytest.raises(DanglingDecision):
+        with pytest.raises(MuddError, match=r"^property 'S' is assigned 'a' but decision "
+                                            r"node \d+ has no matching edge$"):
             enumerate_mupaths(model)
 
     def test_cap_exceeded(self, monkeypatch):
@@ -158,7 +155,8 @@ class TestEnumeration:
         monkeypatch.setattr(mudd.model, "PATH_CAP", 32)
         assert len(enumerate_mupaths(model)) == 32
         monkeypatch.setattr(mudd.model, "PATH_CAP", 31)
-        with pytest.raises(PathExplosion, match="more than 31 paths"):
+        with pytest.raises(MuddError, match="^more than 31 paths, the fixed limit; "
+                                            "simplify the model$"):
             enumerate_mupaths(model)
 
     def test_deterministic_and_declaration_ordered(self):
@@ -249,8 +247,6 @@ class TestHappensBefore:
         assert sig_a == sig_b
 
     def test_conflicting_order_raises(self):
-        from mudd.errors import OrderingConflict
-
         ns = CounterNamespace([])
         base = chain(("event", "a"), ("event", "b"), ns=ns)
         bad = MuDD(
@@ -260,5 +256,6 @@ class TestHappensBefore:
             entry=0,
             namespace=ns,
         )
-        with pytest.raises(OrderingConflict):
+        with pytest.raises(MuddError, match="^order node 1 -> node 0 contradicts causality "
+                                            r"on path \(no decisions\)$"):
             enumerate_mupaths(bad)
