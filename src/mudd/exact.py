@@ -5,8 +5,9 @@ One integer row step, `combine` (p*a - f*b divided by its gcd), and
 reduction, the simplex and the hull's new facet normals are all built on
 them. Around that: the dot product, reduced row echelon form with its
 null-space basis, and the primitive integer form of a rational vector.
-Entries may be ints or Fractions, and a float counts as its exact binary
-value; elimination runs on integer rows, and nothing here rounds.
+Entries must be ints or Fractions, and a float raises TypeError; rows
+are reduced as integer rows and come back as integer rows, so nothing
+here rounds.
 """
 from __future__ import annotations
 
@@ -18,11 +19,6 @@ from collections.abc import MutableSequence, Sequence
 
 def dot(a: Sequence, b: Sequence):
     return sum(map(mul, a, b))
-
-
-def rational(x):
-    """An int or Fraction as it is; anything else (a float) as its exact Fraction."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 def combine(a: Sequence[int], b: Sequence[int], p: int, f: int) -> list[int]:
@@ -49,20 +45,18 @@ def pivot(rows: MutableSequence[Sequence[int]], r: int, c: int) -> None:
             rows[i] = combine(row, piv_row, p, f)
 
 
-def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
     """Nonzero rows of the reduced row echelon form and their pivot columns.
 
     The pivot columns of a matrix whose columns are vectors v_1..v_m select
     the first maximal independent subset of v_1..v_m, in order.
 
-    Each row is scaled to a primitive integer row and eliminated by `pivot`,
-    so no Fraction is built until every pivot row is divided by its pivot
-    at the end.
+    Each row is scaled to a primitive integer row and eliminated by `pivot`.
+    A returned row is primitive with a positive pivot entry: divided by that
+    entry it is the row of the rational reduced form.
     """
-    ints: list[list[int]] = []
-    for given in rows:
-        row = [rational(x) for x in given]
-        ints.append(row if all(type(x) is int for x in row) else list(primitive(row)))
+    ints = [list(row) if all(type(x) is int for x in row) else list(primitive(row))
+            for row in rows]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -73,18 +67,18 @@ def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[Fraction]], li
         pivot(ints, r, c)
         pivots.append(c)
         r += 1
-    reduced = [
-        [Fraction(x, ints[i][c]) for x in ints[i]] for i, c in enumerate(pivots)
-    ]
+    # combine with f = 0 is the row over its gcd, times p = -1 for a negative pivot
+    reduced = [combine(row, row, -1 if row[c] < 0 else 1, 0) for row, c in zip(ints, pivots)]
     return reduced, pivots
 
 
-def null_space(rows: Sequence[Sequence], ncols: int) -> tuple[list[int], list[list[Fraction]]]:
+def null_space(rows: Sequence[Sequence], ncols: int) -> tuple[list[int], list[tuple[int, ...]]]:
     """Pivot columns of `rows` and a basis of the vectors orthogonal to every row.
 
-    The basis has one vector per free column, ncols minus the rank in all: it
-    is 1 at its free column, 0 at the other free columns, and minus that free
-    column of the reduced rows at the pivots.
+    The basis has one primitive integer vector per free column, ncols minus
+    the rank in all: it is positive at its free column, 0 at the other free
+    columns, and at each pivot the multiple that cancels that free column of
+    its reduced row.
     """
     reduced, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
@@ -92,16 +86,22 @@ def null_space(rows: Sequence[Sequence], ncols: int) -> tuple[list[int], list[li
     for f in range(ncols):
         if f in pivot_set:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+        # each reduced row reads row[c] * vec[c] + row[f] * vec[f] = 0
+        scale = lcm(*(row[c] for row, c in zip(reduced, pivots) if row[f]))
+        vec = [0] * ncols
+        vec[f] = scale
         for row, c in zip(reduced, pivots):
-            vec[c] = -row[f]
-        basis.append(vec)
+            vec[c] = -row[f] * (scale // row[c])
+        basis.append(primitive(vec))
     return pivots, basis
 
 
 def primitive(v: Sequence) -> tuple[int, ...]:
-    """`v` scaled by a positive rational to coprime integers (zero stays zero)."""
+    """`v`, ints and Fractions, scaled by a positive rational to coprime
+    integers (zero stays zero). Any other entry raises TypeError."""
+    for x in v:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"entries must be ints or Fractions, got {x!r}")
     denom = lcm(*(x.denominator for x in v))
     ints = [x.numerator * (denom // x.denominator) for x in v]
     g = gcd(*ints)

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import dsl
 from .errors import MuddError, read_text
 from .geometry import cone_membership, normalize_signatures
-from .model import CounterNamespace, MuDD, Record, signatures_of_model
+from .model import CounterNamespace, MuDD, Record, enumerate_mupaths, signatures_of_model
 
 
 class ModelEntry(Record):
@@ -69,7 +69,9 @@ def _is_strings(value) -> bool:
 def load_catalog(path) -> ModelCatalog:
     """Read a catalog JSON file; model paths resolve relative to it.
 
-    A value of the wrong type raises MuddError naming the file, the
+    Each model is parsed and its paths enumerated, so a model that `mudd
+    paths` refuses raises MuddError naming the catalog, the entry and the
+    model. A value of the wrong type raises MuddError naming the file, the
     entry (by name, or by position when the name itself is bad) and the key;
     so does a top-level `features` or `namespace` that names a value twice.
     """
@@ -143,6 +145,12 @@ def load_catalog(path) -> ModelCatalog:
                 ) from exc
             except MuddError as exc:  # unreadable: the message names the model file
                 raise MuddError(f"catalog {path}: entry {name!r} model {exc}") from exc
+            try:  # a model that `mudd paths` refuses is refused here too
+                enumerate_mupaths(model)
+            except MuddError as exc:
+                raise MuddError(
+                    f"catalog {path}: entry {name!r} model {resolved}: {exc}"
+                ) from exc
         entries[name] = ModelEntry(name, frozenset(features), count, model=model, parent=parent)
     try:
         catalog = ModelCatalog(

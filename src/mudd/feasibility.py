@@ -192,9 +192,10 @@ def _centre_witness(
             return None  # the equalities and pinned axes share no point
         for row, p in zip(reduced, pivots):
             if row[k]:
+                y = Fraction(row[k], row[p])
                 for j, x in enumerate(rows[p]):
                     if x:
-                        w[j] += row[k] * x
+                        w[j] += y * x
     point = [Fraction(x, region._scale) for x in w]
     if not region.contains(point):
         return None

@@ -154,9 +154,8 @@ def find_equalities(
             raise MuddError("generator length does not match dimension")
     pivots, null_basis = exact.null_space(vectors, dim)
     equalities = []
-    for coeffs in null_basis:
+    for v in null_basis:
         # orthogonal to every generator; leading coefficient made positive
-        v = exact.primitive(coeffs)
         if next(x for x in v if x) < 0:
             v = tuple(-x for x in v)
         equalities.append(

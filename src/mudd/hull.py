@@ -23,6 +23,7 @@ of the double description method.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import index
 
 from . import exact
 from .errors import MuddError
@@ -36,9 +37,9 @@ def convex_hull_hyperplanes(rays: Sequence[Sequence[int]]) -> list[Ray]:
     The integer rays must span their space and generate a pointed cone. Each
     returned n satisfies n.r >= 0 for every ray, with equality on its facet;
     there is one normal per geometric facet. Non-extreme and duplicate rays
-    are allowed.
+    are allowed; an entry that is not an integer raises TypeError.
     """
-    rays = list(dict.fromkeys(tuple(int(x) for x in r) for r in rays))
+    rays = list(dict.fromkeys(tuple(map(index, r)) for r in rays))
     if not rays:
         raise MuddError("no rays")
     dim = len(rays[0])

@@ -7,14 +7,15 @@ the phase-one cost row last, and each step is one `exact.pivot` on a
 positive entry, which keeps every row's orientation. A row may carry any
 positive scale: the ratio test compares within one row at a time, the
 entering choice reads only signs of the cost row, and the solution is read
-as rhs / basic entry, so no denominators are kept.
+as rhs / basic entry, so no denominators are kept. Coefficients must be
+ints or Fractions; a float raises TypeError rather than being converted.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .exact import pivot, primitive, rational
+from .exact import pivot, primitive
 
 
 def solve_equality_form(
@@ -29,8 +30,8 @@ def solve_equality_form(
     row i (a unit column such as a slack); rows without a usable hint get an
     artificial variable.
 
-    Entries may be ints, Fractions or floats; a float counts as its exact
-    binary value.
+    Entries must be ints or Fractions; any other entry, a float among them,
+    raises TypeError.
     """
     m = len(A)
     if m != len(b):
@@ -42,7 +43,7 @@ def solve_equality_form(
     rows: list[list[int]] = []
     for i in range(m):
         # primitive integer row with the rhs appended last, rhs made >= 0
-        row = list(primitive([rational(x) for x in A[i]] + [rational(b[i])]))
+        row = list(primitive([*A[i], b[i]]))
         if row[-1] < 0:
             row = [-x for x in row]
         rows.append(row)

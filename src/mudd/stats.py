@@ -387,8 +387,9 @@ def eigendecompose(sigma: Sequence[Sequence[float]]) -> tuple[Vector, Matrix]:
     other rows goes through Householder tridiagonalisation and the implicit
     QL algorithm (`_symmetric_eigen`). Covariance matrices are positive
     semidefinite up to rounding, so small negative eigenvalues are clamped
-    to zero. Raises ArithmeticError when V^T diag(values) V misses the input
-    by more than 1e-9 * (1 + its largest entry).
+    to zero; one below -1e-9 * (1 + the largest entry) raises MuddError, the
+    input is not positive semidefinite. Raises ArithmeticError when
+    V^T diag(values) V misses the input by more than that bound.
     """
     try:
         a = [[float(x) for x in row] for row in sigma]
@@ -412,6 +413,9 @@ def eigendecompose(sigma: Sequence[Sequence[float]]) -> tuple[Vector, Matrix]:
             vectors[i] = [0.0] * n
             for j, x in zip(block, z):
                 vectors[i][j] = x
+    peak = max((max(map(abs, row)) for row in a if row), default=0.0)
+    if min(values, default=0.0) < -1e-9 * (1.0 + peak):
+        raise MuddError("matrix is not positive semidefinite")
     order = sorted(range(n), key=lambda i: -values[i])
     values = tuple(values[i] if values[i] > 0.0 else 0.0 for i in order)
     axes = tuple(tuple(vectors[i]) for i in order)
@@ -423,7 +427,6 @@ def eigendecompose(sigma: Sequence[Sequence[float]]) -> tuple[Vector, Matrix]:
     error = max((abs(sum(map(mul, scaled[i], columns[j])) - a[i][j])
                  for at, i in enumerate(block) for j in block[at:]),
                 default=0.0)
-    peak = max((max(map(abs, row)) for row in a if row), default=0.0)
     if not error <= 1e-9 * (1.0 + peak):  # also refuses a NaN
         raise ArithmeticError("eigendecomposition failed the reconstruction bound")
     return values, axes

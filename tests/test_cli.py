@@ -636,6 +636,23 @@ class TestExplore:
         monkeypatch.chdir(tmp_path)
         assert run(capsys, "explore", "cat.json") == (2, "", "\n".join(lines) + "\n")
 
+    def test_entry_model_that_paths_refuses_is_refused(self, capsys, monkeypatch, tmp_path):
+        from mudd import cli
+
+        (tmp_path / "c.json").write_text(json.dumps({"entries": [
+            {"name": "a", "infeasible_count": 0, "model": "m.mudd"}
+        ]}))
+        (tmp_path / "m.mudd").write_text("a: action x; b: action y; order b -> a;\n")
+        monkeypatch.chdir(tmp_path)
+        reason = "order b -> a contradicts causality on path (no decisions)"
+        assert run(capsys, "paths", "m.mudd") == (2, "", f"error: {reason}\n")
+        monkeypatch.setattr(sys, "argv", ["mudd", "explore", "c.json"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 2
+        assert capsys.readouterr() == (
+            "", f"error: catalog c.json: entry 'a' model m.mudd: {reason}\n")
+
     def test_deeply_nested_entry_model_is_one_diagnostic(self, capsys, monkeypatch, tmp_path):
         (tmp_path / "cat.json").write_text(json.dumps({"entries": [
             {"name": "a", "infeasible_count": 0, "model": "m.mudd"}

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,9 +32,22 @@ class TestNullSpace:
         for vec in basis:
             for row in rows:
                 assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
-        # the basis vectors are independent: each has a 1 at its own free column
+        # the basis vectors are independent: each is nonzero at its own free column only
         if basis:
             assert rank_of(basis) == len(basis)
+        # primitive integer vectors, positive at their own free column
+        free = [c for c in range(ncols) if c not in pivots]
+        for vec, f in zip(basis, free):
+            assert all(type(x) is int for x in vec)
+            assert _row_gcd(vec) == 1
+            assert vec[f] > 0
+
+    def test_basis_of_fraction_rows_is_integer(self):
+        # x + y/2 - z/3 = 0: the reduced row is (6, 3, -2), so the free
+        # columns y and z give (-1, 2, 0) and (1, 0, 3)
+        pivots, basis = exact.null_space([[1, Fraction(1, 2), Fraction(-1, 3)]], 3)
+        assert pivots == [0]
+        assert basis == [(-1, 2, 0), (1, 0, 3)]
 
     def test_pivots_pick_first_independent_columns(self):
         # columns (1,0), (2,0), (0,1): the second is a multiple of the first
@@ -95,15 +109,18 @@ class TestRref:
         reduced, pivots = exact.rref(rows, ncols)
         expected_rows, expected_pivots = _reference_rref(rows, ncols)
         assert pivots == expected_pivots
-        assert reduced == expected_rows
-        assert all(type(x) is Fraction for row in reduced for x in row)
+        assert len(reduced) == len(expected_rows)
+        for row, c, expected in zip(reduced, pivots, expected_rows):
+            # a primitive integer row with a positive pivot entry, which
+            # divides it into the row of the rational reduced form
+            assert all(type(x) is int for x in row)
+            assert _row_gcd(row) == 1
+            assert row[c] > 0
+            assert [Fraction(x, row[c]) for x in row] == expected
 
-    def test_float_entry_is_its_exact_value(self):
-        reduced, pivots = exact.rref([[3, 0.1]], 2)
-        assert pivots == [0]
-        assert reduced == [[Fraction(1), Fraction(0.1) / 3]]
-        assert all(type(x) is Fraction for x in reduced[0])
-        assert reduced[0][1] != Fraction(1, 30)
+    def test_float_entry_is_refused(self):
+        with pytest.raises(TypeError, match="ints or Fractions, got 0.5"):
+            exact.rref([[1, 0.5]], 2)
 
 
 class TestPrimitive:

@@ -105,6 +105,29 @@ class TestCheckFeasibility:
         with pytest.raises(ValueError, match="must be integers"):
             check_feasibility([bad, (0, 1)], point_box([1.0, 1.0]))
 
+    def test_integral_signature_forms_agree(self):
+        # signatures may arrive as int tuples, numpy int64 rows or integral
+        # floats; each form deduces the same constraints and verdicts. The
+        # cone lies in the plane a - 2b + c = 0, with (1, 1, 1) interior.
+        ints = [(2, 1, 0), (1, 1, 1), (0, 1, 2), (1, 1, 1)]
+        forms = [ints, np.array(ints, dtype=np.int64),
+                 [tuple(float(x) for x in s) for s in ints]]
+        ns = CounterNamespace(["a", "b", "c"])
+        regions = [
+            point_box([1.0, 1.0, 1.0]),  # feasible, the centre is the witness
+            point_box([1.0, 1.0, 2.0]),  # off the equality
+            box_region([4, 1, -2], np.eye(3), [0.3, 0.3, 0.3]),  # past a facet
+            box_region([3, 1, -1], np.eye(3), [0.6, 0.6, 0.6]),  # the box LP refutes it
+            box_region([0.5, 1, 2], np.eye(3), [0.6, 0.1, 0.2]),  # the box LP finds flows
+        ]
+        constraints = [constraints_from_signatures(sigs, ns) for sigs in forms]
+        assert all(cs == constraints[0] for cs in constraints)
+        assert all(cs.pivot_columns == constraints[0].pivot_columns for cs in constraints)
+        verdicts = [[check_feasibility(sigs, region) for region in regions] for sigs in forms]
+        assert [v.feasible for v in verdicts[0]] == [True, False, False, False, True]
+        assert [len(v.violated_constraints) for v in verdicts[0]] == [0, 1, 1, 0, 0]
+        assert all(v == verdicts[0] for v in verdicts)
+
     def test_point_region_agrees_with_membership_oracle(self):
         rng = random.Random(99)
         ns_cache = {}

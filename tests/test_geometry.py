@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mudd import dsl
+from mudd import dsl, hull
 from mudd.errors import MuddError
 from mudd.geometry import (
     Constraint,
@@ -182,6 +182,13 @@ class TestFacets:
     def test_one_dimensional_ray(self):
         facets = conic_hull_facets([(3,)])
         assert _coeff_set(facets) == {(1,)}
+
+    def test_hull_refuses_a_non_integer_ray(self):
+        # truncated to (1, 0), the ray would give the facets of another cone
+        # than that of its integer multiple (2, 1)
+        with pytest.raises(TypeError):
+            hull.convex_hull_hyperplanes([(1, 0.5), (0, 1)])
+        assert sorted(hull.convex_hull_hyperplanes([(2, 1), (0, 1)])) == [(-1, 2), (1, 0)]
 
     def test_matches_bruteforce_in_3d(self):
         gens = [(0, 0, 1), (0, 1, 1), (1, 1, 1)]

@@ -80,25 +80,16 @@ def test_degenerate_ties_terminate():
     assert x == [Fraction(0)] * 4
 
 
-def test_float_bounds_are_exact_rationals():
-    # 0.1 as a float is not 1/10; the solver must honor the exact binary value
-    x = feasible_point(1, A_ub=[[1], [-1]], b_ub=[0.1, -0.1])
-    assert x is not None
-    assert x[0] == Fraction(0.1)
-
-
-def test_int_fraction_and_dyadic_float_entries_agree():
-    # ints and Fractions pass through, floats count as their exact binary
-    # value: the same system in each form (and scaled by 1/4, which is
-    # dyadic) has the same solution
+def test_int_and_fraction_entries_agree():
+    # ints and Fractions pass through: the same system in each form (and
+    # scaled by 1/4) has the same solution
     A = [[2, 1, 0, 3], [1, 0, 1, -1], [0, 1, 1, 1]]
     b = [6, 1, 3]
     forms = [(A, b)]
-    for conv in (Fraction, float):
-        for scale in (1, Fraction(1, 4)):
-            forms.append(([[conv(x * scale) for x in row] for row in A],
-                          [conv(x * scale) for x in b]))
-    forms.append(([[A[0][0], Fraction(A[0][1]), float(A[0][2]), A[0][3]]] + A[1:], b))
+    for scale in (1, Fraction(1, 4)):
+        forms.append(([[Fraction(x * scale) for x in row] for row in A],
+                      [Fraction(x * scale) for x in b]))
+    forms.append(([[A[0][0], Fraction(A[0][1]), A[0][2], A[0][3]]] + A[1:], b))
     solutions = [solve_equality_form(a, rhs, 4) for a, rhs in forms]
     assert solutions[0] is not None
     assert all(x == solutions[0] for x in solutions)
@@ -107,6 +98,17 @@ def test_int_fraction_and_dyadic_float_entries_agree():
               for a, rhs in forms]
     assert points[0] is not None
     assert all(x == points[0] for x in points)
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[1, 0.5]], [1]),  # a float coefficient
+    ([[1, 1]], [0.1]),  # a float right-hand side, which is not 1/10
+])
+def test_float_entry_is_refused(A, b):
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        solve_equality_form(A, b, 2)
+    with pytest.raises(TypeError, match="ints or Fractions"):
+        feasible_point(2, A, b)
 
 
 def test_shape_errors():

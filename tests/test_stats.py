@@ -328,6 +328,11 @@ class TestEigendecompose:
         with pytest.raises(MuddError, match="^matrix is not symmetric$"):
             eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_indefinite_is_refused(self):
+        # eigenvalues 3 and -1: named as such, not as a failed reconstruction
+        with pytest.raises(MuddError, match="^matrix is not positive semidefinite$"):
+            eigendecompose([[1.0, 2.0], [2.0, 1.0]])
+
     def test_one_ulp_off_symmetric_is_refused(self):
         # no tolerance: an input is symmetric exactly, as every covariance here is
         sigma = [[2.0, 1.0, 0.5], [1.0, 2.0, 0.25], [0.5, math.nextafter(0.25, 1.0), 2.0]]
