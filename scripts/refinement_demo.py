@@ -10,8 +10,8 @@ import numpy as np
 
 from mudd import bundled_path, dsl
 from mudd.exploration import cone_expansion_check
-from mudd.feasibility import attribute_violations, check_feasibility, refinement_candidates
-from mudd.geometry import deduce_constraints
+from mudd.feasibility import check_feasibility, refinement_candidates
+from mudd.geometry import deduce_constraints, normalize_signatures
 from mudd.model import CounterNamespace, signature_of, signatures_of_model
 from mudd.stats import ObservationSet, build_confidence_region
 
@@ -42,7 +42,7 @@ def main():
     sigs = signatures_of_model(initial)
     verdict = check_feasibility(sigs, region, constraints=initial_cs)
     print("  feasible:", verdict.feasible)
-    for c in attribute_violations(initial_cs, region):
+    for c in verdict.violated_constraints:
         print("  violated:", c.display(ns))
 
     print("\n== refinement candidates in the early-lookup model ==")
@@ -55,7 +55,8 @@ def main():
     refined_sigs = signatures_of_model(refined)
     verdict = check_feasibility(refined_sigs, region)
     print("  feasible:", verdict.feasible)
-    print("  cone expanded:", cone_expansion_check(initial, refined))
+    expanded = cone_expansion_check(normalize_signatures(sigs), normalize_signatures(refined_sigs))
+    print("  cone expanded:", expanded)
 
 
 if __name__ == "__main__":

@@ -9,16 +9,22 @@ the whole thing as a table. It never generates feature variants.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from pathlib import Path
 
 from . import dsl
 from .errors import MuddError, read_text
-from .geometry import cone_membership, normalize_signatures
-from .model import CounterNamespace, MuDD, Record, enumerate_mupaths, signatures_of_model
+from .geometry import Vector, cone_membership, normalize_signatures
+from .model import CounterNamespace, MuDD, Record, signatures_of_model
 
 
 class ModelEntry(Record):
-    """One explored model; `parent` is (name, "relaxation" | "pruning")."""
+    """One explored model; `parent` is (name, "relaxation" | "pruning").
+
+    `generators`, kept outside `_fields`, are the model's normalized
+    signatures (None without a model), from the one enumeration of its
+    paths made here; a model whose paths cannot be enumerated raises
+    MuddError."""
 
     _fields = ("name", "features", "infeasible_count", "model", "parent")
 
@@ -28,8 +34,9 @@ class ModelEntry(Record):
             raise MuddError(f"entry {name!r} has a negative infeasible count")
         if parent is not None and parent[1] not in ("relaxation", "pruning"):
             raise MuddError(f"entry {name!r} has unknown edge kind {parent[1]!r}")
+        generators = None if model is None else normalize_signatures(signatures_of_model(model))
         self._set(name=name, features=features, infeasible_count=infeasible_count,
-                  model=model, parent=parent)
+                  model=model, parent=parent, generators=generators)
 
 
 class ModelCatalog(Record):
@@ -69,11 +76,12 @@ def _is_strings(value) -> bool:
 def load_catalog(path) -> ModelCatalog:
     """Read a catalog JSON file; model paths resolve relative to it.
 
-    Each model is parsed and its paths enumerated, so a model that `mudd
-    paths` refuses raises MuddError naming the catalog, the entry and the
-    model. A value of the wrong type raises MuddError naming the file, the
-    entry (by name, or by position when the name itself is bad) and the key;
-    so does a top-level `features` or `namespace` that names a value twice.
+    Each model is parsed and its paths enumerated once, for the entry's
+    generators, so a model that `mudd paths` refuses raises MuddError naming
+    the catalog, the entry and the model. A value of the wrong type raises
+    MuddError naming the file, the entry (by name, or by position when the
+    name itself is bad) and the key; so does a top-level `features` or
+    `namespace` that names a value twice.
     """
     path = Path(path)
     try:
@@ -134,8 +142,8 @@ def load_catalog(path) -> ModelCatalog:
         if name in entries:
             raise MuddError(f"catalog {path}: duplicate entry name {name!r}")
         model = None
+        resolved = path.parent / model_path if model_path else None
         if model_path:
-            resolved = path.parent / model_path
             try:
                 model = dsl.parse_file(resolved, ns)
             except dsl.DslParseError as exc:
@@ -145,13 +153,11 @@ def load_catalog(path) -> ModelCatalog:
                 ) from exc
             except MuddError as exc:  # unreadable: the message names the model file
                 raise MuddError(f"catalog {path}: entry {name!r} model {exc}") from exc
-            try:  # a model that `mudd paths` refuses is refused here too
-                enumerate_mupaths(model)
-            except MuddError as exc:
-                raise MuddError(
-                    f"catalog {path}: entry {name!r} model {resolved}: {exc}"
-                ) from exc
-        entries[name] = ModelEntry(name, frozenset(features), count, model=model, parent=parent)
+        try:  # the entry enumerates the model's paths: what `mudd paths` refuses fails here
+            entries[name] = ModelEntry(name, frozenset(features), count, model=model,
+                                       parent=parent)
+        except MuddError as exc:  # only the model can fail: the other fields are checked
+            raise MuddError(f"catalog {path}: entry {name!r} model {resolved}: {exc}") from exc
     try:
         catalog = ModelCatalog(
             entries=entries,
@@ -213,21 +219,20 @@ def minimal_feasible(catalog: ModelCatalog) -> frozenset[str]:
     return frozenset(out)
 
 
-def cone_expansion_check(parent: MuDD, child: MuDD) -> bool:
+def cone_expansion_check(parent: Sequence[Vector], child: Sequence[Vector]) -> bool:
     """True iff every parent generator lies in the child's cone (cone grew or held).
 
-    Generators are compared normalized (primitive and deduplicated). A parent
-    generator that is also a child generator lies in the child's cone
-    trivially and costs a set lookup; only the others go to the exact
-    membership LP. A relaxation that adds a feature usually keeps every
-    parent path, so a growing edge typically runs no LP at all.
+    Both are normalized generators (primitive and deduplicated) in one
+    counter namespace, as `ModelEntry.generators` of a relaxation edge that
+    `load_catalog` accepted. A parent generator that is also a child
+    generator lies in the child's cone trivially and costs a set lookup;
+    only the others go to the exact membership LP. A relaxation that adds a
+    feature usually keeps every parent path, so a growing edge typically
+    runs no LP at all.
     """
-    if parent.namespace.names != child.namespace.names:
-        raise MuddError("parent and child use different counter namespaces")
-    child_gens = normalize_signatures(signatures_of_model(child))
-    shared = set(child_gens)
-    for gen in normalize_signatures(signatures_of_model(parent)):
-        if gen not in shared and not cone_membership(child_gens, gen):
+    shared = set(child)
+    for gen in parent:
+        if gen not in shared and not cone_membership(child, gen):
             return False
     return True
 
@@ -238,7 +243,7 @@ def expansion_results(catalog: ModelCatalog) -> list[dict]:
         {
             "parent": parent.name,
             "child": child.name,
-            "expanded": cone_expansion_check(parent.model, child.model),
+            "expanded": cone_expansion_check(parent.generators, child.generators),
         }
         for parent, child in _relaxations(catalog)
     ]

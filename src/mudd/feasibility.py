@@ -19,7 +19,11 @@ exact. Each observation takes one decision sequence:
    trusting the inequalities: feasible, with v as the witness.
 3. Fallback. Otherwise the box straddles the cone boundary (at a corner no
    single constraint excludes it) and the exact box LP decides: flows f >= 0
-   whose counter vector S f lies in the box, or none.
+   whose counter vector S f lies in the box, or its Farkas vector: one
+   inequality that holds on the cone and fails on the whole box, named as
+   weights on the model's facets and equalities (as J. W. Chinneck,
+   Feasibility and Infeasibility in Optimization, 2008, names an
+   infeasible system by a few of its constraints).
 """
 from __future__ import annotations
 
@@ -45,13 +49,16 @@ from .stats import ConfidenceRegion, ObservationSet, build_confidence_region, ch
 
 class FeasibilityVerdict(Record):
     """Whether a region meets a cone, with a witness or the violated constraints;
-    `witness_flow` is aligned with the input paths."""
+    `witness_flow` is aligned with the input paths. An INFEASIBLE verdict
+    with no violated constraint raises ValueError."""
 
     _fields = ("feasible", "witness_flow", "witness_point", "violated_constraints")
 
     def __init__(self, feasible: bool, witness_flow: tuple[Fraction, ...] | None = None,
                  witness_point: tuple[Fraction, ...] | None = None,
                  violated_constraints: tuple[Constraint, ...] = ()):
+        if not feasible and not violated_constraints:
+            raise ValueError("an INFEASIBLE verdict must name a violated constraint")
         self._set(feasible=feasible, witness_flow=witness_flow,
                   witness_point=witness_point, violated_constraints=violated_constraints)
 
@@ -109,10 +116,11 @@ def check_feasibility(
     when the box centre, corrected onto the equalities and the zero-length
     axes, stays in the box and a membership LP writes it as a non-negative
     flow combination of the signatures (the witness); otherwise the exact
-    box LP. Without
-    `constraints`, they are deduced from the signatures, so there is one
-    decision path; a caller passing them vouches that each holds on every
-    signature.
+    box LP, which refutes with one inequality named by the constraints.
+    Without `constraints`, they are deduced from the signatures, so there is
+    one decision path; a caller passing them vouches that they describe the
+    cone of the signatures, and a box-LP refutation that they cannot name
+    raises ArithmeticError.
 
     Equal signatures share one flow variable, which provably leaves the
     feasible counter set unchanged (the merged flow is the sum of the
@@ -136,9 +144,9 @@ def check_feasibility(
 
     solution = _centre_witness(lp_sigs, constraints, region)
     if solution is None:
-        solution = _box_lp(lp_sigs, region)
-    if solution is None:
-        return FeasibilityVerdict(feasible=False)
+        solution, reason = _box_lp(lp_sigs, constraints, region)
+        if reason is not None:
+            return FeasibilityVerdict(feasible=False, violated_constraints=(reason,))
 
     flows = [Fraction(0)] * sigs.paths
     for owner, flow in zip(sigs.owners, solution):
@@ -205,9 +213,10 @@ def _centre_witness(
 
 
 def _box_lp(
-    lp_sigs: Sequence[tuple[int, ...]], region: ConfidenceRegion
-) -> list[Fraction] | None:
-    """Flows f >= 0 whose counter vector lies in the box, or None.
+    lp_sigs: Sequence[tuple[int, ...]], constraints: ConstraintSet, region: ConfidenceRegion
+) -> tuple[list[Fraction], None] | tuple[None, Constraint]:
+    """Flows f >= 0 whose counter vector lies in the box as (flows, None), or
+    (None, the reason there are none).
 
     The LP has variables v >= 0 and f >= 0 with v = sum_p sig_p * f_p and
     the box bounds on v. Substituting v through the flow equation is an
@@ -216,6 +225,11 @@ def _box_lp(
     axis gives -h_i <= e_i.(v - c) <= h_i; times scale**2, in the region's
     integers, that is scale*(E_i.s) f <= scale*H_i + E_i.C and its negation
     <= scale*H_i - E_i.C.
+
+    The LP's Farkas vector w, checked by `linprog.feasible_point`, is the
+    reason: with a = sum_i (w_2i - w_2i+1) E_i, w.A_ub >= 0 says
+    scale*(a.s) >= 0 on every signature, so a.v >= 0 holds on the cone, and
+    w.b_ub < 0 says a.v < 0 on the whole box.
     """
     a_ub = []
     b_ub = []
@@ -227,7 +241,37 @@ def _box_lp(
         b_ub.append(scale * h + proj_center)
         a_ub.append([-x for x in row])
         b_ub.append(scale * h - proj_center)
-    return linprog.feasible_point(len(lp_sigs), a_ub, b_ub)
+    flows, w = linprog.feasible_point(len(lp_sigs), a_ub, b_ub)
+    if w is None:
+        return flows, None
+    a = [0] * len(region._center)
+    for e, up, down in zip(region._axes, w[::2], w[1::2]):
+        if up != down:
+            for j, x in enumerate(e):
+                a[j] += (up - down) * x
+    return None, _named(exact.primitive(a), constraints)
+
+
+def _named(a: tuple[int, ...], constraints: ConstraintSet) -> Constraint:
+    """The inequality a.v >= 0, valid on the cone, as a combination of its
+    constraints: non-negative weights on the facets and signed weights on
+    the equalities, found by one exact LP over the columns F, Q and -Q.
+    Raises ArithmeticError when there are no such weights or they do not
+    give a up to a positive factor."""
+    facets, equalities = constraints.inequalities, constraints.equalities
+    columns = ([c.coefficients for c in facets] + [q.coefficients for q in equalities]
+               + [tuple(-x for x in q.coefficients) for q in equalities])
+    x = linprog.solve_equality_form(
+        [[col[i] for col in columns] for i in range(len(a))], a, len(columns))
+    if x is None:
+        raise ArithmeticError("the box LP's certificate is no combination of the constraints")
+    k, m = len(facets), len(equalities)
+    weights = exact.primitive([x[k + j] - x[k + m + j] for j in range(m)] + x[:k])
+    terms = tuple((weight, c) for weight, c in zip(weights, constraints) if weight)
+    total = [sum(weight * c.coefficients[i] for weight, c in terms) for i in range(len(a))]
+    if exact.primitive(total) != a:
+        raise ArithmeticError("the named constraints do not sum to the box LP's certificate")
+    return Constraint("inequality", a, "farkas", terms=terms)
 
 
 def attribute_violations(

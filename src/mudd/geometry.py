@@ -47,13 +47,22 @@ def _as_vector(sig) -> Vector:
 
 
 class Constraint(Record):
-    """One half-space (a.v >= 0) or hyperplane (a.v = 0) with integer coefficients."""
+    """One half-space (a.v >= 0) or hyperplane (a.v = 0) with integer coefficients.
 
-    _fields = ("kind", "coefficients", "provenance")
+    A model's constraint has no `terms`. An inequality the box LP proves
+    (provenance "farkas") names the model constraints it combines: `terms`
+    holds (integer weight, constraint) pairs, coprime and in `ConstraintSet`
+    order, whose weighted sum of coefficients is a positive multiple of
+    `coefficients`; a facet's weight is positive, an equality's has either
+    sign.
+    """
 
-    def __init__(self, kind: str, coefficients: Vector, provenance: str = ""):
+    _fields = ("kind", "coefficients", "provenance", "terms")
+
+    def __init__(self, kind: str, coefficients: Vector, provenance: str = "",
+                 terms: tuple[tuple[int, "Constraint"], ...] = ()):
         # kind: "equality" | "inequality"
-        self._set(kind=kind, coefficients=coefficients, provenance=provenance)
+        self._set(kind=kind, coefficients=coefficients, provenance=provenance, terms=terms)
 
     def satisfied_by(self, point: Sequence) -> bool:
         if len(point) != len(self.coefficients):
@@ -67,8 +76,16 @@ class Constraint(Record):
         """Render with negative coefficients moved across the relation.
 
         Inequalities a.v >= 0 read `negative side <= positive side`; equalities
-        read `positive side = negative side`, e.g. a sum decomposition.
+        read `positive side = negative side`, e.g. a sum decomposition. A
+        constraint with terms reads as their weighted sum, such as
+        `(0 ≤ v1) + 2 × (v1 ≤ v0)`.
         """
+        if self.terms:
+            out = ""
+            for weight, c in self.terms:
+                factor = f"{abs(weight)} × " if abs(weight) != 1 else ""
+                out += f" {'−' if weight < 0 else '+'} {factor}({c.display(ns)})"
+            return out[3:] if out[1] == "+" else "−" + out[3:]
         pos = [(c, ns.names[i]) for i, c in enumerate(self.coefficients) if c > 0]
         neg = [(-c, ns.names[i]) for i, c in enumerate(self.coefficients) if c < 0]
 

@@ -9,11 +9,19 @@ positive scale: the ratio test compares within one row at a time, the
 entering choice reads only signs of the cost row, and the solution is read
 as rhs / basic entry, so no denominators are kept. Coefficients must be
 ints or Fractions; a float raises TypeError rather than being converted.
+
+When phase one ends with a positive artificial sum, the final cost row is
+lambda*(c - y.A') for one lambda > 0, c the artificials' costs and A' the
+initial tableau, so its entries at `feasible_point`'s slack columns are a
+Farkas vector w, in the caller's row units: each slack column carries its
+row's sign flip and primitive scale. `check_farkas` certifies it exactly
+(Applegate, Cook, Dash and Espinoza, Oper. Res. Lett. 2007).
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import mul
 
 from .exact import pivot, primitive
 
@@ -33,6 +41,17 @@ def solve_equality_form(
     Entries must be ints or Fractions; any other entry, a float among them,
     raises TypeError.
     """
+    return _solution(*_phase_one(A, b, num_vars, basis_hint), num_vars)
+
+
+def _phase_one(
+    A: Sequence[Sequence],
+    b: Sequence,
+    num_vars: int,
+    basis_hint: Sequence[int | None] | None,
+) -> tuple[list[list[int]], list[int]]:
+    """The final phase-one tableau, cost row last, and the basic column of
+    each constraint row."""
     m = len(A)
     if m != len(b):
         raise ValueError("A and b row counts differ")
@@ -110,25 +129,31 @@ def solve_equality_form(
             raise ArithmeticError("phase-one simplex became unbounded")
         pivot(rows, leaving, entering)
         basis[leaving] = entering
+    return rows, basis
 
-    if rows[m][rhs_col] != 0:
+
+def _solution(rows: list[list[int]], basis: list[int], num_vars: int) -> list[Fraction] | None:
+    """The basic solution of a final tableau, or None when an artificial stays positive."""
+    if rows[-1][-1] != 0:
         return None
     x = [Fraction(0)] * num_vars
-    for i in range(m):
-        col = basis[i]
+    for row, col in zip(rows, basis):
         if col < num_vars:
-            x[col] = Fraction(rows[i][rhs_col], rows[i][col])
+            x[col] = Fraction(row[-1], row[col])
     return x
 
 
 def feasible_point(
     num_vars: int, A_ub: Sequence[Sequence], b_ub: Sequence
-) -> list[Fraction] | None:
+) -> tuple[list[Fraction], None] | tuple[None, tuple[int, ...]]:
     """Find x >= 0 with A_ub x <= b_ub (slacks added here).
 
-    Returns the structural variables only, or None if the system is
-    infeasible. Slack columns of rows with non-negative bounds seed the
-    initial basis, so artificials are only created where needed.
+    Returns (x, None), x the structural variables, when the system is
+    feasible, and (None, w) when it is not: w >= 0 with w.A_ub >= 0 and
+    w.b_ub < 0, one entry per row, read from the final cost row at the slack
+    columns and passed through `check_farkas`. Slack columns of rows with
+    non-negative bounds seed the initial basis, so artificials are only
+    created where needed.
     """
     n_slack = len(A_ub)
     rows: list[list] = []
@@ -138,7 +163,24 @@ def feasible_point(
         slack[k] = 1
         rows.append(list(row) + slack)
         hints.append(num_vars + k)
-    solution = solve_equality_form(rows, b_ub, num_vars + n_slack, basis_hint=hints)
-    if solution is None:
-        return None
-    return solution[:num_vars]
+    tableau, basis = _phase_one(rows, b_ub, num_vars + n_slack, hints)
+    solution = _solution(tableau, basis, num_vars)
+    if solution is not None:
+        return solution, None
+    w = tuple(tableau[-1][num_vars:num_vars + n_slack])
+    check_farkas(w, A_ub, b_ub)
+    return None, w
+
+
+def check_farkas(w: Sequence, A_ub: Sequence[Sequence], b_ub: Sequence) -> None:
+    """Raise ArithmeticError unless w proves that no x >= 0 has A_ub x <= b_ub.
+
+    The proof is w >= 0, w.A_ub >= 0 and w.b_ub < 0: any such x would give
+    0 <= (w.A_ub) x <= w.b_ub < 0.
+    """
+    if len(w) != len(A_ub) or any(x < 0 for x in w):
+        raise ArithmeticError("Farkas vector has a negative entry or the wrong length")
+    if any(sum(map(mul, w, column)) < 0 for column in zip(*A_ub)):
+        raise ArithmeticError("Farkas vector gives a negative column combination")
+    if sum(map(mul, w, b_ub)) >= 0:
+        raise ArithmeticError("Farkas vector does not bound the right-hand side below zero")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mudd import bundled_path, dsl, linprog
 from mudd.errors import MuddError
 from mudd.feasibility import (
+    FeasibilityVerdict,
     attribute_violations,
     batch_check,
     check_feasibility,
@@ -125,8 +126,14 @@ class TestCheckFeasibility:
         assert all(cs.pivot_columns == constraints[0].pivot_columns for cs in constraints)
         verdicts = [[check_feasibility(sigs, region) for region in regions] for sigs in forms]
         assert [v.feasible for v in verdicts[0]] == [True, False, False, False, True]
-        assert [len(v.violated_constraints) for v in verdicts[0]] == [0, 1, 1, 0, 0]
+        assert [len(v.violated_constraints) for v in verdicts[0]] == [0, 1, 1, 1, 0]
         assert all(v == verdicts[0] for v in verdicts)
+
+    def test_infeasible_verdict_names_a_reason(self):
+        with pytest.raises(ValueError, match="must name a violated constraint"):
+            FeasibilityVerdict(False)
+        with pytest.raises(ValueError, match="must name a violated constraint"):
+            FeasibilityVerdict(feasible=False, violated_constraints=())
 
     def test_point_region_agrees_with_membership_oracle(self):
         rng = random.Random(99)
@@ -253,6 +260,13 @@ class TestAttribution:
         assert not verdict.feasible
         assert len(calls) == 1
         assert attribute_violations(cs, region) == ()
+        # the box LP's Farkas vector names both facets of the corner
+        (reason,) = verdict.violated_constraints
+        assert reason.coefficients == (1, 0) and reason.provenance == "farkas"
+        assert [(w, c.coefficients) for w, c in reason.terms] == [(1, (0, 1)), (1, (1, -1))]
+        assert reason.display(self.NS) == "(0 ≤ misses) + (misses ≤ walks)"
+        names = CounterNamespace(["v0", "v1"])
+        assert [c.display(names) for _, c in reason.terms] == ["0 ≤ v1", "v1 ≤ v0"]
 
 
 def box_lp_oracle(sigs, region):
@@ -266,7 +280,7 @@ def box_lp_oracle(sigs, region):
         row = [sum(e[j] * s[j] for j in range(n)) for s in sigs]
         a_ub += [row, [-x for x in row]]
         b_ub += [proj + Fraction(h), Fraction(h) - proj]
-    return linprog.feasible_point(len(sigs), a_ub, b_ub)
+    return linprog.feasible_point(len(sigs), a_ub, b_ub)[0]
 
 
 def assert_witness_on_every_coordinate(sigs, region, cs, verdict):
@@ -333,8 +347,15 @@ class TestDecisionPath:
             assert_witness_on_every_coordinate(gens, region, cs, verdict)
         else:
             assert verdict.witness_flow is None
+            assert verdict.violated_constraints
         for c in verdict.violated_constraints:
             assert all(c.satisfied_by(g) for g in gens)
+            if c.terms:  # a positive multiple of the weighted sum of its terms
+                total = [sum(w * t.coefficients[i] for w, t in c.terms)
+                         for i in range(len(c.coefficients))]
+                ratios = {Fraction(x, y) for x, y in zip(total, c.coefficients) if y}
+                assert len(ratios) == 1 and min(ratios) > 0
+                assert all(x == 0 for x, y in zip(total, c.coefficients) if not y)
 
     def test_synth_cells_take_no_box_lp(self, haswell_namespace, monkeypatch):
         # a feasible Haswell run and one shifted off an equality are decided
@@ -527,6 +548,24 @@ class TestBatch:
         assert bad.error == "LinAlgError: Eigenvalues did not converge"
         assert ok.verdict.feasible
 
+    def test_unnamed_refutation_becomes_error_cell(self, bundled, monkeypatch):
+        # the box LP refutes this cell; with a decomposition that finds no
+        # weights it is an error, never a verdict
+        from pathlib import Path
+
+        from mudd.stats import load_observations
+
+        model = dsl.parse_file(bundled("catalog", "m7.mudd"))
+        csv = Path(__file__).resolve().parent / "data" / "csv" / "m8_sparse.csv"
+        obs = load_observations(csv, model.namespace)
+        (cell,) = batch_check([("m7", model)], [obs])
+        assert cell.verdict.violated_constraints[0].provenance == "farkas"
+        monkeypatch.setattr(linprog, "solve_equality_form", lambda *args, **kwargs: None)
+        (cell,) = batch_check([("m7", model)], [obs])
+        assert cell.verdict is None
+        assert cell.error == ("ArithmeticError: the box LP's certificate is no "
+                              "combination of the constraints")
+
     def test_signatures_validated_once_and_box_built_once_per_cell(self, bundled,
                                                                    monkeypatch):
         import mudd.feasibility as feasibility
@@ -703,3 +742,52 @@ class TestBatch:
                 infeasible[cell.model_name] += 1
         assert infeasible["m4"] == 0
         assert infeasible["m0"] > 0
+
+
+class TestKnownTruth:
+    """Runs drawn from catalog m4 and m3, checked against all 12 catalog models."""
+
+    EQUAL_CONES = [("m2", "m3"), ("m4", "m8"), ("m5", "m9"), ("m7", "m11")]
+
+    def test_every_refutation_is_named_and_equal_cones_agree(self, bundled, monkeypatch):
+        from mudd.exploration import load_catalog
+
+        refuted = []
+        real = linprog.feasible_point
+
+        def counted(*args, **kwargs):
+            x, w = real(*args, **kwargs)
+            if w is not None:
+                refuted.append(w)
+            return x, w
+
+        monkeypatch.setattr(linprog, "feasible_point", counted)
+        catalog = load_catalog(bundled("catalog", "search_catalog.json"))
+        models = [(name, e.model) for name, e in catalog.entries.items()]
+        runs = []
+        for truth in ("m4", "m3"):
+            model = catalog.entries[truth].model
+            paths = len(enumerate_mupaths(model))
+            for seed in range(40, 44):
+                rng = random.Random(seed)
+                flows = tuple(float(rng.randint(50, 2000)) if rng.random() < 0.25 else 0.0
+                              for _ in range(paths))
+                spec = SynthSpec(model=model, flows=flows, samples=40,
+                                 noise=rng.choice([2.0, 5.0, 10.0]), seed=seed)
+                runs.append(generate(spec, run_id=f"{truth}-{seed}"))
+        cells = batch_check(models, runs, jobs=1)
+        assert len(cells) == 12 * len(runs)
+        verdicts = {}
+        for cell in cells:
+            assert cell.error is None, cell.error
+            if not cell.verdict.feasible:
+                assert cell.verdict.violated_constraints
+            verdicts[cell.model_name, cell.run_id] = cell.verdict
+        for a, b in self.EQUAL_CONES:
+            for run in runs:
+                assert verdicts[a, run.run_id].feasible == verdicts[b, run.run_id].feasible
+        # the box LP refutes some cells: their reasons come from its tableau
+        assert refuted
+        assert any(c.provenance == "farkas" for v in verdicts.values()
+                   for c in v.violated_constraints)
+

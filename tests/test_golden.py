@@ -95,6 +95,7 @@ SYNTH = {
     "pde_abort": ("pde_lookup_first.mudd", "0,100,400,100", 4),
     "outcome": ("walk_outcome.mudd", "100,50,20", 5),
     "haswell": ("haswell_mmu.mudd", "2", 6),
+    "m8_sparse": ("catalog/m8.mudd", "50,0,0,0,0,0,50,0,0", 1),
 }
 
 CHECKS = [
@@ -103,6 +104,9 @@ CHECKS = [
      ("--independent",)),
     ("projected", "stlb_pde_walk.mudd", ("outcome", "pde_abort"), ("--project",)),
     ("haswell", "haswell_mmu.mudd", ("haswell",), ()),
+    # attribution names nothing here: the box LP refutes, and its reason
+    # combines two equalities and one facet of m7
+    ("joint", "catalog/m7.mudd", ("m8_sparse",), ()),
 ]
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mudd.linprog import feasible_point, solve_equality_form
+from mudd.linprog import check_farkas, feasible_point, solve_equality_form
 
 
 def test_simple_equality_system():
@@ -43,13 +43,44 @@ def test_rational_coefficients():
 
 def test_feasible_point_with_inequalities():
     # x <= 2, -x <= -1 (x >= 1)
-    x = feasible_point(1, A_ub=[[1], [-1]], b_ub=[2, -1])
-    assert x is not None
+    x, w = feasible_point(1, A_ub=[[1], [-1]], b_ub=[2, -1])
+    assert x is not None and w is None
     assert 1 <= x[0] <= 2
 
 
+def _assert_farkas(w, A_ub, b_ub):
+    """w >= 0, w.A_ub >= 0 and w.b_ub < 0, checked here without check_farkas."""
+    assert len(w) == len(A_ub) and all(x >= 0 for x in w)
+    assert all(sum(x * row[j] for x, row in zip(w, A_ub)) >= 0 for j in range(len(A_ub[0])))
+    assert sum(x * b for x, b in zip(w, b_ub)) < 0
+
+
 def test_feasible_point_infeasible_box():
-    assert feasible_point(1, A_ub=[[1], [-1]], b_ub=[1, -2]) is None
+    x, w = feasible_point(1, A_ub=[[1], [-1]], b_ub=[1, -2])
+    assert x is None
+    _assert_farkas(w, [[1], [-1]], [1, -2])
+
+
+def test_farkas_vector_of_an_infeasible_system():
+    # x + y <= 1, -x <= -1, -2y <= -1 (y >= 1/2): rows rescaled and
+    # sign-flipped in the tableau, yet w is in these rows' units
+    A_ub, b_ub = [[1, 1], [-1, 0], [0, -2], [3, 0]], [1, -1, -1, 7]
+    x, w = feasible_point(2, A_ub, b_ub)
+    assert x is None
+    _assert_farkas(w, A_ub, b_ub)
+    assert all(type(v) is int for v in w)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_corrupted_farkas_vector_is_refused(k):
+    A_ub, b_ub = [[1, 1], [-1, 0], [0, -2]], [1, -1, -1]
+    _, w = feasible_point(2, A_ub, b_ub)
+    check_farkas(w, A_ub, b_ub)
+    for bad in (w[k] - 1, w[k] + 3, -1):
+        corrupted = list(w)
+        corrupted[k] = bad
+        with pytest.raises(ArithmeticError, match="Farkas"):
+            check_farkas(corrupted, A_ub, b_ub)
 
 
 def _with_equalities(A_eq, b_eq, A_ub, b_ub):
@@ -62,7 +93,7 @@ def _with_equalities(A_eq, b_eq, A_ub, b_ub):
 
 def test_mixed_system():
     # x + y = 4 with x <= 1 forces y >= 3
-    x = feasible_point(2, *_with_equalities([[1, 1]], [4], [[1, 0]], [1]))
+    x, _ = feasible_point(2, *_with_equalities([[1, 1]], [4], [[1, 0]], [1]))
     assert x is not None
     assert x[0] + x[1] == 4
     assert x[0] <= 1
@@ -94,7 +125,7 @@ def test_int_and_fraction_entries_agree():
     assert solutions[0] is not None
     assert all(x == solutions[0] for x in solutions)
     assert all(type(v) is Fraction for v in solutions[0])
-    points = [feasible_point(4, *_with_equalities(a[:2], rhs[:2], a[2:], rhs[2:]))
+    points = [feasible_point(4, *_with_equalities(a[:2], rhs[:2], a[2:], rhs[2:]))[0]
               for a, rhs in forms]
     assert points[0] is not None
     assert all(x == points[0] for x in points)
@@ -155,8 +186,12 @@ def _highs_feasible(n, A_eq, b_eq, A_ub, b_ub) -> bool:
 @given(_systems())
 def test_feasible_point_agrees_with_highs(system):
     n, A_eq, b_eq, A_ub, b_ub = system
-    x = feasible_point(n, *_with_equalities(A_eq, b_eq, A_ub, b_ub))
+    rows, rhs = _with_equalities(A_eq, b_eq, A_ub, b_ub)
+    x, w = feasible_point(n, rows, rhs)
     assert (x is not None) == _highs_feasible(n, A_eq, b_eq, A_ub, b_ub)
+    assert (x is None) == (w is not None)
+    if w is not None:
+        _assert_farkas(w, rows, rhs)
     if x is not None:
         assert len(x) == n and all(v >= 0 for v in x)
         assert all(sum(a * v for a, v in zip(row, x)) == r for row, r in zip(A_eq, b_eq))
