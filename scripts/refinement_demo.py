@@ -12,7 +12,7 @@ from mudd import bundled_path, dsl
 from mudd.exploration import cone_expansion_check
 from mudd.feasibility import check_feasibility, refinement_candidates
 from mudd.geometry import deduce_constraints, normalize_signatures
-from mudd.model import CounterNamespace, signature_of, signatures_of_model
+from mudd.model import CounterNamespace, enumerate_mupaths
 from mudd.stats import ObservationSet, build_confidence_region
 
 
@@ -39,7 +39,7 @@ def main():
     )
     region = build_confidence_region(obs, alpha=0.01)
     print("\n== checking the abort-heavy run against the initial model ==")
-    sigs = signatures_of_model(initial)
+    sigs = [p.counts for p in enumerate_mupaths(initial)]
     verdict = check_feasibility(sigs, region, constraints=initial_cs)
     print("  feasible:", verdict.feasible)
     for c in verdict.violated_constraints:
@@ -48,11 +48,10 @@ def main():
     print("\n== refinement candidates in the early-lookup model ==")
     bound = next(c for c in initial_cs.inequalities if c.coefficients == (1, -1))
     for path in refinement_candidates(bound, refined):
-        sig = signature_of(path, ns)
-        print(f"  {path.describe()} with signature {sig.counts}")
+        print(f"  {path.describe()} with signature {path.counts}")
 
     print("\n== refined model accepts the run ==")
-    refined_sigs = signatures_of_model(refined)
+    refined_sigs = [p.counts for p in enumerate_mupaths(refined)]
     verdict = check_feasibility(refined_sigs, region)
     print("  feasible:", verdict.feasible)
     expanded = cone_expansion_check(normalize_signatures(sigs), normalize_signatures(refined_sigs))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import dsl
 from .errors import MuddError, read_text
-from .model import CounterNamespace, enumerate_mupaths, signature_of
+from .model import CounterNamespace, enumerate_mupaths
 
 # a subcommand imports what only it runs in its own body, so that `paths`
 # loads no module beyond `dsl` and `model`
@@ -55,7 +55,7 @@ def cmd_paths(args) -> int:
     model = dsl.parse_file(args.model, args.namespace)
     names = model.namespace.names
     rows = [
-        (p, {n: c for n, c in zip(names, signature_of(p, model.namespace).counts) if c})
+        (p, {n: c for n, c in zip(names, p.counts) if c})
         for p in enumerate_mupaths(model)
     ]
     if args.format == "json":

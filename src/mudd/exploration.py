@@ -15,7 +15,7 @@ from pathlib import Path
 from . import dsl
 from .errors import MuddError, read_text
 from .geometry import Vector, cone_membership, normalize_signatures
-from .model import CounterNamespace, MuDD, Record, signatures_of_model
+from .model import CounterNamespace, MuDD, Record, enumerate_mupaths
 
 
 class ModelEntry(Record):
@@ -34,7 +34,8 @@ class ModelEntry(Record):
             raise MuddError(f"entry {name!r} has a negative infeasible count")
         if parent is not None and parent[1] not in ("relaxation", "pruning"):
             raise MuddError(f"entry {name!r} has unknown edge kind {parent[1]!r}")
-        generators = None if model is None else normalize_signatures(signatures_of_model(model))
+        generators = None if model is None else normalize_signatures(
+            p.counts for p in enumerate_mupaths(model))
         self._set(name=name, features=features, infeasible_count=infeasible_count,
                   model=model, parent=parent, generators=generators)
 

@@ -41,7 +41,6 @@ from .model import (
     MuPath,
     Record,
     enumerate_mupaths,
-    signature_of,
     signatures_of_model,
 )
 from .stats import ConfidenceRegion, ObservationSet, build_confidence_region, check_alpha
@@ -314,15 +313,10 @@ def refinement_candidates(violated: Constraint, candidate_model: MuDD) -> tuple[
     """
     if violated.kind != "inequality":
         raise ValueError("refinement candidates apply to inequality constraints")
-    ns = candidate_model.namespace
-    if len(violated.coefficients) != len(ns):
+    if len(violated.coefficients) != len(candidate_model.namespace):
         raise MuddError("constraint dimension does not match model namespace")
-    out = []
-    for path in enumerate_mupaths(candidate_model):
-        sig = signature_of(path, ns)
-        if exact.dot(violated.coefficients, sig.counts) < 0:
-            out.append(path)
-    return tuple(out)
+    return tuple(p for p in enumerate_mupaths(candidate_model)
+                 if exact.dot(violated.coefficients, p.counts) < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,17 +25,15 @@ from . import exact, hull, linprog
 from .errors import MuddError
 from .model import (
     CounterNamespace,
-    CounterSignature,
     MuDD,
     Record,
-    signatures_of_model,
+    enumerate_mupaths,
 )
 
 Vector = tuple[int, ...]
 
 
-def _as_vector(sig) -> Vector:
-    counts = sig.counts if isinstance(sig, CounterSignature) else sig
+def _as_vector(counts) -> Vector:
     if type(counts) is tuple and all(type(c) is int for c in counts):
         return counts  # already a vector: signatures mostly arrive as one
     out = []
@@ -278,4 +276,5 @@ def constraints_from_signatures(
 
 def deduce_constraints(model: MuDD) -> ConstraintSet:
     """Explicit constraint set of a diagram's model cone."""
-    return constraints_from_signatures(signatures_of_model(model), model.namespace)
+    return constraints_from_signatures([p.counts for p in enumerate_mupaths(model)],
+                                       model.namespace)

@@ -30,28 +30,29 @@ def solve_equality_form(
     A: Sequence[Sequence],
     b: Sequence,
     num_vars: int,
-    basis_hint: Sequence[int | None] | None = None,
 ) -> list[Fraction] | None:
-    """Find x >= 0 with A x = b, or None if none exists.
-
-    basis_hint[i] may name a column usable as the initial basic variable of
-    row i (a unit column such as a slack); rows without a usable hint get an
-    artificial variable.
+    """Find x >= 0 with A x = b, or None if none exists; every row starts
+    with an artificial variable in the basis.
 
     Entries must be ints or Fractions; any other entry, a float among them,
     raises TypeError.
     """
-    return _solution(*_phase_one(A, b, num_vars, basis_hint), num_vars)
+    return _solution(*_phase_one(A, b, num_vars, None), num_vars)
 
 
 def _phase_one(
     A: Sequence[Sequence],
     b: Sequence,
     num_vars: int,
-    basis_hint: Sequence[int | None] | None,
+    unit_columns: Sequence[int] | None,
 ) -> tuple[list[list[int]], list[int]]:
     """The final phase-one tableau, cost row last, and the basic column of
-    each constraint row."""
+    each constraint row.
+
+    unit_columns[i], where given, names a column that may start as the
+    basic variable of row i (a unit column such as its slack); a row whose
+    column is not a unit column with a positive entry there gets an
+    artificial variable."""
     m = len(A)
     if m != len(b):
         raise ValueError("A and b row counts differ")
@@ -67,15 +68,15 @@ def _phase_one(
             row = [-x for x in row]
         rows.append(row)
 
-    # choose initial basis: hinted unit columns where valid, else artificials
+    # choose initial basis: the given unit columns where valid, else artificials
     basis: list[int] = [-1] * m
     art_rows: list[int] = []
     for i in range(m):
-        hint = basis_hint[i] if basis_hint is not None else None
-        if hint is not None and rows[i][hint] > 0:
-            ok = all(rows[k][hint] == 0 for k in range(m) if k != i)
+        col = unit_columns[i] if unit_columns is not None else None
+        if col is not None and rows[i][col] > 0:
+            ok = all(rows[k][col] == 0 for k in range(m) if k != i)
             if ok:
-                basis[i] = hint
+                basis[i] = col
                 continue
         art_rows.append(i)
 
@@ -157,13 +158,12 @@ def feasible_point(
     """
     n_slack = len(A_ub)
     rows: list[list] = []
-    hints: list[int | None] = []
     for k, row in enumerate(A_ub):
         slack = [0] * n_slack
         slack[k] = 1
         rows.append(list(row) + slack)
-        hints.append(num_vars + k)
-    tableau, basis = _phase_one(rows, b_ub, num_vars + n_slack, hints)
+    slacks = range(num_vars, num_vars + n_slack)
+    tableau, basis = _phase_one(rows, b_ub, num_vars + n_slack, slacks)
     solution = _solution(tableau, basis, num_vars)
     if solution is not None:
         return solution, None

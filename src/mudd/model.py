@@ -2,9 +2,9 @@
 
 A diagram (MuDD) is a DAG of event, counter, decision and done nodes joined
 by causality edges; decision edges carry a value label for the decision's
-property. Enumerating every branch choice yields the set of micro-op
-execution paths (MuPath); counting counter-node visits along a path yields
-its counter signature, the generator of the model cone downstream.
+property. Enumeration walks every branch choice once and yields each
+micro-op execution path (MuPath) with its counter signature, the number of
+its visits to each counter: the generators of the model cone downstream.
 """
 from __future__ import annotations
 
@@ -211,16 +211,16 @@ class MuDD(Record):
 class MuPath(Record):
     """One enumerated micro-op execution path through a diagram.
 
-    `property_assignment` holds (property, value) pairs in traversal order.
+    `property_assignment` holds (property, value) pairs in traversal order;
+    `counts`, the path's counter signature, holds the number of visits to
+    each counter along it, in the order of the diagram's namespace.
     """
 
-    _fields = ("nodes_in_order", "property_assignment", "happens_before")
+    _fields = ("property_assignment", "counts")
 
-    def __init__(self, nodes_in_order: tuple[Node, ...],
-                 property_assignment: tuple[tuple[str, str], ...],
-                 happens_before: tuple[tuple[int, int], ...]):
-        self._set(nodes_in_order=nodes_in_order, property_assignment=property_assignment,
-                  happens_before=happens_before)
+    def __init__(self, property_assignment: tuple[tuple[str, str], ...],
+                 counts: tuple[int, ...]):
+        self._set(property_assignment=property_assignment, counts=counts)
 
     def describe(self) -> str:
         return _describe(self.property_assignment)
@@ -232,17 +232,9 @@ def _describe(property_assignment) -> str:
     return ", ".join(f"{p}={v}" for p, v in property_assignment)
 
 
-class CounterSignature(Record):
-    """Per-path vector of counter increment counts, in namespace order."""
-
-    _fields = ("counts",)
-
-    def __init__(self, counts: tuple[int, ...]):
-        self._set(counts=counts)
-
-
 def enumerate_mupaths(model: MuDD) -> tuple[MuPath, ...]:
-    """All distinct paths of `model`, depth-first, edges in declaration order.
+    """All distinct paths of `model`, depth-first, edges in declaration
+    order, each with its counter signature.
 
     Branches over every value of an unassigned decision property; an already
     assigned property follows its matching edge. Raises MuddError when the
@@ -250,10 +242,13 @@ def enumerate_mupaths(model: MuDD) -> tuple[MuPath, ...]:
     matching edge, and when a path visits the two
     nodes of a happens-before edge in the other order (or the edge joins a
     node to itself), naming them by label and the path by its properties.
+    An edge whose two nodes are not both on a path constrains nothing there.
     """
     out = model.out_edges
+    ns = model.namespace
+    slot = {n.node_id: ns.index[n.name] for n in model.nodes if n.kind == "counter"}
     paths: list[MuPath] = []
-    trail: list[Node] = []
+    trail: list[int] = []  # node ids
     assignment: dict[str, str] = {}
     assign_order: list[str] = []
 
@@ -261,26 +256,21 @@ def enumerate_mupaths(model: MuDD) -> tuple[MuPath, ...]:
         if len(paths) >= PATH_CAP:
             raise MuddError(f"more than {PATH_CAP} paths, the fixed limit; "
                             "simplify the model")
-        index_of = {node.node_id: i for i, node in enumerate(trail)}
+        counts = [0] * len(ns)
+        for node_id in trail:
+            if node_id in slot:
+                counts[slot[node_id]] += 1
         properties = tuple((p, assignment[p]) for p in assign_order)
-        instantiated = []
+        index_of = {node_id: i for i, node_id in enumerate(trail)}
         for src, dst in model.happens_before:
-            if src in index_of and dst in index_of:
-                if index_of[src] >= index_of[dst]:
-                    src_name, dst_name = (model.node(n).label or f"node {n}"
-                                          for n in (src, dst))
-                    raise MuddError(
-                        f"order {src_name} -> {dst_name} contradicts causality "
-                        f"on path {_describe(properties)}"
-                    )
-                instantiated.append((src, dst))
-        paths.append(
-            MuPath(
-                nodes_in_order=tuple(trail),
-                property_assignment=properties,
-                happens_before=tuple(instantiated),
-            )
-        )
+            if src in index_of and dst in index_of and index_of[src] >= index_of[dst]:
+                src_name, dst_name = (model.node(n).label or f"node {n}"
+                                      for n in (src, dst))
+                raise MuddError(
+                    f"order {src_name} -> {dst_name} contradicts causality "
+                    f"on path {_describe(properties)}"
+                )
+        paths.append(MuPath(properties, tuple(counts)))
 
     # depth-first without recursion, so a long chain cannot overflow the
     # stack: `branches` holds, per unassigned decision on the current path,
@@ -291,7 +281,7 @@ def enumerate_mupaths(model: MuDD) -> tuple[MuPath, ...]:
         """Follow the path from `node_id` to a done node or a new branch."""
         while True:
             node = model.node(node_id)
-            trail.append(node)
+            trail.append(node_id)
             if node.kind == "done":
                 emit()
                 return
@@ -329,15 +319,7 @@ def enumerate_mupaths(model: MuDD) -> tuple[MuPath, ...]:
     return tuple(paths)
 
 
-def signature_of(path: MuPath, ns: CounterNamespace) -> CounterSignature:
-    """Counter signature of one path: counts[i] = visits of counter i along it."""
-    counts = [0] * len(ns)
-    for node in path.nodes_in_order:
-        if node.kind == "counter":
-            counts[ns.position(node.name)] += 1
-    return CounterSignature(counts=tuple(counts))
-
-
-def signatures_of_model(model: MuDD) -> tuple[CounterSignature, ...]:
-    """Signatures of every path, duplicates preserved (dedup is a cone concern)."""
-    return tuple(signature_of(p, model.namespace) for p in enumerate_mupaths(model))
+# the paths read as their signatures, `counts`, with duplicates kept: merging
+# them is a cone concern. `batch_check` and the benchmark harness
+# (perfbench/) call enumeration by this name
+signatures_of_model = enumerate_mupaths

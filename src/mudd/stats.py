@@ -136,13 +136,14 @@ def _identity(n: int) -> Matrix:
 
 
 def load_observations(
-    source: str | Path | io.TextIOBase,
+    path: str | Path,
     namespace: CounterNamespace,
     *,
     project: bool = False,
     run_id: str | None = None,
 ) -> ObservationSet:
-    """Read an interval-sample CSV.
+    """Read an interval-sample CSV file; the run is named `run_id`, or
+    else the file's stem.
 
     The header row names the counters; a leading `t` column, the sample
     index, is ignored when the namespace has no counter `t`. Columns are
@@ -160,41 +161,13 @@ def load_observations(
     A file that is not UTF-8 text raises MuddError naming the run and the
     line of the first bad byte.
     """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        rid = run_id if run_id is not None else path.stem
-        text = read_text(source, f"run {rid!r}")
-        return _read_csv(io.StringIO(text), namespace, project=project, run_id=rid)
-    rid = run_id if run_id is not None else "<stream>"
-    return _read_csv(source, namespace, project=project, run_id=rid)
-
-
-def _rows(fh, run_id):
-    """(line, row) for each row of a CSV stream, where `line` is the
-    physical line the row starts on (a quoted cell may hold line breaks);
-    a line `csv` cannot read, such as one with a field longer than
-    `csv.field_size_limit()`, raises MuddError naming the run and the
-    line."""
-    reader = csv.reader(fh)
-    while True:
-        line = reader.line_num + 1
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise MuddError(f"run {run_id!r} line {reader.line_num}: {exc}") from None
-        yield line, row
-
-
-def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
-    reader = _rows(fh, run_id)
+    if run_id is None:
+        run_id = Path(path).stem
+    reader = _rows(io.StringIO(read_text(path, f"run {run_id!r}")), run_id)
     try:
         _, header = next(reader)
     except StopIteration:
         raise MuddError(f"run {run_id!r}: empty file") from None
-    if header:  # a stream may still start with a byte order mark
-        header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
     twice = next((n for i, n in enumerate(header) if n and n in header[:i]), None)
     if twice is not None:
@@ -207,7 +180,7 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
     if extra:
         warnings.warn(
             f"run {run_id!r}: ignoring unmodeled columns {', '.join(extra)}",
-            stacklevel=3,
+            stacklevel=2,
         )
     present = set(names)
     missing = [n for n in namespace.names if n not in present]
@@ -253,6 +226,24 @@ def _read_csv(fh, namespace, *, project, run_id) -> ObservationSet:
             sample.append(value)
         rows.append(sample)
     return ObservationSet(run_id=run_id, sample_matrix=rows, namespace=namespace)
+
+
+def _rows(fh, run_id):
+    """(line, row) for each row of a CSV stream, where `line` is the
+    physical line the row starts on (a quoted cell may hold line breaks);
+    a line `csv` cannot read, such as one with a field longer than
+    `csv.field_size_limit()`, raises MuddError naming the run and the
+    line."""
+    reader = csv.reader(fh)
+    while True:
+        line = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise MuddError(f"run {run_id!r} line {reader.line_num}: {exc}") from None
+        yield line, row
 
 
 def write_observations(obs: ObservationSet, dest: str | Path | io.TextIOBase) -> None:

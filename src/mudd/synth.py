@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MuddError
-from .model import MuDD, Record, signatures_of_model
+from .model import MuDD, Record, enumerate_mupaths
 from .stats import ObservationSet
 
 
@@ -45,18 +45,16 @@ class SynthSpec(Record):
 
 def exact_counters(spec: SynthSpec) -> tuple[Fraction, ...]:
     """Flow-weighted signature sum, computed exactly."""
-    sigs = signatures_of_model(spec.model)
-    if len(spec.flows) != len(sigs):
-        raise MuddError(
-            f"{len(spec.flows)} flows for {len(sigs)} paths"
-        )
+    paths = enumerate_mupaths(spec.model)
+    if len(spec.flows) != len(paths):
+        raise MuddError(f"{len(spec.flows)} flows for {len(paths)} paths")
     n = len(spec.model.namespace)
     total = [Fraction(0)] * n
-    for sig, flow in zip(sigs, spec.flows):
+    for path, flow in zip(paths, spec.flows):
         f = Fraction(flow)
         if f == 0:
             continue
-        for i, c in enumerate(sig.counts):
+        for i, c in enumerate(path.counts):
             if c:
                 total[i] += c * f
     return tuple(total)

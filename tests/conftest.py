@@ -36,7 +36,9 @@ def paths_by_assignment_bruteforce(model: MuDD):
 
     Enumerates the cartesian product of all decision properties' value sets,
     follows each assignment deterministically from the entry, and
-    deduplicates by (node id sequence, assignments actually consulted).
+    deduplicates by (node id sequence, sorted assignments actually
+    consulted, counter visits), the visits counted per name of the
+    namespace, in its order.
     """
     values: dict[str, list[str]] = {}
     for node in model.nodes:
@@ -71,7 +73,9 @@ def paths_by_assignment_bruteforce(model: MuDD):
             else:
                 node_id = model.out_edges[node_id][0].dst
         if trail is not None:
-            results.add((tuple(trail), tuple(sorted(used.items()))))
+            visited = [model.node(n).name for n in trail if model.node(n).kind == "counter"]
+            counts = tuple(visited.count(name) for name in model.namespace.names)
+            results.add((tuple(trail), tuple(sorted(used.items())), counts))
     return results
 
 

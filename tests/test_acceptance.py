@@ -23,8 +23,6 @@ from mudd.geometry import (
 from mudd.model import (
     CounterNamespace,
     enumerate_mupaths,
-    signature_of,
-    signatures_of_model,
 )
 from mudd.stats import ObservationSet, build_confidence_region
 from mudd.synth import SynthSpec, generate
@@ -57,7 +55,7 @@ def test_refinement_golden(capsys):
     assert len(candidates) == 1
     path = candidates[0]
     assert dict(path.property_assignment) == {"PdeStatus": "Miss", "Abort": "Yes"}
-    assert signature_of(path, ns).counts == (0, 1)
+    assert path.counts == (0, 1)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -75,7 +73,7 @@ def test_three_counter_walk_facets():
     ns = model.namespace
     assert set(ns.names) == {"load.ret_stlb_miss", "load.walk_done", "load.causes_walk"}
 
-    gens = list(normalize_signatures(signatures_of_model(model)))
+    gens = list(normalize_signatures(p.counts for p in enumerate_mupaths(model)))
     oracle = brute_force_facets(gens, 3)
     deduced = deduce_constraints(model)
     assert deduced.equalities == ()
@@ -180,7 +178,7 @@ def test_correlated_vs_independent_discrimination():
     ablation cannot."""
     ns = CounterNamespace(["load.causes_walk", "load.pde$_miss"])
     model = dsl.parse_file(bundled_path("walk_init_first.mudd"), ns)
-    sigs = signatures_of_model(model)
+    sigs = [p.counts for p in enumerate_mupaths(model)]
 
     rng = np.random.default_rng(7321)
     m = 100
@@ -254,7 +252,7 @@ def test_end_to_end_soundness():
     while models_checked < 50:
         src, ns = _random_model_source(rng)
         model = dsl.parse(src, ns)
-        sigs = signatures_of_model(model)
+        sigs = [p.counts for p in enumerate_mupaths(model)]
         gens = normalize_signatures(sigs)
         if not gens:
             continue
@@ -272,7 +270,7 @@ def test_end_to_end_soundness():
 
         extreme = remove_interior_generators(gens)
         removed = extreme[rng.randrange(len(extreme))]
-        kept = [s.counts for s in sigs if _primitive(s.counts) != removed]
+        kept = [s for s in sigs if _primitive(s) != removed]
         along = point_box([float(x) for x in removed])
         assert not check_feasibility(kept, along).feasible
     elapsed = time.perf_counter() - t0
@@ -289,7 +287,7 @@ def test_performance_at_scale(haswell_namespace):
     paths = enumerate_mupaths(model)
     assert len(paths) >= 200
 
-    sigs = signatures_of_model(model)
+    sigs = [p.counts for p in paths]
     rng = np.random.default_rng(42)
     flows = tuple(float(x) for x in rng.uniform(0.0, 50.0, len(paths)))
     obs = generate(

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from mudd import dsl
 from mudd.dsl import DslParseError, format_diagnostics, parse
 from mudd.errors import MuddError
-from mudd.model import CounterNamespace, enumerate_mupaths, signature_of
+from mudd.model import CounterNamespace, enumerate_mupaths
+
+from conftest import paths_by_assignment_bruteforce
 
 
 def kinds(exc: DslParseError):
@@ -21,7 +23,7 @@ class TestParsing:
         model = parse("done;")
         paths = enumerate_mupaths(model)
         assert len(paths) == 1
-        assert signature_of(paths[0], model.namespace).counts == ()
+        assert paths[0].counts == ()
 
     def test_empty_source_is_implicit_done(self):
         model = parse("")
@@ -44,7 +46,7 @@ class TestParsing:
             counter c2;
             """
         )
-        sigs = {signature_of(p, model.namespace).counts for p in enumerate_mupaths(model)}
+        sigs = {p.counts for p in enumerate_mupaths(model)}
         assert sigs == {(1, 1), (0, 1)}
 
     def test_comments_ignored(self):
@@ -222,15 +224,23 @@ class TestRandomSources:
         conflict = None
         for assignment, trail in _reference_paths(block):
             position = {label: i for i, (label, _, _) in enumerate(trail) if label}
-            before = []
             for a, b in orders:
                 if a in position and b in position:
                     if position[a] >= position[b] and conflict is None:
                         conflict = (a, b, assignment)
-                    before.append((a, b))
             counts = tuple(sum(1 for _, kind, name in trail if (kind, name) == ("counter", c))
                            for c in _COUNTERS)
-            expected.append((assignment, trail, counts, before))
+            expected.append((assignment, trail, counts))
+
+        # the diagram's node trails, walked under every assignment
+        def node(node_id):
+            n = model.node(node_id)
+            return n.label, n.kind, n.name
+
+        walked = {(used, tuple(map(node, trail)), counts)
+                  for trail, used, counts in paths_by_assignment_bruteforce(model)}
+        assert walked == {(tuple(sorted(assignment)), tuple(trail), counts)
+                          for assignment, trail, counts in expected}
         if conflict is not None:
             a, b, assignment = conflict
             path = ", ".join(f"{p}={v}" for p, v in assignment) or "(no decisions)"
@@ -239,14 +249,5 @@ class TestRandomSources:
             assert str(exc.value) == f"order {a} -> {b} contradicts causality on path {path}"
             return
 
-        def label(node_id):
-            return model.node(node_id).label
-
-        actual = [
-            (p.property_assignment,
-             [(n.label, n.kind, n.name) for n in p.nodes_in_order],
-             signature_of(p, model.namespace).counts,
-             [(label(a), label(b)) for a, b in p.happens_before])
-            for p in enumerate_mupaths(model)
-        ]
-        assert actual == expected
+        actual = [(p.property_assignment, p.counts) for p in enumerate_mupaths(model)]
+        assert actual == [(assignment, counts) for assignment, _, counts in expected]

@@ -20,7 +20,7 @@ from mudd.exploration import (
     required_features,
 )
 from mudd.geometry import cone_membership, normalize_signatures
-from mudd.model import CounterNamespace, signatures_of_model
+from mudd.model import CounterNamespace, enumerate_mupaths
 
 
 def entry(name, features, count, parent=None):
@@ -30,7 +30,7 @@ def entry(name, features, count, parent=None):
 
 
 def gens(model):
-    return normalize_signatures(signatures_of_model(model))
+    return normalize_signatures(p.counts for p in enumerate_mupaths(model))
 
 
 def catalog(*entries, features=()):

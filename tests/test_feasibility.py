@@ -24,7 +24,7 @@ from mudd.geometry import (
     constraints_from_signatures,
     deduce_constraints,
 )
-from mudd.model import CounterNamespace, enumerate_mupaths, signature_of, signatures_of_model
+from mudd.model import CounterNamespace, enumerate_mupaths, signatures_of_model
 from mudd.stats import ConfidenceRegion, ObservationSet, build_confidence_region
 from mudd.synth import SynthSpec, generate
 from mudd.synth import exact_counters as synth_exact
@@ -443,7 +443,7 @@ class TestRefinement:
         assert len(candidates) == 1
         path = candidates[0]
         assert dict(path.property_assignment) == {"PdeStatus": "Miss", "Abort": "Yes"}
-        assert signature_of(path, refined.namespace).counts == (0, 1)
+        assert path.counts == (0, 1)
 
     def test_original_model_has_no_candidates(self, bundled):
         original = dsl.parse_file(

@@ -15,7 +15,7 @@ from mudd.geometry import (
     normalize_signatures,
     remove_interior_generators,
 )
-from mudd.model import CounterNamespace, CounterSignature
+from mudd.model import CounterNamespace
 
 
 from conftest import brute_force_facets, rank_of as _rank
@@ -42,8 +42,8 @@ class TestNormalize:
         out = normalize_signatures([(2, 1), (1, 2), (1, 1)])
         assert out == ((1, 1), (1, 2), (2, 1))
 
-    def test_accepts_signature_objects(self):
-        out = normalize_signatures([CounterSignature(counts=(4, 2))])
+    def test_integral_entries_become_ints(self):
+        out = normalize_signatures([[4.0, 2]])
         assert out == ((2, 1),)
         assert all(type(c) is int for c in out[0])
 

@@ -11,11 +11,14 @@ from mudd.model import (
     MuDD,
     Node,
     enumerate_mupaths,
-    signature_of,
     signatures_of_model,
 )
 
 from conftest import paths_by_assignment_bruteforce
+
+# every bundled model: the five under data/ and the twelve of the catalog
+BUNDLED_MODELS = sorted(p.relative_to(mudd.bundled_path()).as_posix()
+                        for p in mudd.bundled_path().rglob("*.mudd"))
 
 
 def chain(*kinds_names, ns, happens_before=()):
@@ -111,7 +114,7 @@ class TestEnumeration:
         )
         paths = enumerate_mupaths(model)
         assert len(paths) == 1
-        assert signature_of(paths[0], ns).counts == (0,)
+        assert paths[0].counts == (0,)
 
     def test_two_independent_decisions_in_series(self):
         src = """
@@ -134,7 +137,7 @@ class TestEnumeration:
         model = dsl.parse(src)
         paths = enumerate_mupaths(model)
         assert len(paths) == 2
-        sigs = {signature_of(p, model.namespace).counts for p in paths}
+        sigs = {p.counts for p in paths}
         # inner switch follows the outer assignment: c2 never fires
         assert sigs == {(1, 0), (0, 0)}
 
@@ -194,17 +197,17 @@ class TestSignatures:
             ns=ns,
         )
         paths = enumerate_mupaths(model)
-        assert signature_of(paths[0], ns).counts == (0, 1)
+        assert paths[0].counts == (0, 1)
 
     def test_no_counters_is_all_zero(self):
         ns = CounterNamespace(["a", "b"])
         model = chain(("event", "x"), ns=ns)
-        assert signature_of(enumerate_mupaths(model)[0], ns).counts == (0, 0)
+        assert enumerate_mupaths(model)[0].counts == (0, 0)
 
     def test_same_counter_twice_counts_two(self):
         ns = CounterNamespace(["c"])
         model = chain(("counter", "c"), ("counter", "c"), ns=ns)
-        assert signature_of(enumerate_mupaths(model)[0], ns).counts == (2,)
+        assert enumerate_mupaths(model)[0].counts == (2,)
 
     def test_duplicates_preserved_at_model_level(self):
         src = """
@@ -214,23 +217,40 @@ class TestSignatures:
         sigs = signatures_of_model(model)
         assert [s.counts for s in sigs] == [(1,), (1,)]
 
+    def test_every_bundled_model_is_here(self):
+        assert len(BUNDLED_MODELS) == 17
+
+    @pytest.mark.parametrize("name", BUNDLED_MODELS)
+    def test_counts_match_an_independent_walk(self, name):
+        model = dsl.parse_file(mudd.bundled_path(name))
+        walked = {used: counts for _, used, counts in paths_by_assignment_bruteforce(model)}
+        paths = enumerate_mupaths(model)
+        assert len(paths) == len(walked)
+        assert {tuple(sorted(p.property_assignment)): p.counts for p in paths} == walked
+
 
 class TestHappensBefore:
-    def test_instantiated_only_when_both_on_path(self):
+    def test_order_off_the_path_constrains_nothing(self):
+        # each order holds where both its nodes are on a path; y and w are
+        # never on one path together, so their two orders, each the other's
+        # reverse, constrain no path
         src = """
+        order x -> y;
+        order y -> z;
+        order y -> w;
+        order w -> y;
         x: action first;
         switch (S) {
             case a:
                 y: action second;
             case b:
+                w: counter c;
         }
-        order x -> y;
+        z: action last;
         """
         model = dsl.parse(src)
-        paths = enumerate_mupaths(model)
-        with_hb = [p for p in paths if p.happens_before]
-        assert len(with_hb) == 1
-        assert dict(with_hb[0].property_assignment)["S"] == "a"
+        assert [(p.describe(), p.counts) for p in enumerate_mupaths(model)] == [
+            ("S=a", (0,)), ("S=b", (1,))]
 
     def test_signatures_insensitive_to_happens_before(self):
         ns = CounterNamespace(["c"])

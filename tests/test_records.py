@@ -16,7 +16,6 @@ from mudd.model import (
     CounterNamespace,
     Node,
     enumerate_mupaths,
-    signature_of,
 )
 from mudd.stats import ObservationSet
 
@@ -48,7 +47,6 @@ def pool_and_model_records(model):
         model.nodes[0],
         model.causality[0],
         path,
-        signature_of(path, ns),
     ]
 
 

@@ -1,4 +1,3 @@
-import io
 import math
 from fractions import Fraction
 
@@ -23,104 +22,111 @@ from conftest import point_box
 NS2 = CounterNamespace(["a", "b"])
 
 
+def csv_file(tmp_path, text):
+    """`text` written to the CSV file `sample.csv` under `tmp_path`."""
+    path = tmp_path / "sample.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 def obs_from(rows, ns=NS2, run_id="test"):
     return ObservationSet(run_id=run_id, sample_matrix=np.array(rows, float), namespace=ns)
 
 
 class TestLoader:
-    def test_basic_csv(self):
-        src = io.StringIO("t,a,b\n0,1,2\n1,3,4\n2,5,6\n")
+    def test_basic_csv(self, tmp_path):
+        src = csv_file(tmp_path, "t,a,b\n0,1,2\n1,3,4\n2,5,6\n")
         obs = load_observations(src, NS2)
         assert np.shape(obs.sample_matrix) == (3, 2)
         assert list(obs.sample_matrix[0]) == [1.0, 2.0]
 
-    def test_stream_byte_order_mark_is_ignored(self):
-        # a file is read as utf-8-sig; a text stream may still carry the mark
-        src = io.StringIO("\ufeffb,a\n2,1\n4,3\n")
+    def test_file_byte_order_mark_is_ignored(self, tmp_path):
+        src = tmp_path / "sample.csv"
+        src.write_bytes(b"\xef\xbb\xbfb,a\n2,1\n4,3\n")
         obs = load_observations(src, NS2)
         assert list(obs.sample_matrix[0]) == [1.0, 2.0]
 
-    def test_columns_reordered_to_namespace(self):
-        src = io.StringIO("b,a\n2,1\n4,3\n")
+    def test_columns_reordered_to_namespace(self, tmp_path):
+        src = csv_file(tmp_path, "b,a\n2,1\n4,3\n")
         obs = load_observations(src, NS2)
         assert list(obs.sample_matrix[0]) == [1.0, 2.0]
 
-    def test_missing_counter_raises(self):
-        src = io.StringIO("a\n1\n2\n")
-        with pytest.raises(MuddError, match=r"^run '<stream>' lacks counters: b \(use projection"):
+    def test_missing_counter_raises(self, tmp_path):
+        src = csv_file(tmp_path, "a\n1\n2\n")
+        with pytest.raises(MuddError, match=r"^run 'sample' lacks counters: b \(use projection"):
             load_observations(src, NS2)
 
-    def test_projection_restricts_namespace(self):
-        src = io.StringIO("a\n1\n2\n")
+    def test_projection_restricts_namespace(self, tmp_path):
+        src = csv_file(tmp_path, "a\n1\n2\n")
         obs = load_observations(src, NS2, project=True)
         assert obs.namespace.names == ("a",)
         assert [list(row) for row in obs.sample_matrix] == [[1.0], [2.0]]
 
-    def test_leading_t_is_a_counter_when_the_model_has_one(self):
+    def test_leading_t_is_a_counter_when_the_model_has_one(self, tmp_path):
         ns = CounterNamespace(["t", "u"])
-        obs = load_observations(io.StringIO("t,u\n1,2\n3,4\n"), ns)
+        obs = load_observations(csv_file(tmp_path, "t,u\n1,2\n3,4\n"), ns)
         assert [list(row) for row in obs.sample_matrix] == [[1.0, 2.0], [3.0, 4.0]]
         # without a counter `t` the same column is the sample index
-        obs = load_observations(io.StringIO("t,u\n1,2\n3,4\n"), CounterNamespace(["u"]))
+        obs = load_observations(csv_file(tmp_path, "t,u\n1,2\n3,4\n"), CounterNamespace(["u"]))
         assert [list(row) for row in obs.sample_matrix] == [[2.0], [4.0]]
 
-    def test_extra_columns_warn_and_ignored(self):
-        src = io.StringIO("a,b,unmodeled\n1,2,9\n3,4,9\n")
+    def test_extra_columns_warn_and_ignored(self, tmp_path):
+        src = csv_file(tmp_path, "a,b,unmodeled\n1,2,9\n3,4,9\n")
         with pytest.warns(UserWarning, match="unmodeled"):
             obs = load_observations(src, NS2)
         assert np.shape(obs.sample_matrix) == (2, 2)
 
-    def test_non_numeric_cell(self):
+    def test_non_numeric_cell(self, tmp_path):
         for cell in ("x", "nan", "inf", "-inf"):
-            src = io.StringIO(f"a,b\n1,2\n{cell},4\n")
+            src = csv_file(tmp_path, f"a,b\n1,2\n{cell},4\n")
             with pytest.raises(MuddError, match=f"^run 'r' line 3 column 'a': '{cell}' "
                                                 "is not a finite number$"):
                 load_observations(src, NS2, run_id="r")
 
-    def test_negative_cell(self):
-        src = io.StringIO("t,a,b\n0,1,2\n1,3,4\n2,5,-0.5\n")
+    def test_negative_cell(self, tmp_path):
+        src = csv_file(tmp_path, "t,a,b\n0,1,2\n1,3,4\n2,5,-0.5\n")
         with pytest.raises(MuddError, match="^run 'r' line 4 column 'b': '-0.5' "
                                             "is a negative counter value$"):
             load_observations(src, NS2, run_id="r")
         # a negative zero is zero
-        obs = load_observations(io.StringIO("a,b\n-0.0,1\n2,3\n"), NS2)
+        obs = load_observations(csv_file(tmp_path, "a,b\n-0.0,1\n2,3\n"), NS2)
         assert obs.sample_matrix[0][0] == 0
 
     @pytest.mark.parametrize("last, message", [
         ("5,x", "^run 'r' line 5 column 'b': 'x' is not a finite number$"),
         ("5,6,7", "^run 'r' line 5: row has too many columns"),
     ], ids=["non-numeric", "ragged"])
-    def test_errors_name_the_physical_line(self, last, message):
+    def test_errors_name_the_physical_line(self, tmp_path, last, message):
         # the quoted cell of line 2 runs on to line 3, so the fourth record
         # is on line 5
-        src = io.StringIO(f'a,b\n"1\n",2\n3,4\n{last}\n')
+        src = csv_file(tmp_path, f'a,b\n"1\n",2\n3,4\n{last}\n')
         with pytest.raises(MuddError, match=message):
             load_observations(src, NS2, run_id="r")
 
-    def test_model_without_counters(self):
+    def test_model_without_counters(self, tmp_path):
         with pytest.warns(UserWarning, match="unmodeled"):
             with pytest.raises(MuddError, match="^run 'r' shares no counter with the model$"):
-                load_observations(io.StringIO("x\n1\n2\n"), CounterNamespace([]), run_id="r")
+                load_observations(csv_file(tmp_path, "x\n1\n2\n"), CounterNamespace([]), run_id="r")
 
-    def test_header_naming_a_column_twice(self):
+    def test_header_naming_a_column_twice(self, tmp_path):
         # the later copy used to win silently
-        src = io.StringIO("t,a,b,a\n0,1,2,9\n1,3,4,9\n")
+        src = csv_file(tmp_path, "t,a,b,a\n0,1,2,9\n1,3,4,9\n")
         with pytest.raises(MuddError, match="^run 'r' line 1 column 'a': named twice"):
             load_observations(src, NS2, run_id="r")
 
-    def test_ragged_rows(self):
-        src = io.StringIO("a,b\n1,2\n3,4,5\n")
+    def test_ragged_rows(self, tmp_path):
+        src = csv_file(tmp_path, "a,b\n1,2\n3,4,5\n")
         with pytest.raises(MuddError, match="^run 'r' line 3: row has too many columns"):
             load_observations(src, NS2, run_id="r")
         # too few, even when only an unmodeled column is short
-        src = io.StringIO("a,b,c\n1,2,0\n3,4\n")
+        src = csv_file(tmp_path, "a,b,c\n1,2,0\n3,4\n")
         with pytest.warns(UserWarning, match="unmodeled"):
             with pytest.raises(MuddError, match="^run 'r' line 3: row has too few columns"):
                 load_observations(src, NS2, run_id="r")
 
-    def test_too_few_samples(self):
-        src = io.StringIO("a,b\n1,2\n")
-        with pytest.raises(MuddError, match="^run '<stream>' has 1 samples; need at least 2$"):
+    def test_too_few_samples(self, tmp_path):
+        src = csv_file(tmp_path, "a,b\n1,2\n")
+        with pytest.raises(MuddError, match="^run 'sample' has 1 samples; need at least 2$"):
             load_observations(src, NS2)
 
     def test_round_trip_with_writer(self, tmp_path):

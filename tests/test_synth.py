@@ -7,7 +7,7 @@ import pytest
 from mudd import dsl
 from mudd.errors import MuddError
 from mudd.feasibility import check_feasibility
-from mudd.model import signatures_of_model
+from mudd.model import enumerate_mupaths
 from mudd.stats import build_confidence_region
 from mudd.synth import SynthSpec, exact_counters, generate
 
@@ -135,7 +135,7 @@ class TestGenerate:
 
 class TestGroundTruthFeasibility:
     def test_noise_free_always_feasible(self, two_path_model):
-        sigs = signatures_of_model(two_path_model)
+        sigs = [p.counts for p in enumerate_mupaths(two_path_model)]
         for seed in range(10):
             flows = (float(seed), float(2 * seed + 1))
             obs = generate(SynthSpec(model=two_path_model, flows=flows, samples=4, seed=seed))
@@ -144,7 +144,7 @@ class TestGroundTruthFeasibility:
 
     def test_moderate_noise_mostly_feasible(self, two_path_model):
         # coverage of the region construction carries over to feasibility
-        sigs = signatures_of_model(two_path_model)
+        sigs = [p.counts for p in enumerate_mupaths(two_path_model)]
         feasible = 0
         trials = 200
         for seed in range(trials):
