@@ -2,11 +2,14 @@
 
 A region is the principal-axis box { v : |e_i.(v - c)| <= h_i }. Its bounds
 are floats, and every finite float is a dyadic rational, so the region
-holds them times one power of two as integers, and every test below is
-exact. Each observation takes one decision sequence:
+holds them times one power of two as integers, and answers each step's
+question about the box in them: every test below is exact, and all three
+test that one box. Each observation takes one decision sequence:
 
 1. Attribution. Every deduced constraint (an equality a.v = 0 or a facet
-   a.v >= 0) is tested against the whole box. Each holds on every
+   a.v >= 0) is tested against the whole box: the range of a.v over the
+   parallelotope the axes span, widened by a margin proved from the axes'
+   exact Gram matrix (zero for orthonormal axes). Each holds on every
    generator, hence on the cone, so a constraint that the whole box misses
    proves the box misses the cone: INFEASIBLE, with those constraints
    named, and no LP runs.
@@ -49,7 +52,8 @@ from .stats import ConfidenceRegion, ObservationSet, build_confidence_region, ch
 class FeasibilityVerdict(Record):
     """Whether a region meets a cone, with a witness or the violated constraints;
     `witness_flow` is aligned with the input paths. An INFEASIBLE verdict
-    with no violated constraint raises ValueError."""
+    with no violated constraint, or with one whose coefficients are all
+    zero, raises ValueError."""
 
     _fields = ("feasible", "witness_flow", "witness_point", "violated_constraints")
 
@@ -58,6 +62,8 @@ class FeasibilityVerdict(Record):
                  violated_constraints: tuple[Constraint, ...] = ()):
         if not feasible and not violated_constraints:
             raise ValueError("an INFEASIBLE verdict must name a violated constraint")
+        if any(not any(c.coefficients) for c in violated_constraints):
+            raise ValueError("a violated constraint must have a nonzero coefficient")
         self._set(feasible=feasible, witness_flow=witness_flow,
                   witness_point=witness_point, violated_constraints=violated_constraints)
 
@@ -171,13 +177,8 @@ def check_feasibility(
 def _centre_witness(
     lp_sigs: Sequence[tuple[int, ...]], constraints: ConstraintSet, region: ConfidenceRegion
 ) -> list[Fraction] | None:
-    """Flows onto the corrected box centre, or None when it is not a witness.
-
-    With w = scale*v, the rows M are the equalities (a.w = 0) and the axes
-    of zero half-length (E_i.w = E_i.C); the least-norm solution is
-    w = C + M^T y with (M M^T) y = -(M C - r), solved exactly. None when
-    those rows are inconsistent, when w leaves the box, or when the
-    membership LP finds no flows.
+    """Flows onto `ConfidenceRegion.corrected_centre` on the equalities, or
+    None when it gives no point or the membership LP finds no flows.
 
     The LP equates S f and v only on the constraints' pivot columns. Both
     meet every equality, S f because each equality holds on every
@@ -185,26 +186,8 @@ def _centre_witness(
     a point is fixed by its pivot coordinates, so S f = v on every
     coordinate.
     """
-    rows = [list(c.coefficients) for c in constraints.equalities]
-    residual = [-exact.dot(a, region._center) for a in rows]
-    pinned = [e for e, h in zip(region._axes, region._half) if h == 0]
-    rows += pinned
-    residual += [0] * len(pinned)
-    w: list = list(region._center)
-    if any(residual):
-        k = len(rows)
-        gram = [[exact.dot(a, b) for b in rows] + [r] for a, r in zip(rows, residual)]
-        reduced, pivots = exact.rref(gram, k + 1)
-        if pivots and pivots[-1] == k:
-            return None  # the equalities and pinned axes share no point
-        for row, p in zip(reduced, pivots):
-            if row[k]:
-                y = Fraction(row[k], row[p])
-                for j, x in enumerate(rows[p]):
-                    if x:
-                        w[j] += y * x
-    point = [Fraction(x, region._scale) for x in w]
-    if not region.contains(point):
+    point = region.corrected_centre([c.coefficients for c in constraints.equalities])
+    if point is None:
         return None
     pivots = constraints.pivot_columns
     columns = [[s[i] for s in lp_sigs] for i in pivots]
@@ -217,37 +200,19 @@ def _box_lp(
     """Flows f >= 0 whose counter vector lies in the box as (flows, None), or
     (None, the reason there are none).
 
-    The LP has variables v >= 0 and f >= 0 with v = sum_p sig_p * f_p and
-    the box bounds on v. Substituting v through the flow equation is an
-    exact presolve: signatures are non-negative so v >= 0 is implied, and
-    the counter witness is reconstructed from the flows afterwards. Each
-    axis gives -h_i <= e_i.(v - c) <= h_i; times scale**2, in the region's
-    integers, that is scale*(E_i.s) f <= scale*H_i + E_i.C and its negation
-    <= scale*H_i - E_i.C.
-
-    The LP's Farkas vector w, checked by `linprog.feasible_point`, is the
-    reason: with a = sum_i (w_2i - w_2i+1) E_i, w.A_ub >= 0 says
-    scale*(a.s) >= 0 on every signature, so a.v >= 0 holds on the cone, and
-    w.b_ub < 0 says a.v < 0 on the whole box.
+    The LP has flows f >= 0 and the box's rows n_k.(S f) <= b_k
+    (`ConfidenceRegion.halfspaces`); v = S f >= 0 needs no row, as the
+    signatures are non-negative. Its Farkas vector w, checked by
+    `linprog.feasible_point`, is the reason: with a = sum_k w_k n_k,
+    w.A_ub >= 0 says a.s >= 0 on every signature, so a.v >= 0 holds on the
+    cone, and w.b_ub < 0 says a.v <= w.b_ub < 0 on the whole box.
     """
-    a_ub = []
-    b_ub = []
-    scale = region._scale
-    for e, h in zip(region._axes, region._half):
-        proj_center = exact.dot(e, region._center)
-        row = [scale * exact.dot(e, s) for s in lp_sigs]
-        a_ub.append(row)
-        b_ub.append(scale * h + proj_center)
-        a_ub.append([-x for x in row])
-        b_ub.append(scale * h - proj_center)
-    flows, w = linprog.feasible_point(len(lp_sigs), a_ub, b_ub)
+    normals, bounds = region.halfspaces()
+    a_ub = [[exact.dot(n, s) for s in lp_sigs] for n in normals]
+    flows, w = linprog.feasible_point(len(lp_sigs), a_ub, bounds)
     if w is None:
         return flows, None
-    a = [0] * len(region._center)
-    for e, up, down in zip(region._axes, w[::2], w[1::2]):
-        if up != down:
-            for j, x in enumerate(e):
-                a[j] += (up - down) * x
+    a = [exact.dot(w, column) for column in zip(*normals)]
     return None, _named(exact.primitive(a), constraints)
 
 
@@ -276,30 +241,21 @@ def _named(a: tuple[int, ...], constraints: ConstraintSet) -> Constraint:
 def attribute_violations(
     constraints: ConstraintSet, region: ConfidenceRegion
 ) -> tuple[Constraint, ...]:
-    """Constraints whose half-space (or hyperplane) the whole region misses.
+    """Constraints whose half-space (or hyperplane) the whole box misses.
 
-    Over the box, a linear form a.v ranges over
-    [a.center - s, a.center + s] with s = sum_i |a.axes_i| * half_i.
-    An inequality a.v >= 0 is violated when the maximum is negative; an
-    equality when the interval excludes zero. Both ends are compared in
-    integers: times scale**2 they are scale*(a.C) -+ sum_i |a.E_i| * H_i.
-    A region can be disjoint from the cone while straddling a corner of it,
-    in which case no single constraint is violated everywhere and this
-    returns empty.
+    Over the parallelotope the axes span, a.v ranges over
+    a.center -+ sum_i |a.axes_i| * half_i; a constraint that range misses is
+    named only when `ConfidenceRegion.misses` proves, with a margin that
+    grows with the axes' exact distance from orthonormal, that the box
+    misses it too. A box can miss the cone while straddling a corner of it,
+    or within that margin of a facet; then this returns empty.
     """
-    n = len(region._center)
-    live = [(e, h) for e, h in zip(region._axes, region._half) if h]
+    n = region.dimension
     out = []
     for constraint in constraints:
-        a = constraint.coefficients
-        if len(a) != n:
+        if len(constraint.coefficients) != n:
             raise MuddError("constraint dimension does not match region")
-        terms = [(j, x) for j, x in enumerate(a) if x]  # deduced constraints are sparse
-        base = region._scale * sum(x * region._center[j] for j, x in terms)
-        spread = sum(abs(sum(x * e[j] for j, x in terms)) * h for e, h in live)
-        if base + spread < 0:
-            out.append(constraint)
-        elif constraint.kind == "equality" and base - spread > 0:
+        if region.misses(constraint.coefficients, constraint.kind == "equality"):
             out.append(constraint)
     return tuple(out)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import warnings
 from collections.abc import Sequence
@@ -26,6 +27,7 @@ from numbers import Real
 from operator import mul
 from pathlib import Path
 
+from . import exact
 from .errors import MuddError, read_text
 from .model import CounterNamespace, Record
 
@@ -81,12 +83,14 @@ class ConfidenceRegion(Record):
     """Principal-axis bounding box of the confidence ellipsoid.
 
     The region is { v : |axes[i] . (v - center)| <= half_lengths[i] for all i };
-    axes rows are orthonormal eigenvectors of the mean covariance.
+    axes rows are eigenvectors of the mean covariance, orthonormal up to
+    rounding, and no decider assumes it.
     Times one power of two, `_scale`, the centre, axes and half-lengths are
     the integers `_center`, `_axes` and `_half`, built once here and kept
-    outside `_fields`; containment and the feasibility check decide in them:
+    outside `_fields`, and no other module reads them: `contains`, `misses`,
+    `halfspaces` and `corrected_centre` decide in them, exactly:
     |e_i.(v - c)| <= h_i iff |E_i.(scale*v - C)| <= scale*H_i. A ragged
-    region or a non-finite entry raises ValueError.
+    region, a non-finite entry or a negative half-length raises ValueError.
     """
 
     _fields = ("center", "axes", "half_lengths")
@@ -102,8 +106,11 @@ class ConfidenceRegion(Record):
             raise ValueError("region has non-finite entries") from None
         scale = max((d for row in ratios for _, d in row), default=1)  # powers of two
         ints = [[m * (scale // d) for m, d in row] for row in ratios]
+        if any(h < 0 for h in ints[-1]):
+            raise ValueError("region has a negative half-length")
         self._set(center=center, axes=axes, half_lengths=half_lengths,
-                  _scale=scale, _center=ints[0], _axes=ints[1:-1], _half=ints[-1])
+                  _scale=scale, _center=ints[0], _axes=ints[1:-1], _half=ints[-1],
+                  _skew=None)
 
     def contains(self, point: Sequence, tol: float = 0.0) -> bool:
         """Exactly whether |e_i.(point - c)| <= h_i + tol for every i, each float
@@ -125,6 +132,71 @@ class ConfidenceRegion(Record):
         extra = scale * scale * slack.numerator * (den // slack.denominator)  # scale**2*den*tol
         return all(abs(sum(map(mul, e, offset))) <= scale * den * h + extra
                    for e, h in zip(self._axes, self._half))
+
+    def misses(self, a: Sequence[int], equality: bool = False) -> bool:
+        """Whether no point of the box has a.v >= 0 (a.v = 0 when `equality`).
+
+        Times scale**2, a.v over the parallelotope the axes span has the ends
+        base -+ spread = scale*(a.C) -+ sum_i |a.E_i| H_i. That is the box
+        only for orthonormal axes, so a miss is proved on the box by a margin
+        (a Neumann series for the inverse Gram matrix): with the cached
+        D = max_i sum_j |E_i.E_j - scale**2 [i = j]| < scale**2, the box misses
+        a.v >= 0 when (base + spread)(scale**2 - D) + D max_j |a.E_j| sum_i H_i
+        < 0; an equality also by the mirror test on -a.
+        """
+        terms = [(j, x) for j, x in enumerate(a) if x]  # deduced constraints are sparse
+        base = self._scale * sum(x * self._center[j] for j, x in terms)
+        spread = sum(abs(sum(x * e[j] for j, x in terms)) * h
+                     for e, h in zip(self._axes, self._half) if h)
+        edge = min(base + spread, spread - base) if equality else base + spread
+        if edge >= 0:
+            return False
+        if self._skew is None:  # the Gram matrix is symmetric: count i < j twice
+            square = self._scale ** 2
+            sums = [abs(exact.dot(e, e) - square) for e in self._axes]
+            for i, j in itertools.combinations(range(len(sums)), 2):
+                g = abs(exact.dot(self._axes[i], self._axes[j]))
+                sums[i] += g
+                sums[j] += g
+            self._set(_skew=max(sums, default=0))
+        room = self._scale ** 2 - self._skew
+        peak = max(abs(sum(x * e[j] for j, x in terms)) for e in self._axes)
+        return room > 0 and edge * room + self._skew * peak * sum(self._half) < 0
+
+    def halfspaces(self) -> tuple[list[list[int]], list[int]]:
+        """The box times scale**2 as integer rows n_k.v <= b_k, (normals, bounds):
+        per axis, scale*E_i.v <= scale*H_i + E_i.C, then -scale*E_i.v <= scale*H_i - E_i.C."""
+        normals, bounds = [], []
+        for e, h in zip(self._axes, self._half):
+            proj = exact.dot(e, self._center)
+            up = [self._scale * x for x in e]
+            normals += [up, [-x for x in up]]
+            bounds += [self._scale * h + proj, self._scale * h - proj]
+        return normals, bounds
+
+    def corrected_centre(self, hyperplanes: Sequence[Sequence[int]]) -> list[Fraction] | None:
+        """The centre moved by the least-norm correction onto the hyperplanes
+        a.v = 0 and every axis of zero half-length, or None when they share
+        no point or the moved point leaves the box. With w = scale*v and rows
+        M (a.w = 0 and E_i.w = E_i.C), w = C + M^T y with (M M^T) y = -(M C - r)."""
+        pinned = [e for e, h in zip(self._axes, self._half) if h == 0]
+        rows = [list(a) for a in hyperplanes] + pinned
+        residual = [-exact.dot(a, self._center) for a in hyperplanes] + [0] * len(pinned)
+        w: list = list(self._center)
+        if any(residual):
+            k = len(rows)
+            gram = [[exact.dot(a, b) for b in rows] + [r] for a, r in zip(rows, residual)]
+            reduced, pivots = exact.rref(gram, k + 1)
+            if pivots and pivots[-1] == k:
+                return None
+            for row, p in zip(reduced, pivots):
+                if row[k]:
+                    y = Fraction(row[k], row[p])
+                    for j, x in enumerate(rows[p]):
+                        if x:
+                            w[j] += y * x
+        point = [Fraction(x, self._scale) for x in w]
+        return point if self.contains(point) else None
 
     @property
     def dimension(self) -> int:

@@ -135,6 +135,13 @@ class TestCheckFeasibility:
         with pytest.raises(ValueError, match="must name a violated constraint"):
             FeasibilityVerdict(feasible=False, violated_constraints=())
 
+    def test_infeasible_verdict_refuses_an_all_zero_reason(self):
+        # 0 >= 0 holds everywhere, so it refutes nothing
+        for kind in ("inequality", "equality"):
+            with pytest.raises(ValueError, match="nonzero coefficient"):
+                FeasibilityVerdict(False, violated_constraints=(
+                    Constraint("inequality", (1, -1)), Constraint(kind, (0, 0), "farkas")))
+
     def test_point_region_agrees_with_membership_oracle(self):
         rng = random.Random(99)
         ns_cache = {}
@@ -240,6 +247,38 @@ class TestAttribution:
             violated = attribute_violations(cs, point_box(point))
             assert verdict.feasible == (not violated)
 
+    def test_skewed_axes_are_decided_on_their_box(self):
+        # axes 0.6 from orthogonal: the parallelotope they span misses
+        # 0 <= misses, but the box itself holds the cone point (0.9, 0.1)
+        gens = [(1, 0), (1, 1)]
+        region = box_region([1.0, -0.3], [[1.0, 0.0], [0.6, 0.8]], [0.1, 0.3])
+        assert region.contains((0.9, 0.1))
+        assert attribute_violations(self.cs(), region) == ()
+        verdict = check_feasibility(gens, region)
+        assert verdict.feasible
+        assert in_box_exactly(verdict.witness_point, region)
+        assert verdict.witness_point == (1 - Fraction(0.1), 0)  # the box's corner
+
+    def test_margin_is_zero_for_orthonormal_integer_axes(self):
+        # signed, permuted unit axes are exactly orthonormal: D = 0, and the
+        # parallelotope's verdict stands as it is
+        region = box_region([1, 2], [[0, -1], [1, 0]], [0.2, 0.2])
+        assert region._skew is None
+        assert [c.coefficients for c in attribute_violations(self.cs(), region)] == [(1, -1)]
+        assert region._skew == 0
+
+    def test_margin_is_computed_only_for_a_claim(self):
+        region = box_region([2, 1], [[0.6, 0.8], [-0.8, 0.6]], [0.1, 0.1])
+        assert check_feasibility([(1, 0), (1, 1)], region).feasible
+        assert region._skew is None
+
+    def test_singular_axes_claim_nothing(self):
+        # two equal axes bound only the walks: the box is a strip that meets
+        # the cone however far the centre is from it in misses
+        region = box_region([1, 5], [[1, 0], [1, 0]], [0.1, 0.1])
+        assert attribute_violations(self.cs(), region) == ()
+        assert check_feasibility([(1, 0), (1, 1)], region).feasible
+
     def test_corner_straddle_can_attribute_nothing(self, monkeypatch):
         # A box can miss the cone without any single facet cutting all of it;
         # the per-facet test is sound but not complete for boxes, so the
@@ -306,17 +345,28 @@ def in_box_exactly(point, region):
 @st.composite
 def cones_and_boxes(draw):
     """Pointed integer cones in 2-5 dimensions and rotated boxes around them:
-    boxes about a point of the cone, point regions (on or off the cone), and
-    boxes just outside the origin corner, some straddling it."""
+    boxes about a point of the cone, point regions (on or off the cone),
+    boxes just outside the origin corner, some straddling it, and skewed
+    boxes about a point near the cone, whose dyadic axes are not
+    orthonormal and may be singular (a repeated or a zero axis)."""
     dim = draw(st.integers(2, 5))
     gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * dim), min_size=1, max_size=6))
-    kind = draw(st.sampled_from(["near", "point", "corner"]))
+    kind = draw(st.sampled_from(["near", "point", "corner", "skewed"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = rng.integers(0, 4, size=len(gens))
     inside = np.array(gens, float).T @ weights / 2.0
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     axes = q.T if draw(st.booleans()) else np.eye(dim)
-    if kind == "point":
+    if kind == "skewed":
+        axes = rng.integers(-4, 5, size=(dim, dim)) / 4.0
+        singular = draw(st.sampled_from(["none", "repeated", "zero"]))
+        if singular == "repeated":
+            axes[0] = axes[-1]
+        elif singular == "zero":
+            axes[0] = 0.0
+        center = inside + rng.normal(scale=1.0, size=dim)
+        half = rng.uniform(0.0, 1.5, size=dim)
+    elif kind == "point":
         center = inside + (rng.integers(-2, 3, size=dim) / 4.0 if draw(st.booleans()) else 0)
         half = np.zeros(dim)
     elif kind == "near":

@@ -1,9 +1,12 @@
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mudd
 from mudd.errors import MuddError
 from mudd.model import CounterNamespace
 from mudd.stats import (
@@ -519,6 +522,24 @@ class TestConfidenceRegion:
     def test_ragged_or_non_finite_region_is_rejected(self, center, axes, half):
         with pytest.raises(ValueError):
             ConfidenceRegion(center, axes, half)
+
+    def test_negative_half_length_is_rejected(self):
+        # the box would be empty, and the box LP's certificate would add an
+        # axis's two rows up to the empty reason 0 <= 0
+        with pytest.raises(ValueError, match="negative half-length"):
+            ConfidenceRegion((1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)), (-0.5, 0.5))
+        with pytest.raises(ValueError, match="negative half-length"):
+            ConfidenceRegion((0.0,), ((1.0,),), (-5e-324,))
+
+    def test_only_this_module_reads_the_region_integers(self):
+        # the region's encoding lives in one module: every other module asks
+        # it through `contains`, `misses`, `halfspaces` and `corrected_centre`
+        src = Path(mudd.__file__).parent
+        names = re.compile(r"\b_(scale|center|axes|half|skew)\b")
+        modules = sorted(src.glob("*.py"))
+        assert len(modules) > 10
+        readers = [m.name for m in modules if names.search(m.read_text(encoding="utf-8"))]
+        assert readers == ["stats.py"]
 
     def test_numpy_point_with_a_tolerance(self):
         region = point_box([1.0, 2.0])
