@@ -151,18 +151,22 @@ def cmd_explore(args) -> int:
     return 0
 
 
-def _numbers(flag, text, n) -> list[float]:
-    """The comma-separated value of `flag`: one number, or n of them."""
+def _numbers(flag, text) -> list[float]:
+    """The comma-separated numbers of `flag`."""
     values = []
     for part in filter(str.strip, text.split(",")):
         try:
             values.append(float(part))
         except ValueError:
             raise MuddError(f"{flag}: {part.strip()!r} is not a number") from None
+    return values
+
+
+def _count(flag, values, n) -> None:
+    """Refuse `flag` unless it has one value or n of them."""
     if len(values) not in (1, n):
         needs = "1 value" if n == 1 else f"1 or {n} values"
         raise MuddError(f"{flag} needs {needs}, got {len(values)}")
-    return values
 
 
 def cmd_synth(args) -> int:
@@ -176,17 +180,17 @@ def cmd_synth(args) -> int:
         raise MuddError("mudd synth needs numpy (pip install 'mudd[synth]')") from None
 
     model = dsl.parse_file(args.model, args.namespace)
-    paths = enumerate_mupaths(model)
-    flows = _numbers("--flows", args.flows, len(paths))
-    noise = _numbers("--noise", "0" if args.noise is None else args.noise,
-                     len(model.namespace))
+    flows = _numbers("--flows", args.flows)
+    noise = _numbers("--noise", "0" if args.noise is None else args.noise)
+    _count("--noise", noise, len(model.namespace))
     spec = synth.SynthSpec(
         model=model,
-        flows=tuple(flows * len(paths) if len(flows) == 1 else flows),
+        flows=flows[0] if len(flows) == 1 else tuple(flows),
         samples=args.samples,
         noise=noise[0] if len(noise) == 1 else noise,
         seed=args.seed,
     )
+    _count("--flows", flows, len(spec.paths))
     obs = synth.generate(spec, run_id=Path(args.model).stem)
     if args.output:
         stats.write_observations(obs, args.output)

@@ -19,20 +19,26 @@ from .stats import ObservationSet
 
 
 class SynthSpec(Record):
-    """`flows` holds one flow per path, in enumeration order; `noise` is a
-    scalar sigma, which `generate` draws as that sigma in every counter, a
-    per-counter sigma vector or a covariance matrix. Flows, sigmas and the
-    seed must be non-negative; a value out of range raises MuddError."""
+    """`flows` holds one flow per path, in enumeration order, or one number,
+    which is that flow on every path; `noise` is a scalar sigma, which
+    `generate` draws as that sigma in every counter, a per-counter sigma
+    vector or a covariance matrix. Flows, sigmas and the seed must be
+    non-negative; a value out of range raises MuddError.
+
+    `paths` holds the model's paths, enumerated once when the spec is built.
+    """
 
     _fields = ("model", "flows", "samples", "noise", "seed")
 
-    def __init__(self, model: MuDD, flows: tuple[float, ...], samples: int,
+    def __init__(self, model: MuDD, flows: float | tuple[float, ...], samples: int,
                  noise: float | Sequence[float] | np.ndarray = 0.0, seed: int = 0):
+        paths = enumerate_mupaths(model)
         if samples < 2:
             raise MuddError("need at least 2 samples")
-        if not all(math.isfinite(f) for f in flows):
+        values = _per_path(flows, 1)
+        if not all(math.isfinite(f) for f in values):
             raise MuddError("flows must be finite")
-        if any(f < 0 for f in flows):
+        if any(f < 0 for f in values):
             raise MuddError("flows must be non-negative")
         if not np.isfinite(noise).all():
             raise MuddError("noise must be finite")
@@ -40,17 +46,23 @@ class SynthSpec(Record):
             raise MuddError("noise must be non-negative")
         if seed < 0:
             raise MuddError("seed must be non-negative")
-        self._set(model=model, flows=flows, samples=samples, noise=noise, seed=seed)
+        self._set(model=model, flows=flows, samples=samples, noise=noise, seed=seed,
+                  paths=paths)
+
+
+def _per_path(flows, paths: int):
+    """`flows` as a sequence: a single number repeated `paths` times."""
+    return (flows,) * paths if np.ndim(flows) == 0 else flows
 
 
 def exact_counters(spec: SynthSpec) -> tuple[Fraction, ...]:
     """Flow-weighted signature sum, computed exactly."""
-    paths = enumerate_mupaths(spec.model)
-    if len(spec.flows) != len(paths):
-        raise MuddError(f"{len(spec.flows)} flows for {len(paths)} paths")
+    flows = _per_path(spec.flows, len(spec.paths))
+    if len(flows) != len(spec.paths):
+        raise MuddError(f"{len(flows)} flows for {len(spec.paths)} paths")
     n = len(spec.model.namespace)
     total = [Fraction(0)] * n
-    for path, flow in zip(paths, spec.flows):
+    for path, flow in zip(spec.paths, flows):
         f = Fraction(flow)
         if f == 0:
             continue

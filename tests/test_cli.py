@@ -483,6 +483,27 @@ class TestSynth:
                            "--samples", "3")
         assert code == 2
 
+    def test_synth_enumerates_the_model_once(self, capsys, monkeypatch, bundled):
+        # every module binding of `enumerate_mupaths` is counted
+        import mudd.synth  # loaded, so that its binding is counted too
+
+        real = mudd.model.enumerate_mupaths
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return real(model)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mudd" and getattr(module, "enumerate_mupaths", None) is real:
+                monkeypatch.setattr(module, "enumerate_mupaths", counted)
+        code, out, err = run(capsys, "synth", str(bundled("haswell_mmu.mudd")),
+                             "--namespace", str(bundled("haswell_counters.txt")),
+                             "--flows", "1", "--samples", "3")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 4
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("flags, field", [
         (["--flows", "inf"], "flows"),
         (["--flows", "1e400"], "flows"),

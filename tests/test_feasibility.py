@@ -841,3 +841,30 @@ class TestKnownTruth:
         assert any(c.provenance == "farkas" for v in verdicts.values()
                    for c in v.violated_constraints)
 
+    def test_zero_noise_is_never_refuted_by_a_containing_cone(self, bundled):
+        # integer flows over a power-of-two sample count make every sample
+        # exact in floats, so the region is the truth's point; containment
+        # is decided on the signatures themselves, not on deduced constraints
+        from mudd.exploration import load_catalog
+
+        catalog = load_catalog(bundled("catalog", "search_catalog.json"))
+        models = [(name, e.model) for name, e in catalog.entries.items()]
+        sigs = {name: [p.counts for p in enumerate_mupaths(m)] for name, m in models}
+        runs = []
+        for truth, model in models:
+            for seed in range(3):
+                rng = random.Random(seed)
+                flows = tuple(float(rng.randint(0, 20)) for _ in sigs[truth])
+                spec = SynthSpec(model=model, flows=flows, samples=4, seed=seed)
+                runs.append(generate(spec, run_id=f"{truth}-{seed}"))
+        contains = {(a, b): all(cone_membership(sigs[a], s) for s in sigs[b])
+                    for a in sigs for b in sigs}
+        cells = batch_check(models, runs, jobs=1)
+        assert len(cells) == 12 * len(runs)
+        contained = 0
+        for cell in cells:
+            if contains[cell.model_name, cell.run_id.partition("-")[0]]:
+                contained += 1
+                assert cell.error is None, cell.error
+                assert cell.verdict.feasible, (cell.model_name, cell.run_id)
+        assert contained == 168

@@ -47,7 +47,14 @@ and each check snapshot is regenerated with
 
 using the model, CSVs and flags of its CHECKS row. `haswell_mmu.mudd` takes
 `--namespace $D/haswell_counters.txt` in both commands. Regenerate only when
-a behaviour change is intended.
+a behaviour change is intended. Every file under tests/data/golden/ and
+tests/data/csv/ belongs to a row here, or is diagnostics.txt or explore.json.
+
+This module needs only pytest: CI's `stdlib-only` job runs it, without
+numpy, scipy or hypothesis, on every Python version of its matrix, and
+deselects `test_committed_csvs_are_what_synth_writes` there, since `synth`
+needs numpy. A new test here that needs numpy must be deselected in that
+job too.
 """
 import json
 import os
@@ -114,6 +121,17 @@ def _namespace_args(model):
     if model == "haswell_mmu.mudd":
         return ["--namespace", str(bundled_path("haswell_counters.txt"))]
     return []
+
+
+def test_every_data_file_is_read_here():
+    # a snapshot or CSV that no row names would outlive its one definition
+    golden = {"diagnostics.txt", "explore.json"}
+    golden |= {f"{name}.json" for name, _, _ in MODELS}
+    golden |= {f"paths_{name}{suffix}" for name, _, _ in MODELS for suffix in (".txt", ".json")}
+    golden |= {f"check_{name}.txt" for name, *_ in CHECKS}
+    csvs = {f"{name}.csv" for name in SYNTH} | {f"{c}.csv" for _, _, cs, _ in CHECKS for c in cs}
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(golden)
+    assert sorted(p.name for p in CSVS.iterdir()) == sorted(csvs)
 
 
 def test_committed_csvs_are_what_synth_writes(tmp_path):

@@ -32,6 +32,12 @@ class TestExactCounters:
         tripled = SynthSpec(model=two_path_model, flows=(6.0, 15.0), samples=2)
         assert exact_counters(tripled) == tuple(3 * x for x in exact_counters(base))
 
+    def test_one_flow_is_that_flow_on_every_path(self, two_path_model):
+        one = SynthSpec(model=two_path_model, flows=3.0, samples=5, noise=1.0, seed=2)
+        each = SynthSpec(model=two_path_model, flows=(3.0, 3.0), samples=5, noise=1.0, seed=2)
+        assert exact_counters(one) == exact_counters(each) == (Fraction(6), Fraction(3))
+        assert np.array_equal(generate(one).sample_matrix, generate(each).sample_matrix)
+
     def test_flow_count_mismatch(self, two_path_model):
         spec = SynthSpec(model=two_path_model, flows=(1.0,), samples=2)
         with pytest.raises(MuddError, match="^1 flows for 2 paths$"):
@@ -130,6 +136,17 @@ class TestGenerate:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         spec = SynthSpec(model=two_path_model, flows=(1.0, 1.0), samples=10, noise=bad)
         with pytest.raises(MuddError, match="^noise covariance must be positive semidefinite$"):
+            generate(spec)
+
+    @pytest.mark.parametrize("noise, message", [
+        ([1.0, 1.0, 1.0], "per-counter sigma length does not match"),
+        (np.eye(3), "covariance shape does not match"),
+        (np.zeros((2, 2, 2)), "noise must be a scalar, vector, or matrix"),
+    ], ids=["sigma-length", "covariance-shape", "3-d"])
+    def test_noise_of_the_wrong_shape_rejected(self, two_path_model, noise, message):
+        # the CLI refuses a sigma count of its own before any of these
+        spec = SynthSpec(model=two_path_model, flows=(1.0, 1.0), samples=10, noise=noise)
+        with pytest.raises(MuddError, match=f"^{message}$"):
             generate(spec)
 
 
