@@ -19,50 +19,63 @@ from .stats import ObservationSet
 
 
 class SynthSpec(Record):
-    """`flows` holds one flow per path, in enumeration order, or one number,
-    which is that flow on every path; `noise` is a scalar sigma, which
-    `generate` draws as that sigma in every counter, a per-counter sigma
-    vector or a covariance matrix. Flows, sigmas and the seed must be
-    non-negative; a value out of range raises MuddError.
+    """`flows` is a tuple of one flow per path, in enumeration order, and
+    `noise` a tuple of one sigma per counter or of a covariance's rows; one
+    number given for either is that value on every path or counter. Stored
+    as tuples, a spec hashes and compares by value whatever form it was
+    given. Flows, sigmas and the seed must be non-negative, and a value out
+    of range, a noise of the wrong shape or an indefinite covariance raises
+    MuddError when the spec is built. `exact_counters` checks the flow count.
 
     `paths` holds the model's paths, enumerated once when the spec is built.
     """
 
     _fields = ("model", "flows", "samples", "noise", "seed")
 
-    def __init__(self, model: MuDD, flows: float | tuple[float, ...], samples: int,
-                 noise: float | Sequence[float] | np.ndarray = 0.0, seed: int = 0):
+    def __init__(self, model: MuDD, flows: float | Sequence[float], samples: int,
+                 noise: float | Sequence[float] | Sequence[Sequence[float]] | np.ndarray = 0.0,
+                 seed: int = 0):
         paths = enumerate_mupaths(model)
         if samples < 2:
             raise MuddError("need at least 2 samples")
-        values = _per_path(flows, 1)
-        if not all(math.isfinite(f) for f in values):
+        flows = (flows,) * len(paths) if np.ndim(flows) == 0 else tuple(flows)
+        if not all(math.isfinite(f) for f in flows):
             raise MuddError("flows must be finite")
-        if any(f < 0 for f in values):
+        if any(f < 0 for f in flows):
             raise MuddError("flows must be non-negative")
-        if not np.isfinite(noise).all():
+        arr = np.asarray(noise, dtype=float)
+        if not np.isfinite(arr).all():
             raise MuddError("noise must be finite")
-        if np.ndim(noise) < 2 and (np.asarray(noise) < 0).any():
+        if arr.ndim < 2 and (arr < 0).any():
             raise MuddError("noise must be non-negative")
         if seed < 0:
             raise MuddError("seed must be non-negative")
+        n = len(model.namespace)
+        if arr.ndim == 0:
+            arr = np.full(n, arr)
+        if arr.ndim == 1:
+            if arr.shape[0] != n:
+                raise MuddError("per-counter sigma length does not match")
+            noise = tuple(arr.tolist())
+        elif arr.ndim == 2:
+            if arr.shape != (n, n):
+                raise MuddError("covariance shape does not match")
+            if float(np.min(np.linalg.eigvalsh((arr + arr.T) / 2))) < -1e-9:
+                raise MuddError("noise covariance must be positive semidefinite")
+            noise = tuple(map(tuple, arr.tolist()))
+        else:
+            raise MuddError("noise must be a scalar, vector, or matrix")
         self._set(model=model, flows=flows, samples=samples, noise=noise, seed=seed,
                   paths=paths)
 
 
-def _per_path(flows, paths: int):
-    """`flows` as a sequence: a single number repeated `paths` times."""
-    return (flows,) * paths if np.ndim(flows) == 0 else flows
-
-
 def exact_counters(spec: SynthSpec) -> tuple[Fraction, ...]:
     """Flow-weighted signature sum, computed exactly."""
-    flows = _per_path(spec.flows, len(spec.paths))
-    if len(flows) != len(spec.paths):
-        raise MuddError(f"{len(flows)} flows for {len(spec.paths)} paths")
+    if len(spec.flows) != len(spec.paths):
+        raise MuddError(f"{len(spec.flows)} flows for {len(spec.paths)} paths")
     n = len(spec.model.namespace)
     total = [Fraction(0)] * n
-    for path, flow in zip(spec.paths, flows):
+    for path, flow in zip(spec.paths, spec.flows):
         f = Fraction(flow)
         if f == 0:
             continue
@@ -75,8 +88,8 @@ def exact_counters(spec: SynthSpec) -> tuple[Fraction, ...]:
 def generate(spec: SynthSpec, run_id: str = "synth") -> ObservationSet:
     """Sample matrix of `samples` rows around exact/samples plus seeded noise.
 
-    A scalar sigma is drawn as the per-counter vector of that sigma in every
-    counter, so both give the same matrix. Negative cells are clamped to
+    Per-counter sigmas scale independent standard normal draws; a covariance
+    is drawn through its eigendecomposition. Negative cells are clamped to
     zero; the clamp count is recorded on the observation set. Same seed,
     same matrix. Samples are floats: with zero noise they are exact only
     when exact/samples is representable, e.g. integer flows with a
@@ -92,23 +105,13 @@ def generate(spec: SynthSpec, run_id: str = "synth") -> ObservationSet:
             f"run {run_id!r}: the flows give a counter total too large for a float"
         ) from None
     rng = np.random.default_rng(spec.seed)
-    arr = np.asarray(spec.noise, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n, arr)
+    noise = np.array(spec.noise)
     with np.errstate(over="ignore"):  # a sample that overflows is refused below
-        if arr.ndim == 1:
-            if arr.shape[0] != n:
-                raise MuddError("per-counter sigma length does not match")
-            draws = rng.normal(0.0, 1.0, size=(spec.samples, n)) * arr
-        elif arr.ndim == 2:
-            if arr.shape != (n, n):
-                raise MuddError("covariance shape does not match")
-            if float(np.min(np.linalg.eigvalsh((arr + arr.T) / 2))) < -1e-9:
-                raise MuddError("noise covariance must be positive semidefinite")
-            draws = rng.multivariate_normal(np.zeros(n), arr, size=spec.samples,
-                                            method="eigh")
+        if noise.ndim == 1:
+            draws = rng.normal(0.0, 1.0, size=(spec.samples, n)) * noise
         else:
-            raise MuddError("noise must be a scalar, vector, or matrix")
+            draws = rng.multivariate_normal(np.zeros(n), noise, size=spec.samples,
+                                            method="eigh")
         matrix = base + draws
     if not np.isfinite(matrix).all():
         raise MuddError(

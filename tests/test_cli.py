@@ -336,6 +336,21 @@ class TestCheck:
             "one x ok: feasible",
         ]
 
+    def test_overflowing_box_is_an_error_row_in_json(self, capsys, tmp_path):
+        (tmp_path / "one.mudd").write_text("counter a;\n")
+        (tmp_path / "huge.csv").write_text("a\n0.0\n1.69e+154\n")
+        (tmp_path / "ok.csv").write_text("a\n1.0\n2.0\n")
+        code, out, err = run(capsys, "check", str(tmp_path / "one.mudd"),
+                             str(tmp_path / "huge.csv"), str(tmp_path / "ok.csv"),
+                             "--format", "json")
+        assert (code, err) == (2, "")
+        assert json.loads(out) == [
+            {"model": "one", "run": "huge",
+             "error": "run 'huge': confidence box overflows; counter values are too large"},
+            {"model": "one", "run": "ok", "feasible": True, "witness_point": [1.5],
+             "witness_flow": {"0": 1.5}, "violated_constraints": []},
+        ]
+
     def test_unmodeled_columns_warn_in_one_line(self, walk_model, exact_csv, tmp_path):
         with open(exact_csv, newline="") as fh:
             rows = list(csv.reader(fh))

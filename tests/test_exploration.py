@@ -299,6 +299,27 @@ class TestCatalogFile:
         with pytest.raises(MuddError, match="entry 1: missing 'name'$"):
             load_catalog(path)
 
+    def test_invalid_json(self, tmp_path, capsys):
+        path = tmp_path / "cat.json"
+        path.write_text('{"entries": [')
+        message = f"cannot read catalog {path}: Expecting value: line 1 column 14 (char 13)"
+        with pytest.raises(MuddError) as exc:
+            load_catalog(path)
+        assert str(exc.value) == message
+        assert main(["explore", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("blob", [{"features": ["F"]}, [{"name": "a"}]],
+                             ids=["object", "list"])
+    def test_no_entries(self, tmp_path, capsys, blob):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(blob))
+        with pytest.raises(MuddError) as exc:
+            load_catalog(path)
+        assert str(exc.value) == f"catalog {path} has no entries"
+        assert main(["explore", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: catalog {path} has no entries\n")
+
 
 # each case changes one key of a valid two-entry catalog; the error names the
 # file, the entry and the key, and the expected text follows the file name
@@ -336,6 +357,12 @@ BAD_CATALOGS = [
      "'dataset_id' must be a string, got {'x': 1}"),
     ("own-parent", {"entries": [{**_VALID_ENTRIES[0], "parent": {"name": "a", "kind": "pruning"}}]},
      "parent cycle 'a' -> 'a' (each entry the parent of the next)"),
+    ("entry-not-object", {"entries": [_VALID_ENTRIES[0], "b"]},
+     "'entries[2]' must be an object, got 'b'"),
+    ("duplicate-entry", {"entries": [_VALID_ENTRIES[0], {**_VALID_ENTRIES[1], "name": "a"}]},
+     "duplicate entry name 'a'"),
+    ("namespace-repeated", {"namespace": ["x", "y", "x"], "entries": _VALID_ENTRIES},
+     "'namespace': duplicate counter name 'x' in namespace"),
     ("parent-cycle", {"entries": [
         {**_VALID_ENTRIES[0], "parent": {"name": "c", "kind": "relaxation"}},
         _VALID_ENTRIES[1],

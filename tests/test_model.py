@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +102,39 @@ class TestValidation:
         edges = (CausalityEdge(0, 1, "x"), CausalityEdge(0, 2, "x"))
         with pytest.raises(MuddError, match="^decision node 0 has duplicate edge labels$"):
             MuDD(nodes=nodes, causality=edges, happens_before=(), entry=0, namespace=ns)
+
+    # the DSL never builds these; they guard a library caller's diagram
+    @pytest.mark.parametrize("nodes, edges, happens_before, entry, message", [
+        ((Node(0, "done"), Node(0, "done")), (), (), 0, "duplicate node id 0"),
+        ((Node(0, "bogus"),), (), (), 0, "node 0 has unknown kind 'bogus'"),
+        ((Node(0, "event"), Node(1, "done")), (CausalityEdge(0, 1),), (), 0,
+         "event node 0 has no name"),
+        ((Node(0, "decision", ""), Node(1, "done")), (CausalityEdge(0, 1, "x"),), (), 0,
+         "decision node 0 has no name"),
+        ((Node(0, "done"),), (), (), 5, "entry node 5 does not exist"),
+        ((Node(0, "event", "a"), Node(1, "done")), (CausalityEdge(0, 9),), (), 0,
+         "causality edge CausalityEdge(src=0, dst=9, value=None) references a missing node"),
+        ((Node(0, "event", "a"), Node(1, "done")), (CausalityEdge(0, 1),), ((0, 9),), 0,
+         "happens-before edge (0, 9) references a missing node"),
+        ((Node(0, "decision", "p"),), (), (), 0, "decision node 0 has no outgoing edges"),
+        ((Node(0, "decision", "p"), Node(1, "done"), Node(2, "done")),
+         (CausalityEdge(0, 1, "x"), CausalityEdge(0, 2)), (), 0,
+         "decision node 0 has an unlabeled edge"),
+        ((Node(0, "event", "a"), Node(1, "done"), Node(2, "done")),
+         (CausalityEdge(0, 1), CausalityEdge(0, 2)), (), 0,
+         "event node 0 must have exactly one outgoing edge, has 2"),
+        ((Node(0, "event", "a"),), (), (), 0,
+         "event node 0 must have exactly one outgoing edge, has 0"),
+        ((Node(0, "event", "a"), Node(1, "done")), (CausalityEdge(0, 1, "x"),), (), 0,
+         "non-decision node 0 has a labeled edge"),
+    ], ids=["duplicate-id", "unknown-kind", "unnamed-event", "unnamed-decision",
+            "missing-entry", "edge-to-missing-node", "happens-before-to-missing-node",
+            "decision-without-edges", "unlabeled-decision-edge", "two-edges", "no-edge",
+            "labeled-edge"])
+    def test_structural_error(self, nodes, edges, happens_before, entry, message):
+        with pytest.raises(MuddError, match=f"^{re.escape(message)}$"):
+            MuDD(nodes=nodes, causality=edges, happens_before=happens_before, entry=entry,
+                 namespace=CounterNamespace([]))
 
 
 class TestEnumeration:

@@ -43,6 +43,19 @@ class TestLoader:
         assert np.shape(obs.sample_matrix) == (3, 2)
         assert list(obs.sample_matrix[0]) == [1.0, 2.0]
 
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(MuddError, match="^run 'r': empty file$"):
+            load_observations(csv_file(tmp_path, ""), NS2, run_id="r")
+
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        obs = load_observations(csv_file(tmp_path, "a,b\n1,2\n\n , \n3,4\n\n"), NS2)
+        assert [list(row) for row in obs.sample_matrix] == [[1.0, 2.0], [3.0, 4.0]]
+        # an error after them still names its physical line
+        src = csv_file(tmp_path, "a,b\n1,2\n\n3,x\n")
+        with pytest.raises(MuddError, match="^run 'r' line 4 column 'b': 'x' "
+                                            "is not a finite number$"):
+            load_observations(src, NS2, run_id="r")
+
     def test_file_byte_order_mark_is_ignored(self, tmp_path):
         src = tmp_path / "sample.csv"
         src.write_bytes(b"\xef\xbb\xbfb,a\n2,1\n4,3\n")

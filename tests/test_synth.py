@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,8 @@ class TestExactCounters:
     def test_one_flow_is_that_flow_on_every_path(self, two_path_model):
         one = SynthSpec(model=two_path_model, flows=3.0, samples=5, noise=1.0, seed=2)
         each = SynthSpec(model=two_path_model, flows=(3.0, 3.0), samples=5, noise=1.0, seed=2)
+        assert one.flows == (3.0, 3.0)
+        assert one == each and hash(one) == hash(each)
         assert exact_counters(one) == exact_counters(each) == (Fraction(6), Fraction(3))
         assert np.array_equal(generate(one).sample_matrix, generate(each).sample_matrix)
 
@@ -67,6 +70,25 @@ class TestExactCounters:
     def test_covariance_may_have_negative_entries(self, two_path_model):
         cov = [[1.0, -0.5], [-0.5, 1.0]]
         SynthSpec(model=two_path_model, flows=(1.0, 1.0), samples=2, noise=cov)
+
+
+class TestRecord:
+    @pytest.mark.parametrize("noise, stored", [
+        (2.0, (2.0, 2.0)),
+        ([1.0, 2.0], (1.0, 2.0)),
+        ((1.0, 2.0), (1.0, 2.0)),
+        (np.array([1.0, 2.0]), (1.0, 2.0)),
+        ([[1.0, 0.5], [0.5, 1.0]], ((1.0, 0.5), (0.5, 1.0))),
+        (np.array([[1.0, 0.5], [0.5, 1.0]]), ((1.0, 0.5), (0.5, 1.0))),
+    ], ids=["scalar", "list", "tuple", "ndarray", "covariance-list", "covariance-ndarray"])
+    def test_hash_and_eq_whatever_the_noise_form(self, two_path_model, noise, stored):
+        spec = SynthSpec(model=two_path_model, flows=(1.0, 2.0), samples=4, noise=noise)
+        same = SynthSpec(model=two_path_model, flows=[1.0, 2.0], samples=4, noise=stored)
+        assert spec.noise == stored and type(spec.noise) is tuple
+        assert (spec == same) is True
+        assert hash(spec) == hash(same)
+        assert (spec == SynthSpec(model=two_path_model, flows=(1.0, 2.0), samples=4)) is False
+        assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 class TestGenerate:
@@ -133,10 +155,10 @@ class TestGenerate:
         assert corr > 0.8
 
     def test_bad_covariance_rejected(self, two_path_model):
+        # refused when the spec is built, before any draw
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
-        spec = SynthSpec(model=two_path_model, flows=(1.0, 1.0), samples=10, noise=bad)
         with pytest.raises(MuddError, match="^noise covariance must be positive semidefinite$"):
-            generate(spec)
+            SynthSpec(model=two_path_model, flows=(1.0, 1.0), samples=10, noise=bad)
 
     @pytest.mark.parametrize("noise, message", [
         ([1.0, 1.0, 1.0], "per-counter sigma length does not match"),
@@ -144,10 +166,10 @@ class TestGenerate:
         (np.zeros((2, 2, 2)), "noise must be a scalar, vector, or matrix"),
     ], ids=["sigma-length", "covariance-shape", "3-d"])
     def test_noise_of_the_wrong_shape_rejected(self, two_path_model, noise, message):
-        # the CLI refuses a sigma count of its own before any of these
-        spec = SynthSpec(model=two_path_model, flows=(1.0, 1.0), samples=10, noise=noise)
+        # refused when the spec is built; the CLI refuses a sigma count of
+        # its own before any of these
         with pytest.raises(MuddError, match=f"^{message}$"):
-            generate(spec)
+            SynthSpec(model=two_path_model, flows=(1.0, 1.0), samples=10, noise=noise)
 
 
 class TestGroundTruthFeasibility:
