@@ -12,7 +12,7 @@ from mudd import bundled_path, dsl
 from mudd.exploration import cone_expansion_check
 from mudd.feasibility import check_feasibility, refinement_candidates
 from mudd.geometry import deduce_constraints, normalize_signatures
-from mudd.model import CounterNamespace, enumerate_mupaths
+from mudd.model import CounterNamespace, describe_decisions, enumerate_mupaths
 from mudd.stats import ObservationSet, build_confidence_region
 
 
@@ -48,7 +48,7 @@ def main():
     print("\n== refinement candidates in the early-lookup model ==")
     bound = next(c for c in initial_cs.inequalities if c.coefficients == (1, -1))
     for path in refinement_candidates(bound, refined):
-        print(f"  {path.describe()} with signature {path.counts}")
+        print(f"  {describe_decisions(path.property_assignment)} with signature {path.counts}")
 
     print("\n== refined model accepts the run ==")
     refined_sigs = [p.counts for p in enumerate_mupaths(refined)]

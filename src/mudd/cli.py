@@ -1,5 +1,10 @@
 """Command-line surface: paths, constraints, check, explore, synth.
 
+This module alone knows the output formats. Each printing subcommand
+returns its exit code, one JSON-ready result and its text renderer, which
+yields the lines of the text output from that result; `main` prints the
+result as JSON under `--format json`, else as that text. `synth` writes CSV.
+
 Exit codes: 0 all feasible / success, 1 some observation infeasible,
 2 any error (parse diagnostics, bad input files, broken references). A
 closed stdout ends the process by SIGPIPE, silently.
@@ -16,7 +21,7 @@ from pathlib import Path
 
 from . import dsl
 from .errors import MuddError, read_text
-from .model import CounterNamespace, enumerate_mupaths
+from .model import CounterNamespace, describe_decisions, enumerate_mupaths
 
 # a subcommand imports what only it runs in its own body, so that `paths`
 # loads no module beyond `dsl` and `model`
@@ -51,45 +56,45 @@ def _load_namespace(path):
     return CounterNamespace(names)
 
 
-def cmd_paths(args) -> int:
+def cmd_paths(args):
     model = dsl.parse_file(args.model, args.namespace)
     names = model.namespace.names
-    rows = [
-        (p, {n: c for n, c in zip(names, p.counts) if c})
+    return 0, [
+        {"properties": dict(p.property_assignment),
+         "signature": {n: c for n, c in zip(names, p.counts) if c}}
         for p in enumerate_mupaths(model)
-    ]
-    if args.format == "json":
-        import json
-
-        print(json.dumps([{"properties": dict(p.property_assignment), "signature": sig}
-                          for p, sig in rows], indent=2))
-        return 0
-    for i, (p, sig) in enumerate(rows, 1):
-        counts = " ".join(f"{n}={c}" for n, c in sig.items())
-        print(f"{i}. {p.describe()} | {counts or '(all zero)'}")
-    return 0
+    ], _paths_text
 
 
-def cmd_constraints(args) -> int:
+def _paths_text(rows):
+    for i, row in enumerate(rows, 1):
+        counts = " ".join(f"{n}={c}" for n, c in row["signature"].items())
+        yield (f"{i}. {describe_decisions(row['properties'].items())} | "
+               f"{counts or '(all zero)'}")
+
+
+def cmd_constraints(args):
     from . import geometry
 
     model = dsl.parse_file(args.model, args.namespace)
-    constraints = geometry.deduce_constraints(model)
-    if args.format == "json":
-        import json
-
-        print(json.dumps(constraints.to_json(), indent=2))
-        return 0
-    print(f"Equalities ({len(constraints.equalities)}):")
-    for c in constraints.equalities:
-        print(c.display(model.namespace))
-    print(f"Inequalities ({len(constraints.inequalities)}):")
-    for c in constraints.inequalities:
-        print(c.display(model.namespace))
-    return 0
+    names = model.namespace.names
+    return 0, [
+        {"kind": c.kind,
+         "coefficients": {names[i]: x for i, x in enumerate(c.coefficients) if x},
+         "display": c.display(model.namespace),
+         "provenance": c.provenance}
+        for c in geometry.deduce_constraints(model)
+    ], _constraints_text
 
 
-def cmd_check(args) -> int:
+def _constraints_text(rows):
+    for kind, title in (("equality", "Equalities"), ("inequality", "Inequalities")):
+        shown = [c["display"] for c in rows if c["kind"] == kind]
+        yield f"{title} ({len(shown)}):"
+        yield from shown
+
+
+def cmd_check(args):
     import warnings
     from collections import Counter
 
@@ -120,7 +125,7 @@ def cmd_check(args) -> int:
             print(f"error: {failure}", file=sys.stderr)
             load_failed = True
     if not observations:
-        return 2
+        return 2, None, None
     cells = feasibility.batch_check(
         [(Path(args.model).stem, model)],
         observations,
@@ -128,27 +133,94 @@ def cmd_check(args) -> int:
         independent=args.independent,
         jobs=args.jobs,
     )
-    if args.format == "json":
-        print(feasibility.verdict_table_json(cells))
-    else:
-        print(feasibility.verdict_table_text(cells))
     if load_failed or any(c.error for c in cells):
-        return 2
-    if any(not c.verdict.feasible for c in cells):
-        return 1
-    return 0
+        code = 2
+    else:
+        code = 1 if any(not c.verdict.feasible for c in cells) else 0
+    return code, [_verdict_row(c) for c in cells], _check_text
 
 
-def cmd_explore(args) -> int:
+def _verdict_row(cell) -> dict:
+    row: dict = {"model": cell.model_name, "run": cell.run_id}
+    if cell.error is not None:
+        row["error"] = cell.error
+        return row
+    verdict = cell.verdict
+    row["feasible"] = verdict.feasible
+    if verdict.witness_point is not None:
+        row["witness_point"] = [float(x) for x in verdict.witness_point]
+    if verdict.witness_flow is not None:
+        row["witness_flow"] = {str(i): float(f) for i, f in enumerate(verdict.witness_flow)
+                               if f != 0}
+    row["violated_constraints"] = [c.display(cell.namespace)
+                                   for c in verdict.violated_constraints]
+    return row
+
+
+def _check_text(rows):
+    for row in rows:
+        head = f"{row['model']} x {row['run']}: "
+        if "error" in row:
+            yield f"{head}error: {row['error']}"
+        elif row["feasible"]:
+            yield f"{head}feasible"
+        else:
+            yield f"{head}INFEASIBLE"
+            yield from (f"    violated: {c}" for c in row["violated_constraints"])
+
+
+def cmd_explore(args):
     from . import exploration
 
     catalog = exploration.load_catalog(args.catalog)
-    expansion = exploration.expansion_results(catalog)
-    if args.format == "json":
-        print(exploration.report_json(catalog, expansion))
-    else:
-        print(exploration.render_search_report(catalog, expansion), end="")
-    return 0
+    feasible, infeasible = exploration.classify(catalog)
+    return 0, {
+        "dataset_id": catalog.dataset_id,
+        "entries": [
+            {"name": e.name,
+             "features": sorted(e.features),
+             "infeasible_count": e.infeasible_count,
+             "parent": {"name": e.parent[0], "kind": e.parent[1]} if e.parent else None}
+            for e in catalog.entries.values()
+        ],
+        "feasible": sorted(feasible),
+        "infeasible": sorted(infeasible),
+        "minimal_feasible": sorted(exploration.minimal_feasible(catalog, feasible)),
+        "required_features": (sorted(exploration.required_features(catalog, feasible))
+                              if feasible else None),
+        "expansion": exploration.expansion_results(catalog),
+    }, lambda report: _explore_text(report, catalog.feature_order)
+
+
+def _explore_text(report, feature_order):
+    """An aligned table of entries, features and counts, inclusion-minimal
+    feasible entries starred, then the sets, the relaxation edges and a
+    hint: pruning an infeasible model rarely yields a feasible one."""
+    features = list(feature_order)
+    for e in report["entries"]:
+        features += [f for f in e["features"] if f not in features]
+    rows = [["model", *features, "#infeasible", "edge"]]
+    for e in report["entries"]:
+        parent = e["parent"]
+        mark = "* " if e["name"] in report["minimal_feasible"] else ""
+        rows.append([mark + e["name"],
+                     *("yes" if f in e["features"] else "." for f in features),
+                     str(e["infeasible_count"]),
+                     f"{parent['kind']} of {parent['name']}" if parent else ""])
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    for row in rows:
+        yield "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+    yield ""
+    for key in ("feasible", "infeasible"):
+        yield f"{key}: {', '.join(report[key]) or '(none)'}"
+    if report["required_features"] is not None:
+        yield f"required features: {', '.join(report['required_features']) or '(none)'}"
+    for edge in report["expansion"]:
+        status = "expands" if edge["expanded"] else "DOES NOT EXPAND"
+        yield f"relaxation {edge['parent']} -> {edge['child']}: {status}"
+    if report["infeasible"]:
+        yield ("hint: pruning an infeasible model rarely yields a feasible one; "
+               "those subtrees are usually safe to skip")
 
 
 def _numbers(flag, text) -> list[float]:
@@ -169,7 +241,7 @@ def _count(flag, values, n) -> None:
         raise MuddError(f"{flag} needs {needs}, got {len(values)}")
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args):
     from . import stats
 
     try:
@@ -192,11 +264,8 @@ def cmd_synth(args) -> int:
     )
     _count("--flows", flows, len(spec.paths))
     obs = synth.generate(spec, run_id=Path(args.model).stem)
-    if args.output:
-        stats.write_observations(obs, args.output)
-    else:
-        stats.write_observations(obs, sys.stdout)
-    return 0
+    stats.write_observations(obs, args.output or sys.stdout)
+    return 0, None, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,7 +329,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _settle(args)
-        return args.func(args)
+        code, result, render = args.func(args)
+        if result is not None:  # the one reader of --format
+            if args.format == "json":
+                import json
+
+                print(json.dumps(result, indent=2))
+            else:
+                print("\n".join(render(result)))
+        return code
     except dsl.DslParseError as exc:
         print(str(exc), file=sys.stderr)
         return 2

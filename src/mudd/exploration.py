@@ -2,9 +2,9 @@
 
 The search itself stays with the expert: this module records feature-tagged
 model entries with their infeasible-observation counts, classifies them,
-intersects the feature sets of the feasible ones, validates that recorded
-discovery (relaxation) edges actually enlarge the model cone, and renders
-the whole thing as a table. It never generates feature variants.
+intersects the feature sets of the feasible ones, and validates that
+recorded discovery (relaxation) edges actually enlarge the model cone;
+`mudd explore` reports it all. It never generates feature variants.
 """
 from __future__ import annotations
 
@@ -195,9 +195,9 @@ def classify(catalog: ModelCatalog) -> tuple[frozenset[str], frozenset[str]]:
     return feasible, infeasible
 
 
-def required_features(catalog: ModelCatalog) -> frozenset[str]:
-    """Features present in every feasible entry; the ones the explored space forces."""
-    feasible, _ = classify(catalog)
+def required_features(catalog: ModelCatalog, feasible: frozenset[str]) -> frozenset[str]:
+    """Features present in every feasible entry, named as `classify` names
+    them; the ones the explored space forces."""
     if not feasible:
         raise MuddError("no feasible entries in the catalog")
     names = iter(sorted(feasible))
@@ -207,9 +207,9 @@ def required_features(catalog: ModelCatalog) -> frozenset[str]:
     return frozenset(out)
 
 
-def minimal_feasible(catalog: ModelCatalog) -> frozenset[str]:
-    """Feasible entries whose feature set is inclusion-minimal among feasible ones."""
-    feasible, _ = classify(catalog)
+def minimal_feasible(catalog: ModelCatalog, feasible: frozenset[str]) -> frozenset[str]:
+    """Feasible entries, named as `classify` names them, whose feature set is
+    inclusion-minimal among feasible ones."""
     out = set()
     for name in feasible:
         mine = catalog.entries[name].features
@@ -248,72 +248,3 @@ def expansion_results(catalog: ModelCatalog) -> list[dict]:
         }
         for parent, child in _relaxations(catalog)
     ]
-
-
-def render_search_report(catalog: ModelCatalog, expansion: list[dict] | None = None) -> str:
-    """Aligned text table of entries, features and counts.
-
-    Inclusion-minimal feasible entries are starred. A hint notes the
-    elimination-phase heuristic: pruning an infeasible model rarely yields a
-    feasible one, so those subtrees are usually not worth exploring.
-    """
-    features = list(catalog.feature_order)
-    for entry in catalog.entries.values():
-        for f in sorted(entry.features):
-            if f not in features:
-                features.append(f)
-    starred = minimal_feasible(catalog)
-
-    header = ["model"] + features + ["#infeasible", "edge"]
-    rows = [header]
-    for entry in catalog.entries.values():
-        mark = "* " if entry.name in starred else ""
-        edge = f"{entry.parent[1]} of {entry.parent[0]}" if entry.parent else ""
-        rows.append(
-            [mark + entry.name]
-            + [("yes" if f in entry.features else ".") for f in features]
-            + [str(entry.infeasible_count), edge]
-        )
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-             for row in rows]
-
-    feasible, infeasible = classify(catalog)
-    lines.append("")
-    lines.append(f"feasible: {', '.join(sorted(feasible)) or '(none)'}")
-    lines.append(f"infeasible: {', '.join(sorted(infeasible)) or '(none)'}")
-    if feasible:
-        req = required_features(catalog)
-        lines.append(f"required features: {', '.join(sorted(req)) or '(none)'}")
-    if expansion:
-        for item in expansion:
-            status = "expands" if item["expanded"] else "DOES NOT EXPAND"
-            lines.append(f"relaxation {item['parent']} -> {item['child']}: {status}")
-    if infeasible:
-        lines.append(
-            "hint: pruning an infeasible model rarely yields a feasible one; "
-            "those subtrees are usually safe to skip"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def report_json(catalog: ModelCatalog, expansion: list[dict] | None = None) -> str:
-    feasible, infeasible = classify(catalog)
-    out = {
-        "dataset_id": catalog.dataset_id,
-        "entries": [
-            {
-                "name": e.name,
-                "features": sorted(e.features),
-                "infeasible_count": e.infeasible_count,
-                "parent": {"name": e.parent[0], "kind": e.parent[1]} if e.parent else None,
-            }
-            for e in catalog.entries.values()
-        ],
-        "feasible": sorted(feasible),
-        "infeasible": sorted(infeasible),
-        "minimal_feasible": sorted(minimal_feasible(catalog)),
-        "required_features": sorted(required_features(catalog)) if feasible else None,
-        "expansion": expansion or [],
-    }
-    return json.dumps(out, indent=2)

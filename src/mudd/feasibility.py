@@ -67,19 +67,6 @@ class FeasibilityVerdict(Record):
         self._set(feasible=feasible, witness_flow=witness_flow,
                   witness_point=witness_point, violated_constraints=violated_constraints)
 
-    def to_json(self, namespace: CounterNamespace) -> dict:
-        out: dict = {"feasible": self.feasible}
-        if self.witness_point is not None:
-            out["witness_point"] = [float(x) for x in self.witness_point]
-        if self.witness_flow is not None:
-            out["witness_flow"] = {
-                str(i): float(f) for i, f in enumerate(self.witness_flow) if f != 0
-            }
-        out["violated_constraints"] = [
-            c.display(namespace) for c in self.violated_constraints
-        ]
-        return out
-
 
 class _Signatures(Record):
     """Validated signatures: the number of paths, the distinct signatures,
@@ -387,32 +374,3 @@ def batch_check(
     else:
         cells.extend(_check_cell(t) for t in work)
     return tuple(sorted(cells, key=lambda c: (c.model_name, c.run_id)))
-
-
-def verdict_table_json(cells: Sequence[BatchCell]) -> str:
-    import json
-
-    rows = []
-    for cell in cells:
-        row: dict = {"model": cell.model_name, "run": cell.run_id}
-        if cell.error is not None:
-            row["error"] = cell.error
-        else:
-            row.update(cell.verdict.to_json(cell.namespace))
-        rows.append(row)
-    return json.dumps(rows, indent=2)
-
-
-def verdict_table_text(cells: Sequence[BatchCell]) -> str:
-    lines = []
-    for cell in cells:
-        if cell.error is not None:
-            lines.append(f"{cell.model_name} x {cell.run_id}: error: {cell.error}")
-            continue
-        if cell.verdict.feasible:
-            lines.append(f"{cell.model_name} x {cell.run_id}: feasible")
-        else:
-            lines.append(f"{cell.model_name} x {cell.run_id}: INFEASIBLE")
-            for c in cell.verdict.violated_constraints:
-                lines.append(f"    violated: {c.display(cell.namespace)}")
-    return "\n".join(lines)

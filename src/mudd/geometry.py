@@ -120,23 +120,6 @@ class ConstraintSet(Record):
     def satisfied_by(self, point: Sequence) -> bool:
         return all(c.satisfied_by(point) for c in self)
 
-    def to_json(self) -> list[dict]:
-        out = []
-        for c in self:
-            out.append(
-                {
-                    "kind": c.kind,
-                    "coefficients": {
-                        self.namespace.names[i]: coeff
-                        for i, coeff in enumerate(c.coefficients)
-                        if coeff != 0
-                    },
-                    "display": c.display(self.namespace),
-                    "provenance": c.provenance,
-                }
-            )
-        return out
-
 
 def normalize_signatures(sigs: Iterable) -> tuple[Vector, ...]:
     """Primitive, deduplicated, lexicographically sorted generators.

@@ -222,11 +222,9 @@ class MuPath(Record):
                  counts: tuple[int, ...]):
         self._set(property_assignment=property_assignment, counts=counts)
 
-    def describe(self) -> str:
-        return _describe(self.property_assignment)
 
-
-def _describe(property_assignment) -> str:
+def describe_decisions(property_assignment) -> str:
+    """(property, value) pairs as `P=v, Q=w`, the way every output spells a path."""
     if not property_assignment:
         return "(no decisions)"
     return ", ".join(f"{p}={v}" for p, v in property_assignment)
@@ -268,7 +266,7 @@ def enumerate_mupaths(model: MuDD) -> tuple[MuPath, ...]:
                                       for n in (src, dst))
                 raise MuddError(
                     f"order {src_name} -> {dst_name} contradicts causality "
-                    f"on path {_describe(properties)}"
+                    f"on path {describe_decisions(properties)}"
                 )
         paths.append(MuPath(properties, tuple(counts)))
 

@@ -348,6 +348,6 @@ def test_catalog_search_report(capsys):
     catalog = load_catalog(bundled_path("catalog", "search_catalog.json"))
     feasible, _ = classify(catalog)
     assert feasible == {"m4", "m8"}
-    req = required_features(catalog)
+    req = required_features(catalog, feasible)
     assert req == set(catalog.feature_order) - {"Pml4e"}
     _report("catalog search report matches the fixture")

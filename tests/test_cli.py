@@ -351,6 +351,22 @@ class TestCheck:
              "witness_flow": {"0": 1.5}, "violated_constraints": []},
         ]
 
+    def test_model_whose_paths_are_refused_is_an_error_row_per_run(self, capsys, tmp_path):
+        # the model parses, but `mudd paths` refuses it: each run gets the reason
+        model = tmp_path / "bad.mudd"
+        model.write_text("order b -> a;\na: action first;\n"
+                         "switch (p) { case u: b: counter x; }\n")
+        for run_id in ("r1", "r2"):
+            (tmp_path / f"{run_id}.csv").write_text("x\n1\n2\n3\n")
+        argv = ["check", str(model), str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")]
+        reason = "order b -> a contradicts causality on path p=u"
+        assert run(capsys, *argv) == (
+            2, f"bad x r1: error: {reason}\nbad x r2: error: {reason}\n", "")
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (2, "")
+        assert json.loads(out) == [{"model": "bad", "run": r, "error": reason}
+                                   for r in ("r1", "r2")]
+
     def test_unmodeled_columns_warn_in_one_line(self, walk_model, exact_csv, tmp_path):
         with open(exact_csv, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -497,6 +513,10 @@ class TestSynth:
         code, _, err = run(capsys, "synth", walk_model, "--flows", "1,2,3",
                            "--samples", "3")
         assert code == 2
+
+    def test_one_sample_exits_2(self, capsys, walk_model):
+        assert run(capsys, "synth", walk_model, "--flows", "1", "--samples", "1") == (
+            2, "", "error: need at least 2 samples\n")
 
     def test_synth_enumerates_the_model_once(self, capsys, monkeypatch, bundled):
         # every module binding of `enumerate_mupaths` is counted
@@ -730,6 +750,10 @@ class TestConfig:
     def test_bad_alpha_exits_2(self, capsys, walk_model, exact_csv):
         code, _, err = run(capsys, "check", walk_model, exact_csv, "--alpha", "1.5")
         assert code == 2
+
+    def test_zero_jobs_exits_2(self, capsys, walk_model, exact_csv):
+        assert run(capsys, "check", walk_model, exact_csv, "--jobs", "0") == (
+            2, "", "error: jobs must be at least 1\n")
 
     def test_alpha_too_small_for_its_level_exits_2(self, capsys, walk_model, exact_csv):
         # 1 - 1e-17 is 1.0 in floating point: one error, not one per cell

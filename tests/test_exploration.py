@@ -15,8 +15,6 @@ from mudd.exploration import (
     expansion_results,
     load_catalog,
     minimal_feasible,
-    render_search_report,
-    report_json,
     required_features,
 )
 from mudd.geometry import cone_membership, normalize_signatures
@@ -66,24 +64,24 @@ class TestRequiredFeatures:
             entry("b", ["x", "z"], 0),
             entry("c", ["y", "q"], 4),
         )
-        assert required_features(cat) == {"x", "z"}
+        assert required_features(cat, classify(cat)[0]) == {"x", "z"}
 
     def test_single_feasible_keeps_everything(self):
         cat = catalog(entry("a", ["x", "y"], 0), entry("b", ["x"], 2))
-        assert required_features(cat) == {"x", "y"}
+        assert required_features(cat, classify(cat)[0]) == {"x", "y"}
 
     def test_disjoint_features_empty(self):
         cat = catalog(entry("a", ["x"], 0), entry("b", ["y"], 0))
-        assert required_features(cat) == frozenset()
+        assert required_features(cat, classify(cat)[0]) == frozenset()
 
     def test_no_feasible_model(self):
         with pytest.raises(MuddError, match="^no feasible entries in the catalog$"):
-            required_features(catalog(entry("a", ["x"], 1)))
+            required_features(catalog(entry("a", ["x"], 1)), frozenset())
 
     def test_antitone_under_new_feasible_entries(self):
         base = [entry("a", ["x", "y"], 0)]
-        before = required_features(catalog(*base))
-        after = required_features(catalog(*base, entry("b", ["x"], 0)))
+        before = required_features(catalog(*base), frozenset({"a"}))
+        after = required_features(catalog(*base, entry("b", ["x"], 0)), frozenset({"a", "b"}))
         assert after <= before
 
 
@@ -94,7 +92,7 @@ class TestMinimalFeasible:
             entry("small", ["x", "y"], 0),
             entry("other", ["q"], 0),
         )
-        assert minimal_feasible(cat) == {"small", "other"}
+        assert minimal_feasible(cat, classify(cat)[0]) == {"small", "other"}
 
 
 class TestConeExpansion:
@@ -218,8 +216,8 @@ class TestSharedGenerators:
             "shrink": ModelEntry("shrink", frozenset(), 0, model=shrink,
                                  parent=("root", "relaxation")),
         })
-        text = render_search_report(cat, expansion_results(cat))
-        assert "relaxation root -> shrink: DOES NOT EXPAND" in text
+        assert expansion_results(cat) == [
+            {"parent": "root", "child": "shrink", "expanded": False}]
         assert len(lp_calls) == 1
 
     def test_matches_membership_of_every_parent_generator(self):
@@ -386,26 +384,82 @@ def test_malformed_catalog_names_file_entry_and_key(tmp_path, capsys, blob, mess
     assert capsys.readouterr() == ("", f"error: catalog {path}: {message}\n")
 
 
+def _explore(tmp_path, capsys, blob, *flags):
+    """The exit code and stdout of `mudd explore` on the catalog `blob`."""
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(blob))
+    code = main(["explore", str(path), *flags])
+    return code, capsys.readouterr().out
+
+
 class TestReport:
-    def test_bundled_report(self, bundled):
-        cat = load_catalog(bundled("catalog", "search_catalog.json"))
-        expansion = expansion_results(cat)
-        text = render_search_report(cat, expansion)
+    def test_bundled_report(self, bundled, capsys):
+        path = bundled("catalog", "search_catalog.json")
+        assert main(["explore", str(path)]) == 0
+        text = capsys.readouterr().out
         assert "feasible: m4, m8" in text
         assert "required features: EarlyPsc, Merging, TlbPf, WalkBypass" in text
         assert "* m8" in text
-        assert all(item["expanded"] for item in expansion)
+        assert all(item["expanded"] for item in expansion_results(load_catalog(path)))
 
-    def test_empty_catalog_report(self):
-        text = render_search_report(catalog(features=["F"]))
-        assert "feasible: (none)" in text
+    def test_empty_catalog_report(self, tmp_path, capsys):
+        code, text = _explore(tmp_path, capsys, {"features": ["F"], "entries": []})
+        assert code == 0
+        assert text == "model  F  #infeasible  edge\n\nfeasible: (none)\ninfeasible: (none)\n"
+        code, out = _explore(tmp_path, capsys, {"entries": []}, "--format", "json")
+        assert json.loads(out)["required_features"] is None
 
-    def test_single_entry(self):
-        text = render_search_report(catalog(entry("solo", ["F"], 0), features=["F"]))
-        assert "solo" in text
+    def test_single_entry(self, tmp_path, capsys):
+        blob = {"features": ["F"],
+                "entries": [{"name": "solo", "features": ["F"], "infeasible_count": 0}]}
+        code, text = _explore(tmp_path, capsys, blob)
+        assert code == 0
+        assert "* solo  yes  0" in text
 
-    def test_json_report(self, bundled):
-        cat = load_catalog(bundled("catalog", "search_catalog.json"))
-        blob = json.loads(report_json(cat, expansion_results(cat)))
+    def test_json_report(self, bundled, capsys):
+        assert main(["explore", str(bundled("catalog", "search_catalog.json")),
+                     "--format", "json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
         assert blob["feasible"] == ["m4", "m8"]
         assert blob["required_features"] == ["EarlyPsc", "Merging", "TlbPf", "WalkBypass"]
+
+    def test_unlisted_feature_is_an_extra_column(self, tmp_path, capsys):
+        # `Z` is missing from `features`: it gets a column after the listed
+        # ones; and a relaxation that loses a path does not expand
+        (tmp_path / "root.mudd").write_text(
+            "switch (P) { case a: counter x; case b: counter y; }")
+        (tmp_path / "shrink.mudd").write_text("counter x;")
+        blob = {"namespace": ["x", "y"], "features": ["F"], "entries": [
+            {"name": "root", "features": ["F"], "model": "root.mudd",
+             "infeasible_count": 3},
+            {"name": "shrink", "features": ["Z", "F"], "model": "shrink.mudd",
+             "infeasible_count": 0, "parent": {"name": "root", "kind": "relaxation"}},
+        ]}
+        code, text = _explore(tmp_path, capsys, blob)
+        assert code == 0
+        assert text == (
+            "model     F    Z    #infeasible  edge\n"
+            "root      yes  .    3\n"
+            "* shrink  yes  yes  0            relaxation of root\n"
+            "\n"
+            "feasible: shrink\n"
+            "infeasible: root\n"
+            "required features: F, Z\n"
+            "relaxation root -> shrink: DOES NOT EXPAND\n"
+            "hint: pruning an infeasible model rarely yields a feasible one; "
+            "those subtrees are usually safe to skip\n"
+        )
+
+    def test_explore_classifies_once(self, bundled, monkeypatch, capsys):
+        from mudd import exploration
+
+        calls = []
+        real = exploration.classify
+        monkeypatch.setattr(exploration, "classify",
+                            lambda catalog: calls.append(catalog) or real(catalog))
+        for output_format in ("text", "json"):
+            calls.clear()
+            assert main(["explore", str(bundled("catalog", "search_catalog.json")),
+                         "--format", output_format]) == 0
+            assert len(calls) == 1, output_format
+        capsys.readouterr()

@@ -14,8 +14,6 @@ from mudd.feasibility import (
     batch_check,
     check_feasibility,
     refinement_candidates,
-    verdict_table_json,
-    verdict_table_text,
 )
 from mudd.geometry import (
     Constraint,
@@ -754,16 +752,23 @@ class TestBatch:
             asked = jobs != 1 and cells // k >= 2
             assert counted == ([cpus] if asked else []), case
 
-    def test_renderings(self, bundled):
-        model = dsl.parse_file(bundled("walk_init_first.mudd"))
-        good = generate(SynthSpec(model=model, flows=(1.0, 1.0), samples=5, seed=1), run_id="ok")
-        cells = batch_check([("m", model)], [good])
-        text = verdict_table_text(cells)
-        assert "m x ok: feasible" in text
+    def test_renderings(self, bundled, tmp_path, capsys):
+        # `mudd check` prints a verdict row per cell, as text or JSON
         import json
 
-        rows = json.loads(verdict_table_json(cells))
-        assert rows[0]["feasible"] is True
+        from mudd.cli import main
+        from mudd.stats import write_observations
+
+        model = dsl.parse_file(bundled("walk_init_first.mudd"))
+        good = generate(SynthSpec(model=model, flows=(1.0, 1.0), samples=5, seed=1), run_id="ok")
+        write_observations(good, tmp_path / "ok.csv")
+        argv = ["check", str(bundled("walk_init_first.mudd")), str(tmp_path / "ok.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "walk_init_first x ok: feasible\n"
+        assert main(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [(r["model"], r["run"], r["feasible"]) for r in rows] == [
+            ("walk_init_first", "ok", True)]
 
     def test_search_table_style_counts(self, bundled):
         # observations generated from the richer model: the baseline rejects

@@ -347,9 +347,19 @@ class TestDisplay:
         c = Constraint(kind="equality", coefficients=(1, -1, -1))
         assert c.display(ns) == "total = a + b"
 
-    def test_json_round_trip_shape(self):
-        ns = CounterNamespace(["x", "y"])
-        cs = constraints_from_signatures([(1, 0), (1, 1)], ns)
-        blob = cs.to_json()
-        assert all({"kind", "coefficients", "display"} <= set(item) for item in blob)
-        assert any(item["display"] == "y ≤ x" for item in blob)
+    def test_json_round_trip_shape(self, tmp_path, capsys):
+        # `mudd constraints --format json`: signatures (1, 0) and (1, 1)
+        import json
+
+        from mudd.cli import main
+
+        model = tmp_path / "m.mudd"
+        model.write_text("counter x; switch (P) { case a: case b: counter y; }")
+        assert main(["constraints", str(model), "--format", "json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert blob == [
+            {"kind": "inequality", "coefficients": {"y": 1}, "display": "0 ≤ y",
+             "provenance": "conic-hull"},
+            {"kind": "inequality", "coefficients": {"x": 1, "y": -1}, "display": "y ≤ x",
+             "provenance": "conic-hull"},
+        ]

@@ -16,6 +16,12 @@ regenerated from the repository root with
         python -m mudd constraints $D/catalog/m$i.mudd --format json > $G/catalog_m$i.json
     done
     python -m mudd explore $D/catalog/search_catalog.json --format json > $G/explore.json
+    python -m mudd explore $D/catalog/search_catalog.json > $G/explore.txt
+
+`mudd constraints` is snapshotted in text too, for the same models (MODELS
+below), each as
+
+    python -m mudd constraints <model> [--namespace ...] > $G/constraints_<name>.txt
 
 `mudd paths` is snapshotted in text and JSON for the same models (MODELS
 below), each as
@@ -48,7 +54,8 @@ and each check snapshot is regenerated with
 using the model, CSVs and flags of its CHECKS row. `haswell_mmu.mudd` takes
 `--namespace $D/haswell_counters.txt` in both commands. Regenerate only when
 a behaviour change is intended. Every file under tests/data/golden/ and
-tests/data/csv/ belongs to a row here, or is diagnostics.txt or explore.json.
+tests/data/csv/ belongs to a row here, or is diagnostics.txt or explore.json
+or explore.txt.
 
 This module needs only pytest: CI's `stdlib-only` job runs it, without
 numpy, scipy or hypothesis, on every Python version of its matrix, and
@@ -125,8 +132,9 @@ def _namespace_args(model):
 
 def test_every_data_file_is_read_here():
     # a snapshot or CSV that no row names would outlive its one definition
-    golden = {"diagnostics.txt", "explore.json"}
+    golden = {"diagnostics.txt", "explore.json", "explore.txt"}
     golden |= {f"{name}.json" for name, _, _ in MODELS}
+    golden |= {f"constraints_{name}.txt" for name, _, _ in MODELS}
     golden |= {f"paths_{name}{suffix}" for name, _, _ in MODELS for suffix in (".txt", ".json")}
     golden |= {f"check_{name}.txt" for name, *_ in CHECKS}
     csvs = {f"{name}.csv" for name in SYNTH} | {f"{c}.csv" for _, _, cs, _ in CHECKS for c in cs}
@@ -181,9 +189,22 @@ def test_constraints_match_snapshot(capsys, monkeypatch, name, model, namespace)
     _assert_snapshot(capsys, argv, name)
 
 
+@pytest.mark.parametrize("name,model,namespace", MODELS, ids=[c[0] for c in MODELS])
+def test_constraints_text_matches_snapshot(capsys, name, model, namespace):
+    argv = ["constraints", str(bundled_path(*model))]
+    if namespace is not None:
+        argv += ["--namespace", str(bundled_path(namespace))]
+    _assert_snapshot(capsys, argv, f"constraints_{name}", ".txt")
+
+
 def test_explore_matches_snapshot(capsys):
     catalog = bundled_path("catalog", "search_catalog.json")
     _assert_snapshot(capsys, ["explore", str(catalog), "--format", "json"], "explore")
+
+
+def test_explore_text_matches_snapshot(capsys):
+    catalog = bundled_path("catalog", "search_catalog.json")
+    _assert_snapshot(capsys, ["explore", str(catalog)], "explore", ".txt")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -12,6 +12,7 @@ from mudd.model import (
     CounterNamespace,
     MuDD,
     Node,
+    describe_decisions,
     enumerate_mupaths,
     signatures_of_model,
 )
@@ -284,7 +285,8 @@ class TestHappensBefore:
         z: action last;
         """
         model = dsl.parse(src)
-        assert [(p.describe(), p.counts) for p in enumerate_mupaths(model)] == [
+        assert [(describe_decisions(p.property_assignment), p.counts)
+                for p in enumerate_mupaths(model)] == [
             ("S=a", (0,)), ("S=b", (1,))]
 
     def test_signatures_insensitive_to_happens_before(self):
