@@ -253,7 +253,7 @@ def cmd_synth(args):
 
     model = dsl.parse_file(args.model, args.namespace)
     flows = _numbers("--flows", args.flows)
-    noise = _numbers("--noise", "0" if args.noise is None else args.noise)
+    noise = _numbers("--noise", args.noise)
     _count("--noise", noise, len(model.namespace))
     spec = synth.SynthSpec(
         model=model,
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flows", required=True,
                    help="comma-separated per-path flows, or one value for all paths")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--noise", default=None,
+    p.add_argument("--noise", default="0",
                    help="gaussian sigma, scalar or comma-separated per counter")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", help="write CSV here instead of stdout")
@@ -373,7 +373,3 @@ def entry() -> None:
         traceback.print_exc()
         code = 2
     raise SystemExit(code)
-
-
-if __name__ == "__main__":
-    entry()

@@ -100,16 +100,14 @@ class Constraint(Record):
 class ConstraintSet(Record):
     """Deduced constraints. `pivot_columns` are coordinates that fix a point
     on the equalities: deduction gives the pivots of `find_equalities`, and
-    a hand-built set defaults to every coordinate. They take no part in
-    `==`."""
+    every coordinate, `tuple(range(len(namespace)))`, is always such a set.
+    They take no part in `==`."""
 
     _fields = ("equalities", "inequalities", "namespace")
 
     def __init__(self, equalities: tuple[Constraint, ...],
                  inequalities: tuple[Constraint, ...], namespace: CounterNamespace,
-                 pivot_columns: tuple[int, ...] | None = None):
-        if pivot_columns is None:
-            pivot_columns = tuple(range(len(namespace)))
+                 pivot_columns: tuple[int, ...]):
         self._set(equalities=equalities, inequalities=inequalities, namespace=namespace,
                   pivot_columns=pivot_columns)
 
@@ -177,8 +175,6 @@ def cone_membership(gens: Sequence, point: Sequence) -> bool:
             raise MuddError(
                 f"generator dimension {len(v)} does not match point dimension {len(p)}"
             )
-    if not vectors:
-        return all(x == 0 for x in p)
     A = [[v[i] for v in vectors] for i in range(len(p))]
     return linprog.solve_equality_form(A, p, len(vectors)) is not None
 

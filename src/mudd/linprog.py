@@ -49,10 +49,11 @@ def _phase_one(
     """The final phase-one tableau, cost row last, and the basic column of
     each constraint row.
 
-    unit_columns[i], where given, names a column that may start as the
-    basic variable of row i (a unit column such as its slack); a row whose
-    column is not a unit column with a positive entry there gets an
-    artificial variable."""
+    unit_columns[i], where given, names a column that is zero on every
+    other row, such as row i's slack; the caller keeps that contract, and
+    the column starts as row i's basic variable when its entry there is
+    positive. Any other row (one whose rhs sign flip negated the entry)
+    gets an artificial variable."""
     m = len(A)
     if m != len(b):
         raise ValueError("A and b row counts differ")
@@ -68,17 +69,15 @@ def _phase_one(
             row = [-x for x in row]
         rows.append(row)
 
-    # choose initial basis: the given unit columns where valid, else artificials
+    # choose initial basis: the given unit columns where positive, else artificials
     basis: list[int] = [-1] * m
     art_rows: list[int] = []
     for i in range(m):
         col = unit_columns[i] if unit_columns is not None else None
         if col is not None and rows[i][col] > 0:
-            ok = all(rows[k][col] == 0 for k in range(m) if k != i)
-            if ok:
-                basis[i] = col
-                continue
-        art_rows.append(i)
+            basis[i] = col
+        else:
+            art_rows.append(i)
 
     n_art = len(art_rows)
     total = num_vars + n_art

@@ -378,6 +378,7 @@ def mean_and_covariance(obs: ObservationSet) -> tuple[Vector, Matrix]:
     return tuple(mean), tuple(map(tuple, mean_cov))
 
 
+@lru_cache(maxsize=1024, typed=True)
 def chi_square_quantile(dof: int, p: float) -> float:
     """Quantile q with P(chi2_dof <= q) = p, by bisection on the chi-square CDF.
 
@@ -390,18 +391,15 @@ def chi_square_quantile(dof: int, p: float) -> float:
     whose later terms shrink by the ratio y / (a+j+1). The upper terms and
     the first lower term are formed in log space, so a large dof neither
     overflows nor underflows. The bisection stops at a relative width of
-    1e-12.
+    1e-12. Every probe is positive, as `_chi_square_cdf` needs: the first
+    is dof, and each midpoint lies in (0, hi], hi >= 2**-200 after at most
+    200 halvings of hi >= 1.
     """
     if dof < 1:
         raise ValueError("dof must be a positive integer")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    return _chi_square_quantile_cached(int(dof), float(p))
-
-
-@lru_cache(maxsize=1024)
-def _chi_square_quantile_cached(dof: int, p: float) -> float:
-    hi = float(max(dof, 1))
+    hi = float(dof)
     while _chi_square_cdf(dof, hi) < p:
         hi *= 2.0
     lo = 0.0
@@ -418,9 +416,7 @@ def _chi_square_quantile_cached(dof: int, p: float) -> float:
 
 
 def _chi_square_cdf(dof: int, x: float) -> float:
-    """P(chi2_dof <= x), the regularized lower incomplete gamma P(dof/2, x/2)."""
-    if x <= 0.0:
-        return 0.0
+    """P(chi2_dof <= x) for x > 0, the regularized lower incomplete gamma P(dof/2, x/2)."""
     a = dof / 2.0
     y = x / 2.0
     log_y = math.log(y)

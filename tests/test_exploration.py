@@ -37,6 +37,16 @@ def catalog(*entries, features=()):
     )
 
 
+class TestModelEntry:
+    def test_negative_infeasible_count(self):
+        with pytest.raises(MuddError, match="^entry 'a' has a negative infeasible count$"):
+            entry("a", [], -1)
+
+    def test_unknown_edge_kind(self):
+        with pytest.raises(MuddError, match="^entry 'a' has unknown edge kind 'mutation'$"):
+            entry("a", [], 0, parent=("b", "mutation"))
+
+
 class TestClassify:
     def test_partition(self):
         cat = catalog(entry("a", ["f"], 0), entry("b", [], 3), entry("c", ["f"], 0))

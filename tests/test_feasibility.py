@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from mudd import bundled_path, dsl, linprog
 from mudd.errors import MuddError
 from mudd.feasibility import (
     FeasibilityVerdict,
+    _usable_cpus,
     attribute_violations,
     batch_check,
     check_feasibility,
@@ -98,6 +100,10 @@ class TestCheckFeasibility:
                                             "region dimension 2$"):
             check_feasibility([(1, 0, 0)], point_box([1.0, 2.0]))
 
+    def test_negative_signature_is_refused(self):
+        with pytest.raises(ValueError, match="^signatures must be non-negative$"):
+            check_feasibility([(1, 0), (1, -1)], point_box([1.0, 0.0]))
+
     @pytest.mark.parametrize("bad", [(1.5, 1), (-0.5, 1)])
     def test_non_integer_signature_entry_is_refused(self, bad):
         # neither truncated to (1, 1) nor rounded to a non-negative (0, 1)
@@ -184,6 +190,12 @@ class TestAttribution:
         region = box_region([1, 2], np.eye(2), [0.2, 0.2])
         violated = attribute_violations(self.cs(), region)
         assert [c.coefficients for c in violated] == [(1, -1)]
+
+    def test_constraint_of_another_dimension(self):
+        cs = constraints_from_signatures([(1, 0, 0), (1, 1, 0)],
+                                         CounterNamespace(["walks", "misses", "hits"]))
+        with pytest.raises(MuddError, match="^constraint dimension does not match region$"):
+            attribute_violations(cs, point_box([1.0, 2.0]))
 
     def test_degenerate_equality_violation(self):
         ns = CounterNamespace(["a", "b"])
@@ -326,9 +338,8 @@ def assert_witness_on_every_coordinate(sigs, region, cs, verdict):
     the pivot columns of `cs`."""
     f, v = verdict.witness_flow, verdict.witness_point
     assert v == tuple(sum(x * s[i] for x, s in zip(f, sigs)) for i in range(len(v)))
-    assert cs.pivot_columns is not None
-    every_row = ConstraintSet(cs.equalities, cs.inequalities, cs.namespace)
-    assert every_row.pivot_columns == tuple(range(len(cs.namespace)))
+    every_row = ConstraintSet(cs.equalities, cs.inequalities, cs.namespace,
+                              tuple(range(len(cs.namespace))))
     assert check_feasibility(sigs, region, constraints=every_row).witness_point == v
 
 
@@ -531,6 +542,12 @@ class TestRefinement:
             if candidates:
                 assert constraint.coefficients not in deduced
 
+    def test_constraint_of_another_dimension(self, bundled):
+        model = dsl.parse_file(bundled("walk_init_first.mudd"))
+        with pytest.raises(MuddError,
+                           match="^constraint dimension does not match model namespace$"):
+            refinement_candidates(Constraint(kind="inequality", coefficients=(1, -1, 0)), model)
+
     def test_equality_rejected(self, bundled):
         model = dsl.parse_file(bundled("walk_init_first.mudd"))
         with pytest.raises(ValueError):
@@ -540,6 +557,17 @@ class TestRefinement:
 
 
 class TestBatch:
+    def test_usable_cpus_are_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert _usable_cpus() == 3
+
+    @pytest.mark.parametrize("count, usable", [(6, 6), (None, 1)])
+    def test_usable_cpus_without_affinity_are_the_cpu_count(self, monkeypatch, count, usable):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert _usable_cpus() == usable
+
     def test_cross_product_shape_and_order(self, bundled):
         model_a = dsl.parse_file(bundled("walk_init_first.mudd"))
         obs = [

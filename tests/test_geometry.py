@@ -75,6 +75,10 @@ class TestEqualities:
         assert {e.coefficients for e in eqs} == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
         assert reduced == ()
 
+    def test_generator_of_another_length(self):
+        with pytest.raises(MuddError, match="^generator length does not match dimension$"):
+            find_equalities([(1, 0), (1, 0, 0)], 2)
+
     def test_equalities_annihilate_generators(self):
         gens = [(1, 2, 3), (2, 4, 6), (0, 1, 1)]
         eqs, _, _ = find_equalities(gens, 3)
@@ -189,6 +193,14 @@ class TestFacets:
         with pytest.raises(TypeError):
             hull.convex_hull_hyperplanes([(1, 0.5), (0, 1)])
         assert sorted(hull.convex_hull_hyperplanes([(2, 1), (0, 1)])) == [(-1, 2), (1, 0)]
+
+    @pytest.mark.parametrize("gens", [[(1, -1), (0, 1)], [(0, 0), (1, 0)]],
+                             ids=["negative", "zero"])
+    def test_refuses_a_negative_or_zero_generator(self, gens):
+        # the kernel hulls pointed cones; either generator breaks that
+        with pytest.raises(MuddError,
+                           match="^signature generators must be non-negative and nonzero$"):
+            conic_hull_facets(gens)
 
     def test_matches_bruteforce_in_3d(self):
         gens = [(0, 0, 1), (0, 1, 1), (1, 1, 1)]

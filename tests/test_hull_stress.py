@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from mudd import hull
+from mudd.errors import MuddError
 from mudd.geometry import (
     conic_hull_facets,
     find_equalities,
@@ -142,6 +143,14 @@ def test_hull_of_catalog_sized_products(shape, total):
         sides = [sum(a * x for a, x in zip(n, r)) for r in reduced]
         assert min(sides) >= 0, n
         assert rank_of([r for r, s in zip(reduced, sides) if s == 0]) == rdim - 1, n
+
+
+def test_hull_refuses_no_rays_and_rays_that_do_not_span():
+    with pytest.raises(MuddError, match="^no rays$"):
+        hull.convex_hull_hyperplanes([])
+    # a plane's rays in three dimensions: the seed simplex cannot be built
+    with pytest.raises(MuddError, match="^rays do not span the space$"):
+        hull.convex_hull_hyperplanes([(1, 0, 0), (0, 1, 0), (1, 1, 0)])
 
 
 def test_simplex_verdicts_are_certified():

@@ -36,7 +36,7 @@ def pool_and_model_records(model):
     return [
         ObservationSet("run", [[1.0, 2.0], [3.0, 4.0]], ns, clamped=1),
         ns,
-        ConstraintSet((Constraint("equality", (0, 0)),), (facet,), ns),
+        ConstraintSet((Constraint("equality", (0, 0)),), (facet,), ns, tuple(range(len(ns)))),
         facet,
         _Signatures(3, ((1, 0), (1, 1)), (0, 2)),
         BatchCell("m", "run", verdict, namespace=ns),
