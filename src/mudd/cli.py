@@ -15,7 +15,6 @@ import argparse
 import atexit
 import gc
 import os
-import signal
 import sys
 from pathlib import Path
 
@@ -363,6 +362,8 @@ def entry() -> None:
         # the reader of stdout has gone: end silently, killed by SIGPIPE as
         # other tools end. SIGPIPE is ignored until now, so that the writes
         # of a check pool whose workers died fail and are reported.
+        import signal
+
         if hasattr(signal, "SIGPIPE"):
             signal.signal(signal.SIGPIPE, signal.SIG_DFL)
             os.kill(os.getpid(), signal.SIGPIPE)

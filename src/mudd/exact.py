@@ -11,7 +11,6 @@ here rounds.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from collections.abc import MutableSequence, Sequence
@@ -100,8 +99,11 @@ def primitive(v: Sequence) -> tuple[int, ...]:
     """`v`, ints and Fractions, scaled by a positive rational to coprime
     integers (zero stays zero). Any other entry raises TypeError."""
     for x in v:
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"entries must be ints or Fractions, got {x!r}")
+        if not isinstance(x, int):
+            from fractions import Fraction  # imported only for an entry that is no int
+
+            if not isinstance(x, Fraction):
+                raise TypeError(f"entries must be ints or Fractions, got {x!r}")
     denom = lcm(*(x.denominator for x in v))
     ints = [x.numerator * (denom // x.denominator) for x in v]
     g = gcd(*ints)

@@ -21,9 +21,9 @@ test that one box. Each observation takes one decision sequence:
    = v on every coordinate; finding them proves v is in the cone without
    trusting the inequalities: feasible, with v as the witness.
 3. Fallback. Otherwise the box straddles the cone boundary (at a corner no
-   single constraint excludes it) and the exact box LP decides: flows f >= 0
-   whose counter vector S f lies in the box, or its Farkas vector: one
-   inequality that holds on the cone and fails on the whole box, named as
+   single constraint excludes it) and the region's exact box LP decides:
+   flows f >= 0 whose counter vector S f lies in the box, or one inequality
+   that holds on the cone and fails on the whole box, named here as
    weights on the model's facets and equalities (as J. W. Chinneck,
    Feasibility and Infeasibility in Optimization, 2008, names an
    infeasible system by a few of its constraints).
@@ -136,8 +136,9 @@ def check_feasibility(
 
     solution = _centre_witness(lp_sigs, constraints, region)
     if solution is None:
-        solution, reason = _box_lp(lp_sigs, constraints, region)
-        if reason is not None:
+        solution, a = region.box_lp(lp_sigs)
+        if a is not None:
+            reason = _named(exact.primitive(a), constraints)
             return FeasibilityVerdict(feasible=False, violated_constraints=(reason,))
 
     flows = [Fraction(0)] * sigs.paths
@@ -179,28 +180,6 @@ def _centre_witness(
     pivots = constraints.pivot_columns
     columns = [[s[i] for s in lp_sigs] for i in pivots]
     return linprog.solve_equality_form(columns, [point[i] for i in pivots], len(lp_sigs))
-
-
-def _box_lp(
-    lp_sigs: Sequence[tuple[int, ...]], constraints: ConstraintSet, region: ConfidenceRegion
-) -> tuple[list[Fraction], None] | tuple[None, Constraint]:
-    """Flows f >= 0 whose counter vector lies in the box as (flows, None), or
-    (None, the reason there are none).
-
-    The LP has flows f >= 0 and the box's rows n_k.(S f) <= b_k
-    (`ConfidenceRegion.halfspaces`); v = S f >= 0 needs no row, as the
-    signatures are non-negative. Its Farkas vector w, checked by
-    `linprog.feasible_point`, is the reason: with a = sum_k w_k n_k,
-    w.A_ub >= 0 says a.s >= 0 on every signature, so a.v >= 0 holds on the
-    cone, and w.b_ub < 0 says a.v <= w.b_ub < 0 on the whole box.
-    """
-    normals, bounds = region.halfspaces()
-    a_ub = [[exact.dot(n, s) for s in lp_sigs] for n in normals]
-    flows, w = linprog.feasible_point(len(lp_sigs), a_ub, bounds)
-    if w is None:
-        return flows, None
-    a = [exact.dot(w, column) for column in zip(*normals)]
-    return None, _named(exact.primitive(a), constraints)
 
 
 def _named(a: tuple[int, ...], constraints: ConstraintSet) -> Constraint:

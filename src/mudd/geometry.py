@@ -19,9 +19,8 @@ that tests check the deduced constraints against.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
-from . import exact, hull, linprog
+from . import exact, hull
 from .errors import MuddError
 from .model import (
     CounterNamespace,
@@ -67,6 +66,8 @@ class Constraint(Record):
             raise MuddError(
                 f"point has {len(point)} coordinates, constraint has {len(self.coefficients)}"
             )
+        from fractions import Fraction
+
         value = sum((Fraction(p) * c for p, c in zip(point, self.coefficients)), Fraction(0))
         return value == 0 if self.kind == "equality" else value >= 0
 
@@ -168,6 +169,8 @@ def find_equalities(
 
 def cone_membership(gens: Sequence, point: Sequence) -> bool:
     """True iff point is a non-negative combination of the generators (exact LP)."""
+    from . import linprog
+
     vectors = [_as_vector(g) for g in gens]
     p = list(point)
     for v in vectors:

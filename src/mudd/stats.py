@@ -88,7 +88,7 @@ class ConfidenceRegion(Record):
     Times one power of two, `_scale`, the centre, axes and half-lengths are
     the integers `_center`, `_axes` and `_half`, built once here and kept
     outside `_fields`, and no other module reads them: `contains`, `misses`,
-    `halfspaces` and `corrected_centre` decide in them, exactly:
+    `corrected_centre` and `box_lp` decide in them, exactly:
     |e_i.(v - c)| <= h_i iff |E_i.(scale*v - C)| <= scale*H_i. A ragged
     region, a non-finite entry or a negative half-length raises ValueError.
     """
@@ -163,17 +163,6 @@ class ConfidenceRegion(Record):
         peak = max(abs(sum(x * e[j] for j, x in terms)) for e in self._axes)
         return room > 0 and edge * room + self._skew * peak * sum(self._half) < 0
 
-    def halfspaces(self) -> tuple[list[list[int]], list[int]]:
-        """The box times scale**2 as integer rows n_k.v <= b_k, (normals, bounds):
-        per axis, scale*E_i.v <= scale*H_i + E_i.C, then -scale*E_i.v <= scale*H_i - E_i.C."""
-        normals, bounds = [], []
-        for e, h in zip(self._axes, self._half):
-            proj = exact.dot(e, self._center)
-            up = [self._scale * x for x in e]
-            normals += [up, [-x for x in up]]
-            bounds += [self._scale * h + proj, self._scale * h - proj]
-        return normals, bounds
-
     def corrected_centre(self, hyperplanes: Sequence[Sequence[int]]) -> list[Fraction] | None:
         """The centre moved by the least-norm correction onto the hyperplanes
         a.v = 0 and every axis of zero half-length, or None when they share
@@ -197,6 +186,30 @@ class ConfidenceRegion(Record):
                             w[j] += y * x
         point = [Fraction(x, self._scale) for x in w]
         return point if self.contains(point) else None
+
+    def box_lp(
+        self, signatures: Sequence[Sequence[int]]
+    ) -> tuple[list[Fraction], None] | tuple[None, list]:
+        """The exact box LP over flows f >= 0 on non-negative signatures s:
+        (f, None) when S f is in the box, else (None, a = sum_k w_k n_k), w
+        the Farkas vector `linprog.feasible_point` checks on the box's rows
+        times scale**2, n_k.v <= b_k: per axis, scale*E_i.v <= scale*H_i +
+        E_i.C, then -scale*E_i.v <= scale*H_i - E_i.C; v = S f >= 0 needs no
+        row. w.A_ub >= 0 gives a.s >= 0 on every signature, hence on their
+        cone, and w.b_ub < 0 gives a.v <= w.b_ub < 0 on the whole box."""
+        from . import linprog
+
+        normals, bounds = [], []
+        for e, h in zip(self._axes, self._half):
+            proj = exact.dot(e, self._center)
+            up = [self._scale * x for x in e]
+            normals += [up, [-x for x in up]]
+            bounds += [self._scale * h + proj, self._scale * h - proj]
+        a_ub = [[exact.dot(n, s) for s in signatures] for n in normals]
+        flows, w = linprog.feasible_point(len(signatures), a_ub, bounds)
+        if w is None:
+            return flows, None
+        return None, [exact.dot(w, column) for column in zip(*normals)]
 
     @property
     def dimension(self) -> int:

@@ -999,19 +999,23 @@ print("after synth:", loaded())
 
 
 _BASE = ["mudd", "mudd.cli", "mudd.dsl", "mudd.errors", "mudd.model"]
-_GEOMETRY = ["mudd.exact", "mudd.geometry", "mudd.hull", "mudd.linprog"]
+_GEOMETRY = ["mudd.exact", "mudd.geometry", "mudd.hull"]
+# loaded only by what takes an LP or a Fraction, and by a closed stdout
+_LAZY = ("decimal", "fractions", "numbers", "signal")
 
 
-@pytest.mark.parametrize("argv, modules", [
-    (["paths", "haswell_mmu.mudd"], _BASE),
-    (["constraints", "haswell_mmu.mudd"], _BASE + _GEOMETRY),
-    (["explore", "catalog/search_catalog.json"], _BASE + _GEOMETRY + ["mudd.exploration"]),
+@pytest.mark.parametrize("argv, modules, lazy", [
+    (["paths", "haswell_mmu.mudd"], _BASE, []),
+    (["constraints", "haswell_mmu.mudd"], _BASE + _GEOMETRY, []),
+    (["explore", "catalog/search_catalog.json"], _BASE + _GEOMETRY + ["mudd.exploration"], []),
     (["check", "walk_outcome.mudd", "CSV", "--jobs", "1"],
-     _BASE + _GEOMETRY + ["mudd.feasibility", "mudd.stats"]),
+     _BASE + _GEOMETRY + ["mudd.feasibility", "mudd.linprog", "mudd.stats"],
+     ["decimal", "fractions", "numbers"]),
 ], ids=["paths", "constraints", "explore", "check"])
-def test_subcommand_loads_only_the_modules_it_runs(argv, modules):
+def test_subcommand_loads_only_the_modules_it_runs(argv, modules, lazy):
     # `python -m mudd <cmd>` in a fresh interpreter: the mudd modules it
-    # imports, and no `dataclasses` or `inspect` (about 10 ms of start-up)
+    # imports, which of `_LAZY` it imports, and no `dataclasses` or
+    # `inspect` (about 10 ms of start-up)
     csv = Path(__file__).resolve().parent / "data" / "csv" / "outcome.csv"
     argv = [str(csv) if a == "CSV" else a for a in argv]
     argv[1] = str(bundled_path(*argv[1].split("/")))
@@ -1031,6 +1035,7 @@ print(repr((code, loaded)), file=sys.stderr)
     code, loaded = ast.literal_eval(proc.stderr.splitlines()[-1])
     assert code == 0, proc.stderr
     assert [m for m in loaded if m.partition(".")[0] == "mudd"] == sorted(modules)
+    assert [m for m in loaded if m in _LAZY] == lazy
     assert "dataclasses" not in loaded and "inspect" not in loaded
 
 

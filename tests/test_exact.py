@@ -1,3 +1,5 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -130,6 +132,15 @@ class TestPrimitive:
     def test_sign_is_kept_and_zero_stays_zero(self):
         assert exact.primitive([-4, -6]) == (-2, -3)
         assert exact.primitive([0, 0]) == (0, 0)
+
+    def test_bools_and_fractions_are_accepted(self):
+        assert exact.primitive([True, 2]) == (1, 2)
+        assert exact.primitive([Fraction(2, 3), 2]) == (1, 3)
+
+    @pytest.mark.parametrize("x", [1.0, Decimal(1)], ids=["float", "decimal"])
+    def test_other_numbers_are_refused(self, x):
+        with pytest.raises(TypeError, match=re.escape(f"ints or Fractions, got {x!r}")):
+            exact.primitive([1, x])
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.fractions(max_denominator=50), min_size=1, max_size=6))

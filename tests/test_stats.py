@@ -546,13 +546,19 @@ class TestConfidenceRegion:
 
     def test_only_this_module_reads_the_region_integers(self):
         # the region's encoding lives in one module: every other module asks
-        # it through `contains`, `misses`, `halfspaces` and `corrected_centre`
+        # it through `contains`, `misses`, `corrected_centre` and `box_lp`,
+        # and only the region builds the box LP's rows
         src = Path(mudd.__file__).parent
-        names = re.compile(r"\b_(scale|center|axes|half|skew)\b")
         modules = sorted(src.glob("*.py"))
         assert len(modules) > 10
-        readers = [m.name for m in modules if names.search(m.read_text(encoding="utf-8"))]
-        assert readers == ["stats.py"]
+        texts = {m.name: m.read_text(encoding="utf-8") for m in modules}
+
+        def readers(pattern):
+            return [name for name, text in texts.items() if re.search(pattern, text)]
+
+        assert readers(r"\b_(scale|center|axes|half|skew)\b") == ["stats.py"]
+        assert readers(r"\bfeasible_point\b") == ["linprog.py", "stats.py"]
+        assert readers(r"halfspaces|_box_lp") == []
 
     def test_numpy_point_with_a_tolerance(self):
         region = point_box([1.0, 2.0])
