@@ -8,7 +8,7 @@ its visits to each counter: the generators of the model cone downstream.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from .errors import MuddError
 
@@ -235,85 +235,64 @@ def enumerate_mupaths(model: MuDD) -> tuple[MuPath, ...]:
     order, each with its counter signature.
 
     Branches over every value of an unassigned decision property; an already
-    assigned property follows its matching edge. Raises MuddError when the
-    path count exceeds `PATH_CAP`, when an assigned property has no
-    matching edge, and when a path visits the two
-    nodes of a happens-before edge in the other order (or the edge joins a
-    node to itself), naming them by label and the path by its properties.
-    An edge whose two nodes are not both on a path constrains nothing there.
+    assigned property follows its matching edge. A stack of pending branches
+    stands in for recursion, so a chain of any length enumerates, and a path's
+    state is copied only where paths split. Raises MuddError, in path order,
+    when the path count exceeds `PATH_CAP`, when an assigned property has no
+    matching edge, and when a path visits the two nodes of a happens-before
+    edge in the other order (or the edge joins a node to itself), naming them
+    by label and the path by its properties. An edge whose two nodes are not
+    both on a path constrains nothing there.
     """
     out = model.out_edges
     ns = model.namespace
     slot = {n.node_id: ns.index[n.name] for n in model.nodes if n.kind == "counter"}
     paths: list[MuPath] = []
-    trail: list[int] = []  # node ids
-    assignment: dict[str, str] = {}
-    assign_order: list[str] = []
-
-    def emit() -> None:
-        if len(paths) >= PATH_CAP:
-            raise MuddError(f"more than {PATH_CAP} paths, the fixed limit; "
-                            "simplify the model")
-        counts = [0] * len(ns)
-        for node_id in trail:
-            if node_id in slot:
-                counts[slot[node_id]] += 1
-        properties = tuple((p, assignment[p]) for p in assign_order)
-        index_of = {node_id: i for i, node_id in enumerate(trail)}
-        for src, dst in model.happens_before:
-            if src in index_of and dst in index_of and index_of[src] >= index_of[dst]:
-                src_name, dst_name = (model.node(n).label or f"node {n}"
-                                      for n in (src, dst))
-                raise MuddError(
-                    f"order {src_name} -> {dst_name} contradicts causality "
-                    f"on path {describe_decisions(properties)}"
-                )
-        paths.append(MuPath(properties, tuple(counts)))
-
-    # depth-first without recursion, so a long chain cannot overflow the
-    # stack: `branches` holds, per unassigned decision on the current path,
-    # its remaining out-edges, the trail length at it and its property
-    branches: list[tuple[Iterator[CausalityEdge], int, str]] = []
-
-    def descend(node_id: int) -> None:
-        """Follow the path from `node_id` to a done node or a new branch."""
-        while True:
-            node = model.node(node_id)
+    # paths still to walk: (node to resume at, node ids before it, assignment)
+    pending: list[tuple[int, list[int], dict[str, str]]] = [(model.entry, [], {})]
+    while pending:
+        node_id, trail, assignment = pending.pop()
+        node = model.node(node_id)
+        while node.kind != "done":
             trail.append(node_id)
-            if node.kind == "done":
-                emit()
-                return
+            edges = out[node_id]
             if node.kind != "decision":
-                node_id = out[node_id][0].dst
+                node_id = edges[0].dst
             elif node.name not in assignment:
-                branches.append((iter(out[node_id]), len(trail), node.name))
-                return
+                for e in reversed(edges[1:]):
+                    pending.append((e.dst, trail.copy(), {**assignment, node.name: e.value}))
+                assignment[node.name] = edges[0].value
+                node_id = edges[0].dst
             else:
                 value = assignment[node.name]
-                for e in out[node_id]:
+                for e in edges:
                     if e.value == value:
                         node_id = e.dst
                         break
                 else:
+                    raise MuddError(f"property {node.name!r} is assigned {value!r} but "
+                                    f"decision node {node_id} has no matching edge")
+            node = model.node(node_id)
+        trail.append(node_id)
+        if len(paths) >= PATH_CAP:
+            raise MuddError(f"more than {PATH_CAP} paths, the fixed limit; "
+                            "simplify the model")
+        properties = tuple(assignment.items())
+        if model.happens_before:
+            index_of = {n: i for i, n in enumerate(trail)}
+            for src, dst in model.happens_before:
+                if src in index_of and dst in index_of and index_of[src] >= index_of[dst]:
+                    src_name, dst_name = (model.node(n).label or f"node {n}"
+                                          for n in (src, dst))
                     raise MuddError(
-                        f"property {node.name!r} is assigned {value!r} but decision node "
-                        f"{node_id} has no matching edge"
+                        f"order {src_name} -> {dst_name} contradicts causality "
+                        f"on path {describe_decisions(properties)}"
                     )
-
-    descend(model.entry)
-    while branches:
-        edges, depth, prop = branches[-1]
-        del trail[depth:]
-        if prop in assignment:  # the previous edge of this branch is done
-            del assignment[prop]
-            assign_order.pop()
-        e = next(edges, None)
-        if e is None:
-            branches.pop()
-            continue
-        assignment[prop] = e.value
-        assign_order.append(prop)
-        descend(e.dst)
+        counts = [0] * len(ns)
+        for n in trail:
+            if n in slot:
+                counts[slot[n]] += 1
+        paths.append(MuPath(properties, tuple(counts)))
     return tuple(paths)
 
 

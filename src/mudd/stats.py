@@ -40,10 +40,10 @@ class ObservationSet(Record):
     """Interval samples for one program run; rows are samples, columns counters.
 
     `sample_matrix` is any two-dimensional sequence of finite non-negative reals
-    (lists of floats from `load_observations`, an array from `mudd.synth`)
-    and is kept as given; fewer than two rows raise MuddError. `clamped`
-    counts the negative draws `mudd.synth.generate` clipped to zero, and is 0
-    for samples read from a file.
+    (a tuple of float tuples from `load_observations`, an array from
+    `mudd.synth`) and is kept as given; fewer than two rows raise MuddError.
+    `clamped` counts the negative draws `mudd.synth.generate` clipped to zero,
+    and is 0 for samples read from a file.
     """
 
     _fields = ("run_id", "sample_matrix", "namespace", "clamped")
@@ -281,7 +281,7 @@ def load_observations(
 
     col_of = {n: i + skip for i, n in enumerate(names)}
     order = [col_of[n] for n in namespace.names]
-    rows: list[list[float]] = []
+    rows: list[Vector] = []
     for lineno, row in reader:
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -309,8 +309,8 @@ def load_observations(
                     f"{cell!r} is a negative counter value"
                 )
             sample.append(value)
-        rows.append(sample)
-    return ObservationSet(run_id=run_id, sample_matrix=rows, namespace=namespace)
+        rows.append(tuple(sample))
+    return ObservationSet(run_id=run_id, sample_matrix=tuple(rows), namespace=namespace)
 
 
 def _rows(fh, run_id):

@@ -1,8 +1,8 @@
+import itertools
+import math
 import re
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import mudd.model
 from mudd import dsl
@@ -208,20 +208,54 @@ class TestEnumeration:
         assert a == b
         assert [dict(p.property_assignment)["S"] for p in a] == ["first", "second", "third"]
 
-    @settings(max_examples=40, deadline=None)
-    @given(branches=st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
-    def test_path_count_is_product_of_branch_counts(self, branches):
-        src = "\n".join(
-            "switch (P%d) { %s }" % (i, " ".join(f"case v{j}:" for j in range(k)))
-            for i, k in enumerate(branches)
-        )
-        model = dsl.parse(src)
-        expected = 1
-        for k in branches:
-            expected *= k
-        paths = enumerate_mupaths(model)
-        assert len(paths) == expected
-        assert len(paths_by_assignment_bruteforce(model)) == expected
+    def test_path_count_is_product_of_branch_counts(self):
+        # every shape of 1-4 switches in series with 1-4 cases each, 340 in all
+        shapes = [branches for length in range(1, 5)
+                  for branches in itertools.product(range(1, 5), repeat=length)]
+        assert len(shapes) == 340
+        for branches in shapes:
+            src = "\n".join(
+                "switch (P%d) { %s }" % (i, " ".join(f"case v{j}:" for j in range(k)))
+                for i, k in enumerate(branches)
+            )
+            model = dsl.parse(src)
+            expected = math.prod(branches)
+            paths = enumerate_mupaths(model)
+            assert len(paths) == expected, branches
+            assert len(paths_by_assignment_bruteforce(model)) == expected, branches
+
+    # each of these runs far past the default recursion limit of 1,000
+    def test_long_chain_is_one_path(self):
+        ns = CounterNamespace(["c"])
+        paths = enumerate_mupaths(chain(*[("counter", "c")] * 20_000, ns=ns))
+        assert [p.counts for p in paths] == [(20_000,)]
+
+    def test_long_run_of_single_case_switches_is_one_path(self):
+        src = "\n".join(f"switch (P{i}) {{ case a: }}" for i in range(5_000)) + "\ncounter x;"
+        paths = enumerate_mupaths(dsl.parse(src))
+        assert [p.counts for p in paths] == [(1,)]
+        assert len(paths[0].property_assignment) == 5_000
+
+    def test_long_run_of_repeated_switches_is_two_paths(self):
+        src = "\n".join(["switch (P) { case a: counter x; case b: }"] * 5_000)
+        paths = enumerate_mupaths(dsl.parse(src))
+        assert [p.counts for p in paths] == [(5_000,), (0,)]
+
+    # case a breaks the order and case b reaches a decision with no edge for
+    # its value; whichever case comes first names the error
+    BROKEN_ORDER = "case a: late: action second; early: action first;"
+    DANGLING = "case b: switch (S) { case a: }"
+
+    @pytest.mark.parametrize("cases, message", [
+        (f"{BROKEN_ORDER} {DANGLING}",
+         r"^order early -> late contradicts causality on path S=a$"),
+        (f"{DANGLING} {BROKEN_ORDER}",
+         r"^property 'S' is assigned 'b' but decision node \d+ has no matching edge$"),
+    ], ids=["order-first", "dangling-first"])
+    def test_errors_surface_in_path_order(self, cases, message):
+        src = f"order early -> late;\nswitch (S) {{ {cases} }}"
+        with pytest.raises(MuddError, match=message):
+            enumerate_mupaths(dsl.parse(src))
 
 
 class TestSignatures:

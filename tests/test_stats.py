@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -151,6 +153,13 @@ class TestLoader:
         write_observations(obs, dest)
         back = load_observations(dest, NS2)
         assert np.array_equal(back.sample_matrix, obs.sample_matrix)
+
+    def test_loaded_run_is_a_value(self, tmp_path):
+        obs = load_observations(csv_file(tmp_path, "a,b\n1,2\n3,4\n"), NS2)
+        assert obs.sample_matrix == ((1.0, 2.0), (3.0, 4.0))
+        for twin in (copy.deepcopy(obs), pickle.loads(pickle.dumps(obs))):
+            assert twin == obs
+            assert hash(twin) == hash(obs)
 
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
