@@ -180,7 +180,7 @@ def cmd_explore(args):
              "features": sorted(e.features),
              "infeasible_count": e.infeasible_count,
              "parent": {"name": e.parent[0], "kind": e.parent[1]} if e.parent else None}
-            for e in catalog.entries.values()
+            for e in catalog.entries
         ],
         "feasible": sorted(feasible),
         "infeasible": sorted(infeasible),

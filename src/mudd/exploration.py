@@ -9,7 +9,7 @@ recorded discovery (relaxation) edges actually enlarge the model cone;
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from . import dsl
@@ -21,50 +21,77 @@ from .model import CounterNamespace, MuDD, Record, enumerate_mupaths
 class ModelEntry(Record):
     """One explored model; `parent` is (name, "relaxation" | "pruning").
 
-    `generators`, kept outside `_fields`, are the model's normalized
-    signatures (None without a model), from the one enumeration of its
-    paths made here; a model whose paths cannot be enumerated raises
-    MuddError."""
+    `features` is kept as a frozenset (a string is refused) and `parent` as
+    a tuple, whatever iterables they come as. `generators`, kept outside
+    `_fields`, are the model's normalized signatures (None without a model),
+    from the one enumeration of its paths made here; a model whose paths
+    cannot be enumerated raises MuddError."""
 
     _fields = ("name", "features", "infeasible_count", "model", "parent")
 
-    def __init__(self, name: str, features: frozenset[str], infeasible_count: int,
-                 model: MuDD | None = None, parent: tuple[str, str] | None = None):
+    def __init__(self, name: str, features: Iterable[str], infeasible_count: int,
+                 model: MuDD | None = None, parent: Sequence[str] | None = None):
         if infeasible_count < 0:
             raise MuddError(f"entry {name!r} has a negative infeasible count")
+        if isinstance(features, str):  # not a set of its characters
+            raise MuddError(f"entry {name!r} has features {features!r}, a string")
+        parent = None if parent is None else tuple(parent)
         if parent is not None and parent[1] not in ("relaxation", "pruning"):
             raise MuddError(f"entry {name!r} has unknown edge kind {parent[1]!r}")
         generators = None if model is None else normalize_signatures(
             p.counts for p in enumerate_mupaths(model))
-        self._set(name=name, features=features, infeasible_count=infeasible_count,
-                  model=model, parent=parent, generators=generators)
+        self._set(name=name, features=frozenset(features),
+                  infeasible_count=infeasible_count, model=model, parent=parent,
+                  generators=generators)
 
 
 class ModelCatalog(Record):
+    """Explored models: `entries` is one tuple of `ModelEntry`, in file order.
+
+    Every check that spans entries runs here. MuddError names the first
+    fault, checked in this order: duplicate names, missing parents, parent
+    cycles, a relaxation edge whose two models infer different namespaces.
+    Outside `_fields`: an index by name, and `relaxations`, the (parent,
+    child) entry pairs of the relaxation edges where both have a model."""
+
     _fields = ("entries", "dataset_id", "feature_order", "namespace")
 
-    def __init__(self, entries: dict[str, ModelEntry], dataset_id: str = "",
+    def __init__(self, entries: Sequence[ModelEntry], dataset_id: str = "",
                  feature_order: tuple[str, ...] = (),
                  namespace: CounterNamespace | None = None):
-        for entry in entries.values():
-            if entry.parent is not None and entry.parent[0] not in entries:
-                raise MuddError(
-                    f"entry {entry.name!r} references missing parent {entry.parent[0]!r}"
-                )
+        entries = tuple(entries)
+        index: dict[str, ModelEntry] = {}
+        for entry in entries:
+            if entry.name in index:
+                raise MuddError(f"duplicate entry name {entry.name!r}")
+            index[entry.name] = entry
+        for entry in entries:
+            if entry.parent is not None and entry.parent[0] not in index:
+                raise MuddError(f"entry {entry.name!r} references missing parent "
+                                f"{entry.parent[0]!r}")
         rooted: set[str] = set()  # entries whose parent chain ends
-        for name in entries:
+        for name in index:
             chain = []
             while name is not None and name not in rooted and name not in chain:
                 chain.append(name)
-                parent = entries[name].parent
+                parent = index[name].parent
                 name = parent[0] if parent else None
             if name in chain:
                 cycle = chain[chain.index(name):] + [name]
                 raise MuddError(f"parent cycle {' -> '.join(map(repr, reversed(cycle)))} "
                                 "(each entry the parent of the next)")
             rooted.update(chain)
+        relaxations = tuple(
+            (index[e.parent[0]], e) for e in entries
+            if e.parent and e.parent[1] == "relaxation" and e.model is not None
+            and index[e.parent[0]].model is not None)
+        for parent, child in relaxations:
+            if parent.model.namespace.names != child.model.namespace.names:
+                raise MuddError(f"relaxation {parent.name!r} -> {child.name!r}: the two models "
+                                "infer different counter namespaces; fix one order with the "
+                                "catalog's 'namespace' key")
         self._set(entries=entries, dataset_id=dataset_id, feature_order=feature_order,
-                  namespace=namespace)
+                  namespace=namespace, _index=index, relaxations=relaxations)
 
 
 _PARENT_SHAPE = '{"name": <entry name>, "kind": "relaxation" | "pruning"}'
@@ -82,7 +109,8 @@ def load_catalog(path) -> ModelCatalog:
     the catalog, the entry and the model. A value of the wrong type raises
     MuddError naming the file, the entry (by name, or by position when the
     name itself is bad) and the key; so does a top-level `features` or
-    `namespace` that names a value twice.
+    `namespace` that names a value twice. `ModelCatalog` checks what spans
+    entries, and its MuddError comes back prefixed with `catalog <path>: `.
     """
     path = Path(path)
     try:
@@ -113,7 +141,7 @@ def load_catalog(path) -> ModelCatalog:
             ns = CounterNamespace(raw["namespace"])
         except MuddError as exc:
             raise MuddError(f"catalog {path}: 'namespace': {exc}") from None
-    entries: dict[str, ModelEntry] = {}
+    entries = []
     for position, item in enumerate(raw["entries"], 1):
         if not isinstance(item, dict):
             raise bad("", f"entries[{position}]", "an object", item)
@@ -140,8 +168,6 @@ def load_catalog(path) -> ModelCatalog:
         if model_path is not None and not (isinstance(model_path, str)
                                            and "\0" not in model_path):
             raise bad(where, "model", "a path string", model_path)
-        if name in entries:
-            raise MuddError(f"catalog {path}: duplicate entry name {name!r}")
         model = None
         resolved = path.parent / model_path if model_path else None
         if model_path:
@@ -155,44 +181,20 @@ def load_catalog(path) -> ModelCatalog:
             except MuddError as exc:  # unreadable: the message names the model file
                 raise MuddError(f"catalog {path}: entry {name!r} model {exc}") from exc
         try:  # the entry enumerates the model's paths: what `mudd paths` refuses fails here
-            entries[name] = ModelEntry(name, frozenset(features), count, model=model,
-                                       parent=parent)
+            entries.append(ModelEntry(name, features, count, model=model, parent=parent))
         except MuddError as exc:  # only the model can fail: the other fields are checked
             raise MuddError(f"catalog {path}: entry {name!r} model {resolved}: {exc}") from exc
     try:
-        catalog = ModelCatalog(
-            entries=entries,
-            dataset_id=raw.get("dataset_id", ""),
-            feature_order=tuple(raw.get("features") or ()),
-            namespace=ns,
-        )
+        return ModelCatalog(entries, raw.get("dataset_id", ""),
+                            tuple(raw.get("features") or ()), ns)
     except MuddError as exc:
         raise MuddError(f"catalog {path}: {exc}") from None
-    for parent, child in _relaxations(catalog):
-        if parent.model.namespace.names != child.model.namespace.names:
-            raise MuddError(
-                f"catalog {path}: relaxation {parent.name!r} -> {child.name!r}: the two "
-                "models infer different counter namespaces; fix one order with the "
-                "catalog's 'namespace' key"
-            )
-    return catalog
-
-
-def _relaxations(catalog: ModelCatalog):
-    """(parent, child) entry pairs of the relaxation edges where both have a model."""
-    for entry in catalog.entries.values():
-        if entry.parent is None or entry.parent[1] != "relaxation":
-            continue
-        parent = catalog.entries[entry.parent[0]]
-        if parent.model is not None and entry.model is not None:
-            yield parent, entry
 
 
 def classify(catalog: ModelCatalog) -> tuple[frozenset[str], frozenset[str]]:
     """Partition entry names into (feasible, infeasible) by infeasible count."""
-    feasible = frozenset(n for n, e in catalog.entries.items() if e.infeasible_count == 0)
-    infeasible = frozenset(catalog.entries) - feasible
-    return feasible, infeasible
+    feasible = frozenset(e.name for e in catalog.entries if e.infeasible_count == 0)
+    return feasible, frozenset(catalog._index) - feasible
 
 
 def required_features(catalog: ModelCatalog, feasible: frozenset[str]) -> frozenset[str]:
@@ -200,24 +202,15 @@ def required_features(catalog: ModelCatalog, feasible: frozenset[str]) -> frozen
     them; the ones the explored space forces."""
     if not feasible:
         raise MuddError("no feasible entries in the catalog")
-    names = iter(sorted(feasible))
-    out = set(catalog.entries[next(names)].features)
-    for name in names:
-        out &= catalog.entries[name].features
-    return frozenset(out)
+    return frozenset.intersection(*(catalog._index[name].features for name in feasible))
 
 
 def minimal_feasible(catalog: ModelCatalog, feasible: frozenset[str]) -> frozenset[str]:
     """Feasible entries, named as `classify` names them, whose feature set is
     inclusion-minimal among feasible ones."""
-    out = set()
-    for name in feasible:
-        mine = catalog.entries[name].features
-        if not any(
-            catalog.entries[other].features < mine for other in feasible if other != name
-        ):
-            out.add(name)
-    return frozenset(out)
+    features = {name: catalog._index[name].features for name in feasible}
+    return frozenset(name for name, mine in features.items()
+                     if not any(other < mine for other in features.values()))
 
 
 def cone_expansion_check(parent: Sequence[Vector], child: Sequence[Vector]) -> bool:
@@ -225,7 +218,7 @@ def cone_expansion_check(parent: Sequence[Vector], child: Sequence[Vector]) -> b
 
     Both are normalized generators (primitive and deduplicated) in one
     counter namespace, as `ModelEntry.generators` of a relaxation edge that
-    `load_catalog` accepted. A parent generator that is also a child
+    `ModelCatalog` accepted. A parent generator that is also a child
     generator lies in the child's cone trivially and costs a set lookup;
     only the others go to the exact membership LP. A relaxation that adds a
     feature usually keeps every parent path, so a growing edge typically
@@ -246,5 +239,5 @@ def expansion_results(catalog: ModelCatalog) -> list[dict]:
             "child": child.name,
             "expanded": cone_expansion_check(parent.generators, child.generators),
         }
-        for parent, child in _relaxations(catalog)
+        for parent, child in catalog.relaxations
     ]

@@ -23,7 +23,7 @@ NODE_KINDS = ("event", "counter", "decision", "done")
 class Record:
     """Base of the package's record classes: immutable, with `==`, `hash`
     and a `Name(field=value, ...)` repr over the attributes named in
-    `_fields`, in that order.
+    `_fields`, in that order, a frozenset's elements sorted by their repr.
 
     A subclass writes its own `__init__`, which validates its arguments and
     stores them with `_set`. Attributes stored but not named in `_fields`
@@ -58,7 +58,10 @@ class Record:
         return hash(self._key())
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        # a frozenset's own repr follows its hash table: equal sets can print apart
+        values = ((f, getattr(self, f)) for f in self._fields)
+        fields = ", ".join(f"{f}=frozenset({sorted(v, key=repr)!r})" if isinstance(v, frozenset)
+                           else f"{f}={v!r}" for f, v in values)
         return f"{type(self).__qualname__}({fields})"
 
 

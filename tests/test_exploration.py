@@ -22,9 +22,7 @@ from mudd.model import CounterNamespace, enumerate_mupaths
 
 
 def entry(name, features, count, parent=None):
-    return ModelEntry(
-        name=name, features=frozenset(features), infeasible_count=count, parent=parent
-    )
+    return ModelEntry(name=name, features=features, infeasible_count=count, parent=parent)
 
 
 def gens(model):
@@ -32,9 +30,15 @@ def gens(model):
 
 
 def catalog(*entries, features=()):
-    return ModelCatalog(
-        entries={e.name: e for e in entries}, feature_order=tuple(features)
-    )
+    return ModelCatalog(entries=entries, feature_order=tuple(features))
+
+
+def names(cat):
+    return {e.name for e in cat.entries}
+
+
+def by_name(cat):
+    return {e.name: e for e in cat.entries}
 
 
 class TestModelEntry:
@@ -46,6 +50,42 @@ class TestModelEntry:
         with pytest.raises(MuddError, match="^entry 'a' has unknown edge kind 'mutation'$"):
             entry("a", [], 0, parent=("b", "mutation"))
 
+    def test_iterables_are_kept_as_values(self):
+        e = entry("a", ["f", "f"], 0, parent=["p", "pruning"])
+        assert e.features == frozenset({"f"}) and e.parent == ("p", "pruning")
+
+    def test_features_string(self):
+        with pytest.raises(MuddError, match="^entry 'a' has features 'TlbPf', a string$"):
+            entry("a", "TlbPf", 0)
+
+
+class TestModelCatalog:
+    def test_entries_are_one_tuple_in_order(self):
+        cat = catalog(entry("b", [], 0), entry("a", [], 1, parent=("b", "pruning")))
+        assert [e.name for e in cat.entries] == ["b", "a"]
+        assert isinstance(cat.entries, tuple)
+        assert hash(cat) == hash(catalog(*cat.entries))
+
+    def test_duplicate_names_are_refused(self):
+        with pytest.raises(MuddError, match="^duplicate entry name 'a'$"):
+            catalog(entry("a", [], 0), entry("b", [], 0), entry("a", ["f"], 1))
+
+    def test_relaxation_between_different_namespaces(self):
+        # each model infers its own order, so both signatures read (1, 2):
+        # the parent's ray is a + 2b, which the child's ray 2a + b misses
+        def entries(ns=None):
+            return [ModelEntry("p", [], 1, model=dsl.parse("counter a; counter b; counter b;", ns)),
+                    ModelEntry("c", [], 0, model=dsl.parse("counter b; counter a; counter a;", ns),
+                               parent=("p", "relaxation"))]
+
+        with pytest.raises(MuddError) as exc:
+            ModelCatalog(entries())
+        assert str(exc.value) == (
+            "relaxation 'p' -> 'c': the two models infer different counter namespaces; "
+            "fix one order with the catalog's 'namespace' key")
+        shared = ModelCatalog(entries(CounterNamespace(["a", "b"])))
+        assert expansion_results(shared) == [{"parent": "p", "child": "c", "expanded": False}]
+
 
 class TestClassify:
     def test_partition(self):
@@ -53,7 +93,7 @@ class TestClassify:
         feasible, infeasible = classify(cat)
         assert feasible == {"a", "c"}
         assert infeasible == {"b"}
-        assert feasible | infeasible == set(cat.entries)
+        assert feasible | infeasible == names(cat)
         assert not feasible & infeasible
 
     def test_all_positive_counts(self):
@@ -125,11 +165,12 @@ class TestConeExpansion:
 
     def test_transitive_along_chain(self, bundled):
         cat = load_catalog(bundled("catalog", "search_catalog.json"))
+        entries = by_name(cat)
         chain = ["m0", "m1", "m2", "m3", "m4"]
         for a, b in zip(chain, chain[1:]):
-            assert cone_expansion_check(cat.entries[a].generators, cat.entries[b].generators)
-        assert cone_expansion_check(cat.entries["m0"].generators, cat.entries["m4"].generators)
-        assert all(e.generators == gens(e.model) for e in cat.entries.values())
+            assert cone_expansion_check(entries[a].generators, entries[b].generators)
+        assert cone_expansion_check(entries["m0"].generators, entries["m4"].generators)
+        assert all(e.generators == gens(e.model) for e in cat.entries)
 
 
 def product(ns, blocks):
@@ -221,11 +262,10 @@ class TestSharedGenerators:
         ns = CounterNamespace(["a0", "a1", "a2", "b0", "b1"])
         root = product(ns, [[("a0",), ("a1",), ("a2",)], [("b0",), ("b1",)]])
         shrink = product(ns, [[("a0",), ("a1",)], [("b0",), ("b1",)]])
-        cat = ModelCatalog(entries={
-            "root": ModelEntry("root", frozenset(), 0, model=root),
-            "shrink": ModelEntry("shrink", frozenset(), 0, model=shrink,
-                                 parent=("root", "relaxation")),
-        })
+        cat = ModelCatalog(entries=[
+            ModelEntry("root", frozenset(), 0, model=root),
+            ModelEntry("shrink", frozenset(), 0, model=shrink, parent=("root", "relaxation")),
+        ])
         assert expansion_results(cat) == [
             {"parent": "root", "child": "shrink", "expanded": False}]
         assert len(lp_calls) == 1
@@ -252,8 +292,8 @@ class TestSharedGenerators:
 class TestCatalogFile:
     def test_bundled_catalog_loads(self, bundled):
         cat = load_catalog(bundled("catalog", "search_catalog.json"))
-        assert set(cat.entries) == {f"m{i}" for i in range(12)}
-        assert cat.entries["m4"].model is not None
+        assert [e.name for e in cat.entries] == [f"m{i}" for i in range(12)]
+        assert by_name(cat)["m4"].model is not None
 
     def test_broken_parent_reference(self, tmp_path):
         blob = {
@@ -384,7 +424,7 @@ BAD_CATALOGS = [
 def test_malformed_catalog_names_file_entry_and_key(tmp_path, capsys, blob, message):
     valid = tmp_path / "ok.json"
     valid.write_text(json.dumps({"entries": _VALID_ENTRIES}))
-    assert set(load_catalog(valid).entries) == {"a", "b"}
+    assert names(load_catalog(valid)) == {"a", "b"}
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(blob))
     with pytest.raises(MuddError) as exc:

@@ -804,8 +804,8 @@ class TestBatch:
         from mudd.exploration import load_catalog
 
         catalog = load_catalog(bundled("catalog", "search_catalog.json"))
-        base = catalog.entries["m0"].model
-        rich = catalog.entries["m4"].model
+        models = {e.name: e.model for e in catalog.entries}
+        base, rich = models["m0"], models["m4"]
         paths = len(enumerate_mupaths(rich))
         observations = []
         rng = __import__("random").Random(6)
@@ -846,10 +846,10 @@ class TestKnownTruth:
 
         monkeypatch.setattr(linprog, "feasible_point", counted)
         catalog = load_catalog(bundled("catalog", "search_catalog.json"))
-        models = [(name, e.model) for name, e in catalog.entries.items()]
+        models = [(e.name, e.model) for e in catalog.entries]
         runs = []
         for truth in ("m4", "m3"):
-            model = catalog.entries[truth].model
+            model = dict(models)[truth]
             paths = len(enumerate_mupaths(model))
             for seed in range(40, 44):
                 rng = random.Random(seed)
@@ -881,7 +881,7 @@ class TestKnownTruth:
         from mudd.exploration import load_catalog
 
         catalog = load_catalog(bundled("catalog", "search_catalog.json"))
-        models = [(name, e.model) for name, e in catalog.entries.items()]
+        models = [(e.name, e.model) for e in catalog.entries]
         sigs = {name: [p.counts for p in enumerate_mupaths(m)] for name, m in models}
         runs = []
         for truth, model in models:

@@ -9,6 +9,7 @@ import pytest
 
 import mudd
 from mudd import dsl
+from mudd.exploration import ModelEntry, load_catalog
 from mudd.feasibility import BatchCell, FeasibilityVerdict, _Signatures
 from mudd.geometry import Constraint, ConstraintSet
 from mudd.model import (
@@ -55,6 +56,18 @@ def test_records_survive_a_pickle_round_trip(model):
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record)
         assert copy == record, type(record).__name__
+        assert repr(copy) == repr(record)
+
+
+def test_catalog_records_are_values(model, bundled):
+    # an entry built from lists, and a catalog as `mudd explore` loads it
+    entry = ModelEntry("e", ["f", "g"], 1, model=model, parent=["p", "pruning"])
+    assert entry == ModelEntry("e", {"g", "f"}, 1, model=model, parent=("p", "pruning"))
+    catalog = load_catalog(bundled("catalog", "search_catalog.json"))
+    for record in (entry, catalog):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy is not record and copy == record, type(record).__name__
+        assert hash(copy) == hash(record)
         assert repr(copy) == repr(record)
 
 
