@@ -33,13 +33,6 @@ from .model import CounterNamespace, describe_decisions, enumerate_mupaths
 _INPUT_ERRORS = (MuddError, OSError, UnicodeEncodeError)
 
 
-def _settle(args) -> None:
-    """Check jobs, and load `--namespace`."""
-    if getattr(args, "jobs", None) is not None and args.jobs < 1:
-        raise MuddError("jobs must be at least 1")
-    args.namespace = _load_namespace(getattr(args, "namespace", None))
-
-
 def _load_namespace(path):
     if path is None:
         return None
@@ -56,7 +49,7 @@ def _load_namespace(path):
 
 
 def cmd_paths(args):
-    model = dsl.parse_file(args.model, args.namespace)
+    model = dsl.parse_file(args.model, _load_namespace(args.namespace))
     names = model.namespace.names
     return 0, [
         {"properties": dict(p.property_assignment),
@@ -75,7 +68,7 @@ def _paths_text(rows):
 def cmd_constraints(args):
     from . import geometry
 
-    model = dsl.parse_file(args.model, args.namespace)
+    model = dsl.parse_file(args.model, _load_namespace(args.namespace))
     names = model.namespace.names
     return 0, [
         {"kind": c.kind,
@@ -94,13 +87,16 @@ def _constraints_text(rows):
 
 
 def cmd_check(args):
+    if args.jobs is not None and args.jobs < 1:
+        raise MuddError("jobs must be at least 1")
     import warnings
     from collections import Counter
 
     from . import feasibility, stats
 
+    namespace = _load_namespace(args.namespace)
     stats.check_alpha(args.alpha)
-    model = dsl.parse_file(args.model, args.namespace)
+    model = dsl.parse_file(args.model, namespace)
     # a run is named by its file's stem, or by its path where CSVs share a stem
     stems = Counter(Path(p).stem for p in set(args.observations))
     observations = []
@@ -243,6 +239,7 @@ def _count(flag, values, n) -> None:
 def cmd_synth(args):
     from . import stats
 
+    namespace = _load_namespace(args.namespace)  # its error comes before numpy's
     try:
         from . import synth
     except ModuleNotFoundError as exc:
@@ -250,7 +247,7 @@ def cmd_synth(args):
             raise
         raise MuddError("mudd synth needs numpy (pip install 'mudd[synth]')") from None
 
-    model = dsl.parse_file(args.model, args.namespace)
+    model = dsl.parse_file(args.model, namespace)
     flows = _numbers("--flows", args.flows)
     noise = _numbers("--noise", args.noise)
     _count("--noise", noise, len(model.namespace))
@@ -327,7 +324,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _settle(args)
         code, result, render = args.func(args)
         if result is not None:  # the one reader of --format
             if args.format == "json":

@@ -21,22 +21,25 @@ from .model import CounterNamespace, MuDD, Record, enumerate_mupaths
 class ModelEntry(Record):
     """One explored model; `parent` is (name, "relaxation" | "pruning").
 
-    `features` is kept as a frozenset (a string is refused) and `parent` as
-    a tuple, whatever iterables they come as. `generators`, kept outside
-    `_fields`, are the model's normalized signatures (None without a model),
-    from the one enumeration of its paths made here; a model whose paths
-    cannot be enumerated raises MuddError."""
+    `features` is kept as a frozenset (a string is refused), `parent` as a
+    tuple (anything but a tuple or list of a name and a kind is refused).
+    `generators`, kept outside `_fields`, are the model's normalized
+    signatures (None without a model), from the one enumeration of its paths
+    made here; a model whose paths cannot be enumerated raises MuddError."""
 
     _fields = ("name", "features", "infeasible_count", "model", "parent")
 
     def __init__(self, name: str, features: Iterable[str], infeasible_count: int,
-                 model: MuDD | None = None, parent: Sequence[str] | None = None):
+                 model: MuDD | None = None, parent: tuple | list | None = None):
         if infeasible_count < 0:
             raise MuddError(f"entry {name!r} has a negative infeasible count")
         if isinstance(features, str):  # not a set of its characters
             raise MuddError(f"entry {name!r} has features {features!r}, a string")
-        parent = None if parent is None else tuple(parent)
-        if parent is not None and parent[1] not in ("relaxation", "pruning"):
+        pair = tuple(parent) if isinstance(parent, (tuple, list)) else ()  # not "pr"
+        if parent is not None and (len(pair) != 2 or not isinstance(pair[0], str)):
+            raise MuddError(f"entry {name!r} has parent {parent!r}, not a (name, kind) pair")
+        parent = pair or None
+        if parent and parent[1] not in ("relaxation", "pruning"):
             raise MuddError(f"entry {name!r} has unknown edge kind {parent[1]!r}")
         generators = None if model is None else normalize_signatures(
             p.counts for p in enumerate_mupaths(model))
@@ -48,17 +51,16 @@ class ModelEntry(Record):
 class ModelCatalog(Record):
     """Explored models: `entries` is one tuple of `ModelEntry`, in file order.
 
-    Every check that spans entries runs here. MuddError names the first
-    fault, checked in this order: duplicate names, missing parents, parent
-    cycles, a relaxation edge whose two models infer different namespaces.
-    Outside `_fields`: an index by name, and `relaxations`, the (parent,
-    child) entry pairs of the relaxation edges where both have a model."""
+    Every check that spans entries runs here, and MuddError names the first
+    fault in this order: duplicate names, missing parents, parent cycles, a
+    relaxation edge whose models infer different namespaces (parse both
+    with one `CounterNamespace`). Outside `_fields`: an index by name, and
+    `relaxations`, the (parent, child) pairs of relaxation edges between models."""
 
-    _fields = ("entries", "dataset_id", "feature_order", "namespace")
+    _fields = ("entries", "dataset_id", "feature_order")
 
     def __init__(self, entries: Sequence[ModelEntry], dataset_id: str = "",
-                 feature_order: tuple[str, ...] = (),
-                 namespace: CounterNamespace | None = None):
+                 feature_order: tuple[str, ...] = ()):
         entries = tuple(entries)
         index: dict[str, ModelEntry] = {}
         for entry in entries:
@@ -88,10 +90,10 @@ class ModelCatalog(Record):
         for parent, child in relaxations:
             if parent.model.namespace.names != child.model.namespace.names:
                 raise MuddError(f"relaxation {parent.name!r} -> {child.name!r}: the two models "
-                                "infer different counter namespaces; fix one order with the "
-                                "catalog's 'namespace' key")
+                                "infer different counter namespaces; parse both with one "
+                                "CounterNamespace, as a catalog file's 'namespace' key does")
         self._set(entries=entries, dataset_id=dataset_id, feature_order=feature_order,
-                  namespace=namespace, _index=index, relaxations=relaxations)
+                  _index=index, relaxations=relaxations)
 
 
 _PARENT_SHAPE = '{"name": <entry name>, "kind": "relaxation" | "pruning"}'
@@ -104,13 +106,14 @@ def _is_strings(value) -> bool:
 def load_catalog(path) -> ModelCatalog:
     """Read a catalog JSON file; model paths resolve relative to it.
 
-    Each model is parsed and its paths enumerated once, for the entry's
-    generators, so a model that `mudd paths` refuses raises MuddError naming
-    the catalog, the entry and the model. A value of the wrong type raises
-    MuddError naming the file, the entry (by name, or by position when the
-    name itself is bad) and the key; so does a top-level `features` or
-    `namespace` that names a value twice. `ModelCatalog` checks what spans
-    entries, and its MuddError comes back prefixed with `catalog <path>: `.
+    Each model is parsed in the counter order of the `namespace` key, if
+    any, and its paths enumerated once, for the entry's generators, so a
+    model `mudd paths` refuses raises MuddError naming the catalog, entry
+    and model. A value of the wrong type raises MuddError naming the file,
+    the entry (by name, or by position when the name itself is bad) and the
+    key; so does a top-level `features` or `namespace` that names a value
+    twice. `ModelCatalog` checks what spans entries, and its MuddError
+    comes back prefixed with `catalog <path>: `.
     """
     path = Path(path)
     try:
@@ -186,7 +189,7 @@ def load_catalog(path) -> ModelCatalog:
             raise MuddError(f"catalog {path}: entry {name!r} model {resolved}: {exc}") from exc
     try:
         return ModelCatalog(entries, raw.get("dataset_id", ""),
-                            tuple(raw.get("features") or ()), ns)
+                            tuple(raw.get("features") or ()))
     except MuddError as exc:
         raise MuddError(f"catalog {path}: {exc}") from None
 

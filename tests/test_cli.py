@@ -755,6 +755,17 @@ class TestConfig:
         assert run(capsys, "check", walk_model, exact_csv, "--jobs", "0") == (
             2, "", "error: jobs must be at least 1\n")
 
+    def test_zero_jobs_is_reported_before_the_namespace_file(self, capsys, walk_model,
+                                                             exact_csv, tmp_path):
+        assert run(capsys, "check", walk_model, exact_csv, "--jobs", "0",
+                   "--namespace", str(tmp_path / "nope.txt")) == (
+            2, "", "error: jobs must be at least 1\n")
+
+    def test_namespace_file_is_reported_before_the_model(self, capsys, tmp_path):
+        ns = tmp_path / "nope.txt"
+        assert run(capsys, "paths", str(tmp_path / "nope.mudd"), "--namespace", str(ns)) == (
+            2, "", f"error: {ns}: No such file or directory\n")
+
     def test_alpha_too_small_for_its_level_exits_2(self, capsys, walk_model, exact_csv):
         # 1 - 1e-17 is 1.0 in floating point: one error, not one per cell
         code, out, err = run(capsys, "check", walk_model, exact_csv, "--alpha", "1e-17")

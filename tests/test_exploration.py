@@ -50,6 +50,13 @@ class TestModelEntry:
         with pytest.raises(MuddError, match="^entry 'a' has unknown edge kind 'mutation'$"):
             entry("a", [], 0, parent=("b", "mutation"))
 
+    @pytest.mark.parametrize("parent", [("p",), ("p", "pruning", "x"), "pr"])
+    def test_parent_not_a_pair(self, parent):
+        # a string is not a pair of its letters, nor a tuple a pair of its first two
+        with pytest.raises(MuddError) as exc:
+            entry("a", [], 0, parent=parent)
+        assert str(exc.value) == f"entry 'a' has parent {parent!r}, not a (name, kind) pair"
+
     def test_iterables_are_kept_as_values(self):
         e = entry("a", ["f", "f"], 0, parent=["p", "pruning"])
         assert e.features == frozenset({"f"}) and e.parent == ("p", "pruning")
@@ -82,7 +89,7 @@ class TestModelCatalog:
             ModelCatalog(entries())
         assert str(exc.value) == (
             "relaxation 'p' -> 'c': the two models infer different counter namespaces; "
-            "fix one order with the catalog's 'namespace' key")
+            "parse both with one CounterNamespace, as a catalog file's 'namespace' key does")
         shared = ModelCatalog(entries(CounterNamespace(["a", "b"])))
         assert expansion_results(shared) == [{"parent": "p", "child": "c", "expanded": False}]
 
@@ -331,7 +338,8 @@ class TestCatalogFile:
         path = tmp_path / "cat.json"
         path.write_text(json.dumps(blob))
         message = (f"catalog {path}: relaxation 'p' -> 'c': the two models infer different "
-                   "counter namespaces; fix one order with the catalog's 'namespace' key")
+                   "counter namespaces; parse both with one CounterNamespace, as a catalog "
+                   "file's 'namespace' key does")
         with pytest.raises(MuddError) as exc:
             load_catalog(path)
         assert str(exc.value) == message
