@@ -168,7 +168,7 @@ def load_catalog(path) -> ModelCatalog:
                 raise bad(where, "parent", _PARENT_SHAPE, parent)
             parent = (parent["name"], parent["kind"])
         model_path = item.get("model")
-        if model_path is not None and not (isinstance(model_path, str)
+        if model_path is not None and not (isinstance(model_path, str) and model_path
                                            and "\0" not in model_path):
             raise bad(where, "model", "a path string", model_path)
         model = None

@@ -109,10 +109,11 @@ def check_feasibility(
     axes, stays in the box and a membership LP writes it as a non-negative
     flow combination of the signatures (the witness); otherwise the exact
     box LP, which refutes with one inequality named by the constraints.
-    Without `constraints`, they are deduced from the signatures, so there is
-    one decision path; a caller passing them vouches that they describe the
-    cone of the signatures, and a box-LP refutation that they cannot name
-    raises ArithmeticError.
+    Without `constraints`, they are deduced from the distinct signatures, so
+    there is one decision path; a caller passing them vouches that they
+    describe the cone of the signatures, and a box-LP refutation that they
+    cannot name raises ArithmeticError. A signature entry that is not an
+    integer, even `2.0`, raises TypeError.
 
     Equal signatures share one flow variable, which provably leaves the
     feasible counter set unchanged (the merged flow is the sum of the
@@ -257,14 +258,6 @@ class BatchCell(Record):
                   namespace=namespace)
 
 
-def _in_namespace(sigs, model_ns: CounterNamespace, ns: CounterNamespace):
-    """The model's signatures restricted to `ns`, and their constraints."""
-    if ns.names != model_ns.names:
-        positions = [model_ns.position(name) for name in ns.names]
-        sigs = [tuple(s[i] for i in positions) for s in sigs]
-    return sigs, constraints_from_signatures(sigs, ns)
-
-
 def _check_cell(args):
     model_name, sigs, constraints, obs, alpha, independent = args
     try:
@@ -304,9 +297,9 @@ def batch_check(
     that no region can use raises MuddError before any cell runs.
 
     Each observation is checked in its own namespace, which projection may
-    have restricted: the model's signatures are restricted to it, validated
-    and deduplicated, and its constraints deduced, once per distinct
-    namespace. `independent` drops counter correlations from every region.
+    have restricted. Once per distinct namespace, the model's signatures are
+    restricted to it and merged, and constraints deduced from the distinct
+    ones. `independent` drops counter correlations from every region.
 
     A process pool starts only when at least two workers each get
     `_CELLS_PER_WORKER` cells, with no more workers than usable CPUs or
@@ -327,8 +320,13 @@ def batch_check(
             names = obs.namespace.names
             try:
                 if names not in deduced:
-                    sigs, constraints = _in_namespace(base, model.namespace, obs.namespace)
-                    deduced[names] = (_Signatures.of(sigs, len(names)), constraints)
+                    sigs = base
+                    if names != model.namespace.names:
+                        positions = [model.namespace.position(name) for name in names]
+                        sigs = [tuple(s[i] for i in positions) for s in base]
+                    merged = _Signatures.of(sigs, len(names))
+                    deduced[names] = (merged, constraints_from_signatures(merged.distinct,
+                                                                          obs.namespace))
             except MuddError as exc:
                 cells.append(BatchCell(model_name, obs.run_id, None, error=str(exc)))
                 continue

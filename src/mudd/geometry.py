@@ -19,6 +19,7 @@ that tests check the deduced constraints against.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import index
 
 from . import exact, hull
 from .errors import MuddError
@@ -33,14 +34,11 @@ Vector = tuple[int, ...]
 
 
 def _as_vector(counts) -> Vector:
+    """Entries as ints, by `operator.index` as in the hull: a float, even
+    `2.0`, raises TypeError."""
     if type(counts) is tuple and all(type(c) is int for c in counts):
         return counts  # already a vector: signatures mostly arrive as one
-    out = []
-    for c in counts:
-        if c != int(c):
-            raise ValueError(f"signature entries must be integers, got {c!r}")
-        out.append(int(c))
-    return tuple(out)
+    return tuple(map(index, counts))
 
 
 class Constraint(Record):
@@ -123,6 +121,7 @@ class ConstraintSet(Record):
 def normalize_signatures(sigs: Iterable) -> tuple[Vector, ...]:
     """Primitive, deduplicated, lexicographically sorted generators.
 
+    Every entry must be an integer: a float, even `2.0`, raises TypeError.
     Equal signatures merge first, so each distinct one is divided by the
     gcd of its entries once; zero signatures contribute nothing to the cone
     and are dropped.

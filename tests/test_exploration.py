@@ -398,6 +398,9 @@ BAD_CATALOGS = [
      "entry 1: 'name' must be a string, got ['a']"),
     ("model-number", {"entries": [{**_VALID_ENTRIES[0], "model": 3}]},
      "entry 'a': 'model' must be a path string, got 3"),
+    # an empty path names no file; read as no model, its edges would drop out
+    ("model-empty", {"entries": [{**_VALID_ENTRIES[0], "model": ""}]},
+     "entry 'a': 'model' must be a path string, got ''"),
     # no file name holds a NUL byte; `open` would raise ValueError for it
     ("model-nul", {"entries": [{**_VALID_ENTRIES[0], "model": "m\u0000.mudd"}]},
      "entry 'a': 'model' must be a path string, got 'm\\x00.mudd'"),

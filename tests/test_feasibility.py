@@ -107,16 +107,15 @@ class TestCheckFeasibility:
     @pytest.mark.parametrize("bad", [(1.5, 1), (-0.5, 1)])
     def test_non_integer_signature_entry_is_refused(self, bad):
         # neither truncated to (1, 1) nor rounded to a non-negative (0, 1)
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(TypeError):
             check_feasibility([bad, (0, 1)], point_box([1.0, 1.0]))
 
     def test_integral_signature_forms_agree(self):
-        # signatures may arrive as int tuples, numpy int64 rows or integral
-        # floats; each form deduces the same constraints and verdicts. The
-        # cone lies in the plane a - 2b + c = 0, with (1, 1, 1) interior.
+        # signatures may arrive as int tuples or numpy int64 rows; each form
+        # deduces the same constraints and verdicts. The cone lies in the
+        # plane a - 2b + c = 0, with (1, 1, 1) interior.
         ints = [(2, 1, 0), (1, 1, 1), (0, 1, 2), (1, 1, 1)]
-        forms = [ints, np.array(ints, dtype=np.int64),
-                 [tuple(float(x) for x in s) for s in ints]]
+        forms = [ints, np.array(ints, dtype=np.int64)]
         ns = CounterNamespace(["a", "b", "c"])
         regions = [
             point_box([1.0, 1.0, 1.0]),  # feasible, the centre is the witness
@@ -641,6 +640,57 @@ class TestBatch:
         assert cell.verdict is None
         assert cell.error == ("ArithmeticError: the box LP's certificate is no "
                               "combination of the constraints")
+
+    def test_deduces_once_per_namespace_from_merged_signatures(self, bundled,
+                                                               haswell_namespace,
+                                                               monkeypatch):
+        # Haswell's 216 path signatures merge to 35 distinct ones, and only
+        # those reach deduction; `--project` gives each CSV its own
+        # namespace, deduced once. Every verdict is the one that the
+        # unmerged signatures and their constraints give.
+        from pathlib import Path
+
+        import mudd.feasibility as feasibility
+        from mudd.stats import load_observations
+
+        calls = []
+        real = feasibility.constraints_from_signatures
+
+        def spy(sigs, namespace):
+            calls.append((list(sigs), namespace.names))
+            return real(sigs, namespace)
+
+        monkeypatch.setattr(feasibility, "constraints_from_signatures", spy)
+        csv = Path(__file__).resolve().parent / "data" / "csv"
+        haswell = dsl.parse_file(bundled("haswell_mmu.mudd"), haswell_namespace)
+        walk = dsl.parse_file(bundled("stlb_pde_walk.mudd"))
+        with pytest.warns(UserWarning, match="ignoring unmodeled columns"):
+            projected = [load_observations(csv / f"{name}.csv", walk.namespace, project=True)
+                         for name in ("outcome", "pde_abort")]
+        runs = [
+            (haswell, [load_observations(csv / "haswell.csv", haswell.namespace)] * 2),
+            (walk, projected),
+        ]
+        sizes = []
+        for model, obs in runs:
+            base = [s.counts for s in signatures_of_model(model)]
+
+            def restricted(names):
+                positions = [model.namespace.position(n) for n in names]
+                return [tuple(s[i] for i in positions) for s in base]
+
+            calls.clear()
+            cells = batch_check([("m", model)], obs)
+            assert [ns for _, ns in calls] == list(dict.fromkeys(o.namespace.names for o in obs))
+            assert all(sigs == list(dict.fromkeys(restricted(ns))) for sigs, ns in calls)
+            for cell, o in zip(cells, obs):
+                path_sigs = restricted(o.namespace.names)
+                cs = real(path_sigs, o.namespace)
+                region = build_confidence_region(o)
+                assert cell.verdict == check_feasibility(path_sigs, region, constraints=cs)
+            sizes.append((len(base), [len(sigs) for sigs, _ in calls]))
+        # (1, 0) and (1, 1) project to one signature on load.causes_walk alone
+        assert sizes == [(216, [35]), (3, [2, 3])]
 
     def test_signatures_validated_once_and_box_built_once_per_cell(self, bundled,
                                                                    monkeypatch):

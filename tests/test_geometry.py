@@ -43,9 +43,48 @@ class TestNormalize:
         assert out == ((1, 1), (1, 2), (2, 1))
 
     def test_integral_entries_become_ints(self):
-        out = normalize_signatures([[4.0, 2]])
-        assert out == ((2, 1),)
+        out = normalize_signatures([[4, True]])
+        assert out == ((4, 1),)
         assert all(type(c) is int for c in out[0])
+        with pytest.raises(TypeError):
+            normalize_signatures([[4.0, 2]])
+
+
+# every function that takes signatures converts an entry as the hull does, by
+# operator.index: an integer type converts, anything else raises TypeError
+
+class _Two:
+    """An integer that is not an int, as a numpy integer is: it has only
+    `__index__`."""
+
+    def __index__(self):
+        return 2
+
+
+SIGNATURE_USERS = {
+    "normalize_signatures": lambda x: normalize_signatures([(x, 1), (0, 1)]),
+    "find_equalities": lambda x: find_equalities([(x, 1), (0, 1)], 2),
+    "conic_hull_facets": lambda x: conic_hull_facets([(x, 1), (0, 1)]),
+    "remove_interior_generators": lambda x: remove_interior_generators([(x, 1), (0, 1)]),
+    "cone_membership": lambda x: cone_membership([(x, 1), (0, 1)], (1, 1)),
+    "constraints_from_signatures":
+        lambda x: constraints_from_signatures([(x, 1), (0, 1)], CounterNamespace(["a", "b"])),
+    "convex_hull_hyperplanes": lambda x: hull.convex_hull_hyperplanes([(x, 1), (0, 1)]),
+}
+
+
+@pytest.mark.parametrize("use", SIGNATURE_USERS.values(), ids=SIGNATURE_USERS)
+def test_non_integer_signature_entry_raises_type_error(use):
+    for bad in (2.0, 2.5, float("inf"), float("nan"), Fraction(2), "3"):
+        with pytest.raises(TypeError):
+            use(bad)
+
+
+@pytest.mark.parametrize("use", SIGNATURE_USERS.values(), ids=SIGNATURE_USERS)
+def test_integer_signature_entry_gives_the_int_result(use):
+    # the reprs match too, so no bool or `_Two` survives into the result
+    assert repr(use(True)) == repr(use(1))
+    assert repr(use(_Two())) == repr(use(2))
 
 
 # -- equalities ---------------------------------------------------------------
