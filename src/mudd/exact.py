@@ -1,5 +1,9 @@
 """Exact linear-algebra kernel shared by deduction, the hull and the LP.
 
+Every layer takes a caller's vectors through `vectors` or `check_length`,
+which refuse one of the wrong length with one MuddError naming both
+lengths, so no step below zips two vectors of different lengths.
+
 One integer row step, `combine` (p*a - f*b divided by its gcd), and
 `pivot`, which applies it to zero a column outside one row; the row
 reduction, the simplex and the hull's new facet normals are all built on
@@ -12,11 +16,32 @@ here rounds.
 from __future__ import annotations
 
 from math import gcd, lcm
-from operator import mul
-from collections.abc import MutableSequence, Sequence
+from operator import index, mul
+from collections.abc import Iterable, MutableSequence, Sequence
+
+from .errors import MuddError
+
+
+def check_length(v: Sequence, n: int, what: str) -> None:
+    """Raise MuddError unless `v`, named `what` in the message, has n entries."""
+    if len(v) != n:
+        raise MuddError(f"{what} has {len(v)} entries, expected {n}")
+
+
+def vectors(rows: Iterable, n: int | None = None,
+            what: str = "signature") -> list[tuple[int, ...]]:
+    """Each row as an int tuple by `operator.index` (a float, even `2.0`, raises
+    TypeError), all with n entries, or as many as the first when n is None."""
+    out = [tuple(map(index, row)) for row in rows]
+    if n is None and out:
+        n = len(out[0])
+    for v in out:
+        check_length(v, n, what)
+    return out
 
 
 def dot(a: Sequence, b: Sequence):
+    """The dot product; it trusts its callers to pass vectors of one length."""
     return sum(map(mul, a, b))
 
 

@@ -111,9 +111,9 @@ def load_catalog(path) -> ModelCatalog:
     model `mudd paths` refuses raises MuddError naming the catalog, entry
     and model. A value of the wrong type raises MuddError naming the file,
     the entry (by name, or by position when the name itself is bad) and the
-    key; so does a top-level `features` or `namespace` that names a value
-    twice. `ModelCatalog` checks what spans entries, and its MuddError
-    comes back prefixed with `catalog <path>: `.
+    key; so does a `features` list, top-level or an entry's, or a
+    `namespace` that names a value twice. `ModelCatalog` checks what spans
+    entries, and its MuddError comes back prefixed with `catalog <path>: `.
     """
     path = Path(path)
     try:
@@ -126,14 +126,17 @@ def load_catalog(path) -> ModelCatalog:
     def bad(where: str, key: str, expected: str, value) -> MuddError:
         return MuddError(f"catalog {path}: {where}{key!r} must be {expected}, got {value!r}")
 
+    def check_unique(where: str, features: list[str]) -> None:
+        seen: set[str] = set()
+        for feature in features:
+            if feature in seen:
+                raise MuddError(f"catalog {path}: {where}'features': duplicate feature {feature!r}")
+            seen.add(feature)
+
     for key in ("namespace", "features"):
         if raw.get(key) is not None and not _is_strings(raw[key]):
             raise bad("", key, "a list of strings", raw[key])
-    seen: set[str] = set()
-    for feature in raw.get("features") or ():
-        if feature in seen:
-            raise MuddError(f"catalog {path}: 'features': duplicate feature {feature!r}")
-        seen.add(feature)
+    check_unique("", raw.get("features") or ())
     if not isinstance(raw.get("dataset_id", ""), str):
         raise bad("", "dataset_id", "a string", raw["dataset_id"])
     if not isinstance(raw["entries"], list):
@@ -161,6 +164,7 @@ def load_catalog(path) -> ModelCatalog:
         features = item.get("features", [])
         if not _is_strings(features):
             raise bad(where, "features", "a list of strings", features)
+        check_unique(where, features)
         parent = item.get("parent")
         if parent is not None:
             if not (isinstance(parent, dict) and isinstance(parent.get("name"), str)

@@ -37,7 +37,7 @@ from math import lcm
 
 from . import exact, linprog
 from .errors import MuddError
-from .geometry import Constraint, ConstraintSet, _as_vector, constraints_from_signatures
+from .geometry import Constraint, ConstraintSet, constraints_from_signatures
 from .model import (
     CounterNamespace,
     MuDD,
@@ -80,14 +80,9 @@ class _Signatures(Record):
 
     @classmethod
     def of(cls, model_sigs: Sequence, n: int) -> "_Signatures":
-        sigs = [_as_vector(s) for s in model_sigs]
-        for s in sigs:
-            if len(s) != n:
-                raise MuddError(
-                    f"signature dimension {len(s)} does not match region dimension {n}"
-                )
-            if any(c < 0 for c in s):
-                raise ValueError("signatures must be non-negative")
+        sigs = exact.vectors(model_sigs, n)
+        if any(c < 0 for s in sigs for c in s):
+            raise ValueError("signatures must be non-negative")
         owners: dict[tuple[int, ...], int] = {}  # signature -> its first input index
         for i, s in enumerate(sigs):
             owners.setdefault(s, i)
@@ -217,14 +212,7 @@ def attribute_violations(
     misses it too. A box can miss the cone while straddling a corner of it,
     or within that margin of a facet; then this returns empty.
     """
-    n = region.dimension
-    out = []
-    for constraint in constraints:
-        if len(constraint.coefficients) != n:
-            raise MuddError("constraint dimension does not match region")
-        if region.misses(constraint.coefficients, constraint.kind == "equality"):
-            out.append(constraint)
-    return tuple(out)
+    return tuple(c for c in constraints if region.misses(c.coefficients, c.kind == "equality"))
 
 
 def refinement_candidates(violated: Constraint, candidate_model: MuDD) -> tuple[MuPath, ...]:
@@ -236,8 +224,7 @@ def refinement_candidates(violated: Constraint, candidate_model: MuDD) -> tuple[
     """
     if violated.kind != "inequality":
         raise ValueError("refinement candidates apply to inequality constraints")
-    if len(violated.coefficients) != len(candidate_model.namespace):
-        raise MuddError("constraint dimension does not match model namespace")
+    exact.check_length(violated.coefficients, len(candidate_model.namespace), "constraint")
     return tuple(p for p in enumerate_mupaths(candidate_model)
                  if exact.dot(violated.coefficients, p.counts) < 0)
 

@@ -19,7 +19,6 @@ that tests check the deduced constraints against.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from operator import index
 
 from . import exact, hull
 from .errors import MuddError
@@ -31,14 +30,6 @@ from .model import (
 )
 
 Vector = tuple[int, ...]
-
-
-def _as_vector(counts) -> Vector:
-    """Entries as ints, by `operator.index` as in the hull: a float, even
-    `2.0`, raises TypeError."""
-    if type(counts) is tuple and all(type(c) is int for c in counts):
-        return counts  # already a vector: signatures mostly arrive as one
-    return tuple(map(index, counts))
 
 
 class Constraint(Record):
@@ -60,10 +51,7 @@ class Constraint(Record):
         self._set(kind=kind, coefficients=coefficients, provenance=provenance, terms=terms)
 
     def satisfied_by(self, point: Sequence) -> bool:
-        if len(point) != len(self.coefficients):
-            raise MuddError(
-                f"point has {len(point)} coordinates, constraint has {len(self.coefficients)}"
-            )
+        exact.check_length(point, len(self.coefficients), "point")
         from fractions import Fraction
 
         value = sum((Fraction(p) * c for p, c in zip(point, self.coefficients)), Fraction(0))
@@ -121,12 +109,13 @@ class ConstraintSet(Record):
 def normalize_signatures(sigs: Iterable) -> tuple[Vector, ...]:
     """Primitive, deduplicated, lexicographically sorted generators.
 
-    Every entry must be an integer: a float, even `2.0`, raises TypeError.
-    Equal signatures merge first, so each distinct one is divided by the
-    gcd of its entries once; zero signatures contribute nothing to the cone
-    and are dropped.
+    Every entry must be an integer: a float, even `2.0`, raises TypeError;
+    a signature not as long as the first raises MuddError. Equal
+    signatures merge first, so each distinct one is divided by the gcd of
+    its entries once; zero signatures contribute nothing to the cone and
+    are dropped.
     """
-    return tuple(sorted({exact.primitive(v) for v in set(map(_as_vector, sigs)) if any(v)}))
+    return tuple(sorted({exact.primitive(v) for v in set(exact.vectors(sigs)) if any(v)}))
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +133,7 @@ def find_equalities(
     matrix); an empty generator set therefore yields v_i = 0 for every
     coordinate.
     """
-    vectors = [_as_vector(g) for g in gens]
-    for v in vectors:
-        if len(v) != dim:
-            raise MuddError("generator length does not match dimension")
+    vectors = exact.vectors(gens, dim, "generator")
     pivots, null_basis = exact.null_space(vectors, dim)
     equalities = []
     for v in null_basis:
@@ -170,13 +156,10 @@ def cone_membership(gens: Sequence, point: Sequence) -> bool:
     """True iff point is a non-negative combination of the generators (exact LP)."""
     from . import linprog
 
-    vectors = [_as_vector(g) for g in gens]
+    vectors = exact.vectors(gens, what="generator")
     p = list(point)
-    for v in vectors:
-        if len(v) != len(p):
-            raise MuddError(
-                f"generator dimension {len(v)} does not match point dimension {len(p)}"
-            )
+    if vectors:
+        exact.check_length(p, len(vectors[0]), "point")
     A = [[v[i] for v in vectors] for i in range(len(p))]
     return linprog.solve_equality_form(A, p, len(vectors)) is not None
 
@@ -187,7 +170,7 @@ def remove_interior_generators(gens: Sequence) -> tuple[Vector, ...]:
     After deduplication the survivors are exactly the extreme rays, so the
     cone is unchanged; order of removal does not matter for pointed cones.
     """
-    keep = list(dict.fromkeys(_as_vector(g) for g in gens))
+    keep = list(dict.fromkeys(exact.vectors(gens, what="generator")))
     i = 0
     while i < len(keep):
         others = keep[:i] + keep[i + 1 :]
@@ -210,7 +193,7 @@ def conic_hull_facets(gens: Sequence) -> tuple[Constraint, ...]:
     must be non-negative and nonzero. Each facet is checked to hold on every
     generator.
     """
-    vectors = list(dict.fromkeys(_as_vector(g) for g in gens))
+    vectors = list(dict.fromkeys(exact.vectors(gens, what="generator")))
     if not vectors:
         return ()
     if any(min(v) < 0 or not any(v) for v in vectors):

@@ -23,7 +23,6 @@ of the double description method.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from operator import index
 
 from . import exact
 from .errors import MuddError
@@ -37,9 +36,10 @@ def convex_hull_hyperplanes(rays: Sequence[Sequence[int]]) -> list[Ray]:
     The integer rays must span their space and generate a pointed cone. Each
     returned n satisfies n.r >= 0 for every ray, with equality on its facet;
     there is one normal per geometric facet. Non-extreme and duplicate rays
-    are allowed; an entry that is not an integer raises TypeError.
+    are allowed; an entry that is not an integer raises TypeError, and a
+    ray not as long as the first raises MuddError.
     """
-    rays = list(dict.fromkeys(tuple(map(index, r)) for r in rays))
+    rays = list(dict.fromkeys(exact.vectors(rays, what="ray")))
     if not rays:
         raise MuddError("no rays")
     dim = len(rays[0])

@@ -89,7 +89,8 @@ class ConfidenceRegion(Record):
     the integers `_center`, `_axes` and `_half`, built once here and kept
     outside `_fields`, and no other module reads them: `contains`, `misses`,
     `corrected_centre` and `box_lp` decide in them, exactly:
-    |e_i.(v - c)| <= h_i iff |E_i.(scale*v - C)| <= scale*H_i. A ragged
+    |e_i.(v - c)| <= h_i iff |E_i.(scale*v - C)| <= scale*H_i; each refuses
+    a vector that is not `dimension` long with `exact`'s MuddError. A ragged
     region, a non-finite entry or a negative half-length raises ValueError.
     """
 
@@ -115,11 +116,7 @@ class ConfidenceRegion(Record):
     def contains(self, point: Sequence, tol: float = 0.0) -> bool:
         """Exactly whether |e_i.(point - c)| <= h_i + tol for every i, each float
         at its binary value; a point with a non-finite coordinate is outside."""
-        if len(point) != self.dimension:
-            raise ValueError(
-                f"point of dimension {len(point)} for a region of dimension "
-                f"{self.dimension}"
-            )
+        exact.check_length(point, self.dimension, "point")
         try:
             xs = [Fraction(x) for x in point]
         except (OverflowError, ValueError):
@@ -144,6 +141,7 @@ class ConfidenceRegion(Record):
         a.v >= 0 when (base + spread)(scale**2 - D) + D max_j |a.E_j| sum_i H_i
         < 0; an equality also by the mirror test on -a.
         """
+        exact.check_length(a, self.dimension, "constraint")
         terms = [(j, x) for j, x in enumerate(a) if x]  # deduced constraints are sparse
         base = self._scale * sum(x * self._center[j] for j, x in terms)
         spread = sum(abs(sum(x * e[j] for j, x in terms)) * h
@@ -168,9 +166,10 @@ class ConfidenceRegion(Record):
         a.v = 0 and every axis of zero half-length, or None when they share
         no point or the moved point leaves the box. With w = scale*v and rows
         M (a.w = 0 and E_i.w = E_i.C), w = C + M^T y with (M M^T) y = -(M C - r)."""
+        planes = exact.vectors(hyperplanes, self.dimension, "hyperplane")
         pinned = [e for e, h in zip(self._axes, self._half) if h == 0]
-        rows = [list(a) for a in hyperplanes] + pinned
-        residual = [-exact.dot(a, self._center) for a in hyperplanes] + [0] * len(pinned)
+        rows = planes + pinned
+        residual = [-exact.dot(a, self._center) for a in planes] + [0] * len(pinned)
         w: list = list(self._center)
         if any(residual):
             k = len(rows)
@@ -199,6 +198,7 @@ class ConfidenceRegion(Record):
         cone, and w.b_ub < 0 gives a.v <= w.b_ub < 0 on the whole box."""
         from . import linprog
 
+        signatures = exact.vectors(signatures, self.dimension)
         normals, bounds = [], []
         for e, h in zip(self._axes, self._half):
             proj = exact.dot(e, self._center)

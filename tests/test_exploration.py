@@ -410,6 +410,9 @@ BAD_CATALOGS = [
      "'namespace' must be a list of strings, got 'xy'"),
     ("features-repeated", {"features": ["F", "G", "F"], "entries": _VALID_ENTRIES},
      "'features': duplicate feature 'F'"),
+    # not merged into one: a feature named twice is a typo for another
+    ("entry-features-repeated", {"entries": [{**_VALID_ENTRIES[0], "features": ["X", "X"]}]},
+     "entry 'a': 'features': duplicate feature 'X'"),
     ("fractional-count", {"entries": [{**_VALID_ENTRIES[0], "infeasible_count": 1.7}]},
      "entry 'a': 'infeasible_count' must be a non-negative integer, got 1.7"),
     ("dataset-id-object", {"dataset_id": {"x": 1}, "entries": _VALID_ENTRIES},

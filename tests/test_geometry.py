@@ -5,8 +5,15 @@ import pytest
 
 from mudd import dsl, hull
 from mudd.errors import MuddError
+from mudd.feasibility import (
+    _Signatures,
+    attribute_violations,
+    check_feasibility,
+    refinement_candidates,
+)
 from mudd.geometry import (
     Constraint,
+    ConstraintSet,
     cone_membership,
     conic_hull_facets,
     constraints_from_signatures,
@@ -16,6 +23,7 @@ from mudd.geometry import (
     remove_interior_generators,
 )
 from mudd.model import CounterNamespace
+from mudd.stats import ConfidenceRegion
 
 
 from conftest import brute_force_facets, rank_of as _rank
@@ -87,6 +95,56 @@ def test_integer_signature_entry_gives_the_int_result(use):
     assert repr(use(_Two())) == repr(use(2))
 
 
+# every function that takes vectors from a caller refuses one of another
+# length with the one message of `exact.check_length`, rather than zipping
+# it down to the shorter length: each use below takes the odd vector where
+# 2 entries are expected, after a first vector of 2 where there is one
+
+_AB = CounterNamespace(["a", "b"])
+_REGION = ConfidenceRegion((5.0, 2.0), ((1.0, 0.0), (0.0, 1.0)), (1.0, 1.0))
+
+
+def _facet(v):
+    return ConstraintSet((), (Constraint("inequality", v),), _AB, (0, 1))
+
+
+LENGTH_USERS = {
+    "normalize_signatures": ("signature", lambda v: normalize_signatures([(1, 0), v])),
+    "find_equalities": ("generator", lambda v: find_equalities([(1, 0), v], 2)),
+    "cone_membership-generator":
+        ("generator", lambda v: cone_membership([(1, 0), v], (1, 1))),
+    "cone_membership-point": ("point", lambda v: cone_membership([(1, 0), (0, 1)], v)),
+    "remove_interior_generators":
+        ("generator", lambda v: remove_interior_generators([(1, 0), v])),
+    "conic_hull_facets": ("generator", lambda v: conic_hull_facets([(1, 0), v])),
+    "constraints_from_signatures":
+        ("signature", lambda v: constraints_from_signatures([(1, 0), v], _AB)),
+    # after a full seed, as the hull's later rays come
+    "convex_hull_hyperplanes":
+        ("ray", lambda v: hull.convex_hull_hyperplanes([(1, 0), (0, 1), v])),
+    "Constraint.satisfied_by":
+        ("point", lambda v: Constraint("inequality", (1, -1)).satisfied_by(v)),
+    "_Signatures.of": ("signature", lambda v: _Signatures.of([(1, 0), v], 2)),
+    "check_feasibility": ("signature", lambda v: check_feasibility([(1, 0), v], _REGION)),
+    "attribute_violations": ("constraint", lambda v: attribute_violations(_facet(v), _REGION)),
+    "refinement_candidates": ("constraint", lambda v: refinement_candidates(
+        Constraint("inequality", v), dsl.parse("counter a; counter b;"))),
+    "ConfidenceRegion.contains": ("point", lambda v: _REGION.contains(v)),
+    "ConfidenceRegion.misses": ("constraint", lambda v: _REGION.misses(v)),
+    "ConfidenceRegion.corrected_centre":
+        ("hyperplane", lambda v: _REGION.corrected_centre([v])),
+    "ConfidenceRegion.box_lp": ("signature", lambda v: _REGION.box_lp([(1, 0), v])),
+}
+
+
+@pytest.mark.parametrize("what, use", LENGTH_USERS.values(), ids=LENGTH_USERS)
+@pytest.mark.parametrize("odd", [(-1,), (1, 0, 7)], ids=["short", "long"])
+def test_vector_of_another_length_raises_one_message(what, use, odd):
+    with pytest.raises(MuddError) as exc:
+        use(odd)
+    assert str(exc.value) == f"{what} has {len(odd)} entries, expected 2"
+
+
 # -- equalities ---------------------------------------------------------------
 
 
@@ -115,7 +173,7 @@ class TestEqualities:
         assert reduced == ()
 
     def test_generator_of_another_length(self):
-        with pytest.raises(MuddError, match="^generator length does not match dimension$"):
+        with pytest.raises(MuddError, match="^generator has 3 entries, expected 2$"):
             find_equalities([(1, 0), (1, 0, 0)], 2)
 
     def test_equalities_annihilate_generators(self):
@@ -180,8 +238,7 @@ class TestMembership:
         assert not cone_membership([(1, 0), (1, 1)], (1, 2))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(MuddError, match="^generator dimension 2 does not match "
-                                            "point dimension 3$"):
+        with pytest.raises(MuddError, match="^point has 3 entries, expected 2$"):
             cone_membership([(1, 0)], (1, 0, 0))
 
     @pytest.mark.parametrize("point", [(1,), (1, 0, 0)])
@@ -189,7 +246,7 @@ class TestMembership:
         # not zipped down to the shorter of the two
         c = Constraint(kind="inequality", coefficients=(1, -1))
         with pytest.raises(MuddError,
-                           match=f"^point has {len(point)} coordinates, constraint has 2$"):
+                           match=f"^point has {len(point)} entries, expected 2$"):
             c.satisfied_by(point)
 
     def test_rational_points(self):

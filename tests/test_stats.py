@@ -580,5 +580,5 @@ class TestConfidenceRegion:
         for field in (region.center, region.half_lengths, *region.axes):
             assert type(field) is tuple and all(type(x) is float for x in field)
         assert region.dimension == 2
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(MuddError, match="^point has 3 entries, expected 2$"):
             region.contains([1.0, 2.0, 3.0])
