@@ -37,7 +37,12 @@ from math import lcm
 
 from . import exact, linprog
 from .errors import MuddError
-from .geometry import Constraint, ConstraintSet, constraints_from_signatures
+from .geometry import (
+    Constraint,
+    ConstraintSet,
+    check_non_negative,
+    constraints_from_signatures,
+)
 from .model import (
     CounterNamespace,
     MuDD,
@@ -81,8 +86,7 @@ class _Signatures(Record):
     @classmethod
     def of(cls, model_sigs: Sequence, n: int) -> "_Signatures":
         sigs = exact.vectors(model_sigs, n)
-        if any(c < 0 for s in sigs for c in s):
-            raise ValueError("signatures must be non-negative")
+        check_non_negative(sigs)
         owners: dict[tuple[int, ...], int] = {}  # signature -> its first input index
         for i, s in enumerate(sigs):
             owners.setdefault(s, i)
@@ -107,8 +111,10 @@ def check_feasibility(
     Without `constraints`, they are deduced from the distinct signatures, so
     there is one decision path; a caller passing them vouches that they
     describe the cone of the signatures, and a box-LP refutation that they
-    cannot name raises ArithmeticError. A signature entry that is not an
-    integer, even `2.0`, raises TypeError.
+    cannot name raises ArithmeticError. Constraints over a namespace that
+    is not `region.dimension` long raise MuddError. A signature entry that
+    is not an integer, even `2.0`, raises TypeError; a negative one raises
+    MuddError.
 
     Equal signatures share one flow variable, which provably leaves the
     feasible counter set unchanged (the merged flow is the sum of the
@@ -126,6 +132,7 @@ def check_feasibility(
     if constraints is None:
         constraints = constraints_from_signatures(
             lp_sigs, CounterNamespace(f"v{i}" for i in range(n)))
+    exact.check_length(constraints.namespace, n, "constraint namespace")
     violated = attribute_violations(constraints, region)
     if violated:
         return FeasibilityVerdict(feasible=False, violated_constraints=violated)
@@ -220,10 +227,11 @@ def refinement_candidates(violated: Constraint, candidate_model: MuDD) -> tuple[
 
     A violated inequality can only be discharged by a model containing at
     least one path whose signature fails it; the result is nonempty exactly
-    when the candidate's deduced constraints no longer imply it.
+    when the candidate's deduced constraints no longer imply it. An equality
+    raises MuddError.
     """
     if violated.kind != "inequality":
-        raise ValueError("refinement candidates apply to inequality constraints")
+        raise MuddError("refinement candidates apply to inequality constraints")
     exact.check_length(violated.coefficients, len(candidate_model.namespace), "constraint")
     return tuple(p for p in enumerate_mupaths(candidate_model)
                  if exact.dot(violated.coefficients, p.counts) < 0)

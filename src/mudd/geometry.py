@@ -88,13 +88,19 @@ class ConstraintSet(Record):
     """Deduced constraints. `pivot_columns` are coordinates that fix a point
     on the equalities: deduction gives the pivots of `find_equalities`, and
     every coordinate, `tuple(range(len(namespace)))`, is always such a set.
-    They take no part in `==`."""
+    They take no part in `==`. Pivot columns that are not strictly
+    increasing indices into the namespace raise MuddError."""
 
     _fields = ("equalities", "inequalities", "namespace")
 
     def __init__(self, equalities: tuple[Constraint, ...],
                  inequalities: tuple[Constraint, ...], namespace: CounterNamespace,
                  pivot_columns: tuple[int, ...]):
+        n = len(namespace)
+        if not all(0 <= c < n for c in pivot_columns) or any(
+                a >= b for a, b in zip(pivot_columns, pivot_columns[1:])):
+            raise MuddError(f"pivot columns {tuple(pivot_columns)} are not increasing "
+                            f"indices below {n}")
         self._set(equalities=equalities, inequalities=inequalities, namespace=namespace,
                   pivot_columns=pivot_columns)
 
@@ -106,16 +112,27 @@ class ConstraintSet(Record):
         return all(c.satisfied_by(point) for c in self)
 
 
+def check_non_negative(signatures: Iterable[Vector]) -> None:
+    """Raise MuddError when a signature has a negative entry: a path's counter
+    signature counts events, and the hull needs a pointed cone. Every entry
+    point that takes signatures checks their sign here, once converted by
+    `exact.vectors`."""
+    if any(x < 0 for v in signatures for x in v):
+        raise MuddError("signatures must be non-negative")
+
+
 def normalize_signatures(sigs: Iterable) -> tuple[Vector, ...]:
     """Primitive, deduplicated, lexicographically sorted generators.
 
     Every entry must be an integer: a float, even `2.0`, raises TypeError;
-    a signature not as long as the first raises MuddError. Equal
-    signatures merge first, so each distinct one is divided by the gcd of
-    its entries once; zero signatures contribute nothing to the cone and
-    are dropped.
+    a signature not as long as the first, or with a negative entry, raises
+    MuddError. Equal signatures merge first, so each distinct one is
+    divided by the gcd of its entries once; zero signatures contribute
+    nothing to the cone and are dropped.
     """
-    return tuple(sorted({exact.primitive(v) for v in set(exact.vectors(sigs)) if any(v)}))
+    vectors = exact.vectors(sigs)
+    check_non_negative(vectors)
+    return tuple(sorted({exact.primitive(v) for v in set(vectors) if any(v)}))
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +207,15 @@ def conic_hull_facets(gens: Sequence) -> tuple[Constraint, ...]:
 
     The integer generators, extreme or not, are hulled as rays by the exact
     double-description kernel, which needs a pointed cone: every generator
-    must be non-negative and nonzero. Each facet is checked to hold on every
-    generator.
+    must be non-negative (`check_non_negative`) and nonzero. Each facet is
+    checked to hold on every generator.
     """
     vectors = list(dict.fromkeys(exact.vectors(gens, what="generator")))
     if not vectors:
         return ()
-    if any(min(v) < 0 or not any(v) for v in vectors):
-        raise MuddError("signature generators must be non-negative and nonzero")
+    check_non_negative(vectors)
+    if not all(map(any, vectors)):
+        raise MuddError("signature generators must be nonzero")
 
     facets = set(hull.convex_hull_hyperplanes(vectors))
     for coeffs in facets:

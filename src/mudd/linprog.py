@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
 
-from .exact import pivot, primitive
+from .exact import check_length, pivot, primitive
 
 
 def solve_equality_form(
@@ -35,7 +35,8 @@ def solve_equality_form(
     with an artificial variable in the basis.
 
     Entries must be ints or Fractions; any other entry, a float among them,
-    raises TypeError.
+    raises TypeError. A `b` with other than one entry per row of A, or a
+    row with other than num_vars entries, raises MuddError.
     """
     return _solution(*_phase_one(A, b, num_vars, None), num_vars)
 
@@ -55,11 +56,9 @@ def _phase_one(
     positive. Any other row (one whose rhs sign flip negated the entry)
     gets an artificial variable."""
     m = len(A)
-    if m != len(b):
-        raise ValueError("A and b row counts differ")
+    check_length(b, m, "b")
     for row in A:
-        if len(row) != num_vars:
-            raise ValueError("row length does not match num_vars")
+        check_length(row, num_vars, "row of A")
 
     rows: list[list[int]] = []
     for i in range(m):

@@ -41,7 +41,8 @@ class ObservationSet(Record):
 
     `sample_matrix` is any two-dimensional sequence of finite non-negative reals
     (a tuple of float tuples from `load_observations`, an array from
-    `mudd.synth`) and is kept as given; fewer than two rows raise MuddError.
+    `mudd.synth`) and is kept as given; any other matrix, a row that is not
+    one entry per counter, or fewer than two rows raise MuddError.
     `clamped` counts the negative draws `mudd.synth.generate` clipped to zero,
     and is 0 for samples read from a file.
     """
@@ -56,21 +57,18 @@ class ObservationSet(Record):
             rows = None
         if rows is None or not all(type(x) is float or isinstance(x, Real)
                                    for row in rows for x in row):
-            raise ValueError("sample matrix must be two-dimensional")
+            raise MuddError("sample matrix must be two-dimensional")
         if len(rows) < 2:
             raise MuddError(
                 f"run {run_id!r} has {len(rows)} samples; need at least 2"
             )
         width = len(namespace)
         for row in rows:
-            if len(row) != width:
-                raise ValueError(
-                    f"sample matrix has {len(row)} columns for {width} counters"
-                )
+            exact.check_length(row, width, f"run {run_id!r} sample")
         if any(x != x or abs(x) == math.inf for row in rows for x in row):
-            raise ValueError(f"run {run_id!r} contains non-finite counter values")
+            raise MuddError(f"run {run_id!r} contains non-finite counter values")
         if any(x < 0 for row in rows for x in row):
-            raise ValueError(f"run {run_id!r} contains negative counter values")
+            raise MuddError(f"run {run_id!r} contains negative counter values")
         self._set(run_id=run_id, sample_matrix=sample_matrix, namespace=namespace,
                   clamped=clamped)
 
@@ -90,25 +88,28 @@ class ConfidenceRegion(Record):
     outside `_fields`, and no other module reads them: `contains`, `misses`,
     `corrected_centre` and `box_lp` decide in them, exactly:
     |e_i.(v - c)| <= h_i iff |E_i.(scale*v - C)| <= scale*H_i; each refuses
-    a vector that is not `dimension` long with `exact`'s MuddError. A ragged
-    region, a non-finite entry or a negative half-length raises ValueError.
+    a vector that is not `dimension` long with `exact`'s MuddError, as the
+    constructor refuses axes, half-lengths or an axis of another length; a
+    non-finite entry or a negative half-length raises MuddError too.
     """
 
     _fields = ("center", "axes", "half_lengths")
 
     def __init__(self, center: Vector, axes: Matrix, half_lengths: Vector):
         n = len(center)
-        if len(axes) != n or len(half_lengths) != n or any(len(e) != n for e in axes):
-            raise ValueError(f"a region of dimension {n} needs {n} axes and half-lengths")
+        exact.check_length(axes, n, "axes")
+        exact.check_length(half_lengths, n, "half-lengths")
+        for e in axes:
+            exact.check_length(e, n, "axis")
         try:
             ratios = [[float(x).as_integer_ratio() for x in row]
                       for row in (center, *axes, half_lengths)]
         except (OverflowError, ValueError):
-            raise ValueError("region has non-finite entries") from None
+            raise MuddError("region has non-finite entries") from None
         scale = max((d for row in ratios for _, d in row), default=1)  # powers of two
         ints = [[m * (scale // d) for m, d in row] for row in ratios]
         if any(h < 0 for h in ints[-1]):
-            raise ValueError("region has a negative half-length")
+            raise MuddError("region has a negative half-length")
         self._set(center=center, axes=axes, half_lengths=half_lengths,
                   _scale=scale, _center=ints[0], _axes=ints[1:-1], _half=ints[-1],
                   _skew=None)
@@ -406,12 +407,13 @@ def chi_square_quantile(dof: int, p: float) -> float:
     overflows nor underflows. The bisection stops at a relative width of
     1e-12. Every probe is positive, as `_chi_square_cdf` needs: the first
     is dof, and each midpoint lies in (0, hi], hi >= 2**-200 after at most
-    200 halvings of hi >= 1.
+    200 halvings of hi >= 1. A dof below 1, or a p outside (0, 1), raises
+    MuddError.
     """
     if dof < 1:
-        raise ValueError("dof must be a positive integer")
+        raise MuddError("dof must be a positive integer")
     if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+        raise MuddError("p must lie in (0, 1)")
     hi = float(dof)
     while _chi_square_cdf(dof, hi) < p:
         hi *= 2.0
@@ -453,11 +455,11 @@ def _chi_square_cdf(dof: int, x: float) -> float:
 def eigendecompose(sigma: Sequence[Sequence[float]]) -> tuple[Vector, Matrix]:
     """Eigenvalues (descending, clamped at zero) and orthonormal eigenvectors (rows).
 
-    Raises MuddError when the input is not square or differs from its
-    transpose in any entry, and ValueError when an entry is not finite. Each
-    all-zero row i is the eigenpair (0, e_i) as it stands; the block of the
-    other rows goes through Householder tridiagonalisation and the implicit
-    QL algorithm (`_symmetric_eigen`). Covariance matrices are positive
+    Raises MuddError when the input is not square, has an entry that is not
+    finite, or differs from its transpose in any entry. Each all-zero row i
+    is the eigenpair (0, e_i) as it stands; the block of the other rows goes
+    through Householder tridiagonalisation and the implicit QL algorithm
+    (`_symmetric_eigen`). Covariance matrices are positive
     semidefinite up to rounding, so small negative eigenvalues are clamped
     to zero; one below -1e-9 * (1 + the largest entry) raises MuddError, the
     input is not positive semidefinite. Raises ArithmeticError when
@@ -471,7 +473,7 @@ def eigendecompose(sigma: Sequence[Sequence[float]]) -> tuple[Vector, Matrix]:
     if any(len(row) != n for row in a):
         raise MuddError("matrix is not square")
     if not all(all(map(math.isfinite, row)) for row in a):
-        raise ValueError("matrix has non-finite entries")
+        raise MuddError("matrix has non-finite entries")
     if a != [list(col) for col in zip(*a)]:
         raise MuddError("matrix is not symmetric")
 

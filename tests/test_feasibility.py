@@ -101,7 +101,7 @@ class TestCheckFeasibility:
             check_feasibility([(1, 0, 0)], point_box([1.0, 2.0]))
 
     def test_negative_signature_is_refused(self):
-        with pytest.raises(ValueError, match="^signatures must be non-negative$"):
+        with pytest.raises(MuddError, match="^signatures must be non-negative$"):
             check_feasibility([(1, 0), (1, -1)], point_box([1.0, 0.0]))
 
     @pytest.mark.parametrize("bad", [(1.5, 1), (-0.5, 1)])
@@ -548,7 +548,8 @@ class TestRefinement:
 
     def test_equality_rejected(self, bundled):
         model = dsl.parse_file(bundled("walk_init_first.mudd"))
-        with pytest.raises(ValueError):
+        with pytest.raises(MuddError,
+                           match="^refinement candidates apply to inequality constraints$"):
             refinement_candidates(
                 Constraint(kind="equality", coefficients=(1, -1)), model
             )

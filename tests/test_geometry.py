@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mudd import dsl, hull
+from mudd import dsl, hull, linprog
 from mudd.errors import MuddError
 from mudd.feasibility import (
     _Signatures,
@@ -23,7 +23,7 @@ from mudd.geometry import (
     remove_interior_generators,
 )
 from mudd.model import CounterNamespace
-from mudd.stats import ConfidenceRegion
+from mudd.stats import ConfidenceRegion, ObservationSet, chi_square_quantile, eigendecompose
 
 
 from conftest import brute_force_facets, rank_of as _rank
@@ -143,6 +143,84 @@ def test_vector_of_another_length_raises_one_message(what, use, odd):
     with pytest.raises(MuddError) as exc:
         use(odd)
     assert str(exc.value) == f"{what} has {len(odd)} entries, expected 2"
+
+
+# every refusal of a caller's data is one MuddError with one message, not a
+# ValueError or a crash further down; a signature's sign is checked by
+# `check_non_negative` alone, whichever entry point takes it
+
+_EYE = ((1.0, 0.0), (0.0, 1.0))
+_INF = float("inf")
+
+REFUSALS = {
+    "ObservationSet-flat": ("sample matrix must be two-dimensional",
+                            lambda: ObservationSet("r", [1.0, 2.0], _AB)),
+    "ObservationSet-width": ("run 'r' sample has 3 entries, expected 2",
+                             lambda: ObservationSet("r", [(1.0, 2.0, 3.0), (1.0, 2.0)], _AB)),
+    "ObservationSet-non-finite": ("run 'r' contains non-finite counter values",
+                                  lambda: ObservationSet("r", [(1.0, _INF), (1.0, 2.0)], _AB)),
+    "ObservationSet-negative": ("run 'r' contains negative counter values",
+                                lambda: ObservationSet("r", [(1.0, -2.0), (1.0, 2.0)], _AB)),
+    "ConfidenceRegion-axes": ("axes has 1 entries, expected 2",
+                              lambda: ConfidenceRegion((0.0, 0.0), _EYE[:1], (1.0, 1.0))),
+    "ConfidenceRegion-half-lengths": ("half-lengths has 3 entries, expected 2",
+                                      lambda: ConfidenceRegion((0.0, 0.0), _EYE, (1.0,) * 3)),
+    "ConfidenceRegion-axis": ("axis has 1 entries, expected 2",
+                              lambda: ConfidenceRegion((0.0, 0.0), ((1.0, 0.0), (0.0,)),
+                                                       (1.0, 1.0))),
+    "ConfidenceRegion-non-finite": ("region has non-finite entries",
+                                    lambda: ConfidenceRegion((0.0, _INF), _EYE, (1.0, 1.0))),
+    "ConfidenceRegion-negative": ("region has a negative half-length",
+                                  lambda: ConfidenceRegion((0.0, 0.0), _EYE, (1.0, -1.0))),
+    "eigendecompose": ("matrix has non-finite entries",
+                       lambda: eigendecompose([[_INF, 0.0], [0.0, 1.0]])),
+    "chi_square_quantile-dof": ("dof must be a positive integer",
+                                lambda: chi_square_quantile(0, 0.5)),
+    "chi_square_quantile-p": ("p must lie in (0, 1)", lambda: chi_square_quantile(2, 1.0)),
+    "solve_equality_form-b": ("b has 2 entries, expected 1",
+                              lambda: linprog.solve_equality_form([[1, 2]], [1, 2], 2)),
+    "solve_equality_form-row": ("row of A has 2 entries, expected 3",
+                                lambda: linprog.solve_equality_form([[1, 2]], [1], 3)),
+    "refinement_candidates": ("refinement candidates apply to inequality constraints",
+                              lambda: refinement_candidates(Constraint("equality", (1, -1)),
+                                                            dsl.parse("counter a; counter b;"))),
+    "normalize_signatures": ("signatures must be non-negative",
+                             lambda: normalize_signatures([(1, -1)])),
+    "constraints_from_signatures-one": ("signatures must be non-negative",
+                                        lambda: constraints_from_signatures([(1, -1)], _AB)),
+    "constraints_from_signatures-two":
+        ("signatures must be non-negative",
+         lambda: constraints_from_signatures([(1, -1), (0, 1)], _AB)),
+    "conic_hull_facets-negative": ("signatures must be non-negative",
+                                   lambda: conic_hull_facets([(1, -1), (0, 1)])),
+    "conic_hull_facets-zero": ("signature generators must be nonzero",
+                               lambda: conic_hull_facets([(0, 0), (1, 0)])),
+    "_Signatures.of": ("signatures must be non-negative",
+                       lambda: _Signatures.of([(1, 0), (1, -1)], 2)),
+    "check_feasibility": ("signatures must be non-negative",
+                          lambda: check_feasibility([(1, 0), (1, -1)], _REGION)),
+    "ConstraintSet-outside": ("pivot columns (0, 5) are not increasing indices below 2",
+                              lambda: check_feasibility([(1, 0), (0, 1)], _REGION,
+                                                        constraints=ConstraintSet((), (), _AB,
+                                                                                  (0, 5)))),
+    "ConstraintSet-negative": ("pivot columns (-1,) are not increasing indices below 2",
+                               lambda: ConstraintSet((), (), _AB, (-1,))),
+    "ConstraintSet-unordered": ("pivot columns (1, 0) are not increasing indices below 2",
+                                lambda: ConstraintSet((), (), _AB, (1, 0))),
+    "ConstraintSet-repeated": ("pivot columns (1, 1) are not increasing indices below 2",
+                               lambda: ConstraintSet((), (), _AB, (1, 1))),
+    "check_feasibility-namespace":
+        ("constraint namespace has 3 entries, expected 2",
+         lambda: check_feasibility([(1, 0), (0, 1)], _REGION, constraints=ConstraintSet(
+             (), (), CounterNamespace(["a", "b", "c"]), (0, 2)))),
+}
+
+
+@pytest.mark.parametrize("message, use", REFUSALS.values(), ids=REFUSALS)
+def test_bad_data_raises_one_mudd_error(message, use):
+    with pytest.raises(MuddError) as exc:
+        use()
+    assert str(exc.value) == message
 
 
 # -- equalities ---------------------------------------------------------------
@@ -290,13 +368,15 @@ class TestFacets:
             hull.convex_hull_hyperplanes([(1, 0.5), (0, 1)])
         assert sorted(hull.convex_hull_hyperplanes([(2, 1), (0, 1)])) == [(-1, 2), (1, 0)]
 
-    @pytest.mark.parametrize("gens", [[(1, -1), (0, 1)], [(0, 0), (1, 0)]],
-                             ids=["negative", "zero"])
-    def test_refuses_a_negative_or_zero_generator(self, gens):
+    @pytest.mark.parametrize("gens, message", [
+        ([(1, -1), (0, 1)], "signatures must be non-negative"),
+        ([(0, 0), (1, 0)], "signature generators must be nonzero"),
+    ], ids=["negative", "zero"])
+    def test_refuses_a_negative_or_zero_generator(self, gens, message):
         # the kernel hulls pointed cones; either generator breaks that
-        with pytest.raises(MuddError,
-                           match="^signature generators must be non-negative and nonzero$"):
+        with pytest.raises(MuddError) as exc:
             conic_hull_facets(gens)
+        assert str(exc.value) == message
 
     def test_matches_bruteforce_in_3d(self):
         gens = [(0, 0, 1), (0, 1, 1), (1, 1, 1)]

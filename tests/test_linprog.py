@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mudd.errors import MuddError
 from mudd.linprog import check_farkas, feasible_point, solve_equality_form
 
 
@@ -143,9 +144,9 @@ def test_float_entry_is_refused(A, b):
 
 
 def test_shape_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(MuddError, match="^b has 2 entries, expected 1$"):
         solve_equality_form([[1, 2]], [1, 2], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(MuddError, match="^row of A has 3 entries, expected 2$"):
         solve_equality_form([[1, 2, 3]], [1], 2)
 
 

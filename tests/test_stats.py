@@ -162,14 +162,14 @@ class TestLoader:
             assert hash(twin) == hash(obs)
 
     def test_negative_values_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MuddError, match="^run 'test' contains negative counter values$"):
             obs_from([[1, -2], [3, 4]])
 
     @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, cell):
         # a CSV cannot carry one, but synth and library callers build runs directly
         for rows in ([[1.0, cell], [2.0, 3.0], [1.5, 2.0]], np.array([[1.0, 2.0], [cell, 3.0]])):
-            with pytest.raises(ValueError, match="^run 'r' contains non-finite counter values$"):
+            with pytest.raises(MuddError, match="^run 'r' contains non-finite counter values$"):
                 ObservationSet("r", rows, NS2)
 
     def test_matrix_kept_as_given(self):
@@ -180,11 +180,11 @@ class TestLoader:
 
     def test_matrix_shape_validated(self):
         for bad in ([1.0, 2.0], np.zeros((2, 2, 2)), [["a", "b"], ["c", "d"]]):
-            with pytest.raises(ValueError, match="two-dimensional"):
+            with pytest.raises(MuddError, match="^sample matrix must be two-dimensional$"):
                 ObservationSet("r", bad, NS2)
         with pytest.raises(MuddError, match="^run 'r' has 1 samples; need at least 2$"):
             ObservationSet("r", [[1.0, 2.0]], NS2)
-        with pytest.raises(ValueError, match="3 columns for 2 counters"):
+        with pytest.raises(MuddError, match="^run 'r' sample has 3 entries, expected 2$"):
             ObservationSet("r", [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]], NS2)
 
 
@@ -263,9 +263,9 @@ class TestChiSquare:
         assert qs == sorted(qs)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MuddError, match=r"^dof must be a positive integer$"):
             chi_square_quantile(0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(MuddError, match=r"^p must lie in \(0, 1\)$"):
             chi_square_quantile(2, 1.0)
 
     def test_levels_match_scipy_bisection_bit_for_bit(self):
@@ -372,7 +372,7 @@ class TestEigendecompose:
 
     def test_non_finite_entries_rejected(self):
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(MuddError, match="^matrix has non-finite entries$"):
                 eigendecompose([[bad, 0.0], [0.0, 1.0]])
 
     def test_not_square(self):
@@ -542,15 +542,17 @@ class TestConfidenceRegion:
         ((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)), (1.0, math.inf)),
     ])
     def test_ragged_or_non_finite_region_is_rejected(self, center, axes, half):
-        with pytest.raises(ValueError):
+        # test_geometry.py's REFUSALS pins each message
+        with pytest.raises(MuddError, match="^(axes|axis|half-lengths) has 1 entries, expected 2$"
+                                            "|^region has non-finite entries$"):
             ConfidenceRegion(center, axes, half)
 
     def test_negative_half_length_is_rejected(self):
         # the box would be empty, and the box LP's certificate would add an
         # axis's two rows up to the empty reason 0 <= 0
-        with pytest.raises(ValueError, match="negative half-length"):
+        with pytest.raises(MuddError, match="^region has a negative half-length$"):
             ConfidenceRegion((1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)), (-0.5, 0.5))
-        with pytest.raises(ValueError, match="negative half-length"):
+        with pytest.raises(MuddError, match="^region has a negative half-length$"):
             ConfidenceRegion((0.0,), ((1.0,),), (-5e-324,))
 
     def test_only_this_module_reads_the_region_integers(self):
