@@ -12,10 +12,11 @@ ints or Fractions; a float raises TypeError rather than being converted.
 
 When phase one ends with a positive artificial sum, the final cost row is
 lambda*(c - y.A') for one lambda > 0, c the artificials' costs and A' the
-initial tableau, so its entries at `feasible_point`'s slack columns are a
-Farkas vector w, in the caller's row units: each slack column carries its
-row's sign flip and primitive scale. `check_farkas` certifies it exactly
-(Applegate, Cook, Dash and Espinoza, Oper. Res. Lett. 2007).
+initial tableau, so its entries at the slack columns that `_phase_one`
+appends for `feasible_point` are a Farkas vector w, in the caller's row
+units: each slack column carries its row's sign flip and primitive scale.
+`check_farkas` certifies it exactly (Applegate, Cook, Dash and Espinoza,
+Oper. Res. Lett. 2007).
 """
 from __future__ import annotations
 
@@ -38,61 +39,53 @@ def solve_equality_form(
     raises TypeError. A `b` with other than one entry per row of A, or a
     row with other than num_vars entries, raises MuddError.
     """
-    return _solution(*_phase_one(A, b, num_vars, None), num_vars)
+    return _solution(*_phase_one(A, b, num_vars), num_vars)
 
 
 def _phase_one(
     A: Sequence[Sequence],
     b: Sequence,
     num_vars: int,
-    unit_columns: Sequence[int] | None,
+    slacks: bool = False,
 ) -> tuple[list[list[int]], list[int]]:
     """The final phase-one tableau, cost row last, and the basic column of
     each constraint row.
 
-    unit_columns[i], where given, names a column that is zero on every
-    other row, such as row i's slack; the caller keeps that contract, and
-    the column starts as row i's basic variable when its entry there is
-    positive. Any other row (one whose rhs sign flip negated the entry)
-    gets an artificial variable."""
+    The columns are the num_vars structural ones; with `slacks`, the slack
+    block this function appends, row i's slack at column num_vars + i; one
+    artificial per row that needs it; and the rhs. Each row is the
+    primitive integer form of its entries, its slack's 1 among them,
+    negated when its rhs is negative. A row's slack starts in the basis
+    when its rhs is non-negative; any other row gets an artificial."""
     m = len(A)
     check_length(b, m, "b")
     for row in A:
         check_length(row, num_vars, "row of A")
 
+    n_cols = num_vars + m if slacks else num_vars
+    art_rows = [i for i in range(m) if not slacks or b[i] < 0]
+    total = n_cols + len(art_rows)
+    basis = [num_vars + i for i in range(m)]  # row i's slack, or its artificial below
+    for k, i in enumerate(art_rows):
+        basis[i] = n_cols + k
+
     rows: list[list[int]] = []
     for i in range(m):
-        # primitive integer row with the rhs appended last, rhs made >= 0
-        row = list(primitive([*A[i], b[i]]))
-        if row[-1] < 0:
-            row = [-x for x in row]
+        # the row's entries in column order, its slack's 1 among them,
+        # as one primitive integer row whose rhs keeps the sign of b[i]
+        scaled = primitive([*A[i], 1, b[i]] if slacks else [*A[i], b[i]])
+        if b[i] < 0:
+            scaled = [-x for x in scaled]
+        row = [*scaled[:num_vars], *[0] * (total - num_vars), scaled[-1]]
+        if slacks:
+            row[num_vars + i] = scaled[num_vars]
+        if basis[i] >= n_cols:
+            row[basis[i]] = 1
         rows.append(row)
-
-    # choose initial basis: the given unit columns where positive, else artificials
-    basis: list[int] = [-1] * m
-    art_rows: list[int] = []
-    for i in range(m):
-        col = unit_columns[i] if unit_columns is not None else None
-        if col is not None and rows[i][col] > 0:
-            basis[i] = col
-        else:
-            art_rows.append(i)
-
-    n_art = len(art_rows)
-    total = num_vars + n_art
-    for row in rows:
-        rhs = row.pop()
-        row.extend([0] * n_art)
-        row.append(rhs)
-    for k, i in enumerate(art_rows):
-        rows[i][num_vars + k] = 1
-        basis[i] = num_vars + k
 
     # reduced costs for min(sum of artificials), kept as tableau row m;
     # artificial rows have unit basic entries, so the row is integral
-    cost = [0] * (total + 1)
-    for k in range(n_art):
-        cost[num_vars + k] = 1
+    cost = [0] * n_cols + [1] * len(art_rows) + [0]
     for i in art_rows:
         for j, x in enumerate(rows[i]):
             if x:
@@ -145,27 +138,23 @@ def _solution(rows: list[list[int]], basis: list[int], num_vars: int) -> list[Fr
 def feasible_point(
     num_vars: int, A_ub: Sequence[Sequence], b_ub: Sequence
 ) -> tuple[list[Fraction], None] | tuple[None, tuple[int, ...]]:
-    """Find x >= 0 with A_ub x <= b_ub (slacks added here).
+    """Find x >= 0 with A_ub x <= b_ub; `_phase_one` appends one slack
+    column per row.
 
     Returns (x, None), x the structural variables, when the system is
     feasible, and (None, w) when it is not: w >= 0 with w.A_ub >= 0 and
     w.b_ub < 0, one entry per row, read from the final cost row at the slack
     columns and passed through `check_farkas`. Slack columns of rows with
     non-negative bounds seed the initial basis, so artificials are only
-    created where needed.
+    created where needed. Entries must be ints or Fractions, as for
+    `solve_equality_form`; a `b_ub` with other than one entry per row of
+    A_ub, or a row with other than num_vars entries, raises MuddError.
     """
-    n_slack = len(A_ub)
-    rows: list[list] = []
-    for k, row in enumerate(A_ub):
-        slack = [0] * n_slack
-        slack[k] = 1
-        rows.append(list(row) + slack)
-    slacks = range(num_vars, num_vars + n_slack)
-    tableau, basis = _phase_one(rows, b_ub, num_vars + n_slack, slacks)
+    tableau, basis = _phase_one(A_ub, b_ub, num_vars, slacks=True)
     solution = _solution(tableau, basis, num_vars)
     if solution is not None:
         return solution, None
-    w = tuple(tableau[-1][num_vars:num_vars + n_slack])
+    w = tuple(tableau[-1][num_vars:num_vars + len(A_ub)])
     check_farkas(w, A_ub, b_ub)
     return None, w
 

@@ -181,6 +181,10 @@ REFUSALS = {
                               lambda: linprog.solve_equality_form([[1, 2]], [1, 2], 2)),
     "solve_equality_form-row": ("row of A has 2 entries, expected 3",
                                 lambda: linprog.solve_equality_form([[1, 2]], [1], 3)),
+    "feasible_point-b": ("b has 2 entries, expected 1",
+                         lambda: linprog.feasible_point(2, [[1, 2]], [1, 2])),
+    "feasible_point-row": ("row of A has 3 entries, expected 2",
+                           lambda: linprog.feasible_point(2, [[1, 2, 3]], [1])),
     "refinement_candidates": ("refinement candidates apply to inequality constraints",
                               lambda: refinement_candidates(Constraint("equality", (1, -1)),
                                                             dsl.parse("counter a; counter b;"))),

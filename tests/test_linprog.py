@@ -148,6 +148,11 @@ def test_shape_errors():
         solve_equality_form([[1, 2]], [1, 2], 2)
     with pytest.raises(MuddError, match="^row of A has 3 entries, expected 2$"):
         solve_equality_form([[1, 2, 3]], [1], 2)
+    with pytest.raises(MuddError, match="^b has 2 entries, expected 1$"):
+        feasible_point(2, [[1, 2]], [1, 2])
+    # the caller's row is measured, not the row with its slack appended
+    with pytest.raises(MuddError, match="^row of A has 3 entries, expected 2$"):
+        feasible_point(2, [[1, 2, 3]], [1])
 
 
 # ---------------------------------------------------------------------------
