@@ -2,7 +2,8 @@
 
 Every layer takes a caller's vectors through `vectors` or `check_length`,
 which refuse one of the wrong length with one MuddError naming both
-lengths, so no step below zips two vectors of different lengths.
+lengths, and so do `rref`, which reads its width from its first row, and
+`null_space`, so no step below zips two vectors of different lengths.
 
 One integer row step, `combine` (p*a - f*b divided by its gcd), and
 `pivot`, which applies it to zero a column outside one row; the row
@@ -69,8 +70,10 @@ def pivot(rows: MutableSequence[Sequence[int]], r: int, c: int) -> None:
             rows[i] = combine(row, piv_row, p, f)
 
 
-def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[int]]:
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Nonzero rows of the reduced row echelon form and their pivot columns.
+
+    The width is the first row's; a row of another length raises MuddError.
 
     The pivot columns of a matrix whose columns are vectors v_1..v_m select
     the first maximal independent subset of v_1..v_m, in order.
@@ -81,6 +84,9 @@ def rref(rows: Sequence[Sequence], ncols: int) -> tuple[list[list[int]], list[in
     """
     ints = [list(row) if all(type(x) is int for x in row) else list(primitive(row))
             for row in rows]
+    ncols = len(ints[0]) if ints else 0
+    for row in ints:
+        check_length(row, ncols, "row")
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -102,9 +108,11 @@ def null_space(rows: Sequence[Sequence], ncols: int) -> tuple[list[int], list[tu
     The basis has one primitive integer vector per free column, ncols minus
     the rank in all: it is positive at its free column, 0 at the other free
     columns, and at each pivot the multiple that cancels that free column of
-    its reduced row.
+    its reduced row. A row of other than ncols entries raises MuddError.
     """
-    reduced, pivots = rref(rows, ncols)
+    if rows:
+        check_length(rows[0], ncols, "row")  # `rref` checks the rest against it
+    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):

@@ -54,7 +54,8 @@ class ModelCatalog(Record):
     Every check that spans entries runs here, and MuddError names the first
     fault in this order: duplicate names, missing parents, parent cycles, a
     relaxation edge whose models infer different namespaces (parse both
-    with one `CounterNamespace`). Outside `_fields`: an index by name, and
+    with one `CounterNamespace`). An entry that is not a `ModelEntry`
+    raises TypeError. Outside `_fields`: an index by name, and
     `relaxations`, the (parent, child) pairs of relaxation edges between models."""
 
     _fields = ("entries", "dataset_id", "feature_order")
@@ -64,6 +65,8 @@ class ModelCatalog(Record):
         entries = tuple(entries)
         index: dict[str, ModelEntry] = {}
         for entry in entries:
+            if not isinstance(entry, ModelEntry):
+                raise TypeError(f"catalog entry {entry!r} is not a ModelEntry")
             if entry.name in index:
                 raise MuddError(f"duplicate entry name {entry.name!r}")
             index[entry.name] = entry
@@ -206,15 +209,23 @@ def classify(catalog: ModelCatalog) -> tuple[frozenset[str], frozenset[str]]:
 
 def required_features(catalog: ModelCatalog, feasible: frozenset[str]) -> frozenset[str]:
     """Features present in every feasible entry, named as `classify` names
-    them; the ones the explored space forces."""
+    them; the ones the explored space forces. A name the catalog does not
+    hold raises MuddError."""
     if not feasible:
         raise MuddError("no feasible entries in the catalog")
+    for name in sorted(feasible):
+        if name not in catalog._index:
+            raise MuddError(f"no entry {name!r} in the catalog")
     return frozenset.intersection(*(catalog._index[name].features for name in feasible))
 
 
 def minimal_feasible(catalog: ModelCatalog, feasible: frozenset[str]) -> frozenset[str]:
     """Feasible entries, named as `classify` names them, whose feature set is
-    inclusion-minimal among feasible ones."""
+    inclusion-minimal among feasible ones. A name the catalog does not hold
+    raises MuddError."""
+    for name in sorted(feasible):
+        if name not in catalog._index:
+            raise MuddError(f"no entry {name!r} in the catalog")
     features = {name: catalog._index[name].features for name in feasible}
     return frozenset(name for name, mine in features.items()
                      if not any(other < mine for other in features.values()))

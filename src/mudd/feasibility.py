@@ -56,19 +56,22 @@ from .stats import ConfidenceRegion, ObservationSet, build_confidence_region, ch
 
 class FeasibilityVerdict(Record):
     """Whether a region meets a cone, with a witness or the violated constraints;
-    `witness_flow` is aligned with the input paths. An INFEASIBLE verdict
-    with no violated constraint, or with one whose coefficients are all
-    zero, raises ValueError."""
+    `witness_flow` is aligned with the input paths. mudd computes every
+    verdict, so one that contradicts itself is a result that failed its
+    own check and raises ArithmeticError: a verdict is feasible exactly
+    when it names no violated constraint, and a violated constraint has a
+    nonzero coefficient."""
 
     _fields = ("feasible", "witness_flow", "witness_point", "violated_constraints")
 
     def __init__(self, feasible: bool, witness_flow: tuple[Fraction, ...] | None = None,
                  witness_point: tuple[Fraction, ...] | None = None,
                  violated_constraints: tuple[Constraint, ...] = ()):
-        if not feasible and not violated_constraints:
-            raise ValueError("an INFEASIBLE verdict must name a violated constraint")
+        if bool(feasible) == bool(violated_constraints):
+            raise ArithmeticError("a verdict is feasible exactly when it names no "
+                                  "violated constraint")
         if any(not any(c.coefficients) for c in violated_constraints):
-            raise ValueError("a violated constraint must have a nonzero coefficient")
+            raise ArithmeticError("a violated constraint must have a nonzero coefficient")
         self._set(feasible=feasible, witness_flow=witness_flow,
                   witness_point=witness_point, violated_constraints=violated_constraints)
 

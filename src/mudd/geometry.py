@@ -63,8 +63,10 @@ class Constraint(Record):
         Inequalities a.v >= 0 read `negative side <= positive side`; equalities
         read `positive side = negative side`, e.g. a sum decomposition. A
         constraint with terms reads as their weighted sum, such as
-        `(0 ≤ v1) + 2 × (v1 ≤ v0)`.
+        `(0 ≤ v1) + 2 × (v1 ≤ v0)`. Coefficients of other than one entry
+        per name of `ns` raise MuddError.
         """
+        exact.check_length(self.coefficients, len(ns), "constraint")
         if self.terms:
             out = ""
             for weight, c in self.terms:

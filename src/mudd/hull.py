@@ -51,7 +51,7 @@ def convex_hull_hyperplanes(rays: Sequence[Sequence[int]]) -> list[Ray]:
     m = len(rays)
     identity = [[int(r == c) for c in range(dim)] for r in range(dim)]
     stacked = [[ray[c] for ray in rays] + identity[c] for c in range(dim)]
-    reduced, pivots = exact.rref(stacked, m + dim)
+    reduced, pivots = exact.rref(stacked)
     seed = [c for c in pivots if c < m]
     if len(seed) != dim:
         raise MuddError("rays do not span the space")

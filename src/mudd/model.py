@@ -122,7 +122,8 @@ class MuDD(Record):
     """Immutable diagram, checked for every structural invariant when built.
 
     `out_edges` maps each node id to its causality edges in declaration
-    order.
+    order. A structural fault raises MuddError, a happens-before edge that
+    is not a (src, dst) pair among them.
     """
 
     _fields = ("nodes", "causality", "happens_before", "entry", "namespace")
@@ -152,7 +153,10 @@ class MuDD(Record):
             if e.src not in out or e.dst not in out:
                 raise MuddError(f"causality edge {e} references a missing node")
             out[e.src].append(e)
-        for src, dst in happens_before:
+        for edge in happens_before:
+            if len(edge) != 2:
+                raise MuddError(f"happens-before edge {edge} is not a (src, dst) pair")
+            src, dst = edge
             if src not in by_id or dst not in by_id:
                 raise MuddError(f"happens-before edge ({src}, {dst}) references a missing node")
         out_edges = {k: tuple(v) for k, v in out.items()}

@@ -175,7 +175,7 @@ class ConfidenceRegion(Record):
         if any(residual):
             k = len(rows)
             gram = [[exact.dot(a, b) for b in rows] + [r] for a, r in zip(rows, residual)]
-            reduced, pivots = exact.rref(gram, k + 1)
+            reduced, pivots = exact.rref(gram)
             if pivots and pivots[-1] == k:
                 return None
             for row, p in zip(reduced, pivots):

@@ -53,7 +53,7 @@ class TestNullSpace:
 
     def test_pivots_pick_first_independent_columns(self):
         # columns (1,0), (2,0), (0,1): the second is a multiple of the first
-        _, pivots = exact.rref([[1, 2, 0], [0, 0, 1]], 3)
+        _, pivots = exact.rref([[1, 2, 0], [0, 0, 1]])
         assert pivots == [0, 2]
 
 
@@ -108,7 +108,7 @@ class TestRref:
     @given(matrix=_awkward_matrices())
     def test_matches_fraction_gauss_jordan(self, matrix):
         ncols, rows = matrix
-        reduced, pivots = exact.rref(rows, ncols)
+        reduced, pivots = exact.rref(rows)
         expected_rows, expected_pivots = _reference_rref(rows, ncols)
         assert pivots == expected_pivots
         assert len(reduced) == len(expected_rows)
@@ -120,9 +120,14 @@ class TestRref:
             assert row[c] > 0
             assert [Fraction(x, row[c]) for x in row] == expected
 
+    def test_width_is_the_first_rows(self):
+        # every column of the rows is reduced, the last one included
+        assert exact.rref([[1, 2, 3]]) == ([[1, 2, 3]], [0])
+        assert exact.rref([[0, 0, 2]]) == ([[0, 0, 1]], [2])
+
     def test_float_entry_is_refused(self):
         with pytest.raises(TypeError, match="ints or Fractions, got 0.5"):
-            exact.rref([[1, 0.5]], 2)
+            exact.rref([[1, 0.5]])
 
 
 class TestPrimitive:
@@ -227,7 +232,7 @@ class TestPivot:
                 assert _row_gcd(row) in (0, 1)
                 assert row == exact.combine(before[i], before[r], before[r][c], before[i][c])
         # the pivot keeps the row space
-        assert exact.rref(rows, ncols) == exact.rref(before, ncols)
+        assert exact.rref(rows) == exact.rref(before)
 
 
 def test_dot():

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from mudd import dsl, hull, linprog
+from mudd import dsl, exact, hull, linprog
 from mudd.errors import MuddError
+from mudd.exploration import ModelCatalog, ModelEntry, minimal_feasible, required_features
 from mudd.feasibility import (
+    FeasibilityVerdict,
     _Signatures,
     attribute_violations,
     check_feasibility,
@@ -22,7 +24,7 @@ from mudd.geometry import (
     normalize_signatures,
     remove_interior_generators,
 )
-from mudd.model import CounterNamespace
+from mudd.model import CounterNamespace, MuDD, Node
 from mudd.stats import ConfidenceRegion, ObservationSet, chi_square_quantile, eigendecompose
 
 
@@ -124,6 +126,9 @@ LENGTH_USERS = {
         ("ray", lambda v: hull.convex_hull_hyperplanes([(1, 0), (0, 1), v])),
     "Constraint.satisfied_by":
         ("point", lambda v: Constraint("inequality", (1, -1)).satisfied_by(v)),
+    "Constraint.display": ("constraint", lambda v: Constraint("inequality", v).display(_AB)),
+    "exact.rref": ("row", lambda v: exact.rref([(1, 0), v])),
+    "exact.null_space": ("row", lambda v: exact.null_space([(1, 0), v], 2)),
     "_Signatures.of": ("signature", lambda v: _Signatures.of([(1, 0), v], 2)),
     "check_feasibility": ("signature", lambda v: check_feasibility([(1, 0), v], _REGION)),
     "attribute_violations": ("constraint", lambda v: attribute_violations(_facet(v), _REGION)),
@@ -151,6 +156,12 @@ def test_vector_of_another_length_raises_one_message(what, use, odd):
 
 _EYE = ((1.0, 0.0), (0.0, 1.0))
 _INF = float("inf")
+_CATALOG = ModelCatalog([ModelEntry("a", ["f"], 0)])
+
+
+def _diagram(edge):
+    return MuDD((Node(0, "done"),), (), (edge,), 0, CounterNamespace([]))
+
 
 REFUSALS = {
     "ObservationSet-flat": ("sample matrix must be two-dimensional",
@@ -217,6 +228,14 @@ REFUSALS = {
         ("constraint namespace has 3 entries, expected 2",
          lambda: check_feasibility([(1, 0), (0, 1)], _REGION, constraints=ConstraintSet(
              (), (), CounterNamespace(["a", "b", "c"]), (0, 2)))),
+    "required_features": ("no entry 'nope' in the catalog",
+                          lambda: required_features(_CATALOG, frozenset({"nope"}))),
+    "minimal_feasible": ("no entry 'nope' in the catalog",
+                         lambda: minimal_feasible(_CATALOG, frozenset({"nope"}))),
+    "MuDD-happens-before-short": ("happens-before edge (0,) is not a (src, dst) pair",
+                                  lambda: _diagram((0,))),
+    "MuDD-happens-before-long": ("happens-before edge (0, 0, 0) is not a (src, dst) pair",
+                                 lambda: _diagram((0, 0, 0))),
 }
 
 
@@ -225,6 +244,25 @@ def test_bad_data_raises_one_mudd_error(message, use):
     with pytest.raises(MuddError) as exc:
         use()
     assert str(exc.value) == message
+
+
+# a verdict is mudd's own result: one that contradicts itself failed mudd's
+# check, as a witness or a Farkas vector can, and raises ArithmeticError
+
+@pytest.mark.parametrize("verdict", [
+    lambda: FeasibilityVerdict(False),
+    lambda: FeasibilityVerdict(True, violated_constraints=(Constraint("inequality", (1, -1)),)),
+], ids=["infeasible-without-reason", "feasible-with-reason"])
+def test_contradictory_verdict_raises_arithmetic_error(verdict):
+    with pytest.raises(ArithmeticError) as exc:
+        verdict()
+    assert str(exc.value) == "a verdict is feasible exactly when it names no violated constraint"
+
+
+def test_catalog_entry_of_another_type_raises_type_error():
+    with pytest.raises(TypeError) as exc:
+        ModelCatalog(["x"])
+    assert str(exc.value) == "catalog entry 'x' is not a ModelEntry"
 
 
 # -- equalities ---------------------------------------------------------------

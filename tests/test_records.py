@@ -115,3 +115,41 @@ def test_no_module_imports_dataclasses_or_typing():
             if any(n.partition(".")[0] in ("dataclasses", "typing") for n in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _raises(node, scope=()):
+    """(the dotted name of the enclosing function, the node) for every
+    `raise` under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _raises(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Raise):
+            yield ".".join(scope), child
+        yield from _raises(child, scope)
+
+
+def test_every_raise_names_an_exception_of_the_contract():
+    # README's contract: MuddError (DslParseError, or the catalog's `bad`
+    # factory) refuses a caller's data, TypeError an entry of the wrong type,
+    # and ArithmeticError a result that failed mudd's own exact check; any
+    # other exception belongs to one place, and a ValueError is a bug
+    anywhere = {"MuddError", "DslParseError", "TypeError", "ArithmeticError"}
+    bound = {
+        ("exploration.py", "load_catalog", "bad"),
+        ("cli.py", "entry", "SystemExit"),
+        ("model.py", "Record.__setattr__", "AttributeError"),
+        ("model.py", "Record.__delattr__", "AttributeError"),
+        ("__init__.py", "__getattr__", "AttributeError"),
+    }
+    package = Path(mudd.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for scope, node in _raises(ast.parse(path.read_text(encoding="utf-8"))):
+            if node.exc is None:  # a bare re-raise
+                continue
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(raised, "id", None) or getattr(raised, "attr", "")
+            if name not in anywhere and (path.name, scope, name) not in bound:
+                offenders.append(f"{path.name}:{node.lineno} {scope} raises {name}")
+    assert offenders == []
