@@ -10,9 +10,10 @@ One integer row step, `combine` (p*a - f*b divided by its gcd), and
 reduction, the simplex and the hull's new facet normals are all built on
 them. Around that: the dot product, reduced row echelon form with its
 null-space basis, and the primitive integer form of a rational vector.
-Entries must be ints or Fractions, and a float raises TypeError; rows
-are reduced as integer rows and come back as integer rows, so nothing
-here rounds.
+`rref` and `null_space` take integer rows, converted by `vectors`, so a
+float, even `2.0`, or a Fraction raises TypeError there; `primitive` and
+`dot` also take Fractions. Rows are reduced as integer rows and come back
+as integer rows, so nothing here rounds.
 """
 from __future__ import annotations
 
@@ -73,20 +74,18 @@ def pivot(rows: MutableSequence[Sequence[int]], r: int, c: int) -> None:
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Nonzero rows of the reduced row echelon form and their pivot columns.
 
-    The width is the first row's; a row of another length raises MuddError.
+    Each row is converted by `vectors`: an entry that is not an integer
+    raises TypeError, and a row not as long as the first raises MuddError.
 
     The pivot columns of a matrix whose columns are vectors v_1..v_m select
     the first maximal independent subset of v_1..v_m, in order.
 
-    Each row is scaled to a primitive integer row and eliminated by `pivot`.
-    A returned row is primitive with a positive pivot entry: divided by that
-    entry it is the row of the rational reduced form.
+    Rows are eliminated by `pivot`. A returned row is primitive with a
+    positive pivot entry: divided by that entry it is the row of the
+    rational reduced form.
     """
-    ints = [list(row) if all(type(x) is int for x in row) else list(primitive(row))
-            for row in rows]
+    ints = vectors(rows, what="row")
     ncols = len(ints[0]) if ints else 0
-    for row in ints:
-        check_length(row, ncols, "row")
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -108,7 +107,8 @@ def null_space(rows: Sequence[Sequence], ncols: int) -> tuple[list[int], list[tu
     The basis has one primitive integer vector per free column, ncols minus
     the rank in all: it is positive at its free column, 0 at the other free
     columns, and at each pivot the multiple that cancels that free column of
-    its reduced row. A row of other than ncols entries raises MuddError.
+    its reduced row. A row of other than ncols entries raises MuddError, and
+    an entry that is not an integer TypeError, as in `rref`.
     """
     if rows:
         check_length(rows[0], ncols, "row")  # `rref` checks the rest against it

@@ -21,8 +21,10 @@ from .model import CounterNamespace, MuDD, Record, enumerate_mupaths
 class ModelEntry(Record):
     """One explored model; `parent` is (name, "relaxation" | "pruning").
 
-    `features` is kept as a frozenset (a string is refused), `parent` as a
-    tuple (anything but a tuple or list of a name and a kind is refused).
+    `features` is kept as a frozenset (a string, or a feature named twice, is
+    refused), `parent` as a tuple (anything but a tuple or list of a name
+    and a kind is refused). An `infeasible_count` that is not an int, a bool
+    included, raises TypeError.
     `generators`, kept outside `_fields`, are the model's normalized
     signatures (None without a model), from the one enumeration of its paths
     made here; a model whose paths cannot be enumerated raises MuddError."""
@@ -31,10 +33,17 @@ class ModelEntry(Record):
 
     def __init__(self, name: str, features: Iterable[str], infeasible_count: int,
                  model: MuDD | None = None, parent: tuple | list | None = None):
+        if type(infeasible_count) is not int:  # as `load_catalog` reads it: no bool
+            raise TypeError(f"entry {name!r} has infeasible count {infeasible_count!r}, "
+                            "not an int")
         if infeasible_count < 0:
             raise MuddError(f"entry {name!r} has a negative infeasible count")
         if isinstance(features, str):  # not a set of its characters
             raise MuddError(f"entry {name!r} has features {features!r}, a string")
+        features = tuple(features)
+        repeated = [f for i, f in enumerate(features) if f in features[:i]]
+        if repeated:
+            raise MuddError(f"entry {name!r} has duplicate feature {repeated[0]!r}")
         pair = tuple(parent) if isinstance(parent, (tuple, list)) else ()  # not "pr"
         if parent is not None and (len(pair) != 2 or not isinstance(pair[0], str)):
             raise MuddError(f"entry {name!r} has parent {parent!r}, not a (name, kind) pair")
@@ -52,16 +61,23 @@ class ModelCatalog(Record):
     """Explored models: `entries` is one tuple of `ModelEntry`, in file order.
 
     Every check that spans entries runs here, and MuddError names the first
-    fault in this order: duplicate names, missing parents, parent cycles, a
-    relaxation edge whose models infer different namespaces (parse both
-    with one `CounterNamespace`). An entry that is not a `ModelEntry`
-    raises TypeError. Outside `_fields`: an index by name, and
-    `relaxations`, the (parent, child) pairs of relaxation edges between models."""
+    fault in this order: a feature named twice in `feature_order`, duplicate
+    names, missing parents, parent cycles, a relaxation edge whose models
+    infer different namespaces (parse both with one `CounterNamespace`). A
+    `dataset_id` that is not a string, or an entry that is not a
+    `ModelEntry`, raises TypeError. Outside `_fields`: an index by name, and
+    `relaxations`, the (parent, child) pairs of relaxation edges between
+    models."""
 
     _fields = ("entries", "dataset_id", "feature_order")
 
     def __init__(self, entries: Sequence[ModelEntry], dataset_id: str = "",
                  feature_order: tuple[str, ...] = ()):
+        if not isinstance(dataset_id, str):
+            raise TypeError(f"dataset id {dataset_id!r} is not a string")
+        repeated = [f for i, f in enumerate(feature_order) if f in feature_order[:i]]
+        if repeated:
+            raise MuddError(f"duplicate feature {repeated[0]!r} in the feature order")
         entries = tuple(entries)
         index: dict[str, ModelEntry] = {}
         for entry in entries:

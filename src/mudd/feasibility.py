@@ -34,6 +34,7 @@ import os
 from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
+from operator import index
 
 from . import exact, linprog
 from .errors import MuddError
@@ -301,9 +302,12 @@ def batch_check(
 
     A process pool starts only when at least two workers each get
     `_CELLS_PER_WORKER` cells, with no more workers than usable CPUs or
-    than `jobs` where it is given. A worker that dies raises MuddError.
+    than `jobs` where it is given. A worker that dies raises MuddError, and
+    so does a `jobs` below 1; one that is not an integer raises TypeError.
     """
     check_alpha(alpha)
+    if jobs is not None and index(jobs) < 1:
+        raise MuddError("jobs must be at least 1")
     cells: list[BatchCell] = []
     work = []
     for model_name, model in models:

@@ -19,6 +19,7 @@ that tests check the deduced constraints against.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import index
 
 from . import exact, hull
 from .errors import MuddError
@@ -41,6 +42,13 @@ class Constraint(Record):
     order, whose weighted sum of coefficients is a positive multiple of
     `coefficients`; a facet's weight is positive, an equality's has either
     sign.
+
+    Coefficients and weights are converted as a signature's entries are, by
+    `operator.index` through `exact.vectors`: a bool or a numpy integer
+    becomes an int, and a float, even `2.0`, a Fraction or a string raises
+    TypeError. Having no namespace, a constraint leaves its length to the
+    steps that take one: `display`, `ConfidenceRegion.misses` and
+    `refinement_candidates`.
     """
 
     _fields = ("kind", "coefficients", "provenance", "terms")
@@ -48,6 +56,8 @@ class Constraint(Record):
     def __init__(self, kind: str, coefficients: Vector, provenance: str = "",
                  terms: tuple[tuple[int, "Constraint"], ...] = ()):
         # kind: "equality" | "inequality"
+        (coefficients,) = exact.vectors([coefficients], what="constraint")
+        terms = tuple((index(weight), c) for weight, c in terms)
         self._set(kind=kind, coefficients=coefficients, provenance=provenance, terms=terms)
 
     def satisfied_by(self, point: Sequence) -> bool:

@@ -66,14 +66,21 @@ class Record:
 
 
 class CounterNamespace(Record):
-    """Ordered set of distinct counter names; the order fixes vector coordinates."""
+    """Ordered set of distinct counter names; the order fixes vector coordinates.
+
+    A string is refused, not split into one counter per character, with
+    MuddError; a name that is not a string raises TypeError."""
 
     _fields = ("names",)
 
     def __init__(self, names: Iterable[str]):
+        if isinstance(names, str):
+            raise MuddError("a namespace takes a sequence of counter names, not a string")
         names = tuple(names)
         index: dict[str, int] = {}
         for i, n in enumerate(names):
+            if not isinstance(n, str):
+                raise TypeError(f"counter name {n!r} is not a string")
             if n in index:
                 raise MuddError(f"duplicate counter name {n!r} in namespace")
             index[n] = i

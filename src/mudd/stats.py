@@ -141,8 +141,11 @@ class ConfidenceRegion(Record):
         D = max_i sum_j |E_i.E_j - scale**2 [i = j]| < scale**2, the box misses
         a.v >= 0 when (base + spread)(scale**2 - D) + D max_j |a.E_j| sum_i H_i
         < 0; an equality also by the mirror test on -a.
+
+        `a` is converted by `exact.vectors`: an entry that is not an integer,
+        even `2.0`, raises TypeError, so no float is decided here.
         """
-        exact.check_length(a, self.dimension, "constraint")
+        (a,) = exact.vectors([a], self.dimension, "constraint")
         terms = [(j, x) for j, x in enumerate(a) if x]  # deduced constraints are sparse
         base = self._scale * sum(x * self._center[j] for j, x in terms)
         spread = sum(abs(sum(x * e[j] for j, x in terms)) * h

@@ -45,11 +45,14 @@ class TestNullSpace:
             assert vec[f] > 0
 
     def test_basis_of_fraction_rows_is_integer(self):
-        # x + y/2 - z/3 = 0: the reduced row is (6, 3, -2), so the free
-        # columns y and z give (-1, 2, 0) and (1, 0, 3)
-        pivots, basis = exact.null_space([[1, Fraction(1, 2), Fraction(-1, 3)]], 3)
+        # x + y/2 - z/3 = 0 is taken as its primitive integer row (6, 3, -2),
+        # so the free columns y and z give (-1, 2, 0) and (1, 0, 3)
+        row = [1, Fraction(1, 2), Fraction(-1, 3)]
+        pivots, basis = exact.null_space([exact.primitive(row)], 3)
         assert pivots == [0]
         assert basis == [(-1, 2, 0), (1, 0, 3)]
+        with pytest.raises(TypeError, match="^'Fraction' object cannot be interpreted"):
+            exact.null_space([row], 3)
 
     def test_pivots_pick_first_independent_columns(self):
         # columns (1,0), (2,0), (0,1): the second is a multiple of the first
@@ -80,12 +83,11 @@ def _reference_rref(rows, ncols):
 
 @st.composite
 def _awkward_matrices(draw):
-    """Int and Fraction matrices with zero, duplicate and dependent rows, and
-    entries near 2**64."""
+    """Integer matrices with zero, duplicate and dependent rows, and entries
+    near 2**64."""
     ncols = draw(st.integers(min_value=1, max_value=6))
     entry = st.one_of(
         st.integers(min_value=-4, max_value=4),
-        st.fractions(min_value=-4, max_value=4, max_denominator=12),
         st.integers(min_value=2**64 - 4, max_value=2**64 + 4),
         st.integers(min_value=-(2**64) - 4, max_value=-(2**64) + 4),
     )
@@ -126,7 +128,7 @@ class TestRref:
         assert exact.rref([[0, 0, 2]]) == ([[0, 0, 1]], [2])
 
     def test_float_entry_is_refused(self):
-        with pytest.raises(TypeError, match="ints or Fractions, got 0.5"):
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
             exact.rref([[1, 0.5]])
 
 

@@ -58,8 +58,8 @@ class TestModelEntry:
         assert str(exc.value) == f"entry 'a' has parent {parent!r}, not a (name, kind) pair"
 
     def test_iterables_are_kept_as_values(self):
-        e = entry("a", ["f", "f"], 0, parent=["p", "pruning"])
-        assert e.features == frozenset({"f"}) and e.parent == ("p", "pruning")
+        e = entry("a", ["f", "g"], 0, parent=["p", "pruning"])
+        assert e.features == frozenset({"f", "g"}) and e.parent == ("p", "pruning")
 
     def test_features_string(self):
         with pytest.raises(MuddError, match="^entry 'a' has features 'TlbPf', a string$"):

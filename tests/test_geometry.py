@@ -10,6 +10,7 @@ from mudd.feasibility import (
     FeasibilityVerdict,
     _Signatures,
     attribute_violations,
+    batch_check,
     check_feasibility,
     refinement_candidates,
 )
@@ -83,9 +84,12 @@ SIGNATURE_USERS = {
 }
 
 
+_NON_INTEGERS = (2.0, 2.5, float("inf"), float("nan"), Fraction(2), "3")
+
+
 @pytest.mark.parametrize("use", SIGNATURE_USERS.values(), ids=SIGNATURE_USERS)
 def test_non_integer_signature_entry_raises_type_error(use):
-    for bad in (2.0, 2.5, float("inf"), float("nan"), Fraction(2), "3"):
+    for bad in _NON_INTEGERS:
         with pytest.raises(TypeError):
             use(bad)
 
@@ -97,10 +101,9 @@ def test_integer_signature_entry_gives_the_int_result(use):
     assert repr(use(_Two())) == repr(use(2))
 
 
-# every function that takes vectors from a caller refuses one of another
-# length with the one message of `exact.check_length`, rather than zipping
-# it down to the shorter length: each use below takes the odd vector where
-# 2 entries are expected, after a first vector of 2 where there is one
+# a constraint's coefficients and a term's weight are converted as a
+# signature's entries are, and so are the integer rows of `exact.rref`: no
+# float reaches an exact decision
 
 _AB = CounterNamespace(["a", "b"])
 _REGION = ConfidenceRegion((5.0, 2.0), ((1.0, 0.0), (0.0, 1.0)), (1.0, 1.0))
@@ -109,6 +112,56 @@ _REGION = ConfidenceRegion((5.0, 2.0), ((1.0, 0.0), (0.0, 1.0)), (1.0, 1.0))
 def _facet(v):
     return ConstraintSet((), (Constraint("inequality", v),), _AB, (0, 1))
 
+
+def _pinned(x):
+    # v0 = 0, written x*v0 = 0, and v1 >= 0: the cone of the signature (0, 1),
+    # whose equality the box of _REGION, at v0 = 5 -+ 1, misses for any x > 0
+    return ConstraintSet((Constraint("equality", (x, 0)),), (Constraint("inequality", (0, 1)),),
+                         _AB, (1,))
+
+
+COEFFICIENT_USERS = {
+    "Constraint": lambda x: Constraint("inequality", (x, -1)),
+    "Constraint-terms": lambda x: Constraint("inequality", (1, -1), "farkas",
+                                             ((x, Constraint("inequality", (1, -1))),)),
+    "ConfidenceRegion.misses": lambda x: _REGION.misses((x, -10)),
+    "attribute_violations": lambda x: attribute_violations(_pinned(x), _REGION),
+    "check_feasibility": lambda x: check_feasibility([(0, 1)], _REGION, constraints=_pinned(x)),
+    "refinement_candidates": lambda x: refinement_candidates(
+        Constraint("inequality", (x, -1)),
+        dsl.parse("switch (P) { case x: counter a; case y: counter b; }")),
+    "exact.rref": lambda x: exact.rref([(x, 1), (0, 1)]),
+    "exact.null_space": lambda x: exact.null_space([(x, 1)], 2),
+}
+
+
+@pytest.mark.parametrize("use", COEFFICIENT_USERS.values(), ids=COEFFICIENT_USERS)
+def test_non_integer_coefficient_raises_type_error(use):
+    for bad in _NON_INTEGERS:
+        with pytest.raises(TypeError):
+            use(bad)
+
+
+@pytest.mark.parametrize("use", COEFFICIENT_USERS.values(), ids=COEFFICIENT_USERS)
+def test_integer_coefficient_gives_the_int_result(use):
+    assert repr(use(True)) == repr(use(1))
+    assert repr(use(_Two())) == repr(use(2))
+
+
+def test_float_constraint_is_not_decided_in_floats():
+    # at the point (1, 1, 1) the integer vector's value is exactly -1, which
+    # the float vector's rounded sum loses
+    point = ConfidenceRegion((1.0, 1.0, 1.0), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                               (0.0, 0.0, 1.0)), (0.0, 0.0, 0.0))
+    assert point.misses((10**16, -1, -10**16))
+    with pytest.raises(TypeError):
+        point.misses((1e16, -1.0, -1e16))
+
+
+# every function that takes vectors from a caller refuses one of another
+# length with the one message of `exact.check_length`, rather than zipping
+# it down to the shorter length: each use below takes the odd vector where
+# 2 entries are expected, after a first vector of 2 where there is one
 
 LENGTH_USERS = {
     "normalize_signatures": ("signature", lambda v: normalize_signatures([(1, 0), v])),
@@ -236,6 +289,15 @@ REFUSALS = {
                                   lambda: _diagram((0,))),
     "MuDD-happens-before-long": ("happens-before edge (0, 0, 0) is not a (src, dst) pair",
                                  lambda: _diagram((0, 0, 0))),
+    "CounterNamespace-string": ("a namespace takes a sequence of counter names, not a string",
+                                lambda: CounterNamespace("ab")),
+    "ModelEntry-features": ("entry 'a' has duplicate feature 'X'",
+                            lambda: ModelEntry("a", ["X", "X"], 0)),
+    "ModelCatalog-feature-order": ("duplicate feature 'X' in the feature order",
+                                   lambda: ModelCatalog(_CATALOG.entries, "", ("X", "X"))),
+    "batch_check-jobs-zero": ("jobs must be at least 1", lambda: batch_check([], [], jobs=0)),
+    "batch_check-jobs-negative": ("jobs must be at least 1",
+                                  lambda: batch_check([], [], jobs=-3)),
 }
 
 
@@ -259,10 +321,29 @@ def test_contradictory_verdict_raises_arithmetic_error(verdict):
     assert str(exc.value) == "a verdict is feasible exactly when it names no violated constraint"
 
 
-def test_catalog_entry_of_another_type_raises_type_error():
+# a value of the wrong type is one TypeError with one message; a JSON
+# catalog's and the command line's values are refused before they get here
+
+TYPE_REFUSALS = {
+    "ModelCatalog-entry": ("catalog entry 'x' is not a ModelEntry", lambda: ModelCatalog(["x"])),
+    "CounterNamespace-name": ("counter name 1 is not a string",
+                              lambda: CounterNamespace([1, 2])),
+    "ModelEntry-count-float": ("entry 'a' has infeasible count 1.5, not an int",
+                               lambda: ModelEntry("a", [], 1.5)),
+    "ModelEntry-count-bool": ("entry 'a' has infeasible count True, not an int",
+                              lambda: ModelEntry("a", [], True)),
+    "ModelCatalog-dataset-id": ("dataset id 3 is not a string",
+                                lambda: ModelCatalog(_CATALOG.entries, 3)),
+    "batch_check-jobs": ("'float' object cannot be interpreted as an integer",
+                         lambda: batch_check([], [], jobs=2.5)),
+}
+
+
+@pytest.mark.parametrize("message, use", TYPE_REFUSALS.values(), ids=TYPE_REFUSALS)
+def test_value_of_another_type_raises_one_type_error(message, use):
     with pytest.raises(TypeError) as exc:
-        ModelCatalog(["x"])
-    assert str(exc.value) == "catalog entry 'x' is not a ModelEntry"
+        use()
+    assert str(exc.value) == message
 
 
 # -- equalities ---------------------------------------------------------------
