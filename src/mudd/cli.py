@@ -169,6 +169,7 @@ def cmd_explore(args):
 
     catalog = exploration.load_catalog(args.catalog)
     feasible, infeasible = exploration.classify(catalog)
+    required = exploration.required_features(catalog)
     return 0, {
         "dataset_id": catalog.dataset_id,
         "entries": [
@@ -180,9 +181,8 @@ def cmd_explore(args):
         ],
         "feasible": sorted(feasible),
         "infeasible": sorted(infeasible),
-        "minimal_feasible": sorted(exploration.minimal_feasible(catalog, feasible)),
-        "required_features": (sorted(exploration.required_features(catalog, feasible))
-                              if feasible else None),
+        "minimal_feasible": sorted(exploration.minimal_feasible(catalog)),
+        "required_features": None if required is None else sorted(required),
         "expansion": exploration.expansion_results(catalog),
     }, lambda report: _explore_text(report, catalog.feature_order)
 

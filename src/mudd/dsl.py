@@ -51,17 +51,13 @@ class Diagnostic(Record):
 
 
 class DslParseError(MuddError):
-    """Parse failed; carries every diagnostic, in source order."""
+    """Parse failed; carries every diagnostic, in source order, and reads
+    as one `origin:line:col: kind: message` line per diagnostic."""
 
     def __init__(self, diagnostics: Sequence[Diagnostic], origin: str = "<inline>"):
         self.diagnostics = tuple(sorted(diagnostics, key=lambda d: (d.line, d.col)))
-        super().__init__(format_diagnostics(self.diagnostics, origin))
-
-
-def format_diagnostics(diagnostics: Sequence[Diagnostic], origin: str = "<inline>") -> str:
-    """Stable, position-annotated report; one line per diagnostic, source order."""
-    ordered = sorted(diagnostics, key=lambda d: (d.line, d.col))
-    return "\n".join(f"{origin}:{d.line}:{d.col}: {d.kind}: {d.message}" for d in ordered)
+        super().__init__("\n".join(f"{origin}:{d.line}:{d.col}: {d.kind}: {d.message}"
+                                   for d in self.diagnostics))
 
 
 # ---------------------------------------------------------------------------

@@ -61,13 +61,14 @@ class ModelCatalog(Record):
     """Explored models: `entries` is one tuple of `ModelEntry`, in file order.
 
     Every check that spans entries runs here, and MuddError names the first
-    fault in this order: a feature named twice in `feature_order`, duplicate
-    names, missing parents, parent cycles, a relaxation edge whose models
-    infer different namespaces (parse both with one `CounterNamespace`). A
-    `dataset_id` that is not a string, or an entry that is not a
-    `ModelEntry`, raises TypeError. Outside `_fields`: an index by name, and
-    `relaxations`, the (parent, child) pairs of relaxation edges between
-    models."""
+    fault in this order: a `feature_order` that is one string, a feature
+    named twice in it, duplicate names, missing parents, parent cycles, a
+    relaxation edge whose models infer different namespaces (parse both with
+    one `CounterNamespace`). `feature_order` is kept as a tuple. A
+    `dataset_id` or feature name that is not a string, or an entry that is
+    not a `ModelEntry`, raises TypeError. Outside `_fields`: an index by
+    name, and `relaxations`, the (parent, child) pairs of relaxation edges
+    between models."""
 
     _fields = ("entries", "dataset_id", "feature_order")
 
@@ -75,6 +76,12 @@ class ModelCatalog(Record):
                  feature_order: tuple[str, ...] = ()):
         if not isinstance(dataset_id, str):
             raise TypeError(f"dataset id {dataset_id!r} is not a string")
+        if isinstance(feature_order, str):  # not a feature per character
+            raise MuddError("a feature order takes a sequence of feature names, not a string")
+        feature_order = tuple(feature_order)
+        for f in feature_order:
+            if not isinstance(f, str):
+                raise TypeError(f"feature name {f!r} is not a string")
         repeated = [f for i, f in enumerate(feature_order) if f in feature_order[:i]]
         if repeated:
             raise MuddError(f"duplicate feature {repeated[0]!r} in the feature order")
@@ -223,26 +230,20 @@ def classify(catalog: ModelCatalog) -> tuple[frozenset[str], frozenset[str]]:
     return feasible, frozenset(catalog._index) - feasible
 
 
-def required_features(catalog: ModelCatalog, feasible: frozenset[str]) -> frozenset[str]:
-    """Features present in every feasible entry, named as `classify` names
-    them; the ones the explored space forces. A name the catalog does not
-    hold raises MuddError."""
-    if not feasible:
-        raise MuddError("no feasible entries in the catalog")
-    for name in sorted(feasible):
-        if name not in catalog._index:
-            raise MuddError(f"no entry {name!r} in the catalog")
-    return frozenset.intersection(*(catalog._index[name].features for name in feasible))
+def required_features(catalog: ModelCatalog) -> frozenset[str] | None:
+    """Features present in every feasible entry, the ones the explored space
+    forces; None when no entry is feasible. Each feasible feature set holds
+    an inclusion-minimal one, so the minimal sets have the same intersection."""
+    minimal = minimal_feasible(catalog)
+    if not minimal:
+        return None
+    return frozenset.intersection(*(catalog._index[name].features for name in minimal))
 
 
-def minimal_feasible(catalog: ModelCatalog, feasible: frozenset[str]) -> frozenset[str]:
-    """Feasible entries, named as `classify` names them, whose feature set is
-    inclusion-minimal among feasible ones. A name the catalog does not hold
-    raises MuddError."""
-    for name in sorted(feasible):
-        if name not in catalog._index:
-            raise MuddError(f"no entry {name!r} in the catalog")
-    features = {name: catalog._index[name].features for name in feasible}
+def minimal_feasible(catalog: ModelCatalog) -> frozenset[str]:
+    """Feasible entries, by `classify`'s rule, whose feature set is
+    inclusion-minimal among the feasible ones."""
+    features = {e.name: e.features for e in catalog.entries if e.infeasible_count == 0}
     return frozenset(name for name, mine in features.items()
                      if not any(other < mine for other in features.values()))
 

@@ -48,16 +48,27 @@ class Constraint(Record):
     becomes an int, and a float, even `2.0`, a Fraction or a string raises
     TypeError. Having no namespace, a constraint leaves its length to the
     steps that take one: `display`, `ConfidenceRegion.misses` and
-    `refinement_candidates`.
+    `refinement_candidates`. A `kind` other than "equality" or
+    "inequality", or a term that is not a (weight, constraint) pair, raises
+    MuddError; a term whose constraint is not a `Constraint` raises
+    TypeError.
     """
 
     _fields = ("kind", "coefficients", "provenance", "terms")
 
     def __init__(self, kind: str, coefficients: Vector, provenance: str = "",
                  terms: tuple[tuple[int, "Constraint"], ...] = ()):
-        # kind: "equality" | "inequality"
+        if kind not in ("equality", "inequality"):
+            raise MuddError(f"constraint kind {kind!r} is not 'equality' or 'inequality'")
         (coefficients,) = exact.vectors([coefficients], what="constraint")
-        terms = tuple((index(weight), c) for weight, c in terms)
+        pairs = []
+        for term in terms:
+            if not isinstance(term, (tuple, list)) or len(term) != 2:
+                raise MuddError(f"constraint term {term!r} is not a (weight, constraint) pair")
+            if not isinstance(term[1], Constraint):
+                raise TypeError(f"constraint term {term[1]!r} is not a Constraint")
+            pairs.append((index(term[0]), term[1]))
+        terms = tuple(pairs)
         self._set(kind=kind, coefficients=coefficients, provenance=provenance, terms=terms)
 
     def satisfied_by(self, point: Sequence) -> bool:
@@ -220,7 +231,8 @@ def conic_hull_facets(gens: Sequence) -> tuple[Constraint, ...]:
     The integer generators, extreme or not, are hulled as rays by the exact
     double-description kernel, which needs a pointed cone: every generator
     must be non-negative (`check_non_negative`) and nonzero. Each facet is
-    checked to hold on every generator.
+    checked to hold on every generator; one that does not is the kernel's
+    fault and raises ArithmeticError.
     """
     vectors = list(dict.fromkeys(exact.vectors(gens, what="generator")))
     if not vectors:
@@ -232,7 +244,7 @@ def conic_hull_facets(gens: Sequence) -> tuple[Constraint, ...]:
     facets = set(hull.convex_hull_hyperplanes(vectors))
     for coeffs in facets:
         if any(exact.dot(coeffs, v) < 0 for v in vectors):
-            raise MuddError(f"facet {coeffs} is not one-sided on the generators")
+            raise ArithmeticError(f"facet {coeffs} is not one-sided on the generators")
 
     return tuple(
         Constraint(kind="inequality", coefficients=f, provenance="conic-hull")

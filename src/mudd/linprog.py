@@ -15,7 +15,7 @@ lambda*(c - y.A') for one lambda > 0, c the artificials' costs and A' the
 initial tableau, so its entries at the slack columns that `_phase_one`
 appends for `feasible_point` are a Farkas vector w, in the caller's row
 units: each slack column carries its row's sign flip and primitive scale.
-`check_farkas` certifies it exactly (Applegate, Cook, Dash and Espinoza,
+`_check_farkas` certifies it exactly (Applegate, Cook, Dash and Espinoza,
 Oper. Res. Lett. 2007).
 """
 from __future__ import annotations
@@ -144,7 +144,7 @@ def feasible_point(
     Returns (x, None), x the structural variables, when the system is
     feasible, and (None, w) when it is not: w >= 0 with w.A_ub >= 0 and
     w.b_ub < 0, one entry per row, read from the final cost row at the slack
-    columns and passed through `check_farkas`. Slack columns of rows with
+    columns and passed through `_check_farkas`. Slack columns of rows with
     non-negative bounds seed the initial basis, so artificials are only
     created where needed. Entries must be ints or Fractions, as for
     `solve_equality_form`; a `b_ub` with other than one entry per row of
@@ -155,11 +155,11 @@ def feasible_point(
     if solution is not None:
         return solution, None
     w = tuple(tableau[-1][num_vars:num_vars + len(A_ub)])
-    check_farkas(w, A_ub, b_ub)
+    _check_farkas(w, A_ub, b_ub)
     return None, w
 
 
-def check_farkas(w: Sequence, A_ub: Sequence[Sequence], b_ub: Sequence) -> None:
+def _check_farkas(w: Sequence, A_ub: Sequence[Sequence], b_ub: Sequence) -> None:
     """Raise ArithmeticError unless w proves that no x >= 0 has A_ub x <= b_ub.
 
     The proof is w >= 0, w.A_ub >= 0 and w.b_ub < 0: any such x would give

@@ -7,6 +7,8 @@ ellipsoid of that covariance at a chi-square quantile, approximated by its
 principal-axis bounding box: axis directions are covariance eigenvectors and
 half-lengths are sqrt(eigenvalue * quantile). Correlated counters shrink the
 box in the correlated directions, which is the whole point.
+`build_confidence_region` alone builds a region; the moments, the
+eigendecomposition and the quantile are its private steps.
 
 Everything here uses only the standard library: the moments are sums by
 `math.fsum`, and the symmetric eigendecomposition is Householder
@@ -354,7 +356,7 @@ def write_observations(obs: ObservationSet, dest: str | Path | io.TextIOBase) ->
         writer.writerow([i] * index + [format(x, ".17g") for x in row])
 
 
-def mean_and_covariance(obs: ObservationSet) -> tuple[Vector, Matrix]:
+def _mean_and_covariance(obs: ObservationSet) -> tuple[Vector, Matrix]:
     """Sample mean and plugin mean covariance.
 
     Each mean covariance entry is the unbiased sample covariance, a
@@ -396,7 +398,7 @@ def mean_and_covariance(obs: ObservationSet) -> tuple[Vector, Matrix]:
 
 
 @lru_cache(maxsize=1024, typed=True)
-def chi_square_quantile(dof: int, p: float) -> float:
+def _chi_square_quantile(dof: int, p: float) -> float:
     """Quantile q with P(chi2_dof <= q) = p, by bisection on the chi-square CDF.
 
     For an integer dof = 2a the CDF at q is the regularized lower incomplete
@@ -410,13 +412,9 @@ def chi_square_quantile(dof: int, p: float) -> float:
     overflows nor underflows. The bisection stops at a relative width of
     1e-12. Every probe is positive, as `_chi_square_cdf` needs: the first
     is dof, and each midpoint lies in (0, hi], hi >= 2**-200 after at most
-    200 halvings of hi >= 1. A dof below 1, or a p outside (0, 1), raises
-    MuddError.
+    200 halvings of hi >= 1. `build_confidence_region` passes a dof of at
+    least 1 and a p in (0, 1).
     """
-    if dof < 1:
-        raise MuddError("dof must be a positive integer")
-    if not 0.0 < p < 1.0:
-        raise MuddError("p must lie in (0, 1)")
     hi = float(dof)
     while _chi_square_cdf(dof, hi) < p:
         hi *= 2.0
@@ -455,11 +453,11 @@ def _chi_square_cdf(dof: int, x: float) -> float:
     return total
 
 
-def eigendecompose(sigma: Sequence[Sequence[float]]) -> tuple[Vector, Matrix]:
+def _eigendecompose(sigma: Sequence[Sequence[float]]) -> tuple[Vector, Matrix]:
     """Eigenvalues (descending, clamped at zero) and orthonormal eigenvectors (rows).
 
-    Raises MuddError when the input is not square, has an entry that is not
-    finite, or differs from its transpose in any entry. Each all-zero row i
+    The input is the square, finite, exactly symmetric matrix that
+    `_mean_and_covariance` builds, or its diagonal. Each all-zero row i
     is the eigenpair (0, e_i) as it stands; the block of the other rows goes
     through Householder tridiagonalisation and the implicit QL algorithm
     (`_symmetric_eigen`). Covariance matrices are positive
@@ -468,18 +466,8 @@ def eigendecompose(sigma: Sequence[Sequence[float]]) -> tuple[Vector, Matrix]:
     input is not positive semidefinite. Raises ArithmeticError when
     V^T diag(values) V misses the input by more than that bound.
     """
-    try:
-        a = [[float(x) for x in row] for row in sigma]
-    except TypeError:
-        raise MuddError("matrix is not square") from None
+    a = [[float(x) for x in row] for row in sigma]
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise MuddError("matrix is not square")
-    if not all(all(map(math.isfinite, row)) for row in a):
-        raise MuddError("matrix has non-finite entries")
-    if a != [list(col) for col in zip(*a)]:
-        raise MuddError("matrix is not symmetric")
-
     values = [0.0] * n
     vectors = [list(row) for row in _identity(n)]
     block = [i for i in range(n) if any(a[i])]
@@ -684,13 +672,13 @@ def build_confidence_region(
     check_alpha(alpha)
     if not obs.namespace.names:
         raise MuddError(f"run {obs.run_id!r} shares no counter with the model")
-    mean, mean_cov = mean_and_covariance(obs)
+    mean, mean_cov = _mean_and_covariance(obs)
     if independent:
         mean_cov = tuple(tuple(x if i == j else 0.0 for j, x in enumerate(row))
                          for i, row in enumerate(mean_cov))
-    values, axes = eigendecompose(mean_cov)
+    values, axes = _eigendecompose(mean_cov)
     dof = len(obs.namespace)
-    quantile = chi_square_quantile(dof, 1.0 - alpha)
+    quantile = _chi_square_quantile(dof, 1.0 - alpha)
     half_lengths = tuple(math.sqrt(v * quantile) for v in values)
     if not all(map(math.isfinite, half_lengths)):
         raise MuddError(

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mudd import dsl
-from mudd.dsl import DslParseError, format_diagnostics, parse
+from mudd.dsl import DslParseError, parse
 from mudd.errors import MuddError
 from mudd.model import CounterNamespace, enumerate_mupaths
 
@@ -126,8 +126,7 @@ class TestDiagnostics:
         try:
             parse("counter ;", origin="model.mudd")
         except DslParseError as exc:
-            rendered = format_diagnostics(exc.diagnostics, "model.mudd")
-            assert rendered.startswith("model.mudd:1:9:")
+            assert str(exc).startswith("model.mudd:1:9:")
         else:
             pytest.fail("expected parse failure")
 

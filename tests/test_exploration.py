@@ -73,6 +73,11 @@ class TestModelCatalog:
         assert isinstance(cat.entries, tuple)
         assert hash(cat) == hash(catalog(*cat.entries))
 
+    def test_feature_order_is_kept_as_a_tuple(self):
+        cat = ModelCatalog([entry("a", ["f"], 0)], "", ["f", "g"])
+        assert cat.feature_order == ("f", "g")
+        assert hash(cat) == hash(ModelCatalog(cat.entries, "", ("f", "g")))
+
     def test_duplicate_names_are_refused(self):
         with pytest.raises(MuddError, match="^duplicate entry name 'a'$"):
             catalog(entry("a", [], 0), entry("b", [], 0), entry("a", ["f"], 1))
@@ -121,24 +126,33 @@ class TestRequiredFeatures:
             entry("b", ["x", "z"], 0),
             entry("c", ["y", "q"], 4),
         )
-        assert required_features(cat, classify(cat)[0]) == {"x", "z"}
+        assert required_features(cat) == {"x", "z"}
 
     def test_single_feasible_keeps_everything(self):
         cat = catalog(entry("a", ["x", "y"], 0), entry("b", ["x"], 2))
-        assert required_features(cat, classify(cat)[0]) == {"x", "y"}
+        assert required_features(cat) == {"x", "y"}
 
     def test_disjoint_features_empty(self):
         cat = catalog(entry("a", ["x"], 0), entry("b", ["y"], 0))
-        assert required_features(cat, classify(cat)[0]) == frozenset()
+        assert required_features(cat) == frozenset()
 
     def test_no_feasible_model(self):
-        with pytest.raises(MuddError, match="^no feasible entries in the catalog$"):
-            required_features(catalog(entry("a", ["x"], 1)), frozenset())
+        assert required_features(catalog(entry("a", ["x"], 1))) is None
+
+    def test_intersection_of_every_feasible_entry(self):
+        # read through the inclusion-minimal entries, as the report lists them
+        rng = random.Random(7)
+        for _ in range(300):
+            entries = [entry(f"e{i}", rng.sample("pqrstu", rng.randint(0, 4)), rng.randint(0, 1))
+                       for i in range(rng.randint(1, 6))]
+            feasible = [e.features for e in entries if e.infeasible_count == 0]
+            expected = frozenset.intersection(*feasible) if feasible else None
+            assert required_features(catalog(*entries)) == expected
 
     def test_antitone_under_new_feasible_entries(self):
         base = [entry("a", ["x", "y"], 0)]
-        before = required_features(catalog(*base), frozenset({"a"}))
-        after = required_features(catalog(*base, entry("b", ["x"], 0)), frozenset({"a", "b"}))
+        before = required_features(catalog(*base))
+        after = required_features(catalog(*base, entry("b", ["x"], 0)))
         assert after <= before
 
 
@@ -149,7 +163,10 @@ class TestMinimalFeasible:
             entry("small", ["x", "y"], 0),
             entry("other", ["q"], 0),
         )
-        assert minimal_feasible(cat, classify(cat)[0]) == {"small", "other"}
+        assert minimal_feasible(cat) == {"small", "other"}
+
+    def test_no_feasible_model(self):
+        assert minimal_feasible(catalog(entry("a", ["x"], 1))) == frozenset()
 
 
 class TestConeExpansion:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mudd.errors import MuddError
-from mudd.linprog import check_farkas, feasible_point, solve_equality_form
+from mudd.linprog import _check_farkas, feasible_point, solve_equality_form
 
 
 def test_simple_equality_system():
@@ -50,7 +50,7 @@ def test_feasible_point_with_inequalities():
 
 
 def _assert_farkas(w, A_ub, b_ub):
-    """w >= 0, w.A_ub >= 0 and w.b_ub < 0, checked here without check_farkas."""
+    """w >= 0, w.A_ub >= 0 and w.b_ub < 0, checked here without _check_farkas."""
     assert len(w) == len(A_ub) and all(x >= 0 for x in w)
     assert all(sum(x * row[j] for x, row in zip(w, A_ub)) >= 0 for j in range(len(A_ub[0])))
     assert sum(x * b for x, b in zip(w, b_ub)) < 0
@@ -76,12 +76,12 @@ def test_farkas_vector_of_an_infeasible_system():
 def test_corrupted_farkas_vector_is_refused(k):
     A_ub, b_ub = [[1, 1], [-1, 0], [0, -2]], [1, -1, -1]
     _, w = feasible_point(2, A_ub, b_ub)
-    check_farkas(w, A_ub, b_ub)
+    _check_farkas(w, A_ub, b_ub)
     for bad in (w[k] - 1, w[k] + 3, -1):
         corrupted = list(w)
         corrupted[k] = bad
         with pytest.raises(ArithmeticError, match="Farkas"):
-            check_farkas(corrupted, A_ub, b_ub)
+            _check_farkas(corrupted, A_ub, b_ub)
 
 
 def _with_equalities(A_eq, b_eq, A_ub, b_ub):

@@ -153,3 +153,38 @@ def test_every_raise_names_an_exception_of_the_contract():
             if name not in anywhere and (path.name, scope, name) not in bound:
                 offenders.append(f"{path.name}:{node.lineno} {scope} raises {name}")
     assert offenders == []
+
+
+def _names(tree):
+    """Every identifier a module names: variables, attributes, imported
+    names, and strings that are one name whole, as the benchmark harness
+    wraps a function by its attribute name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_public_function_has_a_caller():
+    # a library function that no other module of the package, no script and
+    # no benchmark module names has only tests for callers: it is a step of
+    # its own module and keeps a private name
+    package = Path(mudd.__file__).parent
+    root = package.parents[1]
+    callers = [*package.glob("*.py"), *root.glob("scripts/*.py"), *root.glob("perfbench/**/*.py")]
+    named = {path: set(_names(ast.parse(path.read_text(encoding="utf-8")))) for path in callers}
+    uncalled = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("cli.py", "__main__.py"):
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                    and not any(node.name in names for caller, names in named.items()
+                                if caller != path)):
+                uncalled.append(f"{path.name}:{node.name}")
+    assert uncalled == []

@@ -14,11 +14,11 @@ from mudd.model import CounterNamespace
 from mudd.stats import (
     ConfidenceRegion,
     ObservationSet,
+    _chi_square_quantile,
+    _eigendecompose,
+    _mean_and_covariance,
     build_confidence_region,
-    chi_square_quantile,
-    eigendecompose,
     load_observations,
-    mean_and_covariance,
     write_observations,
 )
 
@@ -190,24 +190,24 @@ class TestLoader:
 
 class TestMoments:
     def test_identical_rows_zero_covariance(self):
-        mean, mean_cov = mean_and_covariance(obs_from([[3, 4], [3, 4], [3, 4]]))
+        mean, mean_cov = _mean_and_covariance(obs_from([[3, 4], [3, 4], [3, 4]]))
         assert list(mean) == [3, 4]
         assert np.allclose(mean_cov, 0)
 
     def test_hand_computed_two_samples(self):
         # sample covariance [[2, 2], [2, 2]] over 2 samples
-        mean, mean_cov = mean_and_covariance(obs_from([[0, 0], [2, 2]]))
+        mean, mean_cov = _mean_and_covariance(obs_from([[0, 0], [2, 2]]))
         assert list(mean) == [1, 1]
         assert np.asarray(mean_cov).tolist() == [[1, 1], [1, 1]]
 
     def test_anticorrelated_pair(self):
-        _, mean_cov = mean_and_covariance(obs_from([[0, 2], [2, 0]]))
+        _, mean_cov = _mean_and_covariance(obs_from([[0, 2], [2, 0]]))
         assert mean_cov[0][1] == pytest.approx(-1)
 
     def test_returns_mean_and_mean_covariance_only(self):
         # each entry is the unbiased sample covariance, then over the sample count
         rows = np.random.default_rng(5).uniform(0, 1e3, (7, 2))
-        result = mean_and_covariance(obs_from(rows))
+        result = _mean_and_covariance(obs_from(rows))
         assert len(result) == 2
         mean, mean_cov = result
         d = rows - np.asarray(mean)
@@ -218,17 +218,17 @@ class TestMoments:
         huge = obs_from([[1e300, 0], [3e300, 1], [2e300, 2]], run_id="huge")
         with pytest.raises(MuddError, match="^run 'huge': sample mean or covariance overflows; "
                                             "counter values are too large$"):
-            mean_and_covariance(huge)
+            _mean_and_covariance(huge)
         # the column sum itself overflows
         huger = obs_from([[1e308, 0], [1.7e308, 1]], run_id="huger")
         with pytest.raises(MuddError, match="^run 'huger': sample mean or covariance overflows; "
                                             "counter values are too large$"):
-            mean_and_covariance(huger)
+            _mean_and_covariance(huger)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_constant_column_is_exact(self):
         # fsum(0.1, 0.1, 0.1) / 3 is not 0.1; a constant column keeps its value
-        mean, mean_cov = mean_and_covariance(obs_from([[0.1, 1], [0.1, 2], [0.1, 4]]))
+        mean, mean_cov = _mean_and_covariance(obs_from([[0.1, 1], [0.1, 2], [0.1, 4]]))
         assert mean[0] == 0.1
         assert mean_cov[0] == (0.0, 0.0) and mean_cov[1][0] == 0.0
         assert mean_cov[1][1] == pytest.approx(7 / 9, rel=1e-15)
@@ -236,16 +236,16 @@ class TestMoments:
     def test_covariance_exactly_symmetric(self):
         rng = np.random.default_rng(12)
         ns = CounterNamespace([f"c{i}" for i in range(6)])
-        _, mean_cov = mean_and_covariance(obs_from(rng.uniform(0, 1e4, (30, 6)), ns))
+        _, mean_cov = _mean_and_covariance(obs_from(rng.uniform(0, 1e4, (30, 6)), ns))
         assert all(mean_cov[i][j] == mean_cov[j][i] for i in range(6) for j in range(6))
 
 
 class TestChiSquare:
     def test_two_dof_closed_form(self):
         # P(chi2_2 <= q) = 1 - exp(-q/2), so the p quantile is -2 ln(1-p)
-        assert chi_square_quantile(2, 0.99) == pytest.approx(9.21034, abs=1e-4)
+        assert _chi_square_quantile(2, 0.99) == pytest.approx(9.21034, abs=1e-4)
         for p in (0.1, 0.5, 0.9, 0.999):
-            assert chi_square_quantile(2, p) == pytest.approx(-2 * math.log(1 - p), abs=1e-8)
+            assert _chi_square_quantile(2, p) == pytest.approx(-2 * math.log(1 - p), abs=1e-8)
 
     def test_one_dof_closed_form(self):
         # quantile is the squared standard normal quantile at (1+p)/2
@@ -253,26 +253,20 @@ class TestChiSquare:
 
         for p in (0.2, 0.8, 0.99):
             z = math.sqrt(2) * erfinv(p)
-            assert chi_square_quantile(1, p) == pytest.approx(z * z, abs=1e-7)
+            assert _chi_square_quantile(1, p) == pytest.approx(z * z, abs=1e-7)
 
     def test_small_p_limit(self):
-        assert chi_square_quantile(1, 1e-12) < 1e-6
+        assert _chi_square_quantile(1, 1e-12) < 1e-6
 
     def test_monotone_in_p(self):
-        qs = [chi_square_quantile(3, p) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        qs = [_chi_square_quantile(3, p) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
         assert qs == sorted(qs)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(MuddError, match=r"^dof must be a positive integer$"):
-            chi_square_quantile(0, 0.5)
-        with pytest.raises(MuddError, match=r"^p must lie in \(0, 1\)$"):
-            chi_square_quantile(2, 1.0)
 
     def test_levels_match_scipy_bisection_bit_for_bit(self):
         # the levels check uses give the regions scipy's gammainc gave
         for dof in range(1, 65):
             for p in (0.5, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9999):
-                assert chi_square_quantile(dof, p) == scipy_bisection_quantile(dof, p), (dof, p)
+                assert _chi_square_quantile(dof, p) == scipy_bisection_quantile(dof, p), (dof, p)
 
     @pytest.mark.parametrize("dofs", [range(1, 201), (500, 1000, 4096)],
                              ids=["dof1-200", "large-dof"])
@@ -280,7 +274,7 @@ class TestChiSquare:
         ps = (1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-9)
         for dof in dofs:
             for p in ps:
-                q = chi_square_quantile(dof, p)
+                q = _chi_square_quantile(dof, p)
                 ref = scipy_bisection_quantile(dof, p)
                 assert math.isfinite(q) and q > 0, (dof, p)
                 assert abs(q - ref) <= 1e-10 * ref, (dof, p, q, ref)
@@ -307,18 +301,18 @@ def scipy_bisection_quantile(dof, p):
 
 class TestEigendecompose:
     def test_identity(self):
-        values, axes = eigendecompose(np.eye(3))
+        values, axes = _eigendecompose(np.eye(3))
         axes = np.asarray(axes)
         assert np.allclose(values, 1)
         assert np.allclose(axes @ axes.T, np.eye(3))
 
     def test_diagonal_sorted_descending(self):
-        values, axes = eigendecompose(np.diag([1.0, 4.0]))
+        values, axes = _eigendecompose(np.diag([1.0, 4.0]))
         assert list(values) == [4.0, 1.0]
         assert abs(np.asarray(axes[0]) @ [0, 1]) == pytest.approx(1)
 
     def test_hand_computed_2x2(self):
-        values, axes = eigendecompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        values, axes = _eigendecompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert list(values) == pytest.approx([3.0, 1.0])
         assert abs(np.asarray(axes[0]) @ [1 / math.sqrt(2), 1 / math.sqrt(2)]) == pytest.approx(1)
 
@@ -326,13 +320,13 @@ class TestEigendecompose:
         rng = np.random.default_rng(4)
         m = rng.normal(size=(5, 5))
         sym = m @ m.T
-        values, axes = eigendecompose(sym)
+        values, axes = _eigendecompose(sym)
         axes = np.asarray(axes)
         recon = axes.T @ np.diag(values) @ axes
         assert np.abs(recon - sym).max() <= 1e-9 * (1 + np.abs(sym).max())
 
     def test_negative_clamped(self):
-        values, _ = eigendecompose(np.array([[1e-18, 0.0], [0.0, -1e-18]]))
+        values, _ = _eigendecompose(np.array([[1e-18, 0.0], [0.0, -1e-18]]))
         assert (np.asarray(values) >= 0).all()
 
     def test_bits_do_not_depend_on_the_python_version(self):
@@ -341,7 +335,7 @@ class TestEigendecompose:
         # 4 eigenvalues and 13 of the 16 axis entries differ in their last bits
         sigma = [[4.0, 0.1, 0.1, 0.1], [0.1, 5.0, 0.1, 0.2],
                  [0.1, 0.1, 6.0, 0.3], [0.1, 0.2, 0.3, 7.0]]
-        values, axes = eigendecompose(sigma)
+        values, axes = _eigendecompose(sigma)
         assert [x.hex() for x in values] == [
             "0x1.c725bcf0779b4p+2", "0x1.7afb6790d26cep+2",
             "0x1.3edc2b3542e85p+2", "0x1.fe056092e61efp+1"]
@@ -355,39 +349,19 @@ class TestEigendecompose:
             ["-0x1.fd5f75460509ep-1", "0x1.6e0be79bca439p-4",
              "0x1.54150dd813f74p-5", "0x1.77c402cd1d4eap-6"]]
 
-    def test_not_symmetric(self):
-        with pytest.raises(MuddError, match="^matrix is not symmetric$"):
-            eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
     def test_indefinite_is_refused(self):
         # eigenvalues 3 and -1: named as such, not as a failed reconstruction
         with pytest.raises(MuddError, match="^matrix is not positive semidefinite$"):
-            eigendecompose([[1.0, 2.0], [2.0, 1.0]])
-
-    def test_one_ulp_off_symmetric_is_refused(self):
-        # no tolerance: an input is symmetric exactly, as every covariance here is
-        sigma = [[2.0, 1.0, 0.5], [1.0, 2.0, 0.25], [0.5, math.nextafter(0.25, 1.0), 2.0]]
-        with pytest.raises(MuddError, match="^matrix is not symmetric$"):
-            eigendecompose(sigma)
-
-    def test_non_finite_entries_rejected(self):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(MuddError, match="^matrix has non-finite entries$"):
-                eigendecompose([[bad, 0.0], [0.0, 1.0]])
-
-    def test_not_square(self):
-        for bad in ([[1.0, 2.0]], [1.0, 2.0], [[1.0], [2.0, 3.0]]):
-            with pytest.raises(MuddError, match="^matrix is not square$"):
-                eigendecompose(bad)
+            _eigendecompose([[1.0, 2.0], [2.0, 1.0]])
 
     def test_zero_row_is_its_own_eigenpair(self):
-        values, axes = eigendecompose([[2.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 2.0]])
+        values, axes = _eigendecompose([[2.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 2.0]])
         assert values[2] == 0.0 and axes[2] == (0.0, 1.0, 0.0)
         assert list(values[:2]) == pytest.approx([3.0, 1.0], rel=1e-15)
         assert all(row[1] == 0.0 for row in axes[:2])
 
     def test_returns_tuples_of_floats(self):
-        values, axes = eigendecompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        values, axes = _eigendecompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert type(values) is tuple and type(axes) is tuple
         assert all(type(x) is float for x in values)
         assert all(type(row) is tuple and all(type(x) is float for x in row)
@@ -399,7 +373,7 @@ class TestEigendecompose:
         # 1e-12, and the reconstruction bound, on positive semidefinite
         # matrices of every kind a covariance takes
         for sigma in psd_matrices(n, np.random.default_rng(1000 + n)):
-            values, axes = eigendecompose(sigma)
+            values, axes = _eigendecompose(sigma)
             axes = np.asarray(axes)
             ref = np.clip(np.linalg.eigvalsh(sigma)[::-1], 0.0, None)
             largest = float(np.abs(np.linalg.eigvalsh(sigma)).max())
@@ -466,7 +440,7 @@ class TestConfidenceRegion:
             [[10.0, 10.0], [10.0, 10.0], [10.0 + math.sqrt(2 * m), 10.0], [10.0, 10.0 + math.sqrt(2 * m)]]
         )
         obs = obs_from(base)
-        _, mean_cov = mean_and_covariance(obs)
+        _, mean_cov = _mean_and_covariance(obs)
         region = build_confidence_region(obs, alpha=0.01)
         expected = np.sqrt(np.linalg.eigvalsh(mean_cov)[::-1] * 9.21034)
         assert np.allclose(region.half_lengths, expected, atol=1e-4)
