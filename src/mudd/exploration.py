@@ -15,16 +15,17 @@ from pathlib import Path
 from . import dsl
 from .errors import MuddError, read_text
 from .geometry import Vector, cone_membership, normalize_signatures
-from .model import CounterNamespace, MuDD, Record, enumerate_mupaths
+from .model import CounterNamespace, MuDD, Record, distinct_names, enumerate_mupaths
 
 
 class ModelEntry(Record):
     """One explored model; `parent` is (name, "relaxation" | "pruning").
 
-    `features` is kept as a frozenset (a string, or a feature named twice, is
-    refused), `parent` as a tuple (anything but a tuple or list of a name
-    and a kind is refused). An `infeasible_count` that is not an int, a bool
-    included, raises TypeError.
+    A `name` that is not a string, or a `model` that is not a `MuDD`, raises
+    TypeError. `features`, checked by `distinct_names` (its refusal prefixed
+    with the entry's name), is kept as a frozenset; `parent` as a tuple
+    (anything but a tuple or list of a name and a kind is refused). An
+    `infeasible_count` that is not an int, a bool included, raises TypeError.
     `generators`, kept outside `_fields`, are the model's normalized
     signatures (None without a model), from the one enumeration of its paths
     made here; a model whose paths cannot be enumerated raises MuddError."""
@@ -33,17 +34,20 @@ class ModelEntry(Record):
 
     def __init__(self, name: str, features: Iterable[str], infeasible_count: int,
                  model: MuDD | None = None, parent: tuple | list | None = None):
+        if not isinstance(name, str):
+            raise TypeError(f"entry name {name!r} is not a string")
+        if model is not None and not isinstance(model, MuDD):
+            raise TypeError(f"entry {name!r} has model {model!r}, not a MuDD")
         if type(infeasible_count) is not int:  # as `load_catalog` reads it: no bool
             raise TypeError(f"entry {name!r} has infeasible count {infeasible_count!r}, "
                             "not an int")
         if infeasible_count < 0:
             raise MuddError(f"entry {name!r} has a negative infeasible count")
-        if isinstance(features, str):  # not a set of its characters
-            raise MuddError(f"entry {name!r} has features {features!r}, a string")
-        features = tuple(features)
-        repeated = [f for i, f in enumerate(features) if f in features[:i]]
-        if repeated:
-            raise MuddError(f"entry {name!r} has duplicate feature {repeated[0]!r}")
+        try:
+            features = distinct_names(features, "feature")
+        except (MuddError, TypeError) as exc:  # named after the entry, of the same type
+            exc.args = (f"entry {name!r}: {exc}",)
+            raise
         pair = tuple(parent) if isinstance(parent, (tuple, list)) else ()  # not "pr"
         if parent is not None and (len(pair) != 2 or not isinstance(pair[0], str)):
             raise MuddError(f"entry {name!r} has parent {parent!r}, not a (name, kind) pair")
@@ -60,15 +64,14 @@ class ModelEntry(Record):
 class ModelCatalog(Record):
     """Explored models: `entries` is one tuple of `ModelEntry`, in file order.
 
-    Every check that spans entries runs here, and MuddError names the first
-    fault in this order: a `feature_order` that is one string, a feature
-    named twice in it, duplicate names, missing parents, parent cycles, a
-    relaxation edge whose models infer different namespaces (parse both with
-    one `CounterNamespace`). `feature_order` is kept as a tuple. A
-    `dataset_id` or feature name that is not a string, or an entry that is
-    not a `ModelEntry`, raises TypeError. Outside `_fields`: an index by
-    name, and `relaxations`, the (parent, child) pairs of relaxation edges
-    between models."""
+    Every check that spans entries runs here, and the first fault raises, in
+    this order: a `dataset_id` that is not a string (TypeError); the
+    `feature_order`, by `distinct_names`; an entry that is not a
+    `ModelEntry` (TypeError); the entry names, by `distinct_names`; then,
+    each a MuddError, missing parents, parent cycles and a relaxation edge
+    whose models infer different namespaces (parse both with one
+    `CounterNamespace`). `feature_order` is kept as a tuple. Outside `_fields`: an index by name, and `relaxations`, the
+    (parent, child) pairs of relaxation edges between models."""
 
     _fields = ("entries", "dataset_id", "feature_order")
 
@@ -76,23 +79,12 @@ class ModelCatalog(Record):
                  feature_order: tuple[str, ...] = ()):
         if not isinstance(dataset_id, str):
             raise TypeError(f"dataset id {dataset_id!r} is not a string")
-        if isinstance(feature_order, str):  # not a feature per character
-            raise MuddError("a feature order takes a sequence of feature names, not a string")
-        feature_order = tuple(feature_order)
-        for f in feature_order:
-            if not isinstance(f, str):
-                raise TypeError(f"feature name {f!r} is not a string")
-        repeated = [f for i, f in enumerate(feature_order) if f in feature_order[:i]]
-        if repeated:
-            raise MuddError(f"duplicate feature {repeated[0]!r} in the feature order")
+        feature_order = distinct_names(feature_order, "feature")
         entries = tuple(entries)
-        index: dict[str, ModelEntry] = {}
         for entry in entries:
             if not isinstance(entry, ModelEntry):
                 raise TypeError(f"catalog entry {entry!r} is not a ModelEntry")
-            if entry.name in index:
-                raise MuddError(f"duplicate entry name {entry.name!r}")
-            index[entry.name] = entry
+        index = dict(zip(distinct_names([e.name for e in entries], "entry name"), entries))
         for entry in entries:
             if entry.parent is not None and entry.parent[0] not in index:
                 raise MuddError(f"entry {entry.name!r} references missing parent "
@@ -125,10 +117,6 @@ class ModelCatalog(Record):
 _PARENT_SHAPE = '{"name": <entry name>, "kind": "relaxation" | "pruning"}'
 
 
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
-
 def load_catalog(path) -> ModelCatalog:
     """Read a catalog JSON file; model paths resolve relative to it.
 
@@ -137,8 +125,9 @@ def load_catalog(path) -> ModelCatalog:
     model `mudd paths` refuses raises MuddError naming the catalog, entry
     and model. A value of the wrong type raises MuddError naming the file,
     the entry (by name, or by position when the name itself is bad) and the
-    key; so does a `features` list, top-level or an entry's, or a
-    `namespace` that names a value twice. `ModelCatalog` checks what spans
+    key. A `features` list, top-level or an entry's, and a `namespace` list
+    are checked by `distinct_names`, and its refusal comes back as a
+    MuddError prefixed the same way. `ModelCatalog` checks what spans
     entries, and its MuddError comes back prefixed with `catalog <path>: `.
     """
     path = Path(path)
@@ -152,27 +141,18 @@ def load_catalog(path) -> ModelCatalog:
     def bad(where: str, key: str, expected: str, value) -> MuddError:
         return MuddError(f"catalog {path}: {where}{key!r} must be {expected}, got {value!r}")
 
-    def check_unique(where: str, features: list[str]) -> None:
-        seen: set[str] = set()
-        for feature in features:
-            if feature in seen:
-                raise MuddError(f"catalog {path}: {where}'features': duplicate feature {feature!r}")
-            seen.add(feature)
-
-    for key in ("namespace", "features"):
-        if raw.get(key) is not None and not _is_strings(raw[key]):
+    for key, what in (("namespace", "counter name"), ("features", "feature")):
+        if raw.get(key) is not None and not isinstance(raw[key], list):
             raise bad("", key, "a list of strings", raw[key])
-    check_unique("", raw.get("features") or ())
+        try:
+            distinct_names(raw.get(key) or (), what)
+        except (MuddError, TypeError) as exc:
+            raise MuddError(f"catalog {path}: {key!r}: {exc}") from None
     if not isinstance(raw.get("dataset_id", ""), str):
         raise bad("", "dataset_id", "a string", raw["dataset_id"])
     if not isinstance(raw["entries"], list):
         raise bad("", "entries", "a list of objects", raw["entries"])
-    ns = None
-    if raw.get("namespace"):
-        try:
-            ns = CounterNamespace(raw["namespace"])
-        except MuddError as exc:
-            raise MuddError(f"catalog {path}: 'namespace': {exc}") from None
+    ns = CounterNamespace(raw["namespace"]) if raw.get("namespace") else None
     entries = []
     for position, item in enumerate(raw["entries"], 1):
         if not isinstance(item, dict):
@@ -188,9 +168,12 @@ def load_catalog(path) -> ModelCatalog:
         if type(count) is not int or count < 0:
             raise bad(where, "infeasible_count", "a non-negative integer", count)
         features = item.get("features", [])
-        if not _is_strings(features):
+        if not isinstance(features, list):
             raise bad(where, "features", "a list of strings", features)
-        check_unique(where, features)
+        try:
+            distinct_names(features, "feature")
+        except (MuddError, TypeError) as exc:
+            raise MuddError(f"catalog {path}: {where}'features': {exc}") from None
         parent = item.get("parent")
         if parent is not None:
             if not (isinstance(parent, dict) and isinstance(parent.get("name"), str)

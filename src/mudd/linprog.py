@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from operator import mul
 
-from .exact import check_length, pivot, primitive
+from .exact import check_length, dot, pivot, primitive
 
 
 def solve_equality_form(
@@ -167,7 +166,7 @@ def _check_farkas(w: Sequence, A_ub: Sequence[Sequence], b_ub: Sequence) -> None
     """
     if len(w) != len(A_ub) or any(x < 0 for x in w):
         raise ArithmeticError("Farkas vector has a negative entry or the wrong length")
-    if any(sum(map(mul, w, column)) < 0 for column in zip(*A_ub)):
+    if any(dot(w, column) < 0 for column in zip(*A_ub)):
         raise ArithmeticError("Farkas vector gives a negative column combination")
-    if sum(map(mul, w, b_ub)) >= 0:
+    if dot(w, b_ub) >= 0:
         raise ArithmeticError("Farkas vector does not bound the right-hand side below zero")

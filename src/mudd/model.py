@@ -65,26 +65,35 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def distinct_names(names: Iterable[str], what: str) -> tuple[str, ...]:
+    """`names` as a tuple, each `what` a string named once.
+
+    One string is refused, not split into one name per character, and a
+    repeat is refused, each with MuddError; a name that is not a string
+    raises TypeError, before it is looked up among the others."""
+    if isinstance(names, str):
+        raise MuddError(f"{what}s must be a sequence, not the string {names!r}")
+    names = tuple(names)
+    seen: set[str] = set()
+    for n in names:
+        if not isinstance(n, str):
+            raise TypeError(f"{what} {n!r} is not a string")
+        if n in seen:
+            raise MuddError(f"duplicate {what} {n!r}")
+        seen.add(n)
+    return names
+
+
 class CounterNamespace(Record):
     """Ordered set of distinct counter names; the order fixes vector coordinates.
 
-    A string is refused, not split into one counter per character, with
-    MuddError; a name that is not a string raises TypeError."""
+    The names are checked by `distinct_names`."""
 
     _fields = ("names",)
 
     def __init__(self, names: Iterable[str]):
-        if isinstance(names, str):
-            raise MuddError("a namespace takes a sequence of counter names, not a string")
-        names = tuple(names)
-        index: dict[str, int] = {}
-        for i, n in enumerate(names):
-            if not isinstance(n, str):
-                raise TypeError(f"counter name {n!r} is not a string")
-            if n in index:
-                raise MuddError(f"duplicate counter name {n!r} in namespace")
-            index[n] = i
-        self._set(names=names, index=index)
+        names = distinct_names(names, "counter name")
+        self._set(names=names, index={n: i for i, n in enumerate(names)})
 
     def position(self, name: str) -> int:
         try:

@@ -130,7 +130,7 @@ class ConfidenceRegion(Record):
         offset = [x.numerator * (den // x.denominator) * scale - den * c
                   for x, c in zip(xs, self._center)]  # scale*den*(v - c)
         extra = scale * scale * slack.numerator * (den // slack.denominator)  # scale**2*den*tol
-        return all(abs(sum(map(mul, e, offset))) <= scale * den * h + extra
+        return all(abs(exact.dot(e, offset)) <= scale * den * h + extra
                    for e, h in zip(self._axes, self._half))
 
     def misses(self, a: Sequence[int], equality: bool = False) -> bool:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from mudd import dsl, exact, hull, linprog
 from mudd.errors import MuddError
-from mudd.exploration import ModelCatalog, ModelEntry
+from mudd.exploration import ModelCatalog, ModelEntry, load_catalog
 from mudd.feasibility import (
     FeasibilityVerdict,
     _Signatures,
@@ -290,14 +291,14 @@ REFUSALS = {
                                   lambda: _diagram((0,))),
     "MuDD-happens-before-long": ("happens-before edge (0, 0, 0) is not a (src, dst) pair",
                                  lambda: _diagram((0, 0, 0))),
-    "CounterNamespace-string": ("a namespace takes a sequence of counter names, not a string",
+    "CounterNamespace-string": ("counter names must be a sequence, not the string 'ab'",
                                 lambda: CounterNamespace("ab")),
-    "ModelEntry-features": ("entry 'a' has duplicate feature 'X'",
+    "ModelEntry-features": ("entry 'a': duplicate feature 'X'",
                             lambda: ModelEntry("a", ["X", "X"], 0)),
     "ModelCatalog-feature-order-string":
-        ("a feature order takes a sequence of feature names, not a string",
+        ("features must be a sequence, not the string 'fg'",
          lambda: ModelCatalog(_CATALOG.entries, "", "fg")),
-    "ModelCatalog-feature-order": ("duplicate feature 'X' in the feature order",
+    "ModelCatalog-feature-order": ("duplicate feature 'X'",
                                    lambda: ModelCatalog(_CATALOG.entries, "", ("X", "X"))),
     "batch_check-jobs-zero": ("jobs must be at least 1", lambda: batch_check([], [], jobs=0)),
     "batch_check-jobs-negative": ("jobs must be at least 1",
@@ -310,6 +311,88 @@ def test_bad_data_raises_one_mudd_error(message, use):
     with pytest.raises(MuddError) as exc:
         use()
     assert str(exc.value) == message
+
+
+# a list of names is checked by `model.distinct_names` alone, wherever it is
+# given: one string, a name that is not a string and a name given twice are
+# each one exception with one message; a catalog file's message names the
+# file and the key, and a JSON list is checked to be a list first
+
+def _load(directory, blob):
+    path = directory / "c.json"
+    path.write_text(json.dumps(blob))
+    return load_catalog(path)
+
+
+def _load_entry(directory, features):
+    return _load(directory, {"entries": [{"name": "e", "features": features,
+                                          "infeasible_count": 0}]})
+
+
+NAME_REFUSALS = {
+    "CounterNamespace-string": (MuddError, "counter names must be a sequence, not the string 'ab'",
+                                lambda _: CounterNamespace("ab")),
+    "CounterNamespace-non-string": (TypeError, "counter name 1 is not a string",
+                                    lambda _: CounterNamespace(["a", 1])),
+    "CounterNamespace-repeat": (MuddError, "duplicate counter name 'a'",
+                                lambda _: CounterNamespace(["a", "a"])),
+    "ModelCatalog-feature-order-string":
+        (MuddError, "features must be a sequence, not the string 'ab'",
+         lambda _: ModelCatalog((), "", "ab")),
+    "ModelCatalog-feature-order-non-string": (TypeError, "feature 1 is not a string",
+                                              lambda _: ModelCatalog((), "", ["a", 1])),
+    "ModelCatalog-feature-order-repeat": (MuddError, "duplicate feature 'a'",
+                                          lambda _: ModelCatalog((), "", ["a", "a"])),
+    # an entry's name is its own: a string of entries is refused entry by entry
+    "ModelCatalog-entries-string": (TypeError, "catalog entry 'a' is not a ModelEntry",
+                                    lambda _: ModelCatalog("ab")),
+    "ModelCatalog-entry-name-non-string": (TypeError, "entry name 5 is not a string",
+                                           lambda _: ModelCatalog([ModelEntry(5, [], 0)])),
+    "ModelCatalog-entry-name-repeat": (MuddError, "duplicate entry name 'a'",
+                                       lambda _: ModelCatalog([ModelEntry("a", [], 0)] * 2)),
+    "ModelEntry-features-string":
+        (MuddError, "entry 'e': features must be a sequence, not the string 'ab'",
+         lambda _: ModelEntry("e", "ab", 0)),
+    "ModelEntry-features-non-string": (TypeError, "entry 'e': feature 1 is not a string",
+                                       lambda _: ModelEntry("e", ["a", 1], 0)),
+    "ModelEntry-features-repeat": (MuddError, "entry 'e': duplicate feature 'a'",
+                                   lambda _: ModelEntry("e", ["a", "a"], 0)),
+    "load_catalog-namespace-string":
+        (MuddError, "catalog {catalog}: 'namespace' must be a list of strings, got 'ab'",
+         lambda d: _load(d, {"namespace": "ab", "entries": []})),
+    "load_catalog-namespace-non-string":
+        (MuddError, "catalog {catalog}: 'namespace': counter name 1 is not a string",
+         lambda d: _load(d, {"namespace": ["a", 1], "entries": []})),
+    "load_catalog-namespace-repeat":
+        (MuddError, "catalog {catalog}: 'namespace': duplicate counter name 'a'",
+         lambda d: _load(d, {"namespace": ["a", "a"], "entries": []})),
+    "load_catalog-features-string":
+        (MuddError, "catalog {catalog}: 'features' must be a list of strings, got 'ab'",
+         lambda d: _load(d, {"features": "ab", "entries": []})),
+    "load_catalog-features-non-string":
+        (MuddError, "catalog {catalog}: 'features': feature 1 is not a string",
+         lambda d: _load(d, {"features": ["a", 1], "entries": []})),
+    "load_catalog-features-repeat":
+        (MuddError, "catalog {catalog}: 'features': duplicate feature 'a'",
+         lambda d: _load(d, {"features": ["a", "a"], "entries": []})),
+    "load_catalog-entry-features-string":
+        (MuddError, "catalog {catalog}: entry 'e': 'features' must be a list of strings, got 'ab'",
+         lambda d: _load_entry(d, "ab")),
+    "load_catalog-entry-features-non-string":
+        (MuddError, "catalog {catalog}: entry 'e': 'features': feature 1 is not a string",
+         lambda d: _load_entry(d, ["a", 1])),
+    "load_catalog-entry-features-repeat":
+        (MuddError, "catalog {catalog}: entry 'e': 'features': duplicate feature 'a'",
+         lambda d: _load_entry(d, ["a", "a"])),
+}
+
+
+@pytest.mark.parametrize("error, message, use", NAME_REFUSALS.values(), ids=NAME_REFUSALS)
+def test_bad_list_of_names_raises_one_message(tmp_path, error, message, use):
+    with pytest.raises(error) as exc:
+        use(tmp_path)
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(catalog=tmp_path / "c.json")
 
 
 # a verdict is mudd's own result: one that contradicts itself failed mudd's
@@ -330,13 +413,16 @@ def test_contradictory_verdict_raises_arithmetic_error(verdict):
 
 TYPE_REFUSALS = {
     "ModelCatalog-entry": ("catalog entry 'x' is not a ModelEntry", lambda: ModelCatalog(["x"])),
+    "ModelEntry-name": ("entry name 5 is not a string", lambda: ModelEntry(5, [], 0)),
+    "ModelEntry-model": ("entry 'a' has model 'x', not a MuDD",
+                         lambda: ModelEntry("a", [], 0, model="x")),
     "CounterNamespace-name": ("counter name 1 is not a string",
                               lambda: CounterNamespace([1, 2])),
     "ModelEntry-count-float": ("entry 'a' has infeasible count 1.5, not an int",
                                lambda: ModelEntry("a", [], 1.5)),
     "ModelEntry-count-bool": ("entry 'a' has infeasible count True, not an int",
                               lambda: ModelEntry("a", [], True)),
-    "ModelCatalog-feature-name": ("feature name 1 is not a string",
+    "ModelCatalog-feature-name": ("feature 1 is not a string",
                                   lambda: ModelCatalog(_CATALOG.entries, "", (1, 2))),
     "Constraint-term": ("constraint term 'x' is not a Constraint",
                         lambda: Constraint("inequality", (1, -1), terms=((1, "x"),))),

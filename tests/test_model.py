@@ -45,7 +45,7 @@ class TestNamespace:
         assert list(ns) == ["b", "a", "c"]
 
     def test_duplicate_rejected(self):
-        with pytest.raises(MuddError, match="^duplicate counter name 'x' in namespace$"):
+        with pytest.raises(MuddError, match="^duplicate counter name 'x'$"):
             CounterNamespace(["x", "x"])
 
     def test_unknown_position(self):
